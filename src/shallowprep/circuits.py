@@ -466,18 +466,27 @@ class Builder:
 # Values inside gate params follow fixed encodings: complex numbers are
 # [re, im] pairs, 2x2 matrices are nested pairs, Fractions are [num, den].
 # Library gate arguments are encoded by per-tag codecs that the library
-# module registers at import time, since only the tag knows its schema.
+# module registers at import time, since only the tag knows its schema and
+# the qubit width its arguments imply.
 
-LibraryCodec = Tuple[Callable[[Tuple[Any, ...]], Any], Callable[[Any], Tuple[Any, ...]]]
+LibraryCodec = Tuple[
+    Callable[[Tuple[Any, ...]], Any],
+    Callable[[Any], Tuple[Any, ...]],
+    Callable[[Tuple[Any, ...]], int],
+]
 _LIBRARY_CODECS: Dict[str, LibraryCodec] = {}
+
+# what malformed JSON values raise when decoded field by field
+_DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError)
 
 
 def register_library_codec(
     tag: str,
     encode: Callable[[Tuple[Any, ...]], Any],
     decode: Callable[[Any], Tuple[Any, ...]],
+    width: Callable[[Tuple[Any, ...]], int],
 ) -> None:
-    _LIBRARY_CODECS[tag] = (encode, decode)
+    _LIBRARY_CODECS[tag] = (encode, decode, width)
 
 
 def encode_complex(z: complex) -> List[float]:
@@ -497,7 +506,7 @@ def encode_matrix(mat: Any) -> List[List[List[float]]]:
 
 
 def decode_matrix(v: Any) -> np.ndarray:
-    return np.array([[decode_complex(z) for z in row] for row in v], dtype=complex)
+    return _as_matrix([[decode_complex(z) for z in row] for row in v])
 
 
 def encode_fraction(f: Fraction) -> List[int]:
@@ -534,7 +543,7 @@ def _encode_gate(gate: Gate) -> Dict[str, Any]:
         tag = p["tag"]
         if tag not in _LIBRARY_CODECS:
             raise ParseError(f"no codec registered for library tag {tag!r}")
-        enc, _ = _LIBRARY_CODECS[tag]
+        enc, _, _ = _LIBRARY_CODECS[tag]
         params["tag"] = tag
         params["args"] = enc(p["args"])
         params["inverse"] = p["inverse"]
@@ -560,6 +569,32 @@ def _decode_gate(obj: Any) -> Gate:
         raise ParseError(f"malformed gate entry: {exc}") from exc
     if kind not in GATE_KINDS:
         raise ParseError(f"unknown gate kind {kind!r}")
+    if not isinstance(raw, dict):
+        raise ParseError(f"gate params must be an object, got {type(raw).__name__}")
+    try:
+        params = _decode_params(kind, raw, obj)
+    except (ParseError, CircuitError):
+        raise
+    except _DECODE_ERRORS as exc:
+        raise ParseError(f"malformed {kind} gate params: {exc!r}") from exc
+    if kind == "library":
+        tag, args = params["tag"], params["args"]
+        _, _, width = _LIBRARY_CODECS[tag]
+        try:
+            expected = width(args)
+        except _DECODE_ERRORS as exc:
+            raise ParseError(f"bad arguments for library tag {tag!r}: {exc!r}") from exc
+        if len(targets) != expected:
+            raise ParseError(
+                f"library gate {tag}{args} spans {expected} qubits, "
+                f"got {len(targets)}"
+            )
+    gate = Gate(kind, targets, controls, params)
+    _validate_gate(gate)
+    return gate
+
+
+def _decode_params(kind: str, raw: Dict[str, Any], obj: Dict[str, Any]) -> Dict[str, Any]:
     params: Dict[str, Any] = {}
     if kind in ("unitary1", "ctrl_unitary1"):
         params["matrix"] = decode_matrix(raw["matrix"])
@@ -576,24 +611,19 @@ def _decode_gate(obj: Any) -> Gate:
             params["widened"] = True
     elif kind == "library":
         tag = raw.get("tag")
-        if tag not in _LIBRARY_CODECS:
+        if not isinstance(tag, str) or tag not in _LIBRARY_CODECS:
             raise ParseError(f"unknown library tag {tag!r}")
-        _, dec = _LIBRARY_CODECS[tag]
-        try:
-            params["tag"] = tag
-            params["args"] = dec(raw["args"])
-            params["inverse"] = bool(raw["inverse"])
-            params["declared_depth"] = int(obj["declared_depth"])
-            params["declared_width"] = int(obj["declared_width"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed library gate for tag {tag!r}: {exc}") from exc
+        _, dec, _ = _LIBRARY_CODECS[tag]
+        params["tag"] = tag
+        params["args"] = dec(raw["args"])
+        params["inverse"] = bool(raw["inverse"])
+        params["declared_depth"] = int(obj["declared_depth"])
+        params["declared_width"] = int(obj["declared_width"])
     if "ctrl" in raw:
         params["ctrl"] = int(raw["ctrl"])
     if raw.get("checked") is False:
         params["checked"] = False
-    gate = Gate(kind, targets, controls, params)
-    _validate_gate(gate)
-    return gate
+    return params
 
 
 def _encode_meta(value: Any) -> Any:
@@ -640,12 +670,21 @@ def deserialize(text: str) -> Circuit:
         raise ParseError("top level must be an object")
     if doc.get("version") != SERIAL_VERSION:
         raise ParseError(f"unsupported format version {doc.get('version')!r}")
-    for key in ("metadata", "registers", "layers"):
+    for key, kind in (("metadata", dict), ("registers", list), ("layers", list)):
         if key not in doc:
             raise ParseError(f"missing top-level key {key!r}")
-    meta = _decode_meta(doc["metadata"])
-    if "rounds" in meta:
-        meta["rounds"] = tuple(int(r) for r in meta["rounds"])
+        if not isinstance(doc[key], kind):
+            raise ParseError(f"top-level {key!r} must be a JSON {kind.__name__}")
+    try:
+        meta = _decode_meta(doc["metadata"])
+        if "rounds" in meta:
+            meta["rounds"] = tuple(int(r) for r in meta["rounds"])
+        if meta.get("fanout_budget") is not None:
+            meta["fanout_budget"] = int(meta["fanout_budget"])
+    except ParseError:
+        raise
+    except _DECODE_ERRORS as exc:
+        raise ParseError(f"malformed circuit metadata: {exc!r}") from exc
     registers = []
     for entry in doc["registers"]:
         try:
@@ -658,6 +697,8 @@ def deserialize(text: str) -> Circuit:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed register entry: {exc}") from exc
+    if not all(isinstance(layer, list) for layer in doc["layers"]):
+        raise ParseError("each layer must be a JSON list of gates")
     layers = tuple(
         tuple(_decode_gate(g) for g in layer) for layer in doc["layers"]
     )
@@ -678,6 +719,8 @@ def validate_circuit(circuit: Circuit) -> None:
             if q in known:
                 raise CircuitError(f"qubit {q} appears in two registers")
             known.add(q)
+    if known != set(range(len(known))):
+        raise CircuitError("register qubits must number 0..n-1 with no gaps")
     budget = circuit.metadata.get("fanout_budget")
     for layer in circuit.layers:
         seen: set = set()

@@ -29,7 +29,7 @@ from .simulate import (
 )
 from .synthesis import build_dicke, build_symmetric, dicke_vector, symmetric_vector
 
-# dense simulation for the synth self-check is capped at this many qubits
+# dense simulation (the synth self-check, verify) is capped at this many qubits
 _SELF_CHECK_QUBITS = 20
 
 
@@ -209,6 +209,11 @@ def _cmd_synth_symmetric(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.circuit, "r", encoding="utf-8") as fh:
         circuit = deserialize(fh.read())
+    if circuit.n_qubits > _SELF_CHECK_QUBITS:
+        raise ValueError(
+            f"circuit has {circuit.n_qubits} qubits; verify simulates densely "
+            f"and is capped at {_SELF_CHECK_QUBITS}"
+        )
     if args.n is None:
         raise ValueError("verify needs --n to know the data register size")
     if args.target == "dicke":

@@ -24,6 +24,8 @@ from . import dists
 from .circuits import CircuitError, Gate, g_library, register_library_codec
 
 ATOL = 1e-9
+# singular values below this count as zero when spanning declared columns
+_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -263,21 +265,29 @@ def _complete_permutation(w: int, partial: Dict[int, int]) -> np.ndarray:
     return table
 
 
-def complete_isometry(w: int, columns: Dict[int, np.ndarray]) -> np.ndarray:
-    """Extend declared output columns to a full unitary deterministically.
-
-    The declared columns must be orthonormal.  The remaining columns come
-    from a Householder QR of the declared columns stacked with the identity,
-    so the completion depends only on the inputs.
-    """
-    size = 2**w
+def _column_stack(w: int, columns: Dict[int, np.ndarray]) -> Tuple[List[int], np.ndarray]:
+    """The declared columns side by side in domain order, checked orthonormal."""
     dom = sorted(columns)
-    stack = np.zeros((size, len(dom)), dtype=complex)
+    stack = np.zeros((2**w, len(dom)), dtype=complex)
     for j, idx in enumerate(dom):
         stack[:, j] = columns[idx]
     gram = stack.conj().T @ stack
     if np.max(np.abs(gram - np.eye(len(dom)))) > 1e-8:
         raise CircuitError("declared library columns are not orthonormal")
+    return dom, stack
+
+
+def complete_isometry(w: int, columns: Dict[int, np.ndarray]) -> np.ndarray:
+    """Extend declared output columns to a full unitary deterministically.
+
+    The declared columns must be orthonormal.  The remaining columns come
+    from a Householder QR of the declared columns stacked with the identity,
+    so the completion depends only on the inputs.  This dense 2^w x 2^w form
+    is the reference for ``low_rank_completion``; the simulator does not
+    use it.
+    """
+    size = 2**w
+    dom, stack = _column_stack(w, columns)
     q, _ = np.linalg.qr(np.concatenate([stack, np.eye(size)], axis=1))
     rest = [i for i in range(size) if i not in columns]
     unitary = np.zeros((size, size), dtype=complex)
@@ -286,6 +296,41 @@ def complete_isometry(w: int, columns: Dict[int, np.ndarray]) -> np.ndarray:
     for j, idx in enumerate(rest):
         unitary[:, idx] = q[:, len(dom) + j]
     return unitary
+
+
+def low_rank_completion(
+    w: int, columns: Dict[int, np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Extend declared output columns to a unitary that differs from I in low rank.
+
+    For d declared columns c_j at domain inputs e_j, returns (B, M): B is a
+    2^w x r orthonormal basis (r <= 2d) of the span of the e_j and c_j, and
+    M = W - I for an r x r unitary W with W B^dagger e_j = B^dagger c_j.  The
+    unitary I + B M B^dagger maps each e_j to c_j and is the identity on the
+    complement of that span, so it takes O(2^w d) memory where
+    ``complete_isometry`` takes O(4^w).  It completes the declared columns
+    differently from ``complete_isometry``; both agree on the domain.
+    """
+    dom, stack = _column_stack(w, columns)
+    d = len(dom)
+    # the part of the columns outside span{e_j}; its range completes the basis
+    outside = stack.copy()
+    outside[dom] = 0.0
+    u, sing, _ = np.linalg.svd(outside, full_matrices=False)
+    extra = u[:, sing > _RANK_TOL]
+    # a direction with a small singular value can leak onto the e_j rows
+    extra[dom] = 0.0
+    extra, _ = np.linalg.qr(extra)
+    r = d + extra.shape[1]
+    basis = np.zeros((2**w, r), dtype=complex)
+    basis[dom, np.arange(d)] = 1.0
+    basis[:, d:] = extra
+    image = basis.conj().T @ stack
+    q, _ = np.linalg.qr(np.concatenate([image, np.eye(r)], axis=1))
+    # the nearest unitary to [image | completion]: rounding in image would
+    # otherwise let every application shrink the state norm a little
+    left, _, right = np.linalg.svd(np.concatenate([image, q[:, d:]], axis=1))
+    return basis, left @ right - np.eye(r)
 
 
 # ---- registry ----
@@ -327,7 +372,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {}
 
 def _register(entry: LibraryEntry) -> None:
     _REGISTRY[entry.tag] = entry
-    register_library_codec(entry.tag, entry.encode, entry.decode)
+    register_library_codec(entry.tag, entry.encode, entry.decode, entry.width)
 
 
 _register(

@@ -50,11 +50,20 @@ class VerificationResult:
 
 @dataclass
 class _CompiledOp:
+    """A library gate ready to apply.
+
+    Permutation gates keep their table and its inverse.  Column-declared
+    gates keep their declared columns and the low-rank form
+    I + basis @ correction @ basis^dagger of their unitary.
+    """
+
     n_qubits: int
-    table: Optional[np.ndarray]
-    inverse_table: Optional[np.ndarray]
-    unitary: Optional[np.ndarray]
     domain: Optional[np.ndarray]
+    table: Optional[np.ndarray] = None
+    inverse_table: Optional[np.ndarray] = None
+    columns: Optional[Dict[int, np.ndarray]] = None
+    basis: Optional[np.ndarray] = None
+    correction: Optional[np.ndarray] = None
 
 
 _OP_CACHE: Dict[Tuple[str, Tuple[Any, ...]], _CompiledOp] = {}
@@ -65,25 +74,20 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
     if key in _OP_CACHE:
         return _OP_CACHE[key]
     sem = library.semantics(tag, args)
+    domain = None if sem.domain is None else np.asarray(sem.domain)
     if sem.permutation is not None:
         table = sem.permutation
         inverse = np.empty_like(table)
         inverse[table] = np.arange(len(table), dtype=table.dtype)
-        op = _CompiledOp(
-            n_qubits=sem.n_qubits,
-            table=table,
-            inverse_table=inverse,
-            unitary=None,
-            domain=None if sem.domain is None else np.asarray(sem.domain),
-        )
+        op = _CompiledOp(sem.n_qubits, domain, table=table, inverse_table=inverse)
     else:
-        unitary = library.complete_isometry(sem.n_qubits, sem.columns)
+        basis, correction = library.low_rank_completion(sem.n_qubits, sem.columns)
         op = _CompiledOp(
-            n_qubits=sem.n_qubits,
-            table=None,
-            inverse_table=None,
-            unitary=unitary,
-            domain=None if sem.domain is None else np.asarray(sem.domain),
+            sem.n_qubits,
+            domain,
+            columns=sem.columns,
+            basis=basis,
+            correction=correction,
         )
     _OP_CACHE[key] = op
     return op
@@ -185,12 +189,15 @@ def _library_fn(gate: Gate) -> Tuple[Callable[[np.ndarray], np.ndarray], int]:
 
         return fn, op.n_qubits
 
-    unitary = op.unitary.conj().T if inverse else op.unitary
+    basis = op.basis
+    basis_h = basis.conj().T
+    correction = op.correction.conj().T if inverse else op.correction
 
     def fn(block: np.ndarray) -> np.ndarray:
         if domain is not None and not inverse:
             _check_domain(block, domain, tag)
-        out = unitary @ block
+        out = basis @ (correction @ (basis_h @ block))
+        out += block
         if domain is not None and inverse:
             _check_domain(out, domain, tag)
         return out
@@ -381,7 +388,7 @@ def _semantic_output(op: _CompiledOp, local_index: int) -> np.ndarray:
         col = np.zeros(2**op.n_qubits, dtype=complex)
         col[op.table[local_index]] = 1.0
         return col
-    return op.unitary[:, local_index]
+    return op.columns[local_index]
 
 
 def certify_library_gate(
@@ -413,6 +420,12 @@ def certify_library_gate(
         list(range(2**op.n_qubits)) if op.domain is None else [int(d) for d in op.domain]
     )
     inputs = list(domain_subset) if domain_subset is not None else domain
+    outside = sorted(set(inputs) - set(domain))
+    if outside:
+        raise CertificationError(
+            f"{tag}{args} declares no action on input {outside[0]}: "
+            f"it is outside the gate's domain"
+        )
     n = explicit.n_qubits
     worst = 1.0
     for d in inputs:

@@ -1,12 +1,14 @@
 """Circuit IR tests: validation, inversion, cost accounting, serialization."""
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shallowprep import circuits as circ
+from shallowprep import circuits as circ, library
 from shallowprep.circuits import (
     Builder,
     CircuitError,
@@ -193,7 +195,8 @@ def test_from_circuit_round_trip_and_extension():
     assert c1.metadata["rounds"] == (1,)
 
 
-def test_serialize_round_trip_mixed_gates():
+def mixed_circuit():
+    """One gate of most kinds, a library gate with Fraction args, and metadata."""
     b = Builder(metadata={"label": "mixed", "fanout_budget": 8})
     x = b.add_register("x", 3)
     a = b.add_register("a", 2, ancilla=True)
@@ -203,8 +206,13 @@ def test_serialize_round_trip_mixed_gates():
     b.append(g_fanout(x[0], (a[0], a[1])))
     b.append(g_nor((x[1], x[2]), a[0]))
     b.append(g_library("exact", (3, 1), (x[0], x[1], x[2], a[0]), 3, 0))
+    b.append(library.make("onehot_dist", (2, (Fraction(1, 3), Fraction(2, 3))), (x[1], x[2])))
     b.record_rounds(2)
-    c1 = b.build()
+    return b.build()
+
+
+def test_serialize_round_trip_mixed_gates():
+    c1 = mixed_circuit()
     text = serialize(c1)
     c2 = deserialize(text)
     assert c2.n_qubits == c1.n_qubits
@@ -236,3 +244,71 @@ def test_deserialized_circuit_simulates_identically():
 def test_deserialize_rejects_garbage():
     with pytest.raises(circ.ParseError):
         deserialize("not json at all {")
+
+
+def test_deserialize_rejects_library_width_mismatch():
+    """exact(5, 1) spans 6 qubits; a file may not place it on 3."""
+    b = Builder()
+    r = b.add_register("q", 3)
+    b.append(g_library("exact", (5, 1), tuple(r), 6, 2))
+    with pytest.raises(circ.ParseError, match="spans 6 qubits, got 3"):
+        deserialize(serialize(b.build()))
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("layers", 5), ("layers", [5]), ("metadata", []), ("registers", {})],
+)
+def test_deserialize_rejects_wrong_top_level_types(key, value):
+    doc = json.loads(serialize(mixed_circuit()))
+    doc[key] = value
+    with pytest.raises(circ.ParseError):
+        deserialize(json.dumps(doc))
+
+
+def test_deserialize_rejects_gaps_in_qubit_numbering():
+    """Qubit q is bit q of the state index, so registers must cover 0..n-1."""
+    doc = json.loads(serialize(mixed_circuit()))
+    doc["registers"][1]["qubits"] = [3, 9]
+    with pytest.raises(CircuitError, match="no gaps"):
+        deserialize(json.dumps(doc))
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+_MIXED_DOC = json.loads(serialize(mixed_circuit()))
+_MIXED_PATHS = [p for p in _json_paths(_MIXED_DOC) if p]
+_JUNK = st.sampled_from(
+    [None, True, -1, 5, 1.5, "x", [], {}, [1, 0], [["a", "b"]], {"__frac__": [1, 0]}]
+)
+
+
+@given(
+    path=st.sampled_from(_MIXED_PATHS),
+    junk=_JUNK,
+    delete=st.booleans(),
+)
+def test_deserialize_fuzz_raises_only_parse_or_circuit_errors(path, junk, delete):
+    """Replace or delete one value anywhere in a serialized circuit."""
+    doc = json.loads(json.dumps(_MIXED_DOC))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = junk
+    try:
+        deserialize(json.dumps(doc))
+    except (circ.ParseError, CircuitError):
+        pass

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shallowprep import cli
+from shallowprep.circuits import Builder, serialize
 
 pytestmark = pytest.mark.filterwarnings("ignore:ratio bound skipped:UserWarning")
 
@@ -180,3 +181,31 @@ def test_missing_circuit_file_is_config_error(capsys):
     )
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("layers", 5), ("metadata", [])])
+def test_malformed_circuit_json_is_config_error(tmp_path, capsys, key, value):
+    cli.main(["synth", "dicke", "--n", "4", "--k", "1", "--out", str(tmp_path)])
+    path = tmp_path / "dicke_n4_k1.circuit"
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = cli.main(["report", "--circuit", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_refuses_circuits_too_wide_to_simulate(tmp_path, capsys):
+    wide = cli._SELF_CHECK_QUBITS + 1
+    b = Builder()
+    b.add_register("data", wide)
+    path = write(tmp_path / "wide.circuit", serialize(b.build()))
+    rc = cli.main(
+        ["verify", "--circuit", path, "--target", "dicke", "--n", str(wide), "--k", "1"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{wide} qubits" in err

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shallowprep import dists, library
+from shallowprep import dists, library, simulate
 from shallowprep.circuits import Builder, CircuitError, deserialize, serialize
 from shallowprep.simulate import SimulationError, run
 
@@ -259,3 +259,59 @@ def test_inverse_library_gate_unprepares():
     b.append(library.make("dicke_prep", (ell, k), tuple(r), inverse=True))
     amps = run(b.build()).amplitudes
     assert abs(amps[0] - 1.0) < 1e-9
+
+
+# Column-declared gates, one instance per tag, each at most 8 qubits wide.
+_MARKED_AMPS = (math.sqrt(2 / 3), math.sqrt(1 / 12), 0, math.sqrt(1 / 12),
+                0, math.sqrt(1 / 12), 0, math.sqrt(1 / 12))
+COLUMN_CASES = [
+    ("dicke_prep", (4, 2)),
+    ("zero_w", (5,)),
+    ("marked_prep", (2, _MARKED_AMPS, Fraction(1, 3))),
+    ("ctrl_dicke", (3, 2, (1, 2))),
+    ("ctrl_damped", (5, 2)),
+    ("ctrl_damped", (7, 1)),
+    ("onehot_dist", (3, (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))),
+    ("small_state", ((0.5, 0.5j, -0.5, -0.5j),)),
+    ("raw_state", ((0.6, 0, 0, 0, 0, 0, 0, 0.8j),)),
+    ("raw_state", ((1.0, 0, 0, 0),)),
+]
+
+
+def gate_fn(tag, args, inverse=False):
+    """The simulator's action of an unchecked library gate on a (2^w, rest) block."""
+    width = library.entry(tag).width(args)
+    gate = library.make(tag, args, range(width), inverse=inverse)
+    return simulate._library_fn(gate.with_params(checked=False))[0]
+
+
+@pytest.mark.parametrize("tag,args", COLUMN_CASES, ids=lambda v: str(v)[:16])
+def test_column_gate_agrees_with_dense_completion(tag, args):
+    sem = library.semantics(tag, args)
+    size = 2**sem.n_qubits
+    assert sem.columns is not None and sem.n_qubits <= 8
+    dense = library.complete_isometry(sem.n_qubits, sem.columns)
+    fwd = gate_fn(tag, args)(np.eye(size, dtype=complex))
+    for d, col in sem.columns.items():
+        # phase-strict: the column itself, not a multiple of it
+        assert np.max(np.abs(fwd[:, d] - col)) < 1e-12
+        assert np.max(np.abs(fwd[:, d] - dense[:, d])) < 1e-12
+    assert np.max(np.abs(fwd.conj().T @ fwd - np.eye(size))) < 1e-12
+    # the identity outside the span of the domain inputs and their columns
+    assert np.linalg.matrix_rank(fwd - np.eye(size), tol=1e-9) <= 2 * len(sem.columns)
+    rng = np.random.default_rng(20260418)
+    psi = rng.normal(size=(size, 1)) + 1j * rng.normal(size=(size, 1))
+    psi /= np.linalg.norm(psi)
+    back = gate_fn(tag, args, inverse=True)(gate_fn(tag, args)(psi))
+    assert np.max(np.abs(back - psi)) < 1e-12
+
+
+def test_non_orthonormal_columns_rejected(monkeypatch):
+    col = np.array([1, 1, 0, 0], dtype=complex) / math.sqrt(2)
+    for columns in ({0: col, 1: col}, {0: 2 * col}):
+        bad = library.LibrarySemantics(n_qubits=2, columns=columns, domain=tuple(columns))
+        monkeypatch.setattr(library, "semantics", lambda tag, args: bad)
+        with pytest.raises(CircuitError, match="orthonormal"):
+            simulate._compiled("small_state", ("not orthonormal", len(columns)))
+        with pytest.raises(CircuitError, match="orthonormal"):
+            library.complete_isometry(2, columns)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from shallowprep import library, simulate
 from shallowprep.circuits import Builder, Z_MATRIX, g_cnot, g_ctrl_unitary1, g_unitary1, g_x
 from shallowprep.simulate import (
     CertificationError,
@@ -18,6 +19,7 @@ from shallowprep.simulate import (
     run,
     workers_from_env,
 )
+from shallowprep.synthesis import build_dicke
 
 H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -180,3 +182,38 @@ def test_workers_from_env(monkeypatch):
     assert workers_from_env() == 1
     monkeypatch.setenv("SHALLOWPREP_WORKERS", "-2")
     assert workers_from_env() == 1
+
+
+def test_certify_rejects_subset_inputs_outside_the_domain():
+    """dicke_prep declares input 0 only; input 1 has no declared output."""
+    b = Builder()
+    r = b.add_register("q", 2)
+    b.append(library.make("dicke_prep", (2, 1), tuple(r)))
+    circuit = b.build()
+    report = certify_library_gate("dicke_prep", (2, 1), circuit, tuple(r), domain_subset=[0])
+    assert report.worst_overlap > 1 - 1e-9
+    with pytest.raises(CertificationError, match="outside"):
+        certify_library_gate("dicke_prep", (2, 1), circuit, tuple(r), domain_subset=[0, 1])
+    # a permutation gate with a partial domain: one_hot(1, classic) takes 0 and 0b10 only
+    with pytest.raises(CertificationError, match="outside"):
+        certify_library_gate("one_hot", (1, False), circuit, tuple(r), domain_subset=[1])
+
+
+def test_w_state_on_19_qubits_verifies_exact_and_clean():
+    """build_dicke(16, 1) applies ctrl_damped(16, 1) on 17 qubits.
+
+    A dense completion of that gate is a 2^17 x 2^17 matrix; the low-rank
+    form keeps a basis of at most 2d = 4 columns.
+    """
+    out = build_dicke(16, 1)
+    assert out.circuit.n_qubits == 19
+    res = check_clean_preparation(out.circuit, out.target, out.output_qubits)
+    assert res.fidelity >= 1 - 1e-9
+    assert res.clean
+    widest = max(
+        (g for g in out.circuit.gates() if g.kind == "library"),
+        key=lambda g: len(g.targets),
+    )
+    op = simulate._compiled(widest.params["tag"], widest.params["args"])
+    assert (widest.params["tag"], op.n_qubits) == ("ctrl_damped", 17)
+    assert op.basis.shape[1] <= 4
