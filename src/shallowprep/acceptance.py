@@ -40,6 +40,7 @@ from .simulate import (
     certify_library_gate,
     check_clean_preparation,
     output_overlap,
+    project,
     residual_mass,
     run,
 )
@@ -199,15 +200,6 @@ def _crit_symmetric(ws: Dict[str, Any]) -> List[CheckRow]:
     return rows
 
 
-def _output_amplitudes(state, output_qubits: Sequence[int]) -> np.ndarray:
-    """Amplitude block of the outputs with every other qubit at zero."""
-    n = state.n_qubits
-    o = len(output_qubits)
-    tensor = state.amplitudes.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, [n - 1 - q for q in output_qubits], range(o))
-    return np.ascontiguousarray(tensor).reshape(2**o, -1)[:, 0]
-
-
 def _crit_uniformity(ws: Dict[str, Any]) -> List[CheckRow]:
     if not ws["states"]:
         for fn in (_crit_dicke_grid, _crit_padding, _crit_symmetric):
@@ -215,7 +207,7 @@ def _crit_uniformity(ws: Dict[str, Any]) -> List[CheckRow]:
     rows = []
     for label, state, output_qubits in ws["states"]:
         t0 = time.perf_counter()
-        amps = _output_amplitudes(state, output_qubits)
+        amps = project(state, output_qubits)
         worst = 0.0
         for weight in range(len(output_qubits) + 1):
             members = [i for i in range(amps.size) if bin(i).count("1") == weight]

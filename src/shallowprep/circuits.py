@@ -466,13 +466,15 @@ class Builder:
 # Values inside gate params follow fixed encodings: complex numbers are
 # [re, im] pairs, 2x2 matrices are nested pairs, Fractions are [num, den].
 # Library gate arguments are encoded by per-tag codecs that the library
-# module registers at import time, since only the tag knows its schema and
-# the qubit width its arguments imply.
+# module registers at import time, since only the tag knows its schema, the
+# qubit width its arguments imply and the (depth, fanout width) it is charged.
+# A tag registered without costs carries measured costs in the file.
 
 LibraryCodec = Tuple[
     Callable[[Tuple[Any, ...]], Any],
     Callable[[Any], Tuple[Any, ...]],
     Callable[[Tuple[Any, ...]], int],
+    Optional[Callable[[Tuple[Any, ...]], Tuple[int, int]]],
 ]
 _LIBRARY_CODECS: Dict[str, LibraryCodec] = {}
 
@@ -485,8 +487,9 @@ def register_library_codec(
     encode: Callable[[Tuple[Any, ...]], Any],
     decode: Callable[[Any], Tuple[Any, ...]],
     width: Callable[[Tuple[Any, ...]], int],
+    costs: Optional[Callable[[Tuple[Any, ...]], Tuple[int, int]]],
 ) -> None:
-    _LIBRARY_CODECS[tag] = (encode, decode, width)
+    _LIBRARY_CODECS[tag] = (encode, decode, width, costs)
 
 
 def encode_complex(z: complex) -> List[float]:
@@ -543,7 +546,7 @@ def _encode_gate(gate: Gate) -> Dict[str, Any]:
         tag = p["tag"]
         if tag not in _LIBRARY_CODECS:
             raise ParseError(f"no codec registered for library tag {tag!r}")
-        enc, _, _ = _LIBRARY_CODECS[tag]
+        enc = _LIBRARY_CODECS[tag][0]
         params["tag"] = tag
         params["args"] = enc(p["args"])
         params["inverse"] = p["inverse"]
@@ -579,15 +582,22 @@ def _decode_gate(obj: Any) -> Gate:
         raise ParseError(f"malformed {kind} gate params: {exc!r}") from exc
     if kind == "library":
         tag, args = params["tag"], params["args"]
-        _, _, width = _LIBRARY_CODECS[tag]
+        _, _, width, costs = _LIBRARY_CODECS[tag]
         try:
             expected = width(args)
+            declared = None if costs is None else costs(args)
         except _DECODE_ERRORS as exc:
             raise ParseError(f"bad arguments for library tag {tag!r}: {exc!r}") from exc
         if len(targets) != expected:
             raise ParseError(
                 f"library gate {tag}{args} spans {expected} qubits, "
                 f"got {len(targets)}"
+            )
+        found = (params["declared_depth"], params["declared_width"])
+        if declared is not None and found != declared:
+            raise ParseError(
+                f"library gate {tag}{args} declares (depth, width) {found}; "
+                f"the registry charges {declared}"
             )
     gate = Gate(kind, targets, controls, params)
     _validate_gate(gate)
@@ -613,7 +623,7 @@ def _decode_params(kind: str, raw: Dict[str, Any], obj: Dict[str, Any]) -> Dict[
         tag = raw.get("tag")
         if not isinstance(tag, str) or tag not in _LIBRARY_CODECS:
             raise ParseError(f"unknown library tag {tag!r}")
-        _, dec, _ = _LIBRARY_CODECS[tag]
+        dec = _LIBRARY_CODECS[tag][1]
         params["tag"] = tag
         params["args"] = dec(raw["args"])
         params["inverse"] = bool(raw["inverse"])

@@ -211,8 +211,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         circuit = deserialize(fh.read())
     if circuit.n_qubits > _SELF_CHECK_QUBITS:
         raise ValueError(
-            f"circuit has {circuit.n_qubits} qubits; verify simulates densely "
-            f"and is capped at {_SELF_CHECK_QUBITS}"
+            f"circuit has {circuit.n_qubits} qubits; verify returns a dense "
+            f"state and is capped at {_SELF_CHECK_QUBITS}"
         )
     if args.n is None:
         raise ValueError("verify needs --n to know the data register size")

@@ -65,7 +65,8 @@ def damped_binomial(m: int, k: int) -> DampedBinomial:
     total = sum(raw, Fraction(0))
     lam = 1 / total
     s = tuple(lam * t for t in raw)
-    assert sum(s, Fraction(0)) == 1
+    if sum(s, Fraction(0)) != 1:
+        raise DomainError(f"damped pmf for m={m}, k={k} does not sum to 1")
     return DampedBinomial(m=m, k=k, lam=lam, s=s)
 
 
@@ -112,7 +113,8 @@ def occupancy_pmf(n: int, k: int, ell: int) -> Dict[int, Fraction]:
     for j in range(1, min(k, ell) + 1):
         gamma = composition_weight_sum(m, k, j)
         table[j] = Fraction(comb(ell, j) * gamma, denom)
-    assert sum(table.values(), Fraction(0)) == 1
+    if sum(table.values(), Fraction(0)) != 1:
+        raise DomainError(f"occupancy pmf for n={n}, k={k}, ell={ell} does not sum to 1")
     return table
 
 
@@ -162,7 +164,11 @@ def hybrid_hit_prob(m: int, k_cap: int, j: int, k: int) -> Fraction:
     result = conv.get(k, Fraction(0))
     v = Fraction(1, m * k_cap)
     gamma_route = dist.lam**j * v**k * composition_weight_sum(m, k, j)
-    assert result == gamma_route, "convolution and composition routes disagree"
+    if result != gamma_route:
+        raise DomainError(
+            f"hybrid_hit_prob(m={m}, k_cap={k_cap}, j={j}, k={k}): convolution "
+            f"and composition routes disagree"
+        )
     return result
 
 

@@ -345,6 +345,9 @@ class LibraryEntry:
     declared_width: Callable[[Tuple[Any, ...]], int]
     encode: Callable[[Tuple[Any, ...]], Any]
     decode: Callable[[Any], Tuple[Any, ...]]
+    # costs are measured from the construction the gate stands in for and
+    # passed to make(); the declared ones are placeholders
+    measured_costs: bool = False
 
 
 def _enc_number(x: Any) -> Any:
@@ -372,7 +375,10 @@ _REGISTRY: Dict[str, LibraryEntry] = {}
 
 def _register(entry: LibraryEntry) -> None:
     _REGISTRY[entry.tag] = entry
-    register_library_codec(entry.tag, entry.encode, entry.decode, entry.width)
+    costs = None
+    if not entry.measured_costs:
+        costs = lambda a: (entry.declared_depth(a), entry.declared_width(a))  # noqa: E731
+    register_library_codec(entry.tag, entry.encode, entry.decode, entry.width, costs)
 
 
 _register(
@@ -468,6 +474,7 @@ _register(
         declared_width=lambda a: 0,
         encode=lambda a: [a[0], _enc_complex_seq(a[1]), _enc_number(a[2])],
         decode=lambda v: (int(v[0]), _dec_complex_seq(v[1]), _dec_number(v[2])),
+        measured_costs=True,
     )
 )
 

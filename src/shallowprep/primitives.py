@@ -34,7 +34,7 @@ from .circuits import (
     g_x,
     g_z,
 )
-from .simulate import SimulationError, residual_mass, run
+from .simulate import SimulationError, project, residual_mass, run
 
 Number = Union[Fraction, float]
 
@@ -234,11 +234,7 @@ def extract_marked_state(marked: MarkedPreparation, tol: float = 1e-9) -> np.nda
     dirt = residual_mass(state, others)
     if dirt > tol:
         raise SimulationError(f"marked preparation leaves ancilla mass {dirt:.3e}")
-    n = state.n_qubits
-    tensor = state.amplitudes.reshape((2,) * n)
-    axes = [n - 1 - q for q in io]
-    tensor = np.moveaxis(tensor, axes, range(len(io)))
-    vec = np.ascontiguousarray(tensor).reshape(2 ** len(io), -1)[:, 0]
+    vec = project(state, io)
     norm = float(np.real(np.vdot(vec, vec)))
     vec = vec / math.sqrt(norm)
     flagged = float(np.sum(np.abs(vec[1::2]) ** 2))

@@ -1,4 +1,7 @@
-"""Exact dense statevector simulation of circuits, plus verification helpers.
+"""Exact statevector simulation of circuits, plus verification helpers.
+
+Gates act only on the basis states present in the state (its nonzero
+support); ``run`` returns the final state as a dense amplitude vector.
 
 Conventions: qubit i is bit i of the flat amplitude index (qubit 0 is the
 least significant bit).  Inside a gate, the first listed qubit is the most
@@ -30,12 +33,11 @@ class CertificationError(RuntimeError):
 
 @dataclass
 class StateVector:
-    qubit_order: Tuple[int, ...]
     amplitudes: np.ndarray
 
     @property
     def n_qubits(self) -> int:
-        return len(self.qubit_order)
+        return self.amplitudes.size.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -52,17 +54,20 @@ class VerificationResult:
 class _CompiledOp:
     """A library gate ready to apply.
 
-    Permutation gates keep their table and its inverse.  Column-declared
-    gates keep their declared columns and the low-rank form
-    I + basis @ correction @ basis^dagger of their unitary.
+    Permutation gates keep their table, its inverse and, for a partial
+    domain, a mask of the domain inputs.  Column-declared gates keep their
+    declared columns and the low-rank form
+    I + basis @ correction @ basis_h of their unitary.
     """
 
     n_qubits: int
     domain: Optional[np.ndarray]
     table: Optional[np.ndarray] = None
     inverse_table: Optional[np.ndarray] = None
+    in_domain: Optional[np.ndarray] = None
     columns: Optional[Dict[int, np.ndarray]] = None
     basis: Optional[np.ndarray] = None
+    basis_h: Optional[np.ndarray] = None
     correction: Optional[np.ndarray] = None
 
 
@@ -79,7 +84,13 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
         table = sem.permutation
         inverse = np.empty_like(table)
         inverse[table] = np.arange(len(table), dtype=table.dtype)
-        op = _CompiledOp(sem.n_qubits, domain, table=table, inverse_table=inverse)
+        in_domain = None
+        if domain is not None:
+            in_domain = np.zeros(len(table), dtype=bool)
+            in_domain[domain] = True
+        op = _CompiledOp(
+            sem.n_qubits, domain, table=table, inverse_table=inverse, in_domain=in_domain
+        )
     else:
         basis, correction = library.low_rank_completion(sem.n_qubits, sem.columns)
         op = _CompiledOp(
@@ -87,6 +98,7 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
             domain,
             columns=sem.columns,
             basis=basis,
+            basis_h=basis.conj().T,
             correction=correction,
         )
     _OP_CACHE[key] = op
@@ -94,25 +106,29 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
 
 
 # ---- kernel ----
+#
+# The state is held as its support: distinct int64 basis indices and their
+# amplitudes.  A permutation gate remaps indices through a table over its
+# gate-local index; a matrix gate acts on a (2^w, G) block whose columns are
+# the G distinct patterns of the other qubits present in the support.
 
 
-def _apply_block_fn(
-    amps: np.ndarray,
-    n: int,
-    qubits: Sequence[int],
-    fn: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Move the listed qubits to the front, apply fn to the (2^w, rest) block."""
+def _gather(idx: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """Gate-local index of each basis index; qubits[0] is the top bit."""
     w = len(qubits)
-    tensor = amps.reshape((2,) * n)
-    axes = [n - 1 - q for q in qubits]
-    tensor = np.moveaxis(tensor, axes, range(w))
-    shape = tensor.shape
-    block = np.ascontiguousarray(tensor).reshape(2**w, -1)
-    block = fn(block)
-    tensor = block.reshape(shape)
-    tensor = np.moveaxis(tensor, range(w), axes)
-    return np.ascontiguousarray(tensor).reshape(2**n)
+    local = np.zeros_like(idx)
+    for j, q in enumerate(qubits):
+        local |= ((idx >> q) & 1) << (w - 1 - j)
+    return local
+
+
+def _spread(local: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """Basis index with the gate-local bits on their qubits, others zero."""
+    w = len(qubits)
+    idx = np.zeros_like(local)
+    for j, q in enumerate(qubits):
+        idx |= ((local >> (w - 1 - j)) & 1) << q
+    return idx
 
 
 def _with_controls(n_ctrl: int, fn: Callable[[np.ndarray], np.ndarray]):
@@ -131,36 +147,24 @@ def _with_controls(n_ctrl: int, fn: Callable[[np.ndarray], np.ndarray]):
 
 
 def _logic_table(kind: str, n_inputs: int) -> np.ndarray:
-    size = 2 ** (n_inputs + 1)
-    table = np.arange(size, dtype=np.int64)
-    full = 2**n_inputs - 1
-    for idx in range(size):
-        ins = idx >> 1
-        if kind == "and":
-            pred = ins == full
-        elif kind == "or":
-            pred = ins != 0
-        else:
-            pred = ins == 0
-        if pred:
-            table[idx] = idx ^ 1
-    return table
-
-
-def _perm_fn(table: np.ndarray, inverse: bool):
-    def fn(block: np.ndarray) -> np.ndarray:
-        if inverse:
-            return block[table]
-        out = np.empty_like(block)
-        out[table] = block
-        return out
-
-    return fn
+    """Flip the target (the low bit) when the inputs meet the gate's predicate."""
+    local = np.arange(2 ** (n_inputs + 1), dtype=np.int64)
+    ins = local >> 1
+    if kind == "and":
+        pred = ins == 2**n_inputs - 1
+    elif kind == "or":
+        pred = ins != 0
+    else:
+        pred = ins == 0
+    return local ^ pred
 
 
 def _check_domain(block: np.ndarray, domain: np.ndarray, tag: str) -> None:
     mass = np.sum(np.abs(block) ** 2, axis=1)
-    outside = float(np.sum(mass) - np.sum(mass[domain]))
+    _raise_stray(float(np.sum(mass) - np.sum(mass[domain])), tag)
+
+
+def _raise_stray(outside: float, tag: str) -> None:
     if outside > DOMAIN_TOL:
         raise SimulationError(
             f"library gate {tag!r} driven outside its domain "
@@ -169,28 +173,13 @@ def _check_domain(block: np.ndarray, domain: np.ndarray, tag: str) -> None:
 
 
 def _library_fn(gate: Gate) -> Tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """Block map and width of a column-declared library gate."""
     p = gate.params
     op = _compiled(p["tag"], p["args"])
     inverse = p["inverse"]
-    checked = p.get("checked", True)
-    domain = op.domain if checked else None
+    domain = op.domain if p.get("checked", True) else None
     tag = p["tag"]
-
-    if op.table is not None:
-        perm = _perm_fn(op.inverse_table if inverse else op.table, inverse=False)
-
-        def fn(block: np.ndarray) -> np.ndarray:
-            if domain is not None and not inverse:
-                _check_domain(block, domain, tag)
-            out = perm(block)
-            if domain is not None and inverse:
-                _check_domain(out, domain, tag)
-            return out
-
-        return fn, op.n_qubits
-
-    basis = op.basis
-    basis_h = basis.conj().T
+    basis, basis_h = op.basis, op.basis_h
     correction = op.correction.conj().T if inverse else op.correction
 
     def fn(block: np.ndarray) -> np.ndarray:
@@ -205,40 +194,60 @@ def _library_fn(gate: Gate) -> Tuple[Callable[[np.ndarray], np.ndarray], int]:
     return fn, op.n_qubits
 
 
-def apply_gate(amps: np.ndarray, n: int, gate: Gate) -> np.ndarray:
+Remap = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _table_remap(
+    table: np.ndarray, in_domain: Optional[np.ndarray], after: bool, tag: str
+) -> Remap:
+    """remap(local, amp) -> new local, checking the domain before or after."""
+
+    def remap(local: np.ndarray, amp: np.ndarray) -> np.ndarray:
+        out = table[local]
+        if in_domain is not None:
+            stray = ~in_domain[out if after else local]
+            _raise_stray(float(np.sum(np.abs(amp[stray]) ** 2)), tag)
+        return out
+
+    return remap
+
+
+def _gate_action(
+    gate: Gate,
+) -> Tuple[Tuple[int, ...], Optional[Remap], Optional[Callable[[np.ndarray], np.ndarray]]]:
+    """(qubits, remap, fn): qubits[0] is the top gate-local bit; a permutation
+    gate gives a remap of gate-local indices, a matrix gate a block map fn."""
     kind = gate.kind
-    extra_ctrl = gate.params.get("ctrl")
+    p = gate.params
+    extra_ctrl = p.get("ctrl")
+    table: Optional[np.ndarray] = None
+    in_domain: Optional[np.ndarray] = None
+    after = False
+    n_ctrl = 0
 
     if kind == "unitary1":
-        mat = np.asarray(gate.params["matrix"])
+        mat = np.asarray(p["matrix"])
         qubits: Tuple[int, ...] = gate.targets
         fn = lambda block: mat @ block  # noqa: E731
-        n_ctrl = 0
     elif kind == "ctrl_unitary1":
-        mat = np.asarray(gate.params["matrix"])
+        mat = np.asarray(p["matrix"])
         qubits = gate.controls + gate.targets
         fn = lambda block: mat @ block  # noqa: E731
         n_ctrl = 1
     elif kind in ("and", "or", "nor"):
         qubits = gate.controls + gate.targets
-        fn = _perm_fn(_logic_table(kind, len(gate.controls)), inverse=False)
-        n_ctrl = 0
+        table = _logic_table(kind, len(gate.controls))
     elif kind == "fanout":
         qubits = gate.controls + gate.targets
         w = len(qubits)
-        mask = 2 ** (w - 1) - 1
-        src = 2 ** (w - 1)
         table = np.arange(2**w, dtype=np.int64)
-        table[src:] ^= mask
-        fn = _perm_fn(table, inverse=False)
-        n_ctrl = 0
+        table[2 ** (w - 1) :] ^= 2 ** (w - 1) - 1
     elif kind == "swap":
         qubits = gate.targets
-        fn = _perm_fn(np.array([0, 2, 1, 3], dtype=np.int64), inverse=False)
-        n_ctrl = 0
+        table = np.array([0, 2, 1, 3], dtype=np.int64)
     elif kind == "product_reflection":
         qubits = gate.targets
-        states = gate.params.get("local_states")
+        states = p.get("local_states")
         if states is None:
 
             def fn(block: np.ndarray) -> np.ndarray:
@@ -254,23 +263,52 @@ def apply_gate(amps: np.ndarray, n: int, gate: Gate) -> np.ndarray:
             def fn(block: np.ndarray) -> np.ndarray:
                 return block - 2.0 * np.outer(vec, vec.conj() @ block)
 
-        n_ctrl = 0
     elif kind == "library":
-        fn, width = _library_fn(gate)
+        op = _compiled(p["tag"], p["args"])
         qubits = gate.targets
-        if len(qubits) != width:
-            raise SimulationError(
-                f"library gate {gate.params['tag']!r} qubit count mismatch"
-            )
-        n_ctrl = 0
+        if len(qubits) != op.n_qubits:
+            raise SimulationError(f"library gate {p['tag']!r} qubit count mismatch")
+        if op.table is None:
+            fn = _library_fn(gate)[0]
+        else:
+            table = op.inverse_table if p["inverse"] else op.table
+            if p.get("checked", True):
+                in_domain = op.in_domain
+            after = p["inverse"]
     else:
         raise SimulationError(f"cannot simulate gate kind {kind!r}")
 
     if extra_ctrl is not None:
-        qubits = (extra_ctrl,) + tuple(qubits)
+        qubits = (extra_ctrl,) + qubits
         n_ctrl += 1
+        # the control is the new top bit: the table doubles, identity below
+        if table is not None:
+            size = len(table)
+            table = np.concatenate([np.arange(size, dtype=np.int64), size + table])
+        if in_domain is not None:
+            in_domain = np.concatenate([np.ones(len(in_domain), dtype=bool), in_domain])
+    if table is not None:
+        return qubits, _table_remap(table, in_domain, after, p.get("tag")), None
+    return qubits, None, _with_controls(n_ctrl, fn)
 
-    return _apply_block_fn(amps, n, qubits, _with_controls(n_ctrl, fn))
+
+def apply_gate(
+    idx: np.ndarray, amp: np.ndarray, gate: Gate
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Apply one gate to the support (idx, amp); returns the new support."""
+    qubits, remap, fn = _gate_action(gate)
+    local = _gather(idx, qubits)
+    if remap is not None:
+        return idx ^ _spread(local ^ remap(local, amp), qubits), amp
+    mask = 0
+    for q in qubits:
+        mask |= 1 << q
+    patterns, column = np.unique(idx & ~mask, return_inverse=True)
+    block = np.zeros((2 ** len(qubits), len(patterns)), dtype=complex)
+    block[local, column] = amp
+    out = fn(block)
+    rows, cols = np.nonzero(out)
+    return patterns[cols] | _spread(rows, qubits), out[rows, cols]
 
 
 def initial_state(
@@ -297,43 +335,52 @@ def run(
 ) -> StateVector:
     n = circuit.n_qubits
     amps = initial_state(n, initial)
+    # a bool mask first: flatnonzero scans a complex array about 3x slower
+    idx = np.flatnonzero(amps != 0)
+    amp = amps[idx]
+    del amps
     for layer in circuit.layers:
         for gate in layer:
-            amps = apply_gate(amps, n, gate)
-        norm = float(np.real(np.vdot(amps, amps)))
+            idx, amp = apply_gate(idx, amp, gate)
+        norm = float(np.real(np.vdot(amp, amp)))
         if abs(norm - 1.0) > NORM_TOL:
             raise SimulationError(f"state norm drifted to {norm!r}")
-    return StateVector(qubit_order=tuple(range(n)), amplitudes=amps)
+    # fresh zeros are mapped lazily, so only the pages the support touches
+    # are written
+    amps = np.zeros(2**n, dtype=complex)
+    amps[idx] = amp
+    return StateVector(amplitudes=amps)
 
 
 # ---- verification ----
+
+
+def project(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
+    """Amplitudes over the listed qubits with every other qubit at zero.
+
+    Entry i sets qubits[0] to the top bit of i, qubits[-1] to its low bit.
+    """
+    local = np.arange(2 ** len(qubits), dtype=np.int64)
+    return state.amplitudes[_spread(local, qubits)]
 
 
 def output_overlap(
     state: StateVector, target: np.ndarray, output_qubits: Sequence[int]
 ) -> complex:
     """Overlap of the state with target on the outputs and zeros elsewhere."""
-    n = state.n_qubits
-    o = len(output_qubits)
-    if target.shape != (2**o,):
+    if target.shape != (2 ** len(output_qubits),):
         raise ValueError("target length does not match the output register")
-    tensor = state.amplitudes.reshape((2,) * n)
-    axes = [n - 1 - q for q in output_qubits]
-    tensor = np.moveaxis(tensor, axes, range(o))
-    block = np.ascontiguousarray(tensor).reshape(2**o, -1)
-    return complex(np.conj(target) @ block[:, 0])
+    return complex(np.conj(target) @ project(state, output_qubits))
 
 
 def residual_mass(state: StateVector, qubits: Sequence[int]) -> float:
     """Probability that at least one of the listed qubits is not zero."""
     if not qubits:
         return 0.0
-    n = state.n_qubits
-    tensor = state.amplitudes.reshape((2,) * n)
-    axes = [n - 1 - q for q in qubits]
-    tensor = np.moveaxis(tensor, axes, range(len(qubits)))
-    block = np.ascontiguousarray(tensor).reshape(2 ** len(qubits), -1)
-    zero_mass = float(np.sum(np.abs(block[0]) ** 2))
+    listed = set(qubits)
+    # the other qubits top bit first, so the sum runs in basis-index order
+    others = [q for q in reversed(range(state.n_qubits)) if q not in listed]
+    zero_mass = float(np.sum(np.abs(project(state, others)) ** 2))
     return max(0.0, 1.0 - zero_mass)
 
 

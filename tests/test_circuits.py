@@ -205,7 +205,7 @@ def mixed_circuit():
     b.append(g_product_reflection((x[0], x[1]), [(1, 0), (math.sqrt(0.5), math.sqrt(0.5))]))
     b.append(g_fanout(x[0], (a[0], a[1])))
     b.append(g_nor((x[1], x[2]), a[0]))
-    b.append(g_library("exact", (3, 1), (x[0], x[1], x[2], a[0]), 3, 0))
+    b.append(library.make("exact", (3, 1), (x[0], x[1], x[2], a[0])))
     b.append(library.make("onehot_dist", (2, (Fraction(1, 3), Fraction(2, 3))), (x[1], x[2])))
     b.record_rounds(2)
     return b.build()
@@ -253,6 +253,25 @@ def test_deserialize_rejects_library_width_mismatch():
     b.append(g_library("exact", (5, 1), tuple(r), 6, 2))
     with pytest.raises(circ.ParseError, match="spans 6 qubits, got 3"):
         deserialize(serialize(b.build()))
+
+
+def test_deserialize_rejects_library_costs_off_the_registry():
+    """exact(3, 1) is charged depth 6 and width 2; a file may not claim less.
+
+    marked_prep is exempt: its costs are measured from the preparation it
+    stands in for and travel with the gate.
+    """
+    b = Builder()
+    r = b.add_register("q", 4)
+    b.append(g_library("exact", (3, 1), tuple(r), 1, 0))
+    with pytest.raises(circ.ParseError, match="registry charges"):
+        deserialize(serialize(b.build()))
+    b = Builder()
+    r = b.add_register("q", 2)
+    args = (1, (0.5, 0.5, 0.5, 0.5), Fraction(1, 2))
+    b.append(library.make("marked_prep", args, tuple(r), declared_depth=17, declared_width=3))
+    gate = next(deserialize(serialize(b.build())).gates())
+    assert (gate.params["declared_depth"], gate.params["declared_width"]) == (17, 3)
 
 
 @pytest.mark.parametrize(

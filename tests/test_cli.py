@@ -197,6 +197,25 @@ def test_malformed_circuit_json_is_config_error(tmp_path, capsys, key, value):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_report_rejects_library_costs_edited_in_the_file(tmp_path, capsys):
+    cli.main(["synth", "dicke", "--n", "4", "--k", "1", "--out", str(tmp_path)])
+    path = tmp_path / "dicke_n4_k1.circuit"
+    doc = json.loads(path.read_text())
+    edited = 0
+    for layer in doc["layers"]:
+        for gate in layer:
+            if gate["kind"] == "library":
+                gate["declared_depth"], gate["declared_width"] = 1, 0
+                edited += 1
+    assert edited
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = cli.main(["report", "--circuit", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_refuses_circuits_too_wide_to_simulate(tmp_path, capsys):
     wide = cli._SELF_CHECK_QUBITS + 1
     b = Builder()

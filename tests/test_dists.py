@@ -86,6 +86,18 @@ def test_hybrid_hit_prob_domain():
         dists.hybrid_hit_prob(4, 2, 3, 2)
 
 
+def test_internal_cross_checks_raise_domain_error(monkeypatch):
+    """A wrong composition count breaks both cross-checks, even under -O."""
+    real = dists.composition_weight_sum
+    monkeypatch.setattr(
+        dists, "composition_weight_sum", lambda m, k, j: real(m, k, j) + 1
+    )
+    with pytest.raises(dists.DomainError, match="does not sum to 1"):
+        dists.occupancy_pmf(4, 2, 2)
+    with pytest.raises(dists.DomainError, match="routes disagree"):
+        dists.hybrid_hit_prob(2, 2, 1, 2)
+
+
 def test_ratio_report_frozen_sums():
     with pytest.warns(UserWarning):
         assert dists.ratio_report(4, 2, 2).R == Fraction(123, 32)
