@@ -12,7 +12,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dists
@@ -28,7 +27,6 @@ CLAIM_IDS = (
 )
 
 FAULT_IDS = ("lambda-off-by-one",)
-_FAULTS = FAULT_IDS
 
 
 @dataclass(frozen=True)
@@ -52,8 +50,8 @@ class SweepConfig:
             raise ValueError("enumeration budget must be positive")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
-        if self.fault is not None and self.fault not in _FAULTS:
-            raise ValueError(f"unknown fault {self.fault!r}; known: {_FAULTS}")
+        if self.fault is not None and self.fault not in FAULT_IDS:
+            raise ValueError(f"unknown fault {self.fault!r}; known: {FAULT_IDS}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -136,7 +136,7 @@ def _cmd_claims(args: argparse.Namespace) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "claims.json")
-        _write_json(path, [v.as_dict() for v in verdicts])
+        _write_json(path, [v.as_dict(include_seconds=False) for v in verdicts])
         print(f"wrote {path}")
     return 0 if not failures else 1
 

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Dict, Iterable, List, Sequence, Tuple
+from math import comb, lcm
+from typing import Dict, List, Sequence, Tuple
 
 ENUMERATION_CAP = 10**6
 
@@ -57,14 +57,19 @@ class DampedBinomial:
 
 
 def damped_binomial(m: int, k: int) -> DampedBinomial:
-    """Exact normalizer and pmf table for the damped weight distribution."""
+    """Exact normalizer and pmf table for the damped weight distribution.
+
+    Scaling the raw masses C(m, j) / (m*k)**j by (m*k)**k makes them the
+    integers C(m, j) * (m*k)**(k-j); with S their sum, lam = (m*k)**k / S
+    and s(j) = C(m, j) * (m*k)**(k-j) / S.
+    """
     if not (1 <= k <= m):
         raise DomainError(f"damped_binomial requires 1 <= k <= m, got m={m}, k={k}")
-    v = Fraction(1, m * k)
-    raw = [comb(m, j) * v**j for j in range(1, k + 1)]
-    total = sum(raw, Fraction(0))
-    lam = 1 / total
-    s = tuple(lam * t for t in raw)
+    mk = m * k
+    nums = [comb(m, j) * mk ** (k - j) for j in range(1, k + 1)]
+    total = sum(nums)
+    lam = Fraction(mk**k, total)
+    s = tuple(Fraction(t, total) for t in nums)
     if sum(s, Fraction(0)) != 1:
         raise DomainError(f"damped pmf for m={m}, k={k} does not sum to 1")
     return DampedBinomial(m=m, k=k, lam=lam, s=s)
@@ -137,39 +142,46 @@ def occupancy_pmf_enumerated(n: int, k: int, ell: int) -> Dict[int, Fraction]:
     return {j: Fraction(c, denom) for j, c in sorted(counts.items())}
 
 
-def hybrid_hit_prob(m: int, k_cap: int, j: int, k: int) -> Fraction:
-    """Probability that j independent damped samples have total weight exactly k.
+def hybrid_hit_probs(m: int, k_cap: int, j_max: int, k: int) -> Tuple[Fraction, ...]:
+    """Probabilities that j independent damped samples have total weight exactly k.
 
-    Each sample is drawn from the damped distribution with cap ``k_cap`` on
-    m-bit buckets.  Computed by exact pmf convolution and cross-checked
-    against the composition-sum closed form.
+    Entry j-1 is the probability for j samples, j = 1..j_max.  Each sample
+    is drawn from the damped distribution with cap ``k_cap`` on m-bit
+    buckets.  One convolution pass over the exact pmf yields every j, and
+    each one is cross-checked against the composition-sum closed form.
     """
-    if not (1 <= j <= k <= k_cap <= m):
+    if not (1 <= j_max <= k <= k_cap <= m):
         raise DomainError(
-            f"hybrid_hit_prob requires 1 <= j <= k <= k_cap <= m, got "
-            f"m={m}, k_cap={k_cap}, j={j}, k={k}"
+            f"hybrid_hit_probs requires 1 <= j_max <= k <= k_cap <= m, got "
+            f"m={m}, k_cap={k_cap}, j_max={j_max}, k={k}"
         )
     dist = damped_binomial(m, k_cap)
-    conv: Dict[int, Fraction] = {0: Fraction(1)}
-    for _ in range(j):
-        nxt: Dict[int, Fraction] = {}
-        for have, pr in conv.items():
-            for w in range(1, k_cap + 1):
-                if have + w > k:
-                    continue
-                q = pr * dist.pmf(w)
-                if q:
-                    nxt[have + w] = nxt.get(have + w, Fraction(0)) + q
-        conv = nxt
-    result = conv.get(k, Fraction(0))
     v = Fraction(1, m * k_cap)
-    gamma_route = dist.lam**j * v**k * composition_weight_sum(m, k, j)
-    if result != gamma_route:
-        raise DomainError(
-            f"hybrid_hit_prob(m={m}, k_cap={k_cap}, j={j}, k={k}): convolution "
-            f"and composition routes disagree"
-        )
-    return result
+    # The pmf over a common denominator d, so the convolution runs in integers:
+    # after j samples, conv[t] / d**j is the probability of total weight t.
+    d = lcm(*(s.denominator for s in dist.s))
+    scaled = [s.numerator * (d // s.denominator) for s in dist.s]
+    conv = [1] + [0] * k
+    probs: List[Fraction] = []
+    for j in range(1, j_max + 1):
+        conv = [
+            sum(conv[t - w] * scaled[w - 1] for w in range(1, min(k_cap, t) + 1))
+            for t in range(k + 1)
+        ]
+        result = Fraction(conv[k], d**j)
+        gamma_route = dist.lam**j * v**k * composition_weight_sum(m, k, j)
+        if result != gamma_route:
+            raise DomainError(
+                f"hybrid_hit_probs(m={m}, k_cap={k_cap}, k={k}) at j={j}: "
+                f"convolution and composition routes disagree"
+            )
+        probs.append(result)
+    return tuple(probs)
+
+
+def hybrid_hit_prob(m: int, k_cap: int, j: int, k: int) -> Fraction:
+    """Probability that j independent damped samples have total weight exactly k."""
+    return hybrid_hit_probs(m, k_cap, j, k)[-1]
 
 
 @dataclass(frozen=True)
@@ -192,12 +204,6 @@ class OccupancyModel:
         return sorted(self.p.keys())
 
 
-def _ratio_bound_holds(r_j: Fraction, k: int, j: int) -> bool:
-    """r(j) <= e^2 * k^(j-k), decided soundly with a rational lower bound on e^2."""
-    bound = e_squared_lower() * Fraction(k) ** (j - k)
-    return r_j <= bound
-
-
 def ratio_report(n: int, k: int, ell: int) -> OccupancyModel:
     """Full p, q, r tables plus the ratio sum R for weight k on ell buckets.
 
@@ -218,13 +224,14 @@ def ratio_report(n: int, k: int, ell: int) -> OccupancyModel:
             f"ratio bound skipped for (n={n}, k={k}, ell={ell}): needs ell >= k^3",
             stacklevel=2,
         )
+    hits = hybrid_hit_probs(m, k, max(p), k)
+    e2 = e_squared_lower()
     for j in sorted(p):
-        if j == 0:
-            continue
-        q[j] = hybrid_hit_prob(m, k, j, k)
+        q[j] = hits[j - 1]
         r[j] = p[j] / q[j]
         gam[j] = composition_weight_sum(m, k, j)
-        if check and not _ratio_bound_holds(r[j], k, j):
+        # r(j) <= e^2 * k^(j-k), decided soundly with a rational lower bound on e^2
+        if check and r[j] > e2 * Fraction(k) ** (j - k):
             violations.append(j)
     R = sum(r.values(), Fraction(0))
     return OccupancyModel(
@@ -258,12 +265,8 @@ def ratio_sum_tables(n: int, k_star: int, ell: int) -> Dict[int, Fraction]:
     out: Dict[int, Fraction] = {0: Fraction(0)}
     for k in range(1, k_star + 1):
         p = occupancy_pmf(n, k, ell)
-        total = Fraction(0)
-        for j in sorted(p):
-            if j == 0:
-                continue
-            total += p[j] / hybrid_hit_prob(m, k_star, j, k)
-        out[k] = total
+        hits = hybrid_hit_probs(m, k_star, max(p), k)
+        out[k] = sum((p[j] / hits[j - 1] for j in sorted(p)), Fraction(0))
     return out
 
 
@@ -310,12 +313,17 @@ _SERIES_TERMS = 60
 
 
 def _exp_series_lower(x: Fraction) -> Fraction:
-    term = Fraction(1)
-    total = Fraction(1)
-    for i in range(1, _SERIES_TERMS):
-        term = term * x / i
-        total += term
-    return total
+    """sum_{i < _SERIES_TERMS} x^i / i!, by Horner's rule in integers.
+
+    With x = p/q, 1 + (x/i) * (num/den) = (den*q*i + p*num) / (den*q*i),
+    so the nested form 1 + x(1 + x/2(1 + ... (1 + x/59))) needs one
+    reduction at the end instead of one per term.
+    """
+    p, q = x.numerator, x.denominator
+    num, den = 1, 1
+    for i in range(_SERIES_TERMS - 1, 0, -1):
+        num, den = den * q * i + p * num, den * q * i
+    return Fraction(num, den)
 
 
 def e_squared_lower() -> Fraction:
@@ -333,11 +341,6 @@ def exp_neg_upper(x: Fraction) -> Fraction:
     if x < 0:
         raise DomainError("exp_neg_upper expects x >= 0")
     return 1 / _exp_series_lower(x)
-
-
-def dicke_amplitude_count(n: int, k: int) -> int:
-    """Number of n-bit strings of weight k."""
-    return comb(n, k)
 
 
 def trailing_zero_mass(n: int, k: int, n_prime: int) -> Fraction:

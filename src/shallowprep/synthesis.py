@@ -89,16 +89,7 @@ def occupancy_vector(n: int, k: int, ell: int) -> np.ndarray:
     return vec
 
 
-# ---- request/output containers ----
-
-
-@dataclass(frozen=True)
-class SynthesisRequest:
-    n: int
-    k: int
-    ell: Optional[int] = None
-    eta: Optional[Tuple[complex, ...]] = None
-    fanout_budget: Optional[int] = None
+# ---- output container ----
 
 
 @dataclass
@@ -364,10 +355,9 @@ def _pair_amplitudes(
         if eta[k] == 0:
             continue
         p = dists.occupancy_pmf(n, k, ell)
+        hits = dists.hybrid_hit_probs(m, k_star, max(p), k)
         for j in sorted(p):
-            if j == 0:
-                continue
-            ratio = p[j] / dists.hybrid_hit_prob(m, k_star, j, k)
+            ratio = p[j] / hits[j - 1]
             vec[(k << bits) | j] = complex(eta[k]) * math.sqrt(float(ratio) / r_eff)
     return vec / np.linalg.norm(vec)
 

@@ -127,6 +127,18 @@ def test_claims_small_grid(tmp_path, capsys):
     assert all(row["passed"] for row in rows)
 
 
+def test_claims_out_is_byte_identical_without_timings(tmp_path, capsys):
+    paths = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        rc = cli.main(["claims", "--grid", "m=1..3,k=1..2", "--out", out])
+        assert rc == 0
+        paths.append(tmp_path / name / "claims.json")
+    first, second = (p.read_bytes() for p in paths)
+    assert first == second
+    assert all("seconds" not in row for row in json.loads(first))
+
+
 def test_claims_fault_injection_fails(capsys):
     rc = cli.main(
         ["claims", "--grid", "m=1..4,k=1..3", "--fault", "lambda-off-by-one"]

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -84,6 +85,8 @@ def test_hybrid_hit_prob_domain():
         dists.hybrid_hit_prob(2, 3, 1, 2)
     with pytest.raises(dists.DomainError):
         dists.hybrid_hit_prob(4, 2, 3, 2)
+    with pytest.raises(dists.DomainError):
+        dists.hybrid_hit_probs(4, 2, 0, 2)
 
 
 def test_internal_cross_checks_raise_domain_error(monkeypatch):
@@ -96,6 +99,16 @@ def test_internal_cross_checks_raise_domain_error(monkeypatch):
         dists.occupancy_pmf(4, 2, 2)
     with pytest.raises(dists.DomainError, match="routes disagree"):
         dists.hybrid_hit_prob(2, 2, 1, 2)
+
+
+def test_hit_table_cross_checks_every_j(monkeypatch):
+    """A composition count wrong only at j = 1 is caught in a table up to j = 2."""
+    real = dists.composition_weight_sum
+    monkeypatch.setattr(
+        dists, "composition_weight_sum", lambda m, k, j: real(m, k, j) + (j == 1)
+    )
+    with pytest.raises(dists.DomainError, match="at j=1: convolution"):
+        dists.hybrid_hit_probs(2, 2, 2, 2)
 
 
 def test_ratio_report_frozen_sums():
@@ -188,3 +201,63 @@ def test_domination_property(point):
     dist = dists.damped_binomial(m, k)
     for j in range(1, k + 1):
         assert dist.pmf(j) <= 4 * dists.binomial_pmf(m, Fraction(1, m), j)
+
+
+# ---- oracles: the Fraction forms that the integer routes replaced ----
+
+
+def _series_oracle(x):
+    """sum_{i < 60} x^i / i!, one Fraction term at a time."""
+    term = Fraction(1)
+    total = Fraction(1)
+    for i in range(1, dists._SERIES_TERMS):
+        term = term * x / i
+        total += term
+    return total
+
+
+def _damped_oracle(m, k):
+    """Normalizer and pmf from the Fraction sum of C(m, j) / (m*k)**j."""
+    v = Fraction(1, m * k)
+    raw = [comb(m, j) * v**j for j in range(1, k + 1)]
+    lam = 1 / sum(raw, Fraction(0))
+    return lam, tuple(lam * t for t in raw)
+
+
+def _hit_oracle(m, k_cap, j, k):
+    """Hit probability for j samples, restarting the Fraction convolution."""
+    _, s = _damped_oracle(m, k_cap)
+    conv = {0: Fraction(1)}
+    for _ in range(j):
+        nxt = {}
+        for have, pr in conv.items():
+            for w in range(1, k_cap + 1):
+                if have + w <= k:
+                    nxt[have + w] = nxt.get(have + w, Fraction(0)) + pr * s[w - 1]
+        conv = nxt
+    return conv.get(k, Fraction(0))
+
+
+def test_exp_series_matches_term_by_term_oracle():
+    xs = {Fraction(2), Fraction(4)} | {
+        Fraction(2 * j, k) for k in range(1, 7) for j in range(1, k + 1)
+    }
+    for x in sorted(xs):
+        assert dists._exp_series_lower(x) == _series_oracle(x)
+
+
+def test_damped_binomial_matches_fraction_sum_oracle():
+    for m in range(1, 65):
+        for k in range(1, min(m, 6) + 1):
+            dist = dists.damped_binomial(m, k)
+            assert (dist.lam, dist.s) == _damped_oracle(m, k)
+
+
+def test_hit_table_matches_per_j_oracle():
+    for m in (*range(1, 9), 16, 64):
+        for k_cap in range(1, min(m, 6) + 1):
+            for k in range(1, k_cap + 1):
+                table = dists.hybrid_hit_probs(m, k_cap, k, k)
+                assert table == tuple(
+                    _hit_oracle(m, k_cap, j, k) for j in range(1, k + 1)
+                )
