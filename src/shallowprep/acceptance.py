@@ -39,9 +39,8 @@ from .simulate import (
     SimulationError,
     certify_library_gate,
     check_clean_preparation,
-    output_overlap,
+    mass_bounds,
     project,
-    residual_mass,
     run,
 )
 from .synthesis import build_dicke, build_symmetric
@@ -125,20 +124,15 @@ def _verified_row(
     extra: str = "",
     t0: float = 0.0,
 ) -> CheckRow:
-    state = run(out.circuit)
-    fid = abs(output_overlap(state, out.target, out.output_qubits)) ** 2
-    others = [
-        q for q in range(out.circuit.n_qubits) if q not in set(out.output_qubits)
-    ]
-    stray = residual_mass(state, others)
-    ws["states"].append((label, state, out.output_qubits))
-    ok = fid >= 1.0 - FIDELITY_TOL and stray <= FIDELITY_TOL
+    res = check_clean_preparation(out.circuit, out.target, out.output_qubits)
+    ws["states"].append((label, res.state, out.output_qubits))
+    stray = res.residual_ancilla_mass
     return CheckRow(
         check_id,
         params,
-        f"fidelity={fid:.12f} stray={stray:.3e}{extra}",
+        f"fidelity={res.fidelity:.12f} stray={stray:.3e}{extra}",
         "fidelity >= 1-1e-9 and stray <= 1e-9",
-        ok,
+        res.fidelity >= 1.0 - FIDELITY_TOL and stray <= FIDELITY_TOL,
         time.perf_counter() - t0,
     )
 
@@ -291,7 +285,8 @@ def _controlled_prep_fidelity(
         init[1 << ctrl] = c1
         state = run(circ, init)
         expected = c0 * zero_image + c1 * one_image
-        worst = min(worst, float(abs(np.vdot(expected, state.amplitudes)) ** 2))
+        fid, _ = mass_bounds(np.vdot(expected, state.amplitudes), state.error_bound)
+        worst = min(worst, fid)
     return worst
 
 
@@ -310,7 +305,7 @@ def _rows_exact_grover() -> List[CheckRow]:
         b.append(g_and((data,), flag))
         rounds = exact_grover(b, flag, alpha)
         state = run(b.build())
-        fid = float(abs(state.amplitudes[3]) ** 2)
+        fid, _ = mass_bounds(state.amplitudes[3], state.error_bound)
         want = (odd_r - 1) // 2
         rows.append(
             CheckRow(
@@ -571,7 +566,8 @@ def _rows_custom_threshold() -> List[CheckRow]:
                 flip = custom_threshold_predicate(bin(xv).count("1"), j)
                 expect = idx ^ ((1 << out[0]) if flip else 0)
                 state = run(circ, {q: (idx >> q) & 1 for q in range(circ.n_qubits)})
-                worst = min(worst, float(abs(state.amplitudes[expect]) ** 2))
+                fid, _ = mass_bounds(state.amplitudes[expect], state.error_bound)
+                worst = min(worst, fid)
     # one superposition probe across the whole promised domain
     init = np.zeros(2**circ.n_qubits, dtype=complex)
     expected = np.zeros_like(init)
@@ -586,7 +582,8 @@ def _rows_custom_threshold() -> List[CheckRow]:
         flip = custom_threshold_predicate(bin(xv).count("1"), j)
         expected[idx ^ ((1 << out[0]) if flip else 0)] += scale
     state = run(circ, init)
-    worst = min(worst, float(abs(np.vdot(expected, state.amplitudes)) ** 2))
+    fid, _ = mass_bounds(np.vdot(expected, state.amplitudes), state.error_bound)
+    worst = min(worst, fid)
     return [
         CheckRow(
             "primitive-certification",

@@ -23,8 +23,6 @@ from .simulate import (
     CertificationError,
     SimulationError,
     check_clean_preparation,
-    output_overlap,
-    run,
     workers_from_env,
 )
 from .synthesis import build_dicke, build_symmetric, dicke_vector, symmetric_vector
@@ -164,10 +162,9 @@ def _emit_synthesis(result, stem: str, outdir: Optional[str]) -> int:
         fh.write(serialize(result.circuit))
     fidelity = None
     if result.circuit.n_qubits <= _SELF_CHECK_QUBITS:
-        state = run(result.circuit)
-        fidelity = float(
-            abs(output_overlap(state, result.target, result.output_qubits)) ** 2
-        )
+        fidelity = check_clean_preparation(
+            result.circuit, result.target, result.output_qubits
+        ).fidelity
     payload = {
         "circuit": os.path.basename(circuit_path),
         "cost": result.report.as_dict(),
@@ -235,6 +232,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ok = res.fidelity >= 1.0 - args.tol and res.clean
     print(f"fidelity={res.fidelity:.12f}")
     print(f"residual_ancilla_mass={res.residual_ancilla_mass:.3e}")
+    print(f"error_bound={res.error_bound:.3e}")
     print(f"{'PASS' if ok else 'FAIL'} (tolerance {args.tol})")
     return 0 if ok else 1
 

@@ -34,7 +34,7 @@ from .circuits import (
     g_x,
     g_z,
 )
-from .simulate import SimulationError, project, residual_mass, run
+from .simulate import SimulationError, mass_bounds, project, residual_mass, run
 
 Number = Union[Fraction, float]
 
@@ -231,7 +231,7 @@ def extract_marked_state(marked: MarkedPreparation, tol: float = 1e-9) -> np.nda
     state = run(marked.circuit)
     io = tuple(marked.data_register) + (marked.flag_qubit,)
     others = [q for q in range(marked.circuit.n_qubits) if q not in set(io)]
-    dirt = residual_mass(state, others)
+    _, dirt = mass_bounds(math.sqrt(residual_mass(state, others)), state.error_bound)
     if dirt > tol:
         raise SimulationError(f"marked preparation leaves ancilla mass {dirt:.3e}")
     vec = project(state, io)
@@ -330,24 +330,6 @@ def ham_gadget(builder: Builder, x_qubits: Sequence[int], k: int) -> Register:
     builder.append_layer(tests)
     builder.append_layer(fan_layer)
     return tally
-
-
-def threshold_gate(
-    builder: Builder, x_qubits: Sequence[int], k: int, target: Optional[int] = None
-) -> int:
-    if target is None:
-        target = builder.new_register("thr", 1)[0]
-    builder.append(library.make("threshold", (len(x_qubits), k), tuple(x_qubits) + (target,)))
-    return target
-
-
-def exact_gate(
-    builder: Builder, x_qubits: Sequence[int], k: int, target: Optional[int] = None
-) -> int:
-    if target is None:
-        target = builder.new_register("exa", 1)[0]
-    builder.append(library.make("exact", (len(x_qubits), k), tuple(x_qubits) + (target,)))
-    return target
 
 
 def one_hot_gate(
@@ -480,8 +462,11 @@ def ctrl_state(prep: Circuit, branch_qubit: int, tol: float = 1e-9) -> Tuple[Cir
     """
     state = run(prep)
     amp0 = state.amplitudes[0]
-    branch_mass = 1.0 - residual_mass(state, [branch_qubit])
-    if abs(branch_mass - 0.5) > tol or abs(amp0 - math.sqrt(0.5)) > 1e-6:
+    # the mass with the branch qubit clear, for the exact state
+    low, high = mass_bounds(
+        math.sqrt(1.0 - residual_mass(state, [branch_qubit])), state.error_bound
+    )
+    if low < 0.5 - tol or high > 0.5 + tol or abs(amp0 - math.sqrt(0.5)) > 1e-6:
         raise SimulationError(
             "controlled preparation needs an equal split with a real positive "
             "all-zeros branch"
@@ -523,15 +508,17 @@ def ctrl_from_zero_overlap(
             f"zero-branch mass {af} too extreme (floor {floor} on both sides)"
         )
     state = run(prep)
+    delta = state.error_bound
     amp0 = state.amplitudes[0]
-    if abs(abs(amp0) ** 2 - af) > tol:
+    low, high = mass_bounds(amp0, delta)
+    if low < af - tol or high > af + tol:
         raise SimulationError(
             f"prepared zero-branch mass {abs(amp0)**2:.12f} disagrees with alpha {af}"
         )
     if abs(amp0.imag) > 1e-9 or amp0.real <= 0:
         raise SimulationError("zero-branch amplitude must be real positive")
     others = [q for q in range(prep.n_qubits) if q not in set(data_qubits)]
-    if residual_mass(state, others) > 1e-9:
+    if mass_bounds(math.sqrt(residual_mass(state, others)), delta)[1] > 1e-9:
         raise SimulationError("preparation ancillas are dirty")
     b = Builder.from_circuit(prep)
     a = b.new_register("halfflag", 1)[0]

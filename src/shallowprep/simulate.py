@@ -1,7 +1,10 @@
 """Exact statevector simulation of circuits, plus verification helpers.
 
-Gates act only on the basis states present in the state (its nonzero
-support); ``run`` returns the final state as a dense amplitude vector.
+Gates act only on the basis states present in the state (its support);
+``run`` returns the final state as a dense amplitude vector.  Entries that a
+gate leaves below ``DROP_EPS`` in magnitude are dropped, and the norms of
+the dropped parts add up to a certified bound on the distance from the exact
+state (``StateVector.error_bound``), which every verdict here accounts for.
 
 Conventions: qubit i is bit i of the flat amplitude index (qubit 0 is the
 least significant bit).  Inside a gate, the first listed qubit is the most
@@ -10,9 +13,10 @@ rule, so tables and columns line up with no re-indexing.
 """
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,6 +25,10 @@ from .circuits import Circuit, Gate
 
 NORM_TOL = 1e-10
 DOMAIN_TOL = 1e-9
+# A matrix gate drops the entries it leaves with |a| < DROP_EPS.  Every gate
+# is unitary, so the state run returns is within the sum of the dropped norms
+# of the exact state, in 2-norm.
+DROP_EPS = 1e-14
 
 
 class SimulationError(RuntimeError):
@@ -33,7 +41,10 @@ class CertificationError(RuntimeError):
 
 @dataclass
 class StateVector:
+    """A simulated state and a bound on its 2-norm distance from the exact one."""
+
     amplitudes: np.ndarray
+    error_bound: float = 0.0
 
     @property
     def n_qubits(self) -> int:
@@ -42,9 +53,26 @@ class StateVector:
 
 @dataclass(frozen=True)
 class VerificationResult:
+    """Certified verdict: ``fidelity`` is a lower bound and
+    ``residual_ancilla_mass`` an upper bound for the exact state, given the
+    simulation's ``error_bound``."""
+
     fidelity: float
     clean: bool
     residual_ancilla_mass: float
+    error_bound: float = 0.0
+    state: Optional[StateVector] = field(default=None, repr=False, compare=False)
+
+
+def mass_bounds(amplitude: complex, error_bound: float) -> Tuple[float, float]:
+    """Lower and upper bounds on |amplitude|^2 for the exact state.
+
+    ``amplitude`` is read from a simulated state within ``error_bound`` of the
+    exact one: an overlap with a unit vector, or the norm of the state's
+    projection onto a subspace.  Either moves by at most ``error_bound``.
+    """
+    size = float(abs(amplitude))
+    return max(0.0, size - error_bound) ** 2, (size + error_bound) ** 2
 
 
 # ---- compiled library operations ----
@@ -246,22 +274,15 @@ def _gate_action(
         qubits = gate.targets
         table = np.array([0, 2, 1, 3], dtype=np.int64)
     elif kind == "product_reflection":
+        # the reflection about |0...0> never gets here: apply_gate flips signs
         qubits = gate.targets
-        states = p.get("local_states")
-        if states is None:
+        states = p["local_states"]
+        vec = states[0]
+        for s in states[1:]:
+            vec = np.kron(vec, s)
 
-            def fn(block: np.ndarray) -> np.ndarray:
-                out = block.copy()
-                out[0] = -out[0]
-                return out
-
-        else:
-            vec = states[0]
-            for s in states[1:]:
-                vec = np.kron(vec, s)
-
-            def fn(block: np.ndarray) -> np.ndarray:
-                return block - 2.0 * np.outer(vec, vec.conj() @ block)
+        def fn(block: np.ndarray) -> np.ndarray:
+            return block - 2.0 * np.outer(vec, vec.conj() @ block)
 
     elif kind == "library":
         op = _compiled(p["tag"], p["args"])
@@ -292,40 +313,71 @@ def _gate_action(
     return qubits, None, _with_controls(n_ctrl, fn)
 
 
-def apply_gate(
-    idx: np.ndarray, amp: np.ndarray, gate: Gate
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Apply one gate to the support (idx, amp); returns the new support."""
-    qubits, remap, fn = _gate_action(gate)
-    local = _gather(idx, qubits)
-    if remap is not None:
-        return idx ^ _spread(local ^ remap(local, amp), qubits), amp
+def _mask(qubits: Sequence[int]) -> int:
     mask = 0
     for q in qubits:
         mask |= 1 << q
-    patterns, column = np.unique(idx & ~mask, return_inverse=True)
+    return mask
+
+
+def apply_gate(
+    idx: np.ndarray, amp: np.ndarray, gate: Gate
+) -> Tuple[np.ndarray, np.ndarray, Optional[float], float]:
+    """Apply one gate to the support (idx, amp).
+
+    Returns the new support, its squared norm (None when the gate only moves
+    or negates amplitudes, so the norm is unchanged) and the squared norm of
+    the entries dropped below ``DROP_EPS``.
+    """
+    p = gate.params
+    if gate.kind == "product_reflection" and p.get("local_states") is None:
+        # I - 2|0...0><0...0| negates the entries with every target bit clear
+        hit = (idx & _mask(gate.targets)) == 0
+        if p.get("ctrl") is not None:
+            hit &= ((idx >> p["ctrl"]) & 1) == 1
+        return idx, np.where(hit, -amp, amp), None, 0.0
+    qubits, remap, fn = _gate_action(gate)
+    local = _gather(idx, qubits)
+    if remap is not None:
+        return idx ^ _spread(local ^ remap(local, amp), qubits), amp, None, 0.0
+    patterns, column = np.unique(idx & ~_mask(qubits), return_inverse=True)
     block = np.zeros((2 ** len(qubits), len(patterns)), dtype=complex)
     block[local, column] = amp
     out = fn(block)
-    rows, cols = np.nonzero(out)
-    return patterns[cols] | _spread(rows, qubits), out[rows, cols]
+    mag = out.real**2 + out.imag**2
+    # an entry whose square underflows (|a| < 1e-161) adds nothing to the bound
+    keep = mag >= DROP_EPS * DROP_EPS
+    rows, cols = np.nonzero(keep)
+    return (
+        patterns[cols] | _spread(rows, qubits),
+        out[rows, cols],
+        float(np.sum(mag[rows, cols])),
+        float(np.sum(mag, where=~keep)),
+    )
+
+
+def _basis_index(n: int, initial: Optional[Dict[int, int]]) -> int:
+    index = 0
+    for qubit, bit in (initial or {}).items():
+        if not 0 <= qubit < n:
+            raise SimulationError(f"initial bit on qubit {qubit} of a {n}-qubit circuit")
+        if bit:
+            index |= 1 << qubit
+    return index
 
 
 def initial_state(
     n: int, initial: Union[None, Dict[int, int], np.ndarray] = None
 ) -> np.ndarray:
+    """The dense starting vector: a normalized array, or the basis state
+    with the listed qubits set (every qubit zero for None)."""
     if isinstance(initial, np.ndarray):
         amps = np.asarray(initial, dtype=complex).reshape(2**n)
         if abs(np.vdot(amps, amps) - 1.0) > NORM_TOL:
             raise SimulationError("initial state is not normalized")
         return amps.copy()
     amps = np.zeros(2**n, dtype=complex)
-    idx = 0
-    if initial:
-        for qubit, bit in initial.items():
-            if bit:
-                idx |= 1 << qubit
-    amps[idx] = 1.0
+    amps[_basis_index(n, initial)] = 1.0
     return amps
 
 
@@ -333,23 +385,40 @@ def run(
     circuit: Circuit,
     initial: Union[None, Dict[int, int], np.ndarray] = None,
 ) -> StateVector:
+    """Simulate the circuit from ``initial`` (see ``initial_state``).
+
+    After each layer the norm of the state plus the mass dropped so far must
+    be within ``NORM_TOL`` of one.
+    """
     n = circuit.n_qubits
-    amps = initial_state(n, initial)
-    # a bool mask first: flatnonzero scans a complex array about 3x slower
-    idx = np.flatnonzero(amps != 0)
-    amp = amps[idx]
-    del amps
+    if isinstance(initial, np.ndarray):
+        amps = initial_state(n, initial)
+        # a bool mask first: flatnonzero scans a complex array about 3x slower
+        idx = np.flatnonzero(amps != 0)
+        amp = amps[idx]
+        del amps
+        norm = float(np.sum(amp.real**2 + amp.imag**2))
+    else:
+        idx = np.array([_basis_index(n, initial)], dtype=np.int64)
+        amp = np.ones(1, dtype=complex)
+        norm = 1.0
+    dropped = 0.0
+    bound = 0.0
     for layer in circuit.layers:
         for gate in layer:
-            idx, amp = apply_gate(idx, amp, gate)
-        norm = float(np.real(np.vdot(amp, amp)))
-        if abs(norm - 1.0) > NORM_TOL:
+            idx, amp, kept, lost = apply_gate(idx, amp, gate)
+            if kept is not None:
+                norm = kept
+            if lost:
+                dropped += lost
+                bound += math.sqrt(lost)
+        if abs(norm + dropped - 1.0) > NORM_TOL:
             raise SimulationError(f"state norm drifted to {norm!r}")
     # fresh zeros are mapped lazily, so only the pages the support touches
     # are written
     amps = np.zeros(2**n, dtype=complex)
     amps[idx] = amp
-    return StateVector(amplitudes=amps)
+    return StateVector(amplitudes=amps, error_bound=bound)
 
 
 # ---- verification ----
@@ -391,27 +460,22 @@ def check_clean_preparation(
     initial: Union[None, Dict[int, int], np.ndarray] = None,
     clean_tol: float = 1e-9,
 ) -> VerificationResult:
+    """Run the circuit and bound its fidelity with ``target`` on the outputs
+    (every other qubit zero) from below and its mass off the zero state of
+    the other qubits from above; ``clean`` means that bound is below
+    ``clean_tol``."""
     state = run(circuit, initial)
+    delta = state.error_bound
     non_output = [q for q in range(circuit.n_qubits) if q not in set(output_qubits)]
-    residual = residual_mass(state, non_output)
-    fid = abs(output_overlap(state, target, output_qubits)) ** 2
+    fid, _ = mass_bounds(output_overlap(state, target, output_qubits), delta)
+    _, stray = mass_bounds(math.sqrt(residual_mass(state, non_output)), delta)
     return VerificationResult(
-        fidelity=fid, clean=residual < clean_tol, residual_ancilla_mass=residual
+        fidelity=fid,
+        clean=stray < clean_tol,
+        residual_ancilla_mass=stray,
+        error_bound=delta,
+        state=state,
     )
-
-
-def dump(state: StateVector, circuit: Circuit, cutoff: float = 1e-12) -> List[Tuple[str, float, float]]:
-    """Nonzero amplitudes as (bit string, real, imag), register order."""
-    order: List[int] = []
-    for reg in circuit.registers:
-        order.extend(reg.qubits)
-    rows: List[Tuple[str, float, float]] = []
-    for idx, amp in enumerate(state.amplitudes):
-        if abs(amp) <= cutoff:
-            continue
-        bits = "".join(str((idx >> q) & 1) for q in order)
-        rows.append((bits, float(amp.real), float(amp.imag)))
-    return rows
 
 
 # ---- certification of explicit constructions ----
@@ -478,7 +542,8 @@ def certify_library_gate(
     for d in inputs:
         state = run(explicit, _embed_bits(io_qubits, d))
         expected = _semantic_output(op, d)
-        ov = output_overlap(state, expected, io_qubits).real
+        # the real part of an overlap moves by at most the error bound
+        ov = output_overlap(state, expected, io_qubits).real - state.error_bound
         worst = min(worst, ov)
         if ov < 1.0 - tol:
             raise CertificationError(
@@ -498,6 +563,7 @@ def certify_library_gate(
         state = run(explicit, amps)
         expected = sum(_semantic_output(op, d) for d in domain) * scale
         ov = output_overlap(state, np.asarray(expected), io_qubits).real
+        ov -= state.error_bound
         worst = min(worst, ov)
         if ov < 1.0 - tol:
             raise CertificationError(

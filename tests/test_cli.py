@@ -74,7 +74,10 @@ def test_verify_dicke_pass_and_fail(tmp_path, capsys):
         ["verify", "--circuit", circuit, "--target", "dicke", "--n", "4", "--k", "1"]
     )
     assert rc == 0
-    assert "PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "PASS" in out
+    bound = float(out.split("error_bound=")[1].split()[0])
+    assert 0.0 <= bound < 1e-12
     rc = cli.main(
         ["verify", "--circuit", circuit, "--target", "dicke", "--n", "4", "--k", "2"]
     )

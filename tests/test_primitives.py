@@ -18,7 +18,6 @@ from shallowprep.primitives import (
     ctrl_state,
     custom_threshold,
     custom_threshold_predicate,
-    exact_gate,
     exact_grover,
     ham_gadget,
     one_hot_gate,
@@ -26,7 +25,6 @@ from shallowprep.primitives import (
     prepare_onehot_dist,
     prepare_small_state,
     rot_matrix,
-    threshold_gate,
     w_swap_explicit,
     zero_w_explicit,
 )
@@ -191,16 +189,6 @@ def test_custom_threshold_matches_reference():
                 idx = sum(1 << q for q, bit in init.items() if bit)
                 idx = (idx & ~(1 << out[0])) | (want << out[0])
                 assert abs(abs(state.amplitudes[idx]) ** 2 - 1.0) < 1e-9
-
-
-def test_threshold_and_exact_gate_helpers():
-    b = Builder()
-    x = b.add_register("x", 3)
-    t1 = threshold_gate(b, tuple(x), 2)
-    t2 = exact_gate(b, tuple(x), 3)
-    state = run(b.build(), initial={x[0]: 1, x[1]: 1, x[2]: 1})
-    idx = (1 << x[0]) | (1 << x[1]) | (1 << x[2]) | (1 << t1) | (1 << t2)
-    assert abs(abs(state.amplitudes[idx]) ** 2 - 1.0) < 1e-9
 
 
 def test_one_hot_gate_round_trip():

@@ -28,8 +28,8 @@ from shallowprep.simulate import (
     SimulationError,
     certify_library_gate,
     check_clean_preparation,
-    dump,
     initial_state,
+    mass_bounds,
     output_overlap,
     project,
     residual_mass,
@@ -61,6 +61,11 @@ def test_initial_state_forms():
     assert abs(initial_state(2, vec)[3] - 1.0) < 1e-12
     with pytest.raises(SimulationError):
         initial_state(2, vec * 2.0)
+    # a basis input names qubits of the circuit only
+    b = Builder()
+    b.add_register("x", 2)
+    with pytest.raises(SimulationError, match="qubit 2"):
+        run(b.build(), {2: 1})
 
 
 def test_output_overlap_extracts_named_qubits():
@@ -123,13 +128,35 @@ def test_check_clean_preparation_passes_clean_circuit():
     assert res.fidelity > 1 - 1e-12
 
 
-def test_dump_uses_register_order():
+def test_mass_bounds_widen_by_the_error_bound():
+    low, high = mass_bounds(0.6j, 0.1)
+    assert abs(low - 0.25) < 1e-15 and abs(high - 0.49) < 1e-15
+    assert mass_bounds(0.05, 0.1)[0] == 0.0
+    assert mass_bounds(-0.5, 0.0) == (0.25, 0.25)
+
+
+def test_controlled_reflection_about_zero_needs_its_control():
+    """I - 2|00><00| on qubits 0, 1 behind control qubit 2: with the control
+    off the state is unchanged, with it on only the |00> entry flips sign."""
     b = Builder()
-    b.add_register("x", 2)
-    b.append(g_x(1))
-    state = run(b.build())
-    rows = dump(state, b.build())
-    assert rows == [("01", 1.0, 0.0)]
+    r = b.add_register("q", 3)
+    b.append_layer([g_unitary1(r[0], H_MATRIX), g_unitary1(r[1], H_MATRIX)])
+    b.append(g_product_reflection((r[0], r[1])).with_params(ctrl=r[2]))
+    circuit = b.build()
+    off = run(circuit).amplitudes
+    assert np.allclose(off[:4], 0.5, rtol=0.0, atol=1e-15) and not off[4:].any()
+    on = run(circuit, {r[2]: 1}).amplitudes
+    assert np.allclose(on[4:], [-0.5, 0.5, 0.5, 0.5], rtol=0.0, atol=1e-15)
+    assert not on[:4].any()
+
+
+@pytest.mark.filterwarnings("ignore:ratio bound skipped:UserWarning")
+def test_residue_is_dropped_from_dicke_12_2():
+    """Only the C(12, 2) = 66 real amplitudes survive; exact-zero dropping
+    ended this run with 74,086 nonzero entries."""
+    state = run(build_dicke(12, 2, 4).circuit)
+    assert np.count_nonzero(state.amplitudes) == 66
+    assert 0.0 < state.error_bound < 1e-12
 
 
 def cnot_as_exact11():
@@ -410,24 +437,46 @@ def random_circuit(draw):
 @settings(max_examples=150, deadline=None)
 @given(random_circuit(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_support_kernel_matches_dense_oracle(circuit, from_basis, seed):
-    """Start from the basis input given by the seed's low n bits, or from a
-    seeded normalized complex vector with every amplitude nonzero."""
-    n = circuit.n_qubits
-    if from_basis:
-        initial = {q: (seed >> q) & 1 for q in range(n)}
-        amps = initial_state(n, initial)
-    else:
-        rng = np.random.default_rng(seed)
-        amps = rng.uniform(0.5, 1.0, 2**n) * np.exp(2j * math.pi * rng.uniform(size=2**n))
-        amps /= np.linalg.norm(amps)
-        initial = amps
-    expected = dense_oracle(circuit, amps.copy())
+    initial = seeded_input(circuit.n_qubits, from_basis, seed)
+    expected = dense_oracle(circuit, initial_state(circuit.n_qubits, initial))
     if expected is None:
         with pytest.raises(SimulationError, match="outside its domain"):
             run(circuit, initial)
         return
     got = run(circuit, initial).amplitudes
     assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def seeded_input(n, from_basis, seed):
+    """The basis input given by the seed's low n bits, or a seeded normalized
+    complex vector with every amplitude nonzero."""
+    if from_basis:
+        return {q: (seed >> q) & 1 for q in range(n)}
+    rng = np.random.default_rng(seed)
+    amps = rng.uniform(0.5, 1.0, 2**n) * np.exp(2j * math.pi * rng.uniform(size=2**n))
+    return amps / np.linalg.norm(amps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_circuit(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_dropped_residue_stays_within_the_error_bound(circuit, from_basis, seed):
+    """With no threshold nothing is dropped and the bound is zero; with the
+    default one the state moves from that run by at most its bound.  The
+    circuit is followed by its inverse, whose cancellations leave residue."""
+    b = Builder.from_circuit(circuit)
+    b.replay_inverse(circuit.layers)
+    circuit = b.build()
+    initial = seeded_input(circuit.n_qubits, from_basis, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "DROP_EPS", 0.0)
+        try:
+            undropped = run(circuit, initial)
+        except SimulationError:  # a library gate driven outside its domain
+            return
+    assert undropped.error_bound == 0.0
+    dropped = run(circuit, initial)
+    diff = np.linalg.norm(undropped.amplitudes - dropped.amplitudes)
+    assert diff <= dropped.error_bound + 1e-15
 
 
 def one_gate(tag, args, inverse, ctrl, checked=True):
