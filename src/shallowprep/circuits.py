@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,8 +92,8 @@ def _check_hermitian(mat: np.ndarray, who: str) -> None:
         raise CircuitError(f"{who} matrix must be Hermitian")
 
 
-# Gate constructors.  These return validated Gate values; the builder adds
-# layer-level checks (disjointness, qubit existence, fanout budget).
+# Gate constructors.  These return validated Gate values; _check_layer adds
+# the layer-level checks (disjointness, qubit existence, fanout budget).
 
 X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z_MATRIX = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -248,6 +248,31 @@ def _validate_gate(gate: Gate) -> None:
             _check_hermitian(mat, f"controlled {gate.kind}")
 
 
+def _check_layer(gates: Sequence[Gate], n_qubits: int, budget: Optional[int]) -> None:
+    """Check each gate, that it touches qubits 0..n_qubits-1 not touched by an
+    earlier gate of the layer, and that a fanout not flagged as widened fits
+    the budget."""
+    seen: set = set()
+    for gate in gates:
+        _validate_gate(gate)
+        for q in gate.touched():
+            if not 0 <= q < n_qubits:
+                raise CircuitError(f"gate references unknown qubit {q}")
+            if q in seen:
+                raise CircuitError(f"layer touches qubit {q} twice")
+            seen.add(q)
+        if (
+            gate.kind == "fanout"
+            and budget is not None
+            and len(gate.targets) > budget
+            and not gate.params.get("widened")
+        ):
+            raise CircuitError(
+                f"fanout width {len(gate.targets)} exceeds budget {budget}; "
+                "flag the gate as widened to allow it"
+            )
+
+
 @dataclass(frozen=True)
 class Circuit:
     registers: Tuple[Register, ...]
@@ -324,8 +349,8 @@ def cost(circuit: Circuit) -> CostReport:
 class Builder:
     """Mutable circuit under construction: allocates qubits, appends layers.
 
-    The layer log can be snapshotted and replayed (forward or inverted),
-    which is how the amplification rounds re-run a preparation segment.
+    A segment of the layer log can be replayed (forward or inverted), which
+    is how the amplification rounds re-run a preparation segment.
     """
 
     def __init__(self, metadata: Optional[Dict[str, Any]] = None):
@@ -364,96 +389,48 @@ class Builder:
 
     # ---- appending ----
 
-    def _check_layer(self, gates: Sequence[Gate]) -> None:
-        seen: set = set()
-        for gate in gates:
-            _validate_gate(gate)
-            for q in gate.touched():
-                if not (0 <= q < self._next_qubit):
-                    raise CircuitError(f"gate references unknown qubit {q}")
-                if q in seen:
-                    raise CircuitError(f"layer touches qubit {q} twice")
-                seen.add(q)
-            if gate.kind == "fanout":
-                budget = self.metadata.get("fanout_budget")
-                if (
-                    budget is not None
-                    and len(gate.targets) > budget
-                    and not gate.params.get("widened")
-                ):
-                    raise CircuitError(
-                        f"fanout width {len(gate.targets)} exceeds budget {budget}; "
-                        "flag the gate as widened to allow it"
-                    )
-
     def append(self, gate: Gate) -> None:
         self.append_layer([gate])
 
     def append_layer(self, gates: Sequence[Gate]) -> None:
         if not gates:
             return
-        self._check_layer(gates)
+        _check_layer(gates, self._next_qubit, self.metadata.get("fanout_budget"))
         self.layers.append(tuple(gates))
 
     # ---- replay ----
 
-    def snapshot(self) -> int:
-        return len(self.layers)
-
     def layers_since(self, mark: int) -> Tuple[Tuple[Gate, ...], ...]:
         return tuple(self.layers[mark:])
 
-    def replay(
-        self,
-        segment: Sequence[Sequence[Gate]],
-        checked: Optional[bool] = None,
-        ctrl: Optional[int] = None,
-    ) -> None:
+    def replay(self, segment: Sequence[Sequence[Gate]], checked: Optional[bool] = None) -> None:
         for layer in segment:
-            out = []
-            for gate in layer:
-                g = gate
-                if checked is not None:
-                    g = g.with_params(checked=checked)
-                if ctrl is not None:
-                    g = g.with_params(ctrl=ctrl)
-                out.append(g)
-            self.append_layer(out)
+            if checked is not None:
+                layer = [g.with_params(checked=checked) for g in layer]
+            self.append_layer(layer)
 
     def replay_inverse(
-        self,
-        segment: Sequence[Sequence[Gate]],
-        checked: Optional[bool] = None,
+        self, segment: Sequence[Sequence[Gate]], checked: Optional[bool] = None
     ) -> None:
-        for layer in reversed(list(segment)):
-            out = []
-            for gate in layer:
-                g = invert_gate(gate)
-                if checked is not None:
-                    g = g.with_params(checked=checked)
-                out.append(g)
-            self.append_layer(out)
+        self.replay([[invert_gate(g) for g in layer] for layer in reversed(segment)], checked)
 
-    def record_rounds(self, rounds: int) -> None:
-        self.metadata.setdefault("rounds", []).append(int(rounds))
+    def record_rounds(self, rounds: int, layer_cost: int) -> None:
+        """Log one amplification: its round count and the layers each round adds."""
+        for key, value in (("rounds", rounds), ("round_layer_cost", layer_cost)):
+            self.metadata[key] = self.metadata.get(key, ()) + (int(value),)
 
     # ---- finishing ----
 
     def build(self) -> Circuit:
-        meta = dict(self.metadata)
-        if "rounds" in meta:
-            meta["rounds"] = tuple(meta["rounds"])
         return Circuit(
             registers=tuple(self.registers),
             layers=tuple(self.layers),
-            metadata=meta,
+            metadata=dict(self.metadata),
         )
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "Builder":
         b = cls(metadata=dict(circuit.metadata))
-        if "rounds" in b.metadata:
-            b.metadata["rounds"] = list(b.metadata["rounds"])
         for reg in circuit.registers:
             b.add_register(reg.name, len(reg), reg.ancilla)
         for layer in circuit.layers:
@@ -465,31 +442,12 @@ class Builder:
 #
 # Values inside gate params follow fixed encodings: complex numbers are
 # [re, im] pairs, 2x2 matrices are nested pairs, Fractions are [num, den].
-# Library gate arguments are encoded by per-tag codecs that the library
-# module registers at import time, since only the tag knows its schema, the
-# qubit width its arguments imply and the (depth, fanout width) it is charged.
-# A tag registered without costs carries measured costs in the file.
-
-LibraryCodec = Tuple[
-    Callable[[Tuple[Any, ...]], Any],
-    Callable[[Any], Tuple[Any, ...]],
-    Callable[[Tuple[Any, ...]], int],
-    Optional[Callable[[Tuple[Any, ...]], Tuple[int, int]]],
-]
-_LIBRARY_CODECS: Dict[str, LibraryCodec] = {}
+# Library gate arguments follow the argument schema of their tag's registry
+# entry, which also fixes the qubit width and the (depth, fanout width) a
+# gate is charged; a tag with measured costs carries them in the file.
 
 # what malformed JSON values raise when decoded field by field
-_DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError)
-
-
-def register_library_codec(
-    tag: str,
-    encode: Callable[[Tuple[Any, ...]], Any],
-    decode: Callable[[Any], Tuple[Any, ...]],
-    width: Callable[[Tuple[Any, ...]], int],
-    costs: Optional[Callable[[Tuple[Any, ...]], Tuple[int, int]]],
-) -> None:
-    _LIBRARY_CODECS[tag] = (encode, decode, width, costs)
+_DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError)
 
 
 def encode_complex(z: complex) -> List[float]:
@@ -498,9 +456,9 @@ def encode_complex(z: complex) -> List[float]:
 
 
 def decode_complex(v: Any) -> complex:
-    if not (isinstance(v, list) and len(v) == 2):
-        raise ParseError(f"expected [re, im] pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    if not (isinstance(v, list) and len(v) == 2 and all(type(x) is float for x in v)):
+        raise ParseError(f"expected an [re, im] pair of floats, got {v!r}")
+    return complex(v[0], v[1])
 
 
 def encode_matrix(mat: Any) -> List[List[List[float]]]:
@@ -517,9 +475,9 @@ def encode_fraction(f: Fraction) -> List[int]:
 
 
 def decode_fraction(v: Any) -> Fraction:
-    if not (isinstance(v, list) and len(v) == 2):
-        raise ParseError(f"expected [num, den] pair, got {v!r}")
-    return Fraction(int(v[0]), int(v[1]))
+    if not (isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v) and v[1] > 0):
+        raise ParseError(f"expected a [num, den] pair of ints with den > 0, got {v!r}")
+    return Fraction(v[0], v[1])
 
 
 def _encode_gate(gate: Gate) -> Dict[str, Any]:
@@ -543,12 +501,8 @@ def _encode_gate(gate: Gate) -> Dict[str, Any]:
         if p.get("widened"):
             params["widened"] = True
     elif gate.kind == "library":
-        tag = p["tag"]
-        if tag not in _LIBRARY_CODECS:
-            raise ParseError(f"no codec registered for library tag {tag!r}")
-        enc = _LIBRARY_CODECS[tag][0]
-        params["tag"] = tag
-        params["args"] = enc(p["args"])
+        params["tag"] = p["tag"]
+        params["args"] = library.entry(p["tag"]).encode(p["args"])
         params["inverse"] = p["inverse"]
         out["declared_depth"] = p["declared_depth"]
         out["declared_width"] = p["declared_width"]
@@ -576,29 +530,17 @@ def _decode_gate(obj: Any) -> Gate:
         raise ParseError(f"gate params must be an object, got {type(raw).__name__}")
     try:
         params = _decode_params(kind, raw, obj)
-    except (ParseError, CircuitError):
+    except ParseError:
         raise
     except _DECODE_ERRORS as exc:
         raise ParseError(f"malformed {kind} gate params: {exc!r}") from exc
     if kind == "library":
-        tag, args = params["tag"], params["args"]
-        _, _, width, costs = _LIBRARY_CODECS[tag]
         try:
-            expected = width(args)
-            declared = None if costs is None else costs(args)
-        except _DECODE_ERRORS as exc:
-            raise ParseError(f"bad arguments for library tag {tag!r}: {exc!r}") from exc
-        if len(targets) != expected:
-            raise ParseError(
-                f"library gate {tag}{args} spans {expected} qubits, "
-                f"got {len(targets)}"
+            library.entry(params["tag"]).check(
+                params["args"], len(targets), params["declared_depth"], params["declared_width"]
             )
-        found = (params["declared_depth"], params["declared_width"])
-        if declared is not None and found != declared:
-            raise ParseError(
-                f"library gate {tag}{args} declares (depth, width) {found}; "
-                f"the registry charges {declared}"
-            )
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
     gate = Gate(kind, targets, controls, params)
     _validate_gate(gate)
     return gate
@@ -620,12 +562,9 @@ def _decode_params(kind: str, raw: Dict[str, Any], obj: Dict[str, Any]) -> Dict[
         if raw.get("widened"):
             params["widened"] = True
     elif kind == "library":
-        tag = raw.get("tag")
-        if not isinstance(tag, str) or tag not in _LIBRARY_CODECS:
-            raise ParseError(f"unknown library tag {tag!r}")
-        dec = _LIBRARY_CODECS[tag][1]
-        params["tag"] = tag
-        params["args"] = dec(raw["args"])
+        ent = library.entry(raw["tag"])
+        params["tag"] = ent.tag
+        params["args"] = ent.decode(raw["args"])
         params["inverse"] = bool(raw["inverse"])
         params["declared_depth"] = int(obj["declared_depth"])
         params["declared_width"] = int(obj["declared_width"])
@@ -687,8 +626,9 @@ def deserialize(text: str) -> Circuit:
             raise ParseError(f"top-level {key!r} must be a JSON {kind.__name__}")
     try:
         meta = _decode_meta(doc["metadata"])
-        if "rounds" in meta:
-            meta["rounds"] = tuple(int(r) for r in meta["rounds"])
+        for key in ("rounds", "round_layer_cost"):
+            if key in meta:
+                meta[key] = tuple(int(r) for r in meta[key])
         if meta.get("fanout_budget") is not None:
             meta["fanout_budget"] = int(meta["fanout_budget"])
     except ParseError:
@@ -733,21 +673,8 @@ def validate_circuit(circuit: Circuit) -> None:
         raise CircuitError("register qubits must number 0..n-1 with no gaps")
     budget = circuit.metadata.get("fanout_budget")
     for layer in circuit.layers:
-        seen: set = set()
-        for gate in layer:
-            _validate_gate(gate)
-            for q in gate.touched():
-                if q not in known:
-                    raise CircuitError(f"gate references unknown qubit {q}")
-                if q in seen:
-                    raise CircuitError(f"layer touches qubit {q} twice")
-                seen.add(q)
-            if (
-                gate.kind == "fanout"
-                and budget is not None
-                and len(gate.targets) > budget
-                and not gate.params.get("widened")
-            ):
-                raise CircuitError(
-                    f"fanout width {len(gate.targets)} exceeds budget {budget}"
-                )
+        _check_layer(layer, len(known), budget)
+
+
+# the registry is built on the gate types above, so it is imported after them
+from . import library  # noqa: E402

@@ -6,7 +6,7 @@ A library gate is an opaque unit inside a circuit.  Each tag declares
 - the action itself, either a permutation of basis states or a set of
   output columns,
 - a depth and fanout width charged by the cost model,
-- an argument codec for JSON interchange.
+- an argument schema, from which its JSON codec follows.
 
 The simulator applies library gates through these semantics; explicit
 gate-level constructions are certified against them separately.
@@ -21,7 +21,16 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dists
-from .circuits import CircuitError, Gate, g_library, register_library_codec
+from .circuits import (
+    CircuitError,
+    Gate,
+    ParseError,
+    decode_complex,
+    decode_fraction,
+    encode_complex,
+    encode_fraction,
+    g_library,
+)
 
 ATOL = 1e-9
 # singular values below this count as zero when spanning declared columns
@@ -334,209 +343,201 @@ def low_rank_completion(
 
 
 # ---- registry ----
+#
+# Each tag is declared once: an argument schema, a qubit width and fanout
+# width as functions of the arguments, the declared semantics and a constant
+# depth.  The JSON codec of a tag follows from its schema, one codec per
+# argument kind; decoding checks the exact JSON type of every value, so a
+# string, float or bool is never read as an int.
+
+
+def _exactly(kind: type) -> Callable[[Any], Any]:
+    def decode(v: Any) -> Any:
+        if type(v) is not kind:
+            raise ParseError(f"expected a JSON {kind.__name__}, got {v!r}")
+        return v
+
+    return decode
+
+
+def _enc_number(x: Any) -> Any:
+    return encode_fraction(x) if isinstance(x, Fraction) else float(x)
+
+
+def _dec_number(v: Any) -> Any:
+    return v if type(v) is float else decode_fraction(v)
+
+
+def _tuple_of(enc: Callable[[Any], Any], dec: Callable[[Any], Any]):
+    as_list = _exactly(list)
+
+    def encode(xs: Sequence[Any]) -> List[Any]:
+        return [enc(x) for x in xs]
+
+    def decode(v: Any) -> Tuple[Any, ...]:
+        return tuple(dec(x) for x in as_list(v))
+
+    return encode, decode
+
+
+# argument kind -> (encode, decode) between a Python value and its JSON form
+ARG_KINDS: Dict[str, Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
+    "int": (int, _exactly(int)),
+    "bool": (bool, _exactly(bool)),
+    "number": (_enc_number, _dec_number),
+    "ints": _tuple_of(int, _exactly(int)),
+    "numbers": _tuple_of(_enc_number, _dec_number),
+    "complexes": _tuple_of(encode_complex, decode_complex),
+}
 
 
 @dataclass(frozen=True)
 class LibraryEntry:
     tag: str
+    args: Tuple[str, ...]  # one ARG_KINDS name per argument
     width: Callable[[Tuple[Any, ...]], int]
     semantics: Callable[..., LibrarySemantics]
-    declared_depth: Callable[[Tuple[Any, ...]], int]
-    declared_width: Callable[[Tuple[Any, ...]], int]
-    encode: Callable[[Tuple[Any, ...]], Any]
-    decode: Callable[[Any], Tuple[Any, ...]]
+    depth: int
+    fanout_width: Callable[[Tuple[Any, ...]], int]
     # costs are measured from the construction the gate stands in for and
-    # passed to make(); the declared ones are placeholders
+    # passed to make(); depth and fanout_width are placeholders
     measured_costs: bool = False
 
+    def encode(self, args: Tuple[Any, ...]) -> List[Any]:
+        return [ARG_KINDS[kind][0](a) for kind, a in zip(self.args, args)]
 
-def _enc_number(x: Any) -> Any:
-    if isinstance(x, Fraction):
-        return [x.numerator, x.denominator]
-    return float(x)
+    def decode(self, value: Any) -> Tuple[Any, ...]:
+        if not (isinstance(value, list) and len(value) == len(self.args)):
+            raise ParseError(f"{self.tag} takes arguments {list(self.args)}, got {value!r}")
+        return tuple(ARG_KINDS[kind][1](v) for kind, v in zip(self.args, value))
 
-
-def _dec_number(v: Any) -> Any:
-    if isinstance(v, list):
-        return Fraction(int(v[0]), int(v[1]))
-    return float(v)
-
-
-def _enc_complex_seq(xs: Sequence[complex]) -> List[List[float]]:
-    return [[complex(x).real, complex(x).imag] for x in xs]
-
-
-def _dec_complex_seq(v: Any) -> Tuple[complex, ...]:
-    return tuple(complex(float(a), float(b)) for a, b in v)
-
-
-_REGISTRY: Dict[str, LibraryEntry] = {}
-
-
-def _register(entry: LibraryEntry) -> None:
-    _REGISTRY[entry.tag] = entry
-    costs = None
-    if not entry.measured_costs:
-        costs = lambda a: (entry.declared_depth(a), entry.declared_width(a))  # noqa: E731
-    register_library_codec(entry.tag, entry.encode, entry.decode, entry.width, costs)
+    def check(self, args: Tuple[Any, ...], n_qubits: int, depth: int, fanout_width: int) -> None:
+        """Raise CircuitError unless a gate with these arguments spans the
+        declared width and, unless its costs are measured, is charged the
+        declared (depth, fanout width)."""
+        expected = self.width(args)
+        if n_qubits != expected:
+            raise CircuitError(
+                f"library gate {self.tag}{args} spans {expected} qubits, got {n_qubits}"
+            )
+        declared = (self.depth, self.fanout_width(args))
+        if not self.measured_costs and (depth, fanout_width) != declared:
+            raise CircuitError(
+                f"library gate {self.tag}{args} declares (depth, width) "
+                f"{(depth, fanout_width)}; the registry charges {declared}"
+            )
 
 
-_register(
-    LibraryEntry(
-        tag="threshold",
-        width=lambda a: a[0] + 1,
-        semantics=_sem_threshold,
-        declared_depth=lambda a: 4,
-        declared_width=lambda a: a[1],
-        encode=lambda a: [a[0], a[1]],
-        decode=lambda v: (int(v[0]), int(v[1])),
+_REGISTRY: Dict[str, LibraryEntry] = {
+    e.tag: e
+    for e in (
+        LibraryEntry(
+            tag="threshold",
+            args=("int", "int"),  # n, k
+            width=lambda a: a[0] + 1,
+            semantics=_sem_threshold,
+            depth=4,
+            fanout_width=lambda a: a[1],
+        ),
+        LibraryEntry(
+            tag="exact",
+            args=("int", "int"),  # n, k
+            width=lambda a: a[0] + 1,
+            semantics=_sem_exact,
+            depth=6,
+            fanout_width=lambda a: a[1] + 1,
+        ),
+        LibraryEntry(
+            tag="ham",
+            args=("int", "int"),  # n, k
+            width=lambda a: a[0] + a[1] + 1,
+            semantics=_sem_ham,
+            depth=8,
+            fanout_width=lambda a: a[1] + 1,
+        ),
+        LibraryEntry(
+            tag="one_hot",
+            args=("int", "bool"),  # count, zero_based
+            width=lambda a: _one_hot_width(a[0] if a[1] else a[0] + 1) + a[0],
+            semantics=_sem_one_hot,
+            depth=8,
+            fanout_width=lambda a: a[0],
+        ),
+        LibraryEntry(
+            tag="dicke_prep",
+            args=("int", "int"),  # ell, weight
+            width=lambda a: a[0],
+            semantics=_sem_dicke_prep,
+            depth=120,
+            fanout_width=lambda a: a[0],
+        ),
+        LibraryEntry(
+            tag="zero_w",
+            args=("int",),  # n
+            width=lambda a: a[0],
+            semantics=_sem_zero_w,
+            depth=24,
+            fanout_width=lambda a: a[0],
+        ),
+        LibraryEntry(
+            tag="w_swap",
+            args=("int", "int"),  # t, s
+            width=lambda a: a[0] + a[1] * (a[0] + 1),
+            semantics=_sem_w_swap,
+            depth=6,
+            fanout_width=lambda a: a[0],
+        ),
+        LibraryEntry(
+            tag="marked_prep",
+            args=("int", "complexes", "number"),  # n_data, amps, alpha
+            width=lambda a: a[0] + 1,
+            semantics=_sem_marked_prep,
+            depth=1,
+            fanout_width=lambda a: 0,
+            measured_costs=True,
+        ),
+        LibraryEntry(
+            tag="ctrl_dicke",
+            args=("int", "int", "ints"),  # ell, slots, weights
+            width=lambda a: a[1] + a[0],
+            semantics=_sem_ctrl_dicke,
+            depth=140,
+            fanout_width=lambda a: a[0],
+        ),
+        LibraryEntry(
+            tag="ctrl_damped",
+            args=("int", "int"),  # m, k
+            width=lambda a: a[0] + 1,
+            semantics=_sem_ctrl_damped,
+            depth=180,
+            fanout_width=lambda a: a[1] + 1,
+        ),
+        LibraryEntry(
+            tag="onehot_dist",
+            args=("int", "numbers"),  # count, p
+            width=lambda a: a[0],
+            semantics=_sem_onehot_dist,
+            depth=160,
+            fanout_width=lambda a: a[0] + 1,
+        ),
+        LibraryEntry(
+            tag="small_state",
+            args=("complexes",),  # amps
+            width=lambda a: int(log2(len(a[0]))),
+            semantics=_sem_state_vector,
+            depth=200,
+            fanout_width=lambda a: len(a[0]),
+        ),
+        LibraryEntry(
+            tag="raw_state",
+            args=("complexes",),  # amps
+            width=lambda a: int(log2(len(a[0]))),
+            semantics=_sem_state_vector,
+            depth=1,
+            fanout_width=lambda a: 0,
+        ),
     )
-)
-
-_register(
-    LibraryEntry(
-        tag="exact",
-        width=lambda a: a[0] + 1,
-        semantics=_sem_exact,
-        declared_depth=lambda a: 6,
-        declared_width=lambda a: a[1] + 1,
-        encode=lambda a: [a[0], a[1]],
-        decode=lambda v: (int(v[0]), int(v[1])),
-    )
-)
-
-_register(
-    LibraryEntry(
-        tag="ham",
-        width=lambda a: a[0] + a[1] + 1,
-        semantics=_sem_ham,
-        declared_depth=lambda a: 8,
-        declared_width=lambda a: a[1] + 1,
-        encode=lambda a: [a[0], a[1]],
-        decode=lambda v: (int(v[0]), int(v[1])),
-    )
-)
-
-_register(
-    LibraryEntry(
-        tag="one_hot",
-        width=lambda a: _one_hot_width(a[0] if a[1] else a[0] + 1) + a[0],
-        semantics=_sem_one_hot,
-        declared_depth=lambda a: 8,
-        declared_width=lambda a: a[0],
-        encode=lambda a: [a[0], bool(a[1])],
-        decode=lambda v: (int(v[0]), bool(v[1])),
-    )
-)
-
-_register(
-    LibraryEntry(
-        tag="dicke_prep",
-        width=lambda a: a[0],
-        semantics=_sem_dicke_prep,
-        declared_depth=lambda a: 120,
-        declared_width=lambda a: a[0],
-        encode=lambda a: [a[0], a[1]],
-        decode=lambda v: (int(v[0]), int(v[1])),
-    )
-)
-
-_register(
-    LibraryEntry(
-        tag="zero_w",
-        width=lambda a: a[0],
-        semantics=_sem_zero_w,
-        declared_depth=lambda a: 24,
-        declared_width=lambda a: a[0],
-        encode=lambda a: [a[0]],
-        decode=lambda v: (int(v[0]),),
-    )
-)
-
-_register(
-    LibraryEntry(
-        tag="w_swap",
-        width=lambda a: a[0] + a[1] * (a[0] + 1),
-        semantics=_sem_w_swap,
-        declared_depth=lambda a: 6,
-        declared_width=lambda a: a[0],
-        encode=lambda a: [a[0], a[1]],
-        decode=lambda v: (int(v[0]), int(v[1])),
-    )
-)
-
-_register(
-    LibraryEntry(
-        tag="marked_prep",
-        width=lambda a: a[0] + 1,
-        semantics=_sem_marked_prep,
-        declared_depth=lambda a: 1,
-        declared_width=lambda a: 0,
-        encode=lambda a: [a[0], _enc_complex_seq(a[1]), _enc_number(a[2])],
-        decode=lambda v: (int(v[0]), _dec_complex_seq(v[1]), _dec_number(v[2])),
-        measured_costs=True,
-    )
-)
-
-_register(
-    LibraryEntry(
-        tag="ctrl_dicke",
-        width=lambda a: a[1] + a[0],
-        semantics=_sem_ctrl_dicke,
-        declared_depth=lambda a: 140,
-        declared_width=lambda a: a[0],
-        encode=lambda a: [a[0], a[1], list(a[2])],
-        decode=lambda v: (int(v[0]), int(v[1]), tuple(int(x) for x in v[2])),
-    )
-)
-
-_register(
-    LibraryEntry(
-        tag="ctrl_damped",
-        width=lambda a: a[0] + 1,
-        semantics=_sem_ctrl_damped,
-        declared_depth=lambda a: 180,
-        declared_width=lambda a: a[1] + 1,
-        encode=lambda a: [a[0], a[1]],
-        decode=lambda v: (int(v[0]), int(v[1])),
-    )
-)
-
-_register(
-    LibraryEntry(
-        tag="onehot_dist",
-        width=lambda a: a[0],
-        semantics=_sem_onehot_dist,
-        declared_depth=lambda a: 160,
-        declared_width=lambda a: a[0] + 1,
-        encode=lambda a: [a[0], [_enc_number(x) for x in a[1]]],
-        decode=lambda v: (int(v[0]), tuple(_dec_number(x) for x in v[1])),
-    )
-)
-
-_register(
-    LibraryEntry(
-        tag="small_state",
-        width=lambda a: int(log2(len(a[0]))),
-        semantics=_sem_state_vector,
-        declared_depth=lambda a: 200,
-        declared_width=lambda a: len(a[0]),
-        encode=lambda a: [_enc_complex_seq(a[0])],
-        decode=lambda v: (_dec_complex_seq(v[0]),),
-    )
-)
-
-_register(
-    LibraryEntry(
-        tag="raw_state",
-        width=lambda a: int(log2(len(a[0]))),
-        semantics=_sem_state_vector,
-        declared_depth=lambda a: 1,
-        declared_width=lambda a: 0,
-        encode=lambda a: [_enc_complex_seq(a[0])],
-        decode=lambda v: (_dec_complex_seq(v[0]),),
-    )
-)
+}
 
 
 def entry(tag: str) -> LibraryEntry:
@@ -561,22 +562,13 @@ def make(
     declared_depth: Optional[int] = None,
     declared_width: Optional[int] = None,
 ) -> Gate:
-    """Build a library Gate with registry-declared width and costs.
+    """Build a library Gate charged the registry's costs.
 
-    Costs can be overridden per call; marked_prep uses that to carry the
-    measured costs of the preparation it stands in for.
+    Only a tag with measured costs takes them per call: marked_prep carries
+    the measured costs of the preparation it stands in for.
     """
     ent = entry(tag)
-    expected = ent.width(args)
-    if len(qubits) != expected:
-        raise CircuitError(
-            f"library gate {tag}{args} spans {expected} qubits, got {len(qubits)}"
-        )
-    return g_library(
-        tag,
-        args,
-        qubits,
-        declared_depth=ent.declared_depth(args) if declared_depth is None else declared_depth,
-        declared_width=ent.declared_width(args) if declared_width is None else declared_width,
-        inverse=inverse,
-    )
+    depth = ent.depth if declared_depth is None else declared_depth
+    width = ent.fanout_width(args) if declared_width is None else declared_width
+    ent.check(args, len(qubits), depth, width)
+    return g_library(tag, args, qubits, depth, width, inverse=inverse)

@@ -8,7 +8,7 @@ of rounds the marked branch has probability one, not merely close to one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -119,8 +119,7 @@ def exact_grover(builder: Builder, flag: int, alpha: Number) -> int:
     rounds = (r - 1) // 2
     for _ in range(rounds):
         _append_round(builder, flag, segment, reflect_qubits)
-    builder.record_rounds(rounds)
-    builder.metadata.setdefault("round_layer_cost", []).append(2 * len(segment) + 2)
+    builder.record_rounds(rounds, 2 * len(segment) + 2)
     return rounds
 
 
@@ -143,8 +142,7 @@ def amplify_to_exact(
         raise CircuitError(f"branch mass {af} below amplification floor {floor}")
     if af >= 1.0 - ANGLE_TOL:
         builder.append(g_x(flag))
-        builder.record_rounds(0)
-        builder.metadata.setdefault("round_layer_cost", []).append(0)
+        builder.record_rounds(0, 0)
         return AmplifyInfo(rounds=0, odd_r=1, alpha=af, alpha_target=1.0, gamma=None)
     theta = math.asin(math.sqrt(af))
     r = math.ceil(math.pi / (2.0 * theta) - 1e-9)
@@ -171,8 +169,7 @@ def amplify_to_exact(
         builder.append_layer([g_x(flag), g_x(shrink)])
     else:
         builder.append(g_x(flag))
-    builder.record_rounds(rounds)
-    builder.metadata.setdefault("round_layer_cost", []).append(2 * len(segment) + 2)
+    builder.record_rounds(rounds, 2 * len(segment) + 2)
     return AmplifyInfo(
         rounds=rounds, odd_r=r, alpha=af, alpha_target=target, gamma=gamma
     )
@@ -427,14 +424,9 @@ def ctrl_circuit(circuit: Circuit, budget: Optional[int] = None) -> Tuple[Circui
                 raise CircuitError(
                     "single-qubit gate is not Hermitian, hence not controllable"
                 )
-    meta = dict(circuit.metadata)
+    b = Builder.from_circuit(replace(circuit, layers=()))
     if budget is not None:
-        meta["fanout_budget"] = budget
-    b = Builder(metadata=meta)
-    if "rounds" in b.metadata:
-        b.metadata["rounds"] = list(b.metadata["rounds"])
-    for reg in circuit.registers:
-        b.add_register(reg.name, len(reg), reg.ancilla)
+        b.metadata["fanout_budget"] = budget
     ctrl = b.new_register("ctrl_in", 1, ancilla=False)[0]
     copies = b.new_register("ctrlcopies", g_count)
     eff_budget = b.metadata.get("fanout_budget")
@@ -471,11 +463,7 @@ def ctrl_state(prep: Circuit, branch_qubit: int, tol: float = 1e-9) -> Tuple[Cir
             "controlled preparation needs an equal split with a real positive "
             "all-zeros branch"
         )
-    b = Builder(metadata=dict(prep.metadata))
-    if "rounds" in b.metadata:
-        b.metadata["rounds"] = list(b.metadata["rounds"])
-    for reg in prep.registers:
-        b.add_register(reg.name, len(reg), reg.ancilla)
+    b = Builder.from_circuit(replace(prep, layers=()))
     x = b.new_register("ctrl_in", 1, ancilla=False)[0]
     segment: List[Tuple[Gate, ...]] = list(prep.layers)
     segment.append((g_x(x),))

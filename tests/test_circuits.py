@@ -157,8 +157,8 @@ def test_cost_counts_library_depth_and_width():
     b.append(g_library("threshold", (4, 1), tuple(r), declared_depth=7, declared_width=9))
     b.append(g_or((r[0], r[1], r[2], r[3]), r[4]))
     b.append(g_fanout(r[0], (r[1], r[2], r[3])))
-    b.record_rounds(2)
-    b.record_rounds(3)
+    b.record_rounds(2, 6)
+    b.record_rounds(3, 8)
     report = cost(b.build())
     # one declared-depth-7 layer plus two plain layers
     assert report.depth == 7 + 1 + 1
@@ -181,12 +181,12 @@ def test_from_circuit_round_trip_and_extension():
     b = Builder()
     r = b.add_register("x", 2)
     b.append(g_x(r[0]))
-    b.record_rounds(1)
+    b.record_rounds(1, 4)
     c1 = b.build()
     b2 = Builder.from_circuit(c1)
     assert b2.n_qubits == 2
     b2.append(g_x(b2.register("x")[1]))
-    b2.record_rounds(4)
+    b2.record_rounds(4, 4)
     c2 = b2.build()
     assert len(c2.layers) == 2
     assert c2.metadata["rounds"] == (1, 4)
@@ -207,7 +207,7 @@ def mixed_circuit():
     b.append(g_nor((x[1], x[2]), a[0]))
     b.append(library.make("exact", (3, 1), (x[0], x[1], x[2], a[0])))
     b.append(library.make("onehot_dist", (2, (Fraction(1, 3), Fraction(2, 3))), (x[1], x[2])))
-    b.record_rounds(2)
+    b.record_rounds(2, 6)
     return b.build()
 
 
@@ -272,6 +272,36 @@ def test_deserialize_rejects_library_costs_off_the_registry():
     b.append(library.make("marked_prep", args, tuple(r), declared_depth=17, declared_width=3))
     gate = next(deserialize(serialize(b.build())).gates())
     assert (gate.params["declared_depth"], gate.params["declared_width"]) == (17, 3)
+
+
+@pytest.mark.parametrize(
+    "tag,args,bad",
+    [
+        ("exact", (3, 1), "31"),
+        ("exact", (3, 1), [3.7, 1]),
+        ("exact", (3, 1), ["3", "1"]),
+        ("exact", (3, 1), [3, 1, "junk"]),
+        ("exact", (3, 1), [True, 1]),
+        ("one_hot", (2, False), [2, "no"]),
+        ("one_hot", (2, False), [2, [1]]),
+        ("one_hot", (2, False), [2, 0]),
+        ("onehot_dist", (2, (0.5, 0.5)), [2, [0.5, 1]]),
+        ("onehot_dist", (2, (0.5, 0.5)), [2, [[1, 2], [1, 0]]]),
+        ("small_state", ((0.6, 0.8),), [[[0.6, 0.0], [0.8, 0]]]),
+        ("small_state", ((0.6, 0.8),), [[[0.6, 0.0]], 1]),
+        ("zero_w", (2,), [[]]),
+    ],
+)
+def test_deserialize_rejects_mistyped_library_args(tag, args, bad):
+    """Each library argument must have its schema's exact JSON type."""
+    b = Builder()
+    r = b.add_register("q", library.entry(tag).width(args))
+    b.append(library.make(tag, args, tuple(r)))
+    doc = json.loads(serialize(b.build()))
+    deserialize(json.dumps(doc))
+    doc["layers"][0][0]["params"]["args"] = bad
+    with pytest.raises(circ.ParseError):
+        deserialize(json.dumps(doc))
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,8 +226,62 @@ def test_marked_prep_validation():
 
 
 def test_make_checks_qubit_count():
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match="spans 4 qubits, got 3"):
         library.make("threshold", (3, 1), (0, 1, 2))
+
+
+def test_make_charges_registry_costs():
+    """Only a tag with measured costs takes them per call."""
+    with pytest.raises(CircuitError, match="registry charges"):
+        library.make("exact", (3, 1), (0, 1, 2, 3), declared_depth=1, declared_width=0)
+
+
+# one value per argument kind; the codec never reads semantics, so these
+# need not describe a valid state
+KIND_SAMPLES = {
+    "int": 2,
+    "bool": True,
+    "number": Fraction(1, 3),
+    "ints": (1, 2),
+    "numbers": (Fraction(1, 3), 0.25),
+    "complexes": (0.6 + 0j, 0.8j),
+}
+
+
+def _types(value):
+    if isinstance(value, tuple):
+        return tuple(_types(v) for v in value)
+    return type(value)
+
+
+def test_readme_table_matches_the_registry():
+    """The README's library-gate table lists each tag's schema and depth."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) == 5 and cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = cells
+    assert set(rows) == set(library.tags())
+    for tag, cells in rows.items():
+        ent = library.entry(tag)
+        assert tuple(a.split(": ")[1] for a in cells[1].split(", ")) == ent.args
+        assert cells[3] == ("measured" if ent.measured_costs else str(ent.depth))
+
+
+@pytest.mark.parametrize("tag", library.tags())
+def test_every_tag_round_trips_byte_identically(tag):
+    ent = library.entry(tag)
+    args = tuple(KIND_SAMPLES[kind] for kind in ent.args)
+    b = Builder()
+    r = b.add_register("q", ent.width(args))
+    b.append(library.make(tag, args, tuple(r), inverse=True))
+    text = serialize(b.build())
+    back = deserialize(text)
+    assert serialize(back) == text
+    decoded = next(back.gates()).params["args"]
+    assert decoded == args
+    assert _types(decoded) == _types(args)
 
 
 def test_library_args_survive_serialization():

@@ -93,6 +93,7 @@ def test_output_overlap_requires_other_qubits_zero():
     assert abs(output_overlap(state, target, (r[0],))) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_residual_mass():
     b = Builder()
     r = b.add_register("x", 2)
@@ -101,6 +102,11 @@ def test_residual_mass():
     assert residual_mass(state, ()) == 0.0
     assert abs(residual_mass(state, (r[0],)) - 0.5) < 1e-12
     assert residual_mass(state, (r[1],)) < 1e-12
+    # summed over the stray entries, not 1 - (mass at zero), so rounding sets
+    # no floor near 4e-16 under the stray mass of a clean padded circuit
+    out = build_dicke(7, 2, 4)
+    ancillas = [q for q in range(out.circuit.n_qubits) if q not in out.output_qubits]
+    assert residual_mass(run(out.circuit), ancillas) < 1e-25
 
 
 def test_check_clean_preparation_flags_dirty_ancilla():

@@ -8,6 +8,7 @@ import pytest
 
 from shallowprep.circuits import CircuitError, cost, deserialize, serialize
 from shallowprep.library import damped_spread_column
+from shallowprep.primitives import ctrl_from_zero_overlap
 from shallowprep.simulate import (
     certify_library_gate,
     check_clean_preparation,
@@ -69,6 +70,15 @@ def test_prepare_zero_damped_frozen_gammas():
     assert prepare_zero_damped(2, 2)[2] == Fraction(1, 2)
     assert prepare_zero_damped(2, 1)[2] == Fraction(3, 7)
     assert prepare_zero_damped(3, 2)[2] == Fraction(13, 29)
+
+
+def test_ctrl_from_zero_overlap_leaves_its_input_alone():
+    """Extending a built circuit must not log rounds into the original."""
+    prep, data, gamma = prepare_zero_damped(4, 2)
+    text = serialize(prep)
+    ctrl_from_zero_overlap(prep, data, 1 - gamma)
+    assert serialize(prep) == text
+    assert len(prep.metadata["rounds"]) == len(prep.metadata["round_layer_cost"])
 
 
 def test_prepare_zero_damped_state():
