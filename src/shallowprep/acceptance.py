@@ -36,10 +36,13 @@ from .primitives import (
 )
 from .simulate import (
     CertificationError,
+    CertificationReport,
     SimulationError,
+    certify,
     certify_library_gate,
     check_clean_preparation,
     mass_bounds,
+    output_overlap,
     project,
     run,
 )
@@ -248,46 +251,41 @@ def _crit_claims(ws: Dict[str, Any]) -> List[CheckRow]:
 # ---- primitive certification cases ----
 
 
-def _basis_embedding(phi: Sequence[complex], data: Sequence[int]) -> Dict[int, complex]:
-    """Map local amplitudes on a listed register to global basis indices."""
-    w = len(data)
-    image: Dict[int, complex] = {}
-    for local, amp in enumerate(phi):
-        if amp == 0:
-            continue
-        g = 0
-        for j in range(w):
-            if (local >> (w - 1 - j)) & 1:
-                g |= 1 << data[j]
-        image[g] = complex(amp)
-    return image
-
-
-def _controlled_prep_fidelity(
-    circ, ctrl: int, phi: Sequence[complex], data: Sequence[int]
-) -> float:
+def _controlled_prep_row(
+    params: Dict[str, Any],
+    t0: float,
+    circ,
+    ctrl: int,
+    phi: Sequence[complex],
+    data: Sequence[int],
+) -> CheckRow:
     """Worst fidelity of a controlled preparation over four control states.
 
     With the control clear nothing may happen; with it set the data register
     must hold ``phi``, the control must stay set, and every other qubit must
     end clear.  Superposed controls check the relative phase.
     """
-    nq = circ.n_qubits
-    one_image = np.zeros(2**nq, dtype=complex)
-    for g, amp in _basis_embedding(phi, data).items():
-        one_image[g | (1 << ctrl)] = amp
-    zero_image = np.zeros(2**nq, dtype=complex)
-    zero_image[0] = 1.0
+    # local images on (ctrl,) + data, the control on top
+    zero = np.zeros(2 * len(phi), dtype=complex)
+    zero[0] = 1.0
+    one = np.concatenate([np.zeros(len(phi)), phi])
     worst = 1.0
     for c0, c1 in ((1.0, 0.0), (0.0, 1.0), (_ISQ2, _ISQ2), (_ISQ2, -1j * _ISQ2)):
-        init = np.zeros(2**nq, dtype=complex)
+        init = np.zeros(2**circ.n_qubits, dtype=complex)
         init[0] = c0
         init[1 << ctrl] = c1
         state = run(circ, init)
-        expected = c0 * zero_image + c1 * one_image
-        fid, _ = mass_bounds(np.vdot(expected, state.amplitudes), state.error_bound)
+        overlap = output_overlap(state, c0 * zero + c1 * one, (ctrl,) + tuple(data))
+        fid, _ = mass_bounds(overlap, state.error_bound)
         worst = min(worst, fid)
-    return worst
+    return CheckRow(
+        "primitive-certification",
+        params,
+        f"worst_fidelity={worst:.12f}",
+        "worst fidelity over four control states >= 1-1e-9",
+        worst >= 1.0 - FIDELITY_TOL,
+        time.perf_counter() - t0,
+    )
 
 
 def _rows_exact_grover() -> List[CheckRow]:
@@ -305,7 +303,7 @@ def _rows_exact_grover() -> List[CheckRow]:
         b.append(g_and((data,), flag))
         rounds = exact_grover(b, flag, alpha)
         state = run(b.build())
-        fid, _ = mass_bounds(state.amplitudes[3], state.error_bound)
+        fid, _ = mass_bounds(project(state, (data, flag))[3], state.error_bound)
         want = (odd_r - 1) // 2
         rows.append(
             CheckRow(
@@ -425,34 +423,44 @@ def _rows_parallel_amplify() -> List[CheckRow]:
     return rows
 
 
+def _certified_row(
+    params: Dict[str, Any],
+    rhs: str,
+    certified: Callable[[], CertificationReport],
+    measure: str = "worst_overlap",
+) -> CheckRow:
+    """One row from a certification run; a failure is a failed row."""
+    t0 = time.perf_counter()
+    try:
+        rep = certified()
+        lhs = f"{measure}={rep.worst_overlap:.12f} inputs={rep.inputs_checked}"
+        ok = True
+    except (CertificationError, SimulationError, CircuitError) as exc:
+        lhs = f"failed: {exc}"
+        ok = False
+    return CheckRow(
+        "primitive-certification", params, lhs, rhs, ok, time.perf_counter() - t0
+    )
+
+
 def _rows_ham_gadget() -> List[CheckRow]:
-    rows = []
-    for n in range(1, 5):
-        for k in range(0, 3):
-            t0 = time.perf_counter()
-            b = Builder()
-            x = b.add_register("x", n, ancilla=False)
-            tally = ham_gadget(b, tuple(x), k)
-            try:
-                rep = certify_library_gate(
-                    "ham", (n, k), b.build(), tuple(x) + tuple(tally), max_qubits=20
-                )
-                lhs = f"worst_overlap={rep.worst_overlap:.12f} inputs={rep.inputs_checked}"
-                ok = True
-            except (CertificationError, SimulationError, CircuitError) as exc:
-                lhs = f"failed: {exc}"
-                ok = False
-            rows.append(
-                CheckRow(
-                    "primitive-certification",
-                    {"name": "ham_gadget", "n": n, "k": k},
-                    lhs,
-                    "matches the tally semantics on every input",
-                    ok,
-                    time.perf_counter() - t0,
-                )
-            )
-    return rows
+    def certified(n: int, k: int) -> CertificationReport:
+        b = Builder()
+        x = b.add_register("x", n, ancilla=False)
+        tally = ham_gadget(b, tuple(x), k)
+        return certify_library_gate(
+            "ham", (n, k), b.build(), tuple(x) + tuple(tally), max_qubits=20
+        )
+
+    return [
+        _certified_row(
+            {"name": "ham_gadget", "n": n, "k": k},
+            "matches the tally semantics on every input",
+            lambda: certified(n, k),
+        )
+        for n in range(1, 5)
+        for k in range(0, 3)
+    ]
 
 
 def _rows_ctrl_state() -> List[CheckRow]:
@@ -475,17 +483,8 @@ def _rows_ctrl_state() -> List[CheckRow]:
             amps[2 * i + 1] = a * _ISQ2
         pb.append(library.make("raw_state", (tuple(amps),), tuple(data) + tuple(branch)))
         circ, ctrl = ctrl_state(pb.build(), branch[0])
-        worst = _controlled_prep_fidelity(circ, ctrl, phi, tuple(data))
-        rows.append(
-            CheckRow(
-                "primitive-certification",
-                {"name": "ctrl_state", "case": label},
-                f"worst_fidelity={worst:.12f}",
-                "worst fidelity over four control states >= 1-1e-9",
-                worst >= 1.0 - FIDELITY_TOL,
-                time.perf_counter() - t0,
-            )
-        )
+        params = {"name": "ctrl_state", "case": label}
+        rows.append(_controlled_prep_row(params, t0, circ, ctrl, phi, data))
     return rows
 
 
@@ -501,97 +500,59 @@ def _rows_ctrl_from_zero_overlap() -> List[CheckRow]:
         amps[1] = amps[2] = math.sqrt((1.0 - float(alpha)) / 2.0)
         pb.append(library.make("raw_state", (tuple(amps),), tuple(data)))
         circ, ctrl = ctrl_from_zero_overlap(pb.build(), tuple(data), alpha)
-        worst = _controlled_prep_fidelity(circ, ctrl, rest, tuple(data))
-        rows.append(
-            CheckRow(
-                "primitive-certification",
-                {"name": "ctrl_from_zero_overlap", "alpha": label},
-                f"worst_fidelity={worst:.12f}",
-                "worst fidelity over four control states >= 1-1e-9",
-                worst >= 1.0 - FIDELITY_TOL,
-                time.perf_counter() - t0,
-            )
-        )
+        params = {"name": "ctrl_from_zero_overlap", "alpha": label}
+        rows.append(_controlled_prep_row(params, t0, circ, ctrl, rest, data))
     return rows
 
 
 def _rows_ctrl_dicke() -> List[CheckRow]:
-    rows = []
-    for ell, slots, weights in ((2, 1, (0,)), (2, 2, (0, 1)), (3, 2, (1, 2))):
-        t0 = time.perf_counter()
-        circ, io = ctrl_dicke_explicit(ell, slots, weights)
-        try:
-            rep = certify_library_gate("ctrl_dicke", (ell, slots, weights), circ, io)
-            lhs = f"worst_overlap={rep.worst_overlap:.12f} inputs={rep.inputs_checked}"
-            ok = True
-        except (CertificationError, SimulationError, CircuitError) as exc:
-            lhs = f"failed: {exc}"
-            ok = False
-        rows.append(
-            CheckRow(
-                "primitive-certification",
-                {"name": "ctrl_dicke", "ell": ell, "slots": slots},
-                lhs,
-                "matches the declared routing on its whole domain",
-                ok,
-                time.perf_counter() - t0,
-            )
+    return [
+        _certified_row(
+            {"name": "ctrl_dicke", "ell": ell, "slots": slots},
+            "matches the declared routing on its whole domain",
+            lambda: certify_library_gate(
+                "ctrl_dicke", (ell, slots, weights), *ctrl_dicke_explicit(ell, slots, weights)
+            ),
         )
-    return rows
+        for ell, slots, weights in ((2, 1, (0,)), (2, 2, (0, 1)), (3, 2, (1, 2)))
+    ]
+
+
+def custom_threshold_semantics(
+    n: int, k: int, predicate: Callable[[int, int], int]
+) -> library.LibrarySemantics:
+    """``custom_threshold``'s action on x + selectors + (out,), x[0] on top:
+    the output flips when ``predicate(|x|, j)`` holds for the selected slot j
+    (0 for a clear selector).  The domain is the 2^n (k+1) 2 inputs whose
+    selector is clear or one-hot."""
+    w = n + k + 1
+    slot = {0: 0, **{1 << (k - j): j for j in range(1, k + 1)}}
+    table = np.arange(2**w, dtype=np.int64)
+    domain = [i for i in range(2**w) if (i >> 1) % 2**k in slot]
+    for i in domain:
+        table[i] ^= predicate(bin(i >> (k + 1)).count("1"), slot[(i >> 1) % 2**k])
+    return library.LibrarySemantics(n_qubits=w, permutation=table, domain=tuple(domain))
 
 
 def _rows_custom_threshold() -> List[CheckRow]:
-    t0 = time.perf_counter()
     n, k = 3, 2
-    b = Builder()
-    x = b.add_register("x", n, ancilla=False)
-    sel = b.add_register("sel", k, ancilla=False)
-    out = b.add_register("out", 1, ancilla=False)
-    custom_threshold(b, tuple(x), tuple(sel), out[0])
-    circ = b.build()
-    worst = 1.0
-    domain: List[int] = []
-    for xv in range(2**n):
-        for j in range(k + 1):
-            for o in (0, 1):
-                idx = 0
-                for i in range(n):
-                    if (xv >> i) & 1:
-                        idx |= 1 << x[i]
-                if j:
-                    idx |= 1 << sel[j - 1]
-                if o:
-                    idx |= 1 << out[0]
-                domain.append(idx)
-                flip = custom_threshold_predicate(bin(xv).count("1"), j)
-                expect = idx ^ ((1 << out[0]) if flip else 0)
-                state = run(circ, {q: (idx >> q) & 1 for q in range(circ.n_qubits)})
-                fid, _ = mass_bounds(state.amplitudes[expect], state.error_bound)
-                worst = min(worst, fid)
-    # one superposition probe across the whole promised domain
-    init = np.zeros(2**circ.n_qubits, dtype=complex)
-    expected = np.zeros_like(init)
-    scale = 1.0 / math.sqrt(len(domain))
-    for idx in domain:
-        init[idx] = scale
-        xv = sum(((idx >> x[i]) & 1) << i for i in range(n))
-        j = 0
-        for pos in range(k):
-            if (idx >> sel[pos]) & 1:
-                j = pos + 1
-        flip = custom_threshold_predicate(bin(xv).count("1"), j)
-        expected[idx ^ ((1 << out[0]) if flip else 0)] += scale
-    state = run(circ, init)
-    fid, _ = mass_bounds(np.vdot(expected, state.amplitudes), state.error_bound)
-    worst = min(worst, fid)
+
+    def certified() -> CertificationReport:
+        b = Builder()
+        x = b.add_register("x", n, ancilla=False)
+        sel = b.add_register("sel", k, ancilla=False)
+        out = b.add_register("out", 1, ancilla=False)
+        custom_threshold(b, tuple(x), tuple(sel), out[0])
+        sem = custom_threshold_semantics(n, k, custom_threshold_predicate)
+        io = tuple(x) + tuple(sel) + tuple(out)
+        return certify("custom_threshold", (n, k), sem, b.build(), io)
+
     return [
-        CheckRow(
-            "primitive-certification",
+        _certified_row(
             {"name": "custom_threshold", "n": n, "selectors": k},
-            f"worst_fidelity={worst:.12f} inputs={len(domain) + 1}",
             "matches the selector predicate on its whole domain",
-            worst >= 1.0 - FIDELITY_TOL,
-            time.perf_counter() - t0,
+            certified,
+            measure="worst_fidelity",
         )
     ]
 

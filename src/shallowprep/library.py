@@ -101,8 +101,6 @@ def _sem_one_hot(count: int, zero_based: bool) -> LibrarySemantics:
     the all-clear slot pattern.  Zero-based form: value v in 0..count-1 goes
     to slot v+1.
     """
-    if count < 1:
-        raise CircuitError("one_hot needs at least one slot")
     b = _one_hot_width(count if zero_based else count + 1)
     w = b + count
     partial: Dict[int, int] = {}
@@ -193,8 +191,6 @@ def _sem_marked_prep(n_data: int, amps: Tuple[complex, ...], alpha: Any) -> Libr
 
 
 def _sem_ctrl_dicke(ell: int, slots: int, weights: Tuple[int, ...]) -> LibrarySemantics:
-    if len(weights) != slots:
-        raise CircuitError("ctrl_dicke needs one weight per slot")
     w = slots + ell
     cols: Dict[int, np.ndarray] = {}
     zero = np.zeros(2**w, dtype=complex)
@@ -231,8 +227,6 @@ def _sem_ctrl_damped(m: int, k: int) -> LibrarySemantics:
 
 
 def _sem_onehot_dist(count: int, p: Tuple[Any, ...]) -> LibrarySemantics:
-    if len(p) != count:
-        raise CircuitError("onehot_dist needs one probability per slot")
     total = sum(float(x) for x in p)
     if abs(total - 1.0) > ATOL:
         raise CircuitError("onehot_dist probabilities must sum to one")
@@ -243,15 +237,18 @@ def _sem_onehot_dist(count: int, p: Tuple[Any, ...]) -> LibrarySemantics:
 
 
 def _sem_state_vector(amps: Tuple[complex, ...]) -> LibrarySemantics:
-    size = len(amps)
-    if size < 2 or size & (size - 1):
-        raise CircuitError("state vector length must be a power of two, >= 2")
     col = np.asarray(amps, dtype=complex)
     if abs(np.vdot(col, col) - 1.0) > ATOL:
         raise CircuitError("state vector must be unit norm")
     return LibrarySemantics(
-        n_qubits=int(log2(size)), columns={0: col}, domain=(0,)
+        n_qubits=int(log2(len(amps))), columns={0: col}, domain=(0,)
     )
+
+
+def _state_flaw(amps: Tuple[complex, ...]) -> Optional[str]:
+    size = len(amps)
+    ok = size >= 2 and not size & (size - 1)
+    return None if ok else "state vector length must be a power of two, >= 2"
 
 
 def _complete_permutation(w: int, partial: Dict[int, int]) -> np.ndarray:
@@ -402,6 +399,8 @@ class LibraryEntry:
     # costs are measured from the construction the gate stands in for and
     # passed to make(); depth and fanout_width are placeholders
     measured_costs: bool = False
+    # why arguments of the schema's types still describe no gate, or None
+    flaw: Callable[[Tuple[Any, ...]], Optional[str]] = lambda a: None
 
     def encode(self, args: Tuple[Any, ...]) -> List[Any]:
         return [ARG_KINDS[kind][0](a) for kind, a in zip(self.args, args)]
@@ -411,10 +410,18 @@ class LibraryEntry:
             raise ParseError(f"{self.tag} takes arguments {list(self.args)}, got {value!r}")
         return tuple(ARG_KINDS[kind][1](v) for kind, v in zip(self.args, value))
 
+    def check_args(self, args: Tuple[Any, ...]) -> None:
+        """Raise CircuitError if the arguments describe no gate, before any
+        width or table is computed from them."""
+        flaw = self.flaw(args)
+        if flaw is not None:
+            raise CircuitError(f"library gate {self.tag}{args}: {flaw}")
+
     def check(self, args: Tuple[Any, ...], n_qubits: int, depth: int, fanout_width: int) -> None:
-        """Raise CircuitError unless a gate with these arguments spans the
-        declared width and, unless its costs are measured, is charged the
+        """Raise CircuitError unless the arguments describe a gate that spans
+        the declared width and, unless its costs are measured, is charged the
         declared (depth, fanout width)."""
+        self.check_args(args)
         expected = self.width(args)
         if n_qubits != expected:
             raise CircuitError(
@@ -462,6 +469,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             semantics=_sem_one_hot,
             depth=8,
             fanout_width=lambda a: a[0],
+            flaw=lambda a: None if a[0] >= 1 else "needs at least one slot",
         ),
         LibraryEntry(
             tag="dicke_prep",
@@ -478,6 +486,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             semantics=_sem_zero_w,
             depth=24,
             fanout_width=lambda a: a[0],
+            flaw=lambda a: None if a[0] >= 1 else "needs at least one slot",
         ),
         LibraryEntry(
             tag="w_swap",
@@ -495,6 +504,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             depth=1,
             fanout_width=lambda a: 0,
             measured_costs=True,
+            flaw=lambda a: _state_flaw(a[1]),
         ),
         LibraryEntry(
             tag="ctrl_dicke",
@@ -503,6 +513,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             semantics=_sem_ctrl_dicke,
             depth=140,
             fanout_width=lambda a: a[0],
+            flaw=lambda a: None if len(a[2]) == a[1] else "needs one weight per slot",
         ),
         LibraryEntry(
             tag="ctrl_damped",
@@ -519,6 +530,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             semantics=_sem_onehot_dist,
             depth=160,
             fanout_width=lambda a: a[0] + 1,
+            flaw=lambda a: None if len(a[1]) == a[0] >= 1 else "needs one probability per slot",
         ),
         LibraryEntry(
             tag="small_state",
@@ -527,6 +539,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             semantics=_sem_state_vector,
             depth=200,
             fanout_width=lambda a: len(a[0]),
+            flaw=lambda a: _state_flaw(a[0]),
         ),
         LibraryEntry(
             tag="raw_state",
@@ -535,6 +548,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             semantics=_sem_state_vector,
             depth=1,
             fanout_width=lambda a: 0,
+            flaw=lambda a: _state_flaw(a[0]),
         ),
     )
 }
@@ -551,7 +565,9 @@ def tags() -> Tuple[str, ...]:
 
 
 def semantics(tag: str, args: Tuple[Any, ...]) -> LibrarySemantics:
-    return entry(tag).semantics(*args)
+    ent = entry(tag)
+    ent.check_args(args)
+    return ent.semantics(*args)
 
 
 def make(

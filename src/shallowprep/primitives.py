@@ -453,7 +453,7 @@ def ctrl_state(prep: Circuit, branch_qubit: int, tol: float = 1e-9) -> Tuple[Cir
     qubits become |phi> and the branch qubit ends clear.
     """
     state = run(prep)
-    amp0 = state.amplitudes[0]
+    amp0 = project(state, ())[0]
     # the mass with the branch qubit clear, for the exact state
     low, high = mass_bounds(
         math.sqrt(1.0 - residual_mass(state, [branch_qubit])), state.error_bound
@@ -497,7 +497,7 @@ def ctrl_from_zero_overlap(
         )
     state = run(prep)
     delta = state.error_bound
-    amp0 = state.amplitudes[0]
+    amp0 = project(state, ())[0]
     low, high = mass_bounds(amp0, delta)
     if low < af - tol or high > af + tol:
         raise SimulationError(
@@ -674,12 +674,10 @@ def prepare_small_state(
     painted on the hot slots; the one-hot pattern is then compressed to
     binary on the output register.
     """
+    # the declared semantics of small_state check the length and the norm
+    library.semantics("small_state", (tuple(amps),))
     size = len(amps)
-    if size < 2 or size & (size - 1):
-        raise CircuitError("amplitude count must be a power of two, >= 2")
     vec = np.asarray(amps, dtype=complex)
-    if abs(np.vdot(vec, vec) - 1.0) > 1e-9:
-        raise CircuitError("amplitudes must be unit norm")
     if builder is None:
         builder = Builder()
     probs = tuple(float(abs(a)) ** 2 for a in vec)

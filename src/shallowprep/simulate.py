@@ -1,10 +1,11 @@
-"""Exact statevector simulation of circuits, plus verification helpers.
+"""Exact simulation of circuits on their support, plus verification helpers.
 
 Gates act only on the basis states present in the state (its support);
-``run`` returns the final state as a dense amplitude vector.  Entries that a
-gate leaves below ``DROP_EPS`` in magnitude are dropped, and the norms of
-the dropped parts add up to a certified bound on the distance from the exact
-state (``StateVector.error_bound``), which every verdict here accounts for.
+``run`` returns that support, which every verdict here reads through
+``project`` or ``residual_mass``.  Entries that a gate leaves below
+``DROP_EPS`` in magnitude are dropped, and the norms of the dropped parts
+add up to a certified bound on the distance from the exact state
+(``StateVector.error_bound``), which every verdict here accounts for.
 
 Conventions: qubit i is bit i of the flat amplitude index (qubit 0 is the
 least significant bit).  Inside a gate, the first listed qubit is the most
@@ -43,15 +44,21 @@ class CertificationError(RuntimeError):
 class StateVector:
     """A simulated state and a bound on its 2-norm distance from the exact one.
 
-    ``indices`` and ``values`` are its support: the basis indices of the
-    entries ``run`` kept and their amplitudes, which ``amplitudes`` spreads
-    into a dense vector.
+    ``indices`` and ``values`` are its support: the distinct basis indices of
+    the entries ``run`` kept and their amplitudes.
     """
 
-    amplitudes: np.ndarray
+    n_qubits: int
     indices: np.ndarray
     values: np.ndarray
     error_bound: float = 0.0
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense 2^n vector, built on each request."""
+        amps = np.zeros(2**self.n_qubits, dtype=complex)
+        amps[self.indices] = self.values
+        return amps
 
 
 @dataclass(frozen=True)
@@ -86,9 +93,8 @@ class _CompiledOp:
     """A library gate ready to apply.
 
     Permutation gates keep their table, its inverse and, for a partial
-    domain, a mask of the domain inputs.  Column-declared gates keep their
-    declared columns and the low-rank form
-    I + basis @ correction @ basis_h of their unitary.
+    domain, a mask of the domain inputs.  Column-declared gates keep the
+    low-rank form I + basis @ correction @ basis_h of their unitary.
     """
 
     n_qubits: int
@@ -96,7 +102,6 @@ class _CompiledOp:
     table: Optional[np.ndarray] = None
     inverse_table: Optional[np.ndarray] = None
     in_domain: Optional[np.ndarray] = None
-    columns: Optional[Dict[int, np.ndarray]] = None
     basis: Optional[np.ndarray] = None
     basis_h: Optional[np.ndarray] = None
     correction: Optional[np.ndarray] = None
@@ -127,7 +132,6 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
         op = _CompiledOp(
             sem.n_qubits,
             domain,
-            columns=sem.columns,
             basis=basis,
             basis_h=basis.conj().T,
             correction=correction,
@@ -417,11 +421,7 @@ def run(
                 bound += math.sqrt(lost)
         if abs(norm + dropped - 1.0) > NORM_TOL:
             raise SimulationError(f"state norm drifted to {norm!r}")
-    # fresh zeros are mapped lazily, so only the pages the support touches
-    # are written
-    amps = np.zeros(2**n, dtype=complex)
-    amps[idx] = amp
-    return StateVector(amplitudes=amps, indices=idx, values=amp, error_bound=bound)
+    return StateVector(n, idx, amp, bound)
 
 
 # ---- verification ----
@@ -432,8 +432,10 @@ def project(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
 
     Entry i sets qubits[0] to the top bit of i, qubits[-1] to its low bit.
     """
-    local = np.arange(2 ** len(qubits), dtype=np.int64)
-    return state.amplitudes[_spread(local, qubits)]
+    out = np.zeros(2 ** len(qubits), dtype=complex)
+    kept = (state.indices & ~_mask(qubits)) == 0
+    out[_gather(state.indices[kept], qubits)] = state.values[kept]
+    return out
 
 
 def output_overlap(
@@ -447,8 +449,7 @@ def output_overlap(
 
 def residual_mass(state: StateVector, qubits: Sequence[int]) -> float:
     """Probability that at least one of the listed qubits is not zero."""
-    mask = np.int64(sum(1 << q for q in set(qubits)))
-    stray = state.values[(state.indices & mask) != 0]
+    stray = state.values[(state.indices & _mask(qubits)) != 0]
     return float(np.sum(stray.real**2 + stray.imag**2))
 
 
@@ -488,17 +489,71 @@ class CertificationReport:
     worst_overlap: float
 
 
-def _embed_bits(io_qubits: Sequence[int], local_index: int) -> Dict[int, int]:
-    w = len(io_qubits)
-    return {io_qubits[j]: (local_index >> (w - 1 - j)) & 1 for j in range(w)}
+def _declared_output(sem: library.LibrarySemantics, local_index: int) -> np.ndarray:
+    if sem.permutation is None:
+        return sem.columns[local_index]
+    col = np.zeros(2**sem.n_qubits, dtype=complex)
+    col[sem.permutation[local_index]] = 1.0
+    return col
 
 
-def _semantic_output(op: _CompiledOp, local_index: int) -> np.ndarray:
-    if op.table is not None:
-        col = np.zeros(2**op.n_qubits, dtype=complex)
-        col[op.table[local_index]] = 1.0
-        return col
-    return op.columns[local_index]
+def certify(
+    tag: str,
+    args: Tuple[Any, ...],
+    sem: library.LibrarySemantics,
+    explicit: Circuit,
+    io_qubits: Sequence[int],
+    tol: float = 1e-9,
+    domain_subset: Optional[Sequence[int]] = None,
+    probe: bool = True,
+) -> CertificationReport:
+    """Check an explicit circuit against the declared semantics ``sem``;
+    ``tag`` and ``args`` name them in the report and in errors.
+
+    Each domain input is simulated and compared phase-strictly (the real
+    part of the overlap must reach 1 - tol, so even a global phase fails).
+    A uniform superposition probe over the domain is run as well, which
+    catches errors on inputs left out by ``domain_subset``.
+    """
+    w = sem.n_qubits
+    if len(io_qubits) != w:
+        raise CertificationError(f"{tag!r} spans {w} qubits")
+    domain = list(range(2**w)) if sem.domain is None else [int(d) for d in sem.domain]
+    inputs = list(domain_subset) if domain_subset is not None else domain
+    outside = sorted(set(inputs) - set(domain))
+    if outside:
+        raise CertificationError(
+            f"{tag}{args} declares no action on input {outside[0]}: "
+            f"it is outside the gate's domain"
+        )
+
+    def cases():
+        """(initial state, declared output on io_qubits, failure message)"""
+        for d in inputs:
+            bits = f"{d:0{w}b}"  # io_qubits[0] holds the top bit
+            yield (
+                {q: int(b) for q, b in zip(io_qubits, bits)},
+                _declared_output(sem, d),
+                f"disagrees with its declared action on input {bits}",
+            )
+        if probe and len(domain) > 1:
+            scale = 1.0 / np.sqrt(len(domain))
+            amps = np.zeros(2**explicit.n_qubits, dtype=complex)
+            amps[_spread(np.asarray(domain, dtype=np.int64), io_qubits)] = scale
+            expected = sum(_declared_output(sem, d) for d in domain) * scale
+            yield amps, np.asarray(expected), "fails the superposition probe"
+
+    worst = 1.0
+    checked = 0
+    for initial, expected, failure in cases():
+        state = run(explicit, initial)
+        # the real part of an overlap moves by at most the error bound
+        ov = output_overlap(state, expected, io_qubits).real - state.error_bound
+        worst = min(worst, ov)
+        if ov < 1.0 - tol:
+            raise CertificationError(f"{tag}{args} {failure} (overlap {ov:.12f})")
+        checked += 1
+    return CertificationReport(tag, args, checked, worst)
 
 
 def certify_library_gate(
@@ -511,67 +566,15 @@ def certify_library_gate(
     domain_subset: Optional[Sequence[int]] = None,
     probe: bool = True,
 ) -> CertificationReport:
-    """Check an explicit circuit against declared library semantics.
-
-    Each domain input is simulated and compared phase-strictly (the real
-    part of the overlap must reach 1 - tol, so even a global phase fails).
-    A uniform superposition probe over the domain is run as well, which
-    catches errors on inputs left out by ``domain_subset``.
-    """
+    """``certify`` an explicit circuit against the registry's semantics of
+    the library gate (tag, args)."""
     if explicit.n_qubits > max_qubits:
         raise CertificationError(
             f"certification of {tag!r} needs {explicit.n_qubits} qubits; "
             f"raise max_qubits to allow it"
         )
-    op = _compiled(tag, args)
-    if len(io_qubits) != op.n_qubits:
-        raise CertificationError(f"{tag!r} spans {op.n_qubits} qubits")
-    domain = (
-        list(range(2**op.n_qubits)) if op.domain is None else [int(d) for d in op.domain]
-    )
-    inputs = list(domain_subset) if domain_subset is not None else domain
-    outside = sorted(set(inputs) - set(domain))
-    if outside:
-        raise CertificationError(
-            f"{tag}{args} declares no action on input {outside[0]}: "
-            f"it is outside the gate's domain"
-        )
-    n = explicit.n_qubits
-    worst = 1.0
-    for d in inputs:
-        state = run(explicit, _embed_bits(io_qubits, d))
-        expected = _semantic_output(op, d)
-        # the real part of an overlap moves by at most the error bound
-        ov = output_overlap(state, expected, io_qubits).real - state.error_bound
-        worst = min(worst, ov)
-        if ov < 1.0 - tol:
-            raise CertificationError(
-                f"{tag}{args} disagrees with its declared action on input "
-                f"{d:0{op.n_qubits}b} (overlap {ov:.12f})"
-            )
-    checked = len(inputs)
-    if probe and len(domain) > 1:
-        amps = np.zeros(2**n, dtype=complex)
-        scale = 1.0 / np.sqrt(len(domain))
-        for d in domain:
-            idx = 0
-            for q, b in _embed_bits(io_qubits, d).items():
-                if b:
-                    idx |= 1 << q
-            amps[idx] = scale
-        state = run(explicit, amps)
-        expected = sum(_semantic_output(op, d) for d in domain) * scale
-        ov = output_overlap(state, np.asarray(expected), io_qubits).real
-        ov -= state.error_bound
-        worst = min(worst, ov)
-        if ov < 1.0 - tol:
-            raise CertificationError(
-                f"{tag}{args} fails the superposition probe (overlap {ov:.12f})"
-            )
-        checked += 1
-    return CertificationReport(
-        tag=tag, args=args, inputs_checked=checked, worst_overlap=worst
-    )
+    sem = library.semantics(tag, args)
+    return certify(tag, args, sem, explicit, io_qubits, tol, domain_subset, probe)
 
 
 def workers_from_env() -> int:

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shallowprep import dists, library, simulate
-from shallowprep.circuits import Builder, CircuitError, deserialize, serialize
+from shallowprep.circuits import (
+    Builder,
+    CircuitError,
+    ParseError,
+    deserialize,
+    g_library,
+    serialize,
+)
 from shallowprep.simulate import SimulationError, run
 
 
@@ -234,6 +241,29 @@ def test_make_charges_registry_costs():
     """Only a tag with measured costs takes them per call."""
     with pytest.raises(CircuitError, match="registry charges"):
         library.make("exact", (3, 1), (0, 1, 2, 3), declared_depth=1, declared_width=0)
+
+
+@pytest.mark.parametrize(
+    "tag,args,match",
+    [
+        ("small_state", ((0.6, 0.8, 0.0),), "power of two"),
+        ("one_hot", (0, False), "at least one slot"),
+        ("ctrl_dicke", (2, 2, (1,)), "one weight per slot"),
+        ("onehot_dist", (2, (1.0,)), "one probability per slot"),
+    ],
+)
+def test_arguments_that_describe_no_gate_are_rejected(tag, args, match):
+    """Arguments of the schema's types can still describe no gate; make and
+    deserialize both refuse them before any table is built."""
+    ent = library.entry(tag)
+    qubits = tuple(range(ent.width(args)))
+    with pytest.raises(CircuitError, match=match):
+        library.make(tag, args, qubits)
+    b = Builder()
+    b.add_register("q", len(qubits))
+    b.append(g_library(tag, args, qubits, ent.depth, ent.fanout_width(args)))
+    with pytest.raises(ParseError, match=match):
+        deserialize(serialize(b.build()))
 
 
 # one value per argument kind; the codec never reads semantics, so these

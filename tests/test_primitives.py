@@ -28,8 +28,11 @@ from shallowprep.primitives import (
     w_swap_explicit,
     zero_w_explicit,
 )
+from shallowprep.acceptance import custom_threshold_semantics
 from shallowprep.simulate import (
+    CertificationError,
     SimulationError,
+    certify,
     certify_library_gate,
     check_clean_preparation,
     run,
@@ -189,6 +192,26 @@ def test_custom_threshold_matches_reference():
                 idx = sum(1 << q for q, bit in init.items() if bit)
                 idx = (idx & ~(1 << out[0])) | (want << out[0])
                 assert abs(abs(state.amplitudes[idx]) ** 2 - 1.0) < 1e-9
+
+
+def test_custom_threshold_certification_needs_the_right_predicate():
+    """The acceptance row certifies against a table over the 48 inputs with
+    a clear or one-hot selector; the same circuit fails a table built from
+    |x| < j instead of |x| <= j."""
+    n, k = 3, 2
+    b = Builder()
+    x = b.add_register("x", n)
+    sel = b.add_register("sel", k)
+    out = b.add_register("out", 1)
+    custom_threshold(b, tuple(x), tuple(sel), out[0])
+    circuit, io = b.build(), tuple(x) + tuple(sel) + tuple(out)
+    sem = custom_threshold_semantics(n, k, custom_threshold_predicate)
+    assert len(sem.domain) == 48
+    report = certify("custom_threshold", (n, k), sem, circuit, io)
+    assert report.inputs_checked == 49 and report.worst_overlap > 1 - 1e-9
+    strict = custom_threshold_semantics(n, k, lambda xw, j: int(j >= 1 and xw < j))
+    with pytest.raises(CertificationError, match="disagrees"):
+        certify("custom_threshold", (n, k), strict, circuit, io)
 
 
 def test_one_hot_gate_round_trip():

@@ -134,6 +134,30 @@ def test_check_clean_preparation_passes_clean_circuit():
     assert res.fidelity > 1 - 1e-12
 
 
+def test_wide_state_is_read_from_its_support():
+    """One X gate on 40 qubits: the state is one support entry, and every
+    reader works from it (a dense vector would take 16 TiB)."""
+    b = Builder()
+    data = b.add_register("d", 2)
+    anc = b.add_register("a", 38, ancilla=True)
+    b.append(g_x(data[1]))
+    circuit = b.build()
+    state = run(circuit)
+    assert state.n_qubits == 40
+    assert state.indices.tolist() == [1 << data[1]]
+    assert state.values.tolist() == [1.0]
+    assert np.array_equal(project(state, tuple(data)), [0, 1, 0, 0])
+    assert np.array_equal(project(state, (data[1], anc[37])), [0, 0, 1, 0])
+    assert np.array_equal(project(state, (anc[0],)), [0, 0])
+    target = np.array([0, 1, 0, 0], dtype=complex)
+    assert output_overlap(state, target, tuple(data)) == 1.0
+    assert residual_mass(state, (data[1],)) == 1.0
+    assert residual_mass(state, tuple(anc)) == 0.0
+    res = check_clean_preparation(circuit, target, tuple(data))
+    assert (res.fidelity, res.clean, res.residual_ancilla_mass) == (1.0, True, 0.0)
+    assert res.error_bound == 0.0
+
+
 def test_mass_bounds_widen_by_the_error_bound():
     low, high = mass_bounds(0.6j, 0.1)
     assert abs(low - 0.25) < 1e-15 and abs(high - 0.49) < 1e-15
@@ -441,16 +465,26 @@ def random_circuit(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(random_circuit(), st.booleans(), st.integers(0, 2**32 - 1))
-def test_support_kernel_matches_dense_oracle(circuit, from_basis, seed):
-    initial = seeded_input(circuit.n_qubits, from_basis, seed)
-    expected = dense_oracle(circuit, initial_state(circuit.n_qubits, initial))
+@given(random_circuit(), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_support_kernel_matches_dense_oracle(circuit, from_basis, seed, data):
+    n = circuit.n_qubits
+    initial = seeded_input(n, from_basis, seed)
+    expected = dense_oracle(circuit, initial_state(n, initial))
     if expected is None:
         with pytest.raises(SimulationError, match="outside its domain"):
             run(circuit, initial)
         return
-    got = run(circuit, initial).amplitudes
+    state = run(circuit, initial)
+    got = state.amplitudes
     assert np.max(np.abs(got - expected)) < 1e-12
+    # project on a random register is the dense gather, other qubits at zero
+    register = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+    w = len(register)
+    spots = [
+        sum(((i >> (w - 1 - j)) & 1) << q for j, q in enumerate(register))
+        for i in range(2**w)
+    ]
+    assert np.array_equal(project(state, register), got[spots])
 
 
 def seeded_input(n, from_basis, seed):
