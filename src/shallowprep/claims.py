@@ -7,6 +7,7 @@ side), so a pass here is a proof on the swept grid, not a float comparison.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -76,6 +77,31 @@ class ClaimVerdict:
         return row
 
 
+@dataclass(frozen=True)
+class Brackets:
+    """Rational bounds on the transcendental constants of the claims.
+
+    ``run_claims`` computes them once per call and hands them to every
+    evaluator, serial or in a worker process.
+    """
+
+    e2: Fraction  # lower bound on e^2
+    two_e4: Fraction  # lower bound on 2 e^4
+    exp_neg: Dict[Tuple[int, int], Fraction]  # (j, k) -> upper bound on e^(-2j/k)
+
+
+def _brackets(k_max: int) -> Brackets:
+    return Brackets(
+        e2=dists.e_squared_lower(),
+        two_e4=dists.two_e_fourth_lower(),
+        exp_neg={
+            (j, k): dists.exp_neg_upper(Fraction(2 * j, k))
+            for k in range(1, k_max + 1)
+            for j in range(1, k + 1)
+        },
+    )
+
+
 def _verdict(claim: str, params: Dict[str, int], lhs, rhs, passed: bool) -> ClaimVerdict:
     return ClaimVerdict(claim, params, str(lhs), str(rhs), bool(passed))
 
@@ -126,7 +152,7 @@ def _eval_slice_uniformity(m: int, k: int, j: int) -> ClaimVerdict:
     )
 
 
-def _eval_ratio_bound(m: int, k: int) -> ClaimVerdict:
+def _eval_ratio_bound(m: int, k: int, brackets: Brackets) -> ClaimVerdict:
     """p(j)/q(j) <= e^2 k^(j-k) at the canonical bucket count k^3."""
     ell = k**3
     model = dists.ratio_report(m * ell, k, ell)
@@ -136,7 +162,7 @@ def _eval_ratio_bound(m: int, k: int) -> ClaimVerdict:
         "occupancy-ratio-bound",
         {"m": m, "k": k, "ell": ell},
         worst,
-        dists.e_squared_lower(),
+        brackets.e2,
         ok,
     )
 
@@ -148,12 +174,12 @@ def _eval_hit_floor(m: int, k: int) -> ClaimVerdict:
     return _verdict("hit-floor", {"m": m, "k": k}, q_kk, floor, q_kk >= floor)
 
 
-def _eval_ratio_sum(m: int, k_star: int) -> ClaimVerdict:
+def _eval_ratio_sum(m: int, k_star: int, brackets: Brackets) -> ClaimVerdict:
     """Every per-class ratio sum stays below 2e^4 at bucket count k_star^3."""
     ell = k_star**3
     tables = dists.ratio_sum_tables(m * ell, k_star, ell)
     worst = max(tables[k] for k in range(1, k_star + 1))
-    cap = dists.two_e_fourth_lower()
+    cap = brackets.two_e4
     return _verdict(
         "ratio-sum-bound",
         {"m": m, "k_star": k_star, "ell": ell},
@@ -163,14 +189,14 @@ def _eval_ratio_sum(m: int, k_star: int) -> ClaimVerdict:
     )
 
 
-def _eval_damping_floor(m: int, k_star: int) -> ClaimVerdict:
+def _eval_damping_floor(m: int, k_star: int, brackets: Brackets) -> ClaimVerdict:
     """Pr[j capped samples all have weight <= k] >= e^(-2j/k) for all j <= k <= cap."""
     dist = dists.damped_binomial(m, k_star)
     worst = Fraction(10**9)
     for k in range(1, k_star + 1):
         single = sum((dist.s[w - 1] for w in range(1, k + 1)), Fraction(0))
         for j in range(1, k + 1):
-            floor = dists.exp_neg_upper(Fraction(2 * j, k))
+            floor = brackets.exp_neg[j, k]
             worst = min(worst, single**j / floor)
     return _verdict(
         "damping-lower-bound", {"m": m, "k_star": k_star}, worst, 1, worst >= 1
@@ -198,13 +224,13 @@ def _tasks(cfg: SweepConfig) -> List[Task]:
     return out
 
 
-def _run_task(task: Task) -> ClaimVerdict:
+def _run_task(brackets: Brackets, task: Task) -> ClaimVerdict:
     t0 = time.perf_counter()
-    verdict = _dispatch(task)
+    verdict = _dispatch(task, brackets)
     return replace(verdict, seconds=time.perf_counter() - t0)
 
 
-def _dispatch(task: Task) -> ClaimVerdict:
+def _dispatch(task: Task, brackets: Brackets) -> ClaimVerdict:
     claim, point, fault = task
     if claim == "normalizer-bounds":
         return _eval_normalizer(point[0], point[1], fault)
@@ -213,24 +239,25 @@ def _dispatch(task: Task) -> ClaimVerdict:
     if claim == "slice-uniformity":
         return _eval_slice_uniformity(point[0], point[1], point[2])
     if claim == "occupancy-ratio-bound":
-        return _eval_ratio_bound(point[0], point[1])
+        return _eval_ratio_bound(point[0], point[1], brackets)
     if claim == "hit-floor":
         return _eval_hit_floor(point[0], point[1])
     if claim == "ratio-sum-bound":
-        return _eval_ratio_sum(point[0], point[1])
+        return _eval_ratio_sum(point[0], point[1], brackets)
     if claim == "damping-lower-bound":
-        return _eval_damping_floor(point[0], point[1])
+        return _eval_damping_floor(point[0], point[1], brackets)
     raise ValueError(f"unknown claim {claim!r}")
 
 
 def run_claims(cfg: SweepConfig) -> List[ClaimVerdict]:
     """Evaluate every claim on every grid point; deterministic order."""
     tasks = _tasks(cfg)
+    run = functools.partial(_run_task, _brackets(cfg.k_max))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_task, tasks, chunksize=16))
+            results = list(pool.map(run, tasks, chunksize=16))
     else:
-        results = [_run_task(t) for t in tasks]
+        results = [run(t) for t in tasks]
     order = {c: i for i, c in enumerate(CLAIM_IDS)}
     results.sort(key=lambda v: (order[v.claim], sorted(v.params.items())))
     return results

@@ -10,7 +10,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 ENUMERATION_CAP = 10**6
@@ -56,48 +56,63 @@ class DampedBinomial:
         return self.pmf(weight) / comb(self.m, weight)
 
 
+def _damped_numerators(m: int, k: int) -> List[int]:
+    """The damped masses C(m, w) / (m*k)**w scaled to the integers
+    C(m, w) * (m*k)**(k-w), for w = 1..k."""
+    mk = m * k
+    return [comb(m, w) * mk ** (k - w) for w in range(1, k + 1)]
+
+
 def damped_binomial(m: int, k: int) -> DampedBinomial:
     """Exact normalizer and pmf table for the damped weight distribution.
 
-    Scaling the raw masses C(m, j) / (m*k)**j by (m*k)**k makes them the
-    integers C(m, j) * (m*k)**(k-j); with S their sum, lam = (m*k)**k / S
-    and s(j) = C(m, j) * (m*k)**(k-j) / S.
+    With S the sum of the scaled masses C(m, j) * (m*k)**(k-j),
+    lam = (m*k)**k / S and s(j) = C(m, j) * (m*k)**(k-j) / S.
     """
     if not (1 <= k <= m):
         raise DomainError(f"damped_binomial requires 1 <= k <= m, got m={m}, k={k}")
-    mk = m * k
-    nums = [comb(m, j) * mk ** (k - j) for j in range(1, k + 1)]
+    nums = _damped_numerators(m, k)
     total = sum(nums)
-    lam = Fraction(mk**k, total)
+    lam = Fraction((m * k) ** k, total)
     s = tuple(Fraction(t, total) for t in nums)
     if sum(s, Fraction(0)) != 1:
         raise DomainError(f"damped pmf for m={m}, k={k} does not sum to 1")
     return DampedBinomial(m=m, k=k, lam=lam, s=s)
 
 
-def composition_weight_sum(m: int, k: int, j: int) -> int:
-    """Sum over ordered (w_1..w_j), w_i >= 1, sum w_i = k, of prod C(m, w_i).
+def composition_weight_sums(m: int, t_max: int, j_max: int) -> Tuple[Tuple[int, ...], ...]:
+    """Gamma_j(t) for j in 0..j_max and t in 0..t_max, as rows indexed [j][t].
 
-    Counts the weight-k strings on j designated nonempty buckets of size m.
-    Computed by powering the generating polynomial sum_{w>=1} C(m,w) x^w.
+    Gamma_j(t) is the sum over ordered (w_1..w_j), w_i >= 1, sum w_i = t, of
+    prod C(m, w_i): it counts the weight-t strings on j designated nonempty
+    buckets of size m.  Row j holds the coefficients of the j-th power of
+    the generating polynomial sum_{w>=1} C(m,w) x^w, so one pass that
+    multiplies by the polynomial once per row yields every j.
     """
-    if j == 0:
-        return 1 if k == 0 else 0
-    if k < j:
-        return 0
-    base = [0] + [comb(m, w) for w in range(1, k + 1)]
-    acc = [0] * (k + 1)
-    acc[0] = 1
-    for _ in range(j):
-        nxt = [0] * (k + 1)
-        for have in range(k + 1):
-            if acc[have] == 0:
-                continue
-            for w in range(1, k - have + 1):
-                if base[w]:
-                    nxt[have + w] += acc[have] * base[w]
-        acc = nxt
-    return acc[k]
+    base = [comb(m, w) for w in range(t_max + 1)]
+    row = [1] + [0] * t_max
+    rows = [tuple(row)]
+    for _ in range(j_max):
+        row = [sum(row[t - w] * base[w] for w in range(1, t + 1)) for t in range(t_max + 1)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _bucket_size(n: int, ell: int) -> int:
+    if ell <= 0 or n % ell != 0:
+        raise DomainError(f"bucket count {ell} must divide n={n}")
+    return n // ell
+
+
+def _occupancy_counts(
+    n: int, k: int, ell: int, gamma: Sequence[Sequence[int]]
+) -> Dict[int, int]:
+    """C(ell, j) * Gamma_j(k), the weight-k strings with exactly j nonempty
+    buckets, for j in 1..min(k, ell); checked to number C(n, k) in all."""
+    counts = {j: comb(ell, j) * gamma[j][k] for j in range(1, min(k, ell) + 1)}
+    if sum(counts.values()) != comb(n, k):
+        raise DomainError(f"occupancy pmf for n={n}, k={k}, ell={ell} does not sum to 1")
+    return counts
 
 
 def occupancy_pmf(n: int, k: int, ell: int) -> Dict[int, Fraction]:
@@ -106,21 +121,14 @@ def occupancy_pmf(n: int, k: int, ell: int) -> Dict[int, Fraction]:
     The n positions are split into ``ell`` buckets of size m = n / ell.
     Closed form: p(j) = C(ell, j) * Gamma_j / C(n, k).
     """
-    if ell <= 0 or n % ell != 0:
-        raise DomainError(f"bucket count {ell} must divide n={n}")
+    m = _bucket_size(n, ell)
     if not (0 <= k <= n):
         raise DomainError(f"weight k={k} out of range for n={n}")
-    m = n // ell
     if k == 0:
         return {0: Fraction(1)}
+    counts = _occupancy_counts(n, k, ell, composition_weight_sums(m, k, min(k, ell)))
     denom = comb(n, k)
-    table: Dict[int, Fraction] = {}
-    for j in range(1, min(k, ell) + 1):
-        gamma = composition_weight_sum(m, k, j)
-        table[j] = Fraction(comb(ell, j) * gamma, denom)
-    if sum(table.values(), Fraction(0)) != 1:
-        raise DomainError(f"occupancy pmf for n={n}, k={k}, ell={ell} does not sum to 1")
-    return table
+    return {j: Fraction(c, denom) for j, c in counts.items()}
 
 
 def occupancy_pmf_enumerated(n: int, k: int, ell: int) -> Dict[int, Fraction]:
@@ -129,11 +137,9 @@ def occupancy_pmf_enumerated(n: int, k: int, ell: int) -> Dict[int, Fraction]:
     Only valid when C(n, k) <= ENUMERATION_CAP; used as an independent oracle
     against the closed form.
     """
-    if ell <= 0 or n % ell != 0:
-        raise DomainError(f"bucket count {ell} must divide n={n}")
+    m = _bucket_size(n, ell)
     if comb(n, k) > ENUMERATION_CAP:
         raise DomainError(f"C({n},{k}) exceeds the enumeration cap")
-    m = n // ell
     counts: Dict[int, int] = {}
     for positions in itertools.combinations(range(n), k):
         occupied = {p // m for p in positions}
@@ -142,41 +148,69 @@ def occupancy_pmf_enumerated(n: int, k: int, ell: int) -> Dict[int, Fraction]:
     return {j: Fraction(c, denom) for j, c in sorted(counts.items())}
 
 
+@dataclass(frozen=True)
+class HitTable:
+    """Total weights of j independent damped samples on m-bit buckets.
+
+    Each sample has the damped pmf with cap k_cap: weight w with probability
+    nums[w-1] / total, for the scaled masses of ``damped_binomial``.  So
+    conv[j][t] / total**j is the probability that j samples weigh t in all,
+    for every j, t <= k_cap.  ``gamma`` is the composition table
+    (``composition_weight_sums(m, k_cap, k_cap)``) that cross-checked it.
+    """
+
+    total: int
+    conv: Tuple[Tuple[int, ...], ...]
+    gamma: Tuple[Tuple[int, ...], ...]
+
+    def prob(self, j: int, t: int) -> Fraction:
+        return Fraction(self.conv[j][t], self.total**j)
+
+
+def hit_table(m: int, k_cap: int) -> HitTable:
+    """Convolve the damped pmf with itself in integers, j = 1..k_cap times.
+
+    Every entry with 1 <= j <= t <= k_cap is checked against the composition
+    route: with lam = (m*k_cap)**k_cap / total and v = 1 / (m*k_cap), the
+    probability is lam**j * v**t * Gamma_j(t), which times total**j is the
+    integer (m*k_cap)**(j*k_cap - t) * Gamma_j(t).
+    """
+    if not (1 <= k_cap <= m):
+        raise DomainError(f"hit_table requires 1 <= k_cap <= m, got m={m}, k_cap={k_cap}")
+    nums = _damped_numerators(m, k_cap)
+    gamma = composition_weight_sums(m, k_cap, k_cap)
+    mk = m * k_cap
+    row = [1] + [0] * k_cap
+    conv = [tuple(row)]
+    for j in range(1, k_cap + 1):
+        row = [
+            sum(row[t - w] * nums[w - 1] for w in range(1, t + 1))
+            for t in range(k_cap + 1)
+        ]
+        for t in range(j, k_cap + 1):
+            if row[t] != mk ** (j * k_cap - t) * gamma[j][t]:
+                raise DomainError(
+                    f"hit table for m={m}, k_cap={k_cap} at j={j}, t={t}: "
+                    f"convolution and composition routes disagree"
+                )
+        conv.append(tuple(row))
+    return HitTable(total=sum(nums), conv=tuple(conv), gamma=gamma)
+
+
 def hybrid_hit_probs(m: int, k_cap: int, j_max: int, k: int) -> Tuple[Fraction, ...]:
     """Probabilities that j independent damped samples have total weight exactly k.
 
     Entry j-1 is the probability for j samples, j = 1..j_max.  Each sample
     is drawn from the damped distribution with cap ``k_cap`` on m-bit
-    buckets.  One convolution pass over the exact pmf yields every j, and
-    each one is cross-checked against the composition-sum closed form.
+    buckets.
     """
     if not (1 <= j_max <= k <= k_cap <= m):
         raise DomainError(
             f"hybrid_hit_probs requires 1 <= j_max <= k <= k_cap <= m, got "
             f"m={m}, k_cap={k_cap}, j_max={j_max}, k={k}"
         )
-    dist = damped_binomial(m, k_cap)
-    v = Fraction(1, m * k_cap)
-    # The pmf over a common denominator d, so the convolution runs in integers:
-    # after j samples, conv[t] / d**j is the probability of total weight t.
-    d = lcm(*(s.denominator for s in dist.s))
-    scaled = [s.numerator * (d // s.denominator) for s in dist.s]
-    conv = [1] + [0] * k
-    probs: List[Fraction] = []
-    for j in range(1, j_max + 1):
-        conv = [
-            sum(conv[t - w] * scaled[w - 1] for w in range(1, min(k_cap, t) + 1))
-            for t in range(k + 1)
-        ]
-        result = Fraction(conv[k], d**j)
-        gamma_route = dist.lam**j * v**k * composition_weight_sum(m, k, j)
-        if result != gamma_route:
-            raise DomainError(
-                f"hybrid_hit_probs(m={m}, k_cap={k_cap}, k={k}) at j={j}: "
-                f"convolution and composition routes disagree"
-            )
-        probs.append(result)
-    return tuple(probs)
+    table = hit_table(m, k_cap)
+    return tuple(table.prob(j, k) for j in range(1, j_max + 1))
 
 
 def hybrid_hit_prob(m: int, k_cap: int, j: int, k: int) -> Fraction:
@@ -212,28 +246,23 @@ def ratio_report(n: int, k: int, ell: int) -> OccupancyModel:
     """
     if k < 1:
         raise DomainError("ratio_report requires k >= 1")
-    p = occupancy_pmf(n, k, ell)
-    m = n // ell
-    q: Dict[int, Fraction] = {}
-    r: Dict[int, Fraction] = {}
-    gam: Dict[int, int] = {}
-    violations: List[int] = []
+    m = _bucket_size(n, ell)
+    hits = hit_table(m, k)
+    p = {
+        j: Fraction(c, comb(n, k))
+        for j, c in _occupancy_counts(n, k, ell, hits.gamma).items()
+    }
     check = ell >= k**3
     if not check:
         warnings.warn(
             f"ratio bound skipped for (n={n}, k={k}, ell={ell}): needs ell >= k^3",
             stacklevel=2,
         )
-    hits = hybrid_hit_probs(m, k, max(p), k)
+    q = {j: hits.prob(j, k) for j in p}
+    r = {j: p[j] / q[j] for j in p}
     e2 = e_squared_lower()
-    for j in sorted(p):
-        q[j] = hits[j - 1]
-        r[j] = p[j] / q[j]
-        gam[j] = composition_weight_sum(m, k, j)
-        # r(j) <= e^2 * k^(j-k), decided soundly with a rational lower bound on e^2
-        if check and r[j] > e2 * Fraction(k) ** (j - k):
-            violations.append(j)
-    R = sum(r.values(), Fraction(0))
+    # r(j) <= e^2 * k^(j-k), decided soundly with a rational lower bound on e^2
+    violations = [j for j in p if check and r[j] > e2 * Fraction(k) ** (j - k)]
     return OccupancyModel(
         n=n,
         k=k,
@@ -242,11 +271,36 @@ def ratio_report(n: int, k: int, ell: int) -> OccupancyModel:
         p=p,
         q=q,
         r=r,
-        R=R,
-        Gamma=gam,
+        R=sum(r.values(), Fraction(0)),
+        Gamma={j: hits.gamma[j][k] for j in p},
         bound_checked=check,
         bound_violations=tuple(violations),
     )
+
+
+def ratio_tables(n: int, k_star: int, ell: int) -> Dict[int, Dict[int, Fraction]]:
+    """Per-class ratios r_k(j) = p_k(j) / q_k(j) for k in 1..k_star.
+
+    p_k is the occupancy pmf of weight k on ell buckets and q_k(j) the
+    probability that j damped samples capped at k_star weigh k in all; one
+    hit table for the cap serves every class.
+    """
+    if not (0 <= k_star):
+        raise DomainError("k_star must be nonnegative")
+    m = _bucket_size(n, ell)
+    if k_star == 0:
+        return {}
+    hits = hit_table(m, k_star)
+    out: Dict[int, Dict[int, Fraction]] = {}
+    for k in range(1, k_star + 1):
+        counts = _occupancy_counts(n, k, ell, hits.gamma)
+        denom = comb(n, k)
+        # (c / denom) / (conv / total**j), reduced once
+        out[k] = {
+            j: Fraction(c * hits.total**j, denom * hits.conv[j][k])
+            for j, c in counts.items()
+        }
+    return out
 
 
 def ratio_sum_tables(n: int, k_star: int, ell: int) -> Dict[int, Fraction]:
@@ -255,18 +309,9 @@ def ratio_sum_tables(n: int, k_star: int, ell: int) -> Dict[int, Fraction]:
     R_k = sum_j p_k(j) / q_k(j) where q_k uses damped samples capped at k_star.
     R_0 is defined as zero.
     """
-    if not (0 <= k_star):
-        raise DomainError("k_star must be nonnegative")
-    if ell <= 0 or n % ell != 0:
-        raise DomainError(f"bucket count {ell} must divide n={n}")
-    m = n // ell
-    if k_star > 0 and k_star > m:
-        raise DomainError(f"cap k_star={k_star} exceeds bucket size m={m}")
     out: Dict[int, Fraction] = {0: Fraction(0)}
-    for k in range(1, k_star + 1):
-        p = occupancy_pmf(n, k, ell)
-        hits = hybrid_hit_probs(m, k_star, max(p), k)
-        out[k] = sum((p[j] / hits[j - 1] for j in sorted(p)), Fraction(0))
+    for k, r in ratio_tables(n, k_star, ell).items():
+        out[k] = sum(r.values(), Fraction(0))
     return out
 
 

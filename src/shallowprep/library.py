@@ -118,9 +118,8 @@ def _sem_one_hot(count: int, zero_based: bool) -> LibrarySemantics:
 
 
 def dicke_column(ell: int, weight: int) -> np.ndarray:
-    """Uniform superposition over the weight-``weight`` strings of ell bits."""
-    if not (0 <= weight <= ell):
-        raise CircuitError(f"weight {weight} out of range for {ell} qubits")
+    """Uniform superposition over the weight-``weight`` strings of ell bits,
+    0 <= weight <= ell."""
     col = np.zeros(2**ell, dtype=complex)
     amp = 1.0 / np.sqrt(comb(ell, weight))
     for idx in range(2**ell):
@@ -177,8 +176,6 @@ def _sem_w_swap(t: int, s: int) -> LibrarySemantics:
 def _sem_marked_prep(n_data: int, amps: Tuple[complex, ...], alpha: Any) -> LibrarySemantics:
     w = n_data + 1
     col = np.asarray(amps, dtype=complex)
-    if col.shape != (2**w,):
-        raise CircuitError("marked_prep amplitude vector has the wrong length")
     if abs(np.vdot(col, col) - 1.0) > ATOL:
         raise CircuitError("marked_prep amplitudes are not unit norm")
     flagged = sum(abs(col[idx]) ** 2 for idx in range(2**w) if idx & 1)
@@ -249,6 +246,22 @@ def _state_flaw(amps: Tuple[complex, ...]) -> Optional[str]:
     size = len(amps)
     ok = size >= 2 and not size & (size - 1)
     return None if ok else "state vector length must be a power of two, >= 2"
+
+
+def _marked_prep_flaw(a: Tuple[Any, ...]) -> Optional[str]:
+    n_data, amps = a[0], a[1]
+    if n_data < 0 or len(amps) != 2 ** (n_data + 1):
+        return f"needs 2^(n_data+1) amplitudes for n_data={n_data}, got {len(amps)}"
+    return None
+
+
+def _ctrl_dicke_flaw(a: Tuple[Any, ...]) -> Optional[str]:
+    ell, slots, weights = a
+    if len(weights) != slots:
+        return "needs one weight per slot"
+    if not all(0 <= w <= ell for w in weights):
+        return f"each weight must lie in 0..{ell}"
+    return None
 
 
 def _complete_permutation(w: int, partial: Dict[int, int]) -> np.ndarray:
@@ -478,6 +491,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             semantics=_sem_dicke_prep,
             depth=120,
             fanout_width=lambda a: a[0],
+            flaw=lambda a: None if 0 <= a[1] <= a[0] else f"weight must lie in 0..{a[0]}",
         ),
         LibraryEntry(
             tag="zero_w",
@@ -504,7 +518,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             depth=1,
             fanout_width=lambda a: 0,
             measured_costs=True,
-            flaw=lambda a: _state_flaw(a[1]),
+            flaw=_marked_prep_flaw,
         ),
         LibraryEntry(
             tag="ctrl_dicke",
@@ -513,7 +527,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             semantics=_sem_ctrl_dicke,
             depth=140,
             fanout_width=lambda a: a[0],
-            flaw=lambda a: None if len(a[2]) == a[1] else "needs one weight per slot",
+            flaw=_ctrl_dicke_flaw,
         ),
         LibraryEntry(
             tag="ctrl_damped",

@@ -261,7 +261,9 @@ def default_ell(n: int, k: int) -> int:
         if math.ceil(n / ell) >= k:
             return ell
     raise CircuitError(
-        f"no workable block count for n={n}, k={k}; blocks must hold {k} ones"
+        f"no workable block count for n={n}, k={k}; blocks must hold {k} ones, "
+        f"so the builders need k <= min(ell, n/ell), i.e. k(k-1) < n "
+        f"(every k <= sqrt(n) qualifies)"
     )
 
 
@@ -271,7 +273,13 @@ def _dicke_divisible(b: Builder, data: Sequence[int], k: int, ell: int) -> None:
 
 
 def build_dicke(n: int, k: int, ell: Optional[int] = None) -> SynthesisOutput:
-    """Prepare the n-qubit, weight-k Dicke state exactly, ancillas clean."""
+    """Prepare the n-qubit, weight-k Dicke state exactly, ancillas clean.
+
+    Domain: k' = min(k, n - k) needs ell blocks with k' <= min(ell, n/ell)
+    (block size rounded up after padding); they exist exactly when
+    k'(k'-1) < n, so for every k' <= sqrt(n).  Outside it ``default_ell``
+    raises CircuitError.
+    """
     if not 0 <= k <= n:
         raise CircuitError(f"weight {k} out of range for {n} qubits")
     if k == 0 or k == n:
@@ -347,17 +355,13 @@ def _pair_amplitudes(
     largest weight class.
     """
     k_star = len(eta) - 1
-    m = n // ell
     bits = _pair_bits(k_star)
     vec = np.zeros(2 ** (2 * bits), dtype=complex)
     vec[0] = complex(eta[0]) / math.sqrt(r_eff)
-    for k in range(1, k_star + 1):
+    for k, ratios in dists.ratio_tables(n, k_star, ell).items():
         if eta[k] == 0:
             continue
-        p = dists.occupancy_pmf(n, k, ell)
-        hits = dists.hybrid_hit_probs(m, k_star, max(p), k)
-        for j in sorted(p):
-            ratio = p[j] / hits[j - 1]
+        for j, ratio in ratios.items():
             vec[(k << bits) | j] = complex(eta[k]) * math.sqrt(float(ratio) / r_eff)
     return vec / np.linalg.norm(vec)
 
@@ -432,7 +436,9 @@ def build_symmetric(
     """Prepare sum_k eta[k] |weight-k Dicke state> exactly, ancillas clean.
 
     ``eta`` lists one complex coefficient per weight 0..k_star and must be
-    unit norm.
+    unit norm.  Domain: as for ``build_dicke``, with k' the top weight that
+    has a nonzero coefficient, so no mix over all weights 0..n, n >= 2,
+    builds.
     """
     eta = tuple(complex(x) for x in eta)
     norm = sum(abs(x) ** 2 for x in eta)

@@ -1,10 +1,22 @@
 """Claim sweep behavior: results, fault injection, config validation."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 
 from shallowprep.claims import CLAIM_IDS, SweepConfig, all_pass, run_claims
 
 TINY = SweepConfig(m_values=(1, 2, 3, 4), k_max=3, enumeration_budget=8)
+
+# SHA-256 of the default-grid rows (m = 1..64, k <= 6) without timings, as
+# computed by the per-(m, k, j) Fraction implementation these tables replaced
+DEFAULT_GRID_SHA256 = "a3d759fa9dd771cea7b04dc1cb595d0a8e1b3878f7022eb101bcece33d6f6920"
+
+
+def _rows(verdicts):
+    return [v.as_dict(include_seconds=False) for v in verdicts]
 
 
 def test_tiny_grid_all_pass():
@@ -44,9 +56,28 @@ def test_parallel_run_matches_serial_order():
     cfg = SweepConfig(m_values=TINY.m_values, k_max=TINY.k_max,
                       enumeration_budget=TINY.enumeration_budget, workers=2)
     parallel = run_claims(cfg)
-    assert [v.as_dict(include_seconds=False) for v in serial] == [
-        v.as_dict(include_seconds=False) for v in parallel
-    ]
+    assert _rows(serial) == _rows(parallel)
+
+
+def test_workers_get_every_bracket_up_to_k_max():
+    """Workers read the rational brackets that run_claims hands them, up to
+    the e^(-2j/k) bounds for k = 6."""
+    cfg = SweepConfig(m_values=(6, 7), k_max=6, enumeration_budget=8)
+    serial = run_claims(cfg)
+    parallel = run_claims(replace(cfg, workers=2))
+    assert {v.params["k_star"] for v in serial
+            if v.claim == "damping-lower-bound"} == set(range(1, 7))
+    assert _rows(serial) == _rows(parallel)
+
+
+def test_default_grid_rows_are_pinned_and_repeatable():
+    """The default sweep is bit-identical to the pinned rows, and a second
+    sweep in the same process gives the same rows."""
+    first = _rows(run_claims(SweepConfig()))
+    assert len(first) == 2367
+    digest = hashlib.sha256(json.dumps(first).encode()).hexdigest()
+    assert digest == DEFAULT_GRID_SHA256
+    assert _rows(run_claims(SweepConfig())) == first
 
 
 def test_verdict_rows_carry_timings_and_schema():

@@ -89,12 +89,22 @@ def test_hybrid_hit_prob_domain():
         dists.hybrid_hit_probs(4, 2, 0, 2)
 
 
-def test_internal_cross_checks_raise_domain_error(monkeypatch):
-    """A wrong composition count breaks both cross-checks, even under -O."""
-    real = dists.composition_weight_sum
+def _patched_gamma(monkeypatch, wrong):
+    """Make composition_weight_sums add wrong(j, t) to every Gamma_j(t)."""
+    real = dists.composition_weight_sums
     monkeypatch.setattr(
-        dists, "composition_weight_sum", lambda m, k, j: real(m, k, j) + 1
+        dists,
+        "composition_weight_sums",
+        lambda m, t_max, j_max: tuple(
+            tuple(g + wrong(j, t) for t, g in enumerate(row))
+            for j, row in enumerate(real(m, t_max, j_max))
+        ),
     )
+
+
+def test_internal_cross_checks_raise_domain_error(monkeypatch):
+    """A wrong composition table breaks both cross-checks, even under -O."""
+    _patched_gamma(monkeypatch, lambda j, t: int(j >= 1))
     with pytest.raises(dists.DomainError, match="does not sum to 1"):
         dists.occupancy_pmf(4, 2, 2)
     with pytest.raises(dists.DomainError, match="routes disagree"):
@@ -102,13 +112,15 @@ def test_internal_cross_checks_raise_domain_error(monkeypatch):
 
 
 def test_hit_table_cross_checks_every_j(monkeypatch):
-    """A composition count wrong only at j = 1 is caught in a table up to j = 2."""
-    real = dists.composition_weight_sum
-    monkeypatch.setattr(
-        dists, "composition_weight_sum", lambda m, k, j: real(m, k, j) + (j == 1)
-    )
-    with pytest.raises(dists.DomainError, match="at j=1: convolution"):
+    """A composition count wrong at one (j, t) is caught by any hit table
+    that spans it, even when the caller asks for a smaller j."""
+    _patched_gamma(monkeypatch, lambda j, t: int(j == 1))
+    with pytest.raises(dists.DomainError, match="at j=1, t=1: convolution"):
         dists.hybrid_hit_probs(2, 2, 2, 2)
+    monkeypatch.undo()
+    _patched_gamma(monkeypatch, lambda j, t: int((j, t) == (2, 2)))
+    with pytest.raises(dists.DomainError, match="at j=2, t=2: convolution"):
+        dists.hybrid_hit_probs(2, 2, 1, 2)
 
 
 def test_ratio_report_frozen_sums():
@@ -236,6 +248,48 @@ def _hit_oracle(m, k_cap, j, k):
                     nxt[have + w] = nxt.get(have + w, Fraction(0)) + pr * s[w - 1]
         conv = nxt
     return conv.get(k, Fraction(0))
+
+
+def _composition_oracle(m, k, j):
+    """Gamma_j(k), powering the generating polynomial afresh for one j."""
+    if j == 0:
+        return 1 if k == 0 else 0
+    if k < j:
+        return 0
+    base = [0] + [comb(m, w) for w in range(1, k + 1)]
+    acc = [0] * (k + 1)
+    acc[0] = 1
+    for _ in range(j):
+        nxt = [0] * (k + 1)
+        for have in range(k + 1):
+            if acc[have] == 0:
+                continue
+            for w in range(1, k - have + 1):
+                if base[w]:
+                    nxt[have + w] += acc[have] * base[w]
+        acc = nxt
+    return acc[k]
+
+
+def test_composition_table_matches_per_j_oracle():
+    for m in (*range(1, 9), 16, 64):
+        table = dists.composition_weight_sums(m, 6, 6)
+        for t in range(7):
+            for j in range(t + 1):
+                assert table[j][t] == _composition_oracle(m, t, j), (m, t, j)
+
+
+def test_ratio_tables_match_per_class_oracle():
+    """Each ratio equals the Fraction quotient of the oracle pmf and hit
+    probability, one class at a time."""
+    for n, k_star, ell in [(4, 2, 2), (12, 3, 4), (24, 3, 8), (81, 3, 27), (64, 4, 16)]:
+        tables = dists.ratio_tables(n, k_star, ell)
+        assert sorted(tables) == list(range(1, k_star + 1))
+        for k, ratios in tables.items():
+            p = dists.occupancy_pmf(n, k, ell)
+            assert list(ratios) == sorted(p)
+            for j, r in ratios.items():
+                assert r == p[j] / _hit_oracle(n // ell, k_star, j, k), (n, k, j)
 
 
 def test_exp_series_matches_term_by_term_oracle():

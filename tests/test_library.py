@@ -250,6 +250,9 @@ def test_make_charges_registry_costs():
         ("one_hot", (0, False), "at least one slot"),
         ("ctrl_dicke", (2, 2, (1,)), "one weight per slot"),
         ("onehot_dist", (2, (1.0,)), "one probability per slot"),
+        ("ctrl_dicke", (2, 2, (1, 3)), "each weight must lie in 0..2"),
+        ("dicke_prep", (2, 5), "weight must lie in 0..2"),
+        ("marked_prep", (2, (0.6, 0.8j), Fraction(1, 3)), "amplitudes for n_data=2, got 2"),
     ],
 )
 def test_arguments_that_describe_no_gate_are_rejected(tag, args, match):
@@ -276,6 +279,9 @@ KIND_SAMPLES = {
     "numbers": (Fraction(1, 3), 0.25),
     "complexes": (0.6 + 0j, 0.8j),
 }
+# tags whose arguments constrain each other: marked_prep needs 2^(n_data+1)
+# amplitudes, so the two complex samples go with n_data = 0
+TAG_SAMPLES = {"marked_prep": (0, KIND_SAMPLES["complexes"], KIND_SAMPLES["number"])}
 
 
 def _types(value):
@@ -302,7 +308,7 @@ def test_readme_table_matches_the_registry():
 @pytest.mark.parametrize("tag", library.tags())
 def test_every_tag_round_trips_byte_identically(tag):
     ent = library.entry(tag)
-    args = tuple(KIND_SAMPLES[kind] for kind in ent.args)
+    args = TAG_SAMPLES.get(tag, tuple(KIND_SAMPLES[kind] for kind in ent.args))
     b = Builder()
     r = b.add_register("q", ent.width(args))
     b.append(library.make(tag, args, tuple(r), inverse=True))
