@@ -156,14 +156,15 @@ def _eval_ratio_bound(m: int, k: int, brackets: Brackets) -> ClaimVerdict:
     """p(j)/q(j) <= e^2 k^(j-k) at the canonical bucket count k^3."""
     ell = k**3
     model = dists.ratio_report(m * ell, k, ell)
-    ok = model.bound_checked and not model.bound_violations
+    # r(j) <= e^2 k^(j-k) for every j iff the largest r(j) k^(k-j) is at most
+    # the rational lower bound on e^2
     worst = max(model.r[j] * Fraction(k) ** (k - j) for j in sorted(model.r))
     return _verdict(
         "occupancy-ratio-bound",
         {"m": m, "k": k, "ell": ell},
         worst,
         brackets.e2,
-        ok,
+        model.bound_checked and worst <= brackets.e2,
     )
 
 

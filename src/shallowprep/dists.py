@@ -197,25 +197,18 @@ def hit_table(m: int, k_cap: int) -> HitTable:
     return HitTable(total=sum(nums), conv=tuple(conv), gamma=gamma)
 
 
-def hybrid_hit_probs(m: int, k_cap: int, j_max: int, k: int) -> Tuple[Fraction, ...]:
-    """Probabilities that j independent damped samples have total weight exactly k.
-
-    Entry j-1 is the probability for j samples, j = 1..j_max.  Each sample
-    is drawn from the damped distribution with cap ``k_cap`` on m-bit
-    buckets.
-    """
-    if not (1 <= j_max <= k <= k_cap <= m):
-        raise DomainError(
-            f"hybrid_hit_probs requires 1 <= j_max <= k <= k_cap <= m, got "
-            f"m={m}, k_cap={k_cap}, j_max={j_max}, k={k}"
-        )
-    table = hit_table(m, k_cap)
-    return tuple(table.prob(j, k) for j in range(1, j_max + 1))
-
-
 def hybrid_hit_prob(m: int, k_cap: int, j: int, k: int) -> Fraction:
-    """Probability that j independent damped samples have total weight exactly k."""
-    return hybrid_hit_probs(m, k_cap, j, k)[-1]
+    """Probability that j independent damped samples have total weight exactly k.
+
+    Each sample is drawn from the damped distribution with cap ``k_cap`` on
+    m-bit buckets.
+    """
+    if not (1 <= j <= k <= k_cap <= m):
+        raise DomainError(
+            f"hybrid_hit_prob requires 1 <= j <= k <= k_cap <= m, got "
+            f"m={m}, k_cap={k_cap}, j={j}, k={k}"
+        )
+    return hit_table(m, k_cap).prob(j, k)
 
 
 @dataclass(frozen=True)
@@ -232,7 +225,6 @@ class OccupancyModel:
     R: Fraction
     Gamma: Dict[int, int]
     bound_checked: bool
-    bound_violations: Tuple[int, ...] = ()
 
     def support(self) -> List[int]:
         return sorted(self.p.keys())
@@ -241,8 +233,10 @@ class OccupancyModel:
 def ratio_report(n: int, k: int, ell: int) -> OccupancyModel:
     """Full p, q, r tables plus the ratio sum R for weight k on ell buckets.
 
-    The ratio bound check is gated on ell >= k**3; below that the tables are
-    still produced and a warning records that the bound was skipped.
+    The ratio bound r(j) <= e^2 * k^(j-k) is claimed only for ell >= k**3,
+    which ``bound_checked`` records (``claims`` decides it with its own
+    bracket on e^2); below that the tables are still produced and a warning
+    records that the bound was skipped.
     """
     if k < 1:
         raise DomainError("ratio_report requires k >= 1")
@@ -260,9 +254,6 @@ def ratio_report(n: int, k: int, ell: int) -> OccupancyModel:
         )
     q = {j: hits.prob(j, k) for j in p}
     r = {j: p[j] / q[j] for j in p}
-    e2 = e_squared_lower()
-    # r(j) <= e^2 * k^(j-k), decided soundly with a rational lower bound on e^2
-    violations = [j for j in p if check and r[j] > e2 * Fraction(k) ** (j - k)]
     return OccupancyModel(
         n=n,
         k=k,
@@ -274,7 +265,6 @@ def ratio_report(n: int, k: int, ell: int) -> OccupancyModel:
         R=sum(r.values(), Fraction(0)),
         Gamma={j: hits.gamma[j][k] for j in p},
         bound_checked=check,
-        bound_violations=tuple(violations),
     )
 
 
@@ -309,8 +299,12 @@ def ratio_sum_tables(n: int, k_star: int, ell: int) -> Dict[int, Fraction]:
     R_k = sum_j p_k(j) / q_k(j) where q_k uses damped samples capped at k_star.
     R_0 is defined as zero.
     """
+    return _ratio_sums(ratio_tables(n, k_star, ell))
+
+
+def _ratio_sums(ratios: Dict[int, Dict[int, Fraction]]) -> Dict[int, Fraction]:
     out: Dict[int, Fraction] = {0: Fraction(0)}
-    for k, r in ratio_tables(n, k_star, ell).items():
+    for k, r in ratios.items():
         out[k] = sum(r.values(), Fraction(0))
     return out
 
@@ -323,6 +317,15 @@ def symmetric_R(
     ``eta`` lists weights for k = 0..k_star and must be unit norm.  The k = 0
     slot contributes nothing because R_0 is defined as zero.
     """
+    return weighted_ratio_sum(ratio_tables(n, k_star, ell), ell, eta)
+
+
+def weighted_ratio_sum(
+    ratios: Dict[int, Dict[int, Fraction]], ell: int, eta: Sequence[complex]
+) -> Tuple[float, Dict[int, Fraction]]:
+    """``symmetric_R`` from the point's ``ratio_tables``, for a caller that
+    also reads the per-class ratios."""
+    k_star = len(ratios)
     if len(eta) != k_star + 1:
         raise DomainError(f"eta must have {k_star + 1} entries, got {len(eta)}")
     norm = sum(abs(e) ** 2 for e in eta)
@@ -334,7 +337,7 @@ def symmetric_R(
             "but the constant-bound regime is relaxed",
             stacklevel=2,
         )
-    tables = ratio_sum_tables(n, k_star, ell)
+    tables = _ratio_sums(ratios)
     R = sum(abs(eta[k]) ** 2 * float(tables[k]) for k in range(k_star + 1))
     return R, tables
 

@@ -250,8 +250,10 @@ def _state_flaw(amps: Tuple[complex, ...]) -> Optional[str]:
 
 def _marked_prep_flaw(a: Tuple[Any, ...]) -> Optional[str]:
     n_data, amps = a[0], a[1]
-    if n_data < 0 or len(amps) != 2 ** (n_data + 1):
-        return f"needs 2^(n_data+1) amplitudes for n_data={n_data}, got {len(amps)}"
+    # compare exponents: n_data may be untrusted input, too large to raise 2 to
+    size = len(amps)
+    if n_data < 0 or size & (size - 1) or size.bit_length() != n_data + 2:
+        return f"needs 2^(n_data+1) amplitudes for n_data={n_data}, got {size}"
     return None
 
 

@@ -345,23 +345,23 @@ def _pair_bits(k_star: int) -> int:
 
 
 def _pair_amplitudes(
-    n: int, ell: int, eta: Sequence[complex], r_eff: float
+    ratios: Dict[int, Dict[int, Fraction]], eta: Sequence[complex], r_eff: float
 ) -> np.ndarray:
     """Amplitudes over packed (weight class, occupancy) pairs.
 
     Pair (k, j) sits at flat index k * 2^bits + j; the k = 0 branch is the
     (0, 0) slot.  Squared masses are |eta_k|^2 p_k(j) / (q_k(j) R) for
     k >= 1 and |eta_0|^2 / R, with the per-bucket samples capped at the
-    largest weight class.
+    largest weight class; ``ratios`` is the point's ``dists.ratio_tables``.
     """
     k_star = len(eta) - 1
     bits = _pair_bits(k_star)
     vec = np.zeros(2 ** (2 * bits), dtype=complex)
     vec[0] = complex(eta[0]) / math.sqrt(r_eff)
-    for k, ratios in dists.ratio_tables(n, k_star, ell).items():
+    for k, per_class in ratios.items():
         if eta[k] == 0:
             continue
-        for j, ratio in ratios.items():
+        for j, ratio in per_class.items():
             vec[(k << bits) | j] = complex(eta[k]) * math.sqrt(float(ratio) / r_eff)
     return vec / np.linalg.norm(vec)
 
@@ -377,10 +377,11 @@ def _symmetric_divisible(
         raise CircuitError(
             f"max weight {k_star} needs 1 <= k_star <= min(blocks={ell}, size={m})"
         )
-    r_sum, _ = dists.symmetric_R(n, k_star, ell, eta)
+    ratios = dists.ratio_tables(n, k_star, ell)
+    r_sum, _ = dists.weighted_ratio_sum(ratios, ell, eta)
     r_eff = r_sum + abs(complex(eta[0])) ** 2
     bits = _pair_bits(k_star)
-    vec = _pair_amplitudes(n, ell, eta, r_eff)
+    vec = _pair_amplitudes(ratios, eta, r_eff)
     pair = b.new_register("pairbits", 2 * bits)
     b.append(library.make("small_state", (tuple(vec),), tuple(pair)))
     classq = b.new_register("wclass", k_star)

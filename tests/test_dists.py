@@ -86,7 +86,7 @@ def test_hybrid_hit_prob_domain():
     with pytest.raises(dists.DomainError):
         dists.hybrid_hit_prob(4, 2, 3, 2)
     with pytest.raises(dists.DomainError):
-        dists.hybrid_hit_probs(4, 2, 0, 2)
+        dists.hybrid_hit_prob(4, 2, 0, 2)
 
 
 def _patched_gamma(monkeypatch, wrong):
@@ -116,11 +116,11 @@ def test_hit_table_cross_checks_every_j(monkeypatch):
     that spans it, even when the caller asks for a smaller j."""
     _patched_gamma(monkeypatch, lambda j, t: int(j == 1))
     with pytest.raises(dists.DomainError, match="at j=1, t=1: convolution"):
-        dists.hybrid_hit_probs(2, 2, 2, 2)
+        dists.hybrid_hit_prob(2, 2, 2, 2)
     monkeypatch.undo()
     _patched_gamma(monkeypatch, lambda j, t: int((j, t) == (2, 2)))
     with pytest.raises(dists.DomainError, match="at j=2, t=2: convolution"):
-        dists.hybrid_hit_probs(2, 2, 1, 2)
+        dists.hybrid_hit_prob(2, 2, 1, 2)
 
 
 def test_ratio_report_frozen_sums():
@@ -134,7 +134,8 @@ def test_ratio_report_checked_regime():
     """At ell >= k^3 the per-weight ratio bound is actually enforced."""
     model = dists.ratio_report(8, 1, 8)
     assert model.bound_checked
-    assert model.bound_violations == ()
+    # r(j) <= e^2 * k^(j-k) with k = 1
+    assert max(model.r.values()) <= dists.e_squared_lower()
     assert model.R == 1
 
 
@@ -310,8 +311,7 @@ def test_damped_binomial_matches_fraction_sum_oracle():
 def test_hit_table_matches_per_j_oracle():
     for m in (*range(1, 9), 16, 64):
         for k_cap in range(1, min(m, 6) + 1):
+            table = dists.hit_table(m, k_cap)
             for k in range(1, k_cap + 1):
-                table = dists.hybrid_hit_probs(m, k_cap, k, k)
-                assert table == tuple(
-                    _hit_oracle(m, k_cap, j, k) for j in range(1, k + 1)
-                )
+                for j in range(1, k + 1):
+                    assert table.prob(j, k) == _hit_oracle(m, k_cap, j, k), (m, k_cap, j, k)

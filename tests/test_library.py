@@ -1,5 +1,6 @@
 """Library gates simulated against independent reimplementations."""
 
+import json
 import math
 from fractions import Fraction
 from math import comb
@@ -267,6 +268,21 @@ def test_arguments_that_describe_no_gate_are_rejected(tag, args, match):
     b.append(g_library(tag, args, qubits, ent.depth, ent.fanout_width(args)))
     with pytest.raises(ParseError, match=match):
         deserialize(serialize(b.build()))
+
+
+def test_huge_marked_prep_width_is_rejected_without_building_it():
+    """A file may name any n_data; the amplitude-count check compares
+    exponents, so n_data = 10**12 is refused as fast as n_data = 2."""
+    args = (0, (0.6 + 0j, 0.8j), Fraction(1, 3))
+    b = Builder()
+    b.add_register("q", 1)
+    b.append(g_library("marked_prep", args, (0,), 1, 0))
+    doc = json.loads(serialize(b.build()))
+    doc["layers"][0][0]["params"]["args"][0] = 10**12
+    with pytest.raises(ParseError, match="amplitudes for n_data=1000000000000, got 2"):
+        deserialize(json.dumps(doc))
+    with pytest.raises(CircuitError, match="amplitudes for n_data"):
+        library.make("marked_prep", (10**12,) + args[1:], (0,))
 
 
 # one value per argument kind; the codec never reads semantics, so these

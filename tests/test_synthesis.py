@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shallowprep import dists
 from shallowprep.circuits import CircuitError, cost, deserialize, serialize
 from shallowprep.library import damped_spread_column
 from shallowprep.primitives import ctrl_from_zero_overlap
@@ -180,6 +181,20 @@ def test_build_symmetric_trailing_zeros_trimmed():
     out = build_symmetric(3, (1.0, 0.0, 0.0))
     assert out.info["k_star"] == 0
     assert_exact(out)
+
+
+def test_build_symmetric_builds_one_hit_table(monkeypatch):
+    """The ratio sum and the pair amplitudes read the same ratio tables."""
+    built = []
+    real = dists.hit_table
+
+    def counted(m, k_cap):
+        built.append((m, k_cap))
+        return real(m, k_cap)
+
+    monkeypatch.setattr(dists, "hit_table", counted)
+    build_symmetric(27, (0.5, 0.5, 0.5, 0.5))
+    assert built == [(3, 3)]
 
 
 def test_build_symmetric_validation():
