@@ -38,6 +38,7 @@ from .simulate import (
     CertificationError,
     CertificationReport,
     SimulationError,
+    StateVector,
     certify,
     certify_library_gate,
     check_clean_preparation,
@@ -271,9 +272,7 @@ def _controlled_prep_row(
     one = np.concatenate([np.zeros(len(phi)), phi])
     worst = 1.0
     for c0, c1 in ((1.0, 0.0), (0.0, 1.0), (_ISQ2, _ISQ2), (_ISQ2, -1j * _ISQ2)):
-        init = np.zeros(2**circ.n_qubits, dtype=complex)
-        init[0] = c0
-        init[1 << ctrl] = c1
+        init = StateVector(circ.n_qubits, np.array([0, 1 << ctrl]), np.array([c0, c1]))
         state = run(circ, init)
         overlap = output_overlap(state, c0 * zero + c1 * one, (ctrl,) + tuple(data))
         fid, _ = mass_bounds(overlap, state.error_bound)

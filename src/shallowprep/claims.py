@@ -8,11 +8,11 @@ side), so a pass here is a proof on the swept grid, not a float comparison.
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dists
@@ -135,17 +135,22 @@ def _eval_domination(m: int, k: int) -> ClaimVerdict:
 def _eval_slice_uniformity(m: int, k: int, j: int) -> ClaimVerdict:
     """Strings of equal total weight are equally likely across j damped buckets.
 
-    Enumerates every assignment of nonzero weight-capped buckets and checks
-    that the product probability depends on the weights only through their
-    sum.
+    A weight-w string in one bucket has probability s(w) / C(m, w), the
+    integer C(m, w)(mk)^(k-w) / C(m, w) over the pmf's one denominator S, so
+    each assignment of weights to the j buckets has an integer numerator
+    over S^j.  The distinct numerators of each total weight are built one
+    bucket at a time; the claim holds when every total weight has one.
     """
-    dist = dists.damped_binomial(m, k)
-    per_weight: Dict[int, set] = {}
-    for weights in itertools.product(range(1, k + 1), repeat=j):
-        prob = Fraction(1)
-        for w in weights:
-            prob *= dist.string_prob(w)
-        per_weight.setdefault(sum(weights), set()).add(prob)
+    per_string = [
+        num // comb(m, w) for w, num in enumerate(dists.damped_numerators(m, k), start=1)
+    ]
+    per_weight: Dict[int, set] = {0: {1}}
+    for _ in range(j):
+        grown: Dict[int, set] = {}
+        for total, prods in per_weight.items():
+            for w, q in enumerate(per_string, start=1):
+                grown.setdefault(total + w, set()).update(p * q for p in prods)
+        per_weight = grown
     worst = max(len(v) for v in per_weight.values())
     return _verdict(
         "slice-uniformity", {"m": m, "k": k, "j": j}, worst, 1, worst == 1

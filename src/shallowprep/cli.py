@@ -20,15 +20,13 @@ from . import acceptance, claims
 from .circuits import CircuitError, cost, deserialize, serialize
 from .dists import DomainError
 from .simulate import (
+    MAX_DENSE_QUBITS,
     CertificationError,
     SimulationError,
     check_clean_preparation,
     workers_from_env,
 )
 from .synthesis import build_dicke, build_symmetric, dicke_vector, symmetric_vector
-
-# simulation (synth self-check, verify) is capped here until the support is bounded
-_SELF_CHECK_QUBITS = 20
 
 
 def _jsonable(value: Any) -> Any:
@@ -161,7 +159,7 @@ def _emit_synthesis(result, stem: str, outdir: Optional[str]) -> int:
     with open(circuit_path, "w", encoding="utf-8") as fh:
         fh.write(serialize(result.circuit))
     fidelity = None
-    if result.circuit.n_qubits <= _SELF_CHECK_QUBITS:
+    if result.circuit.n_qubits <= MAX_DENSE_QUBITS:
         fidelity = check_clean_preparation(
             result.circuit, result.target, result.output_qubits
         ).fidelity
@@ -184,7 +182,7 @@ def _emit_synthesis(result, stem: str, outdir: Optional[str]) -> int:
     if fidelity is not None:
         print(f"self-check fidelity {fidelity:.12f}")
     else:
-        print(f"self-check skipped (over {_SELF_CHECK_QUBITS} qubits)")
+        print(f"self-check skipped (over {MAX_DENSE_QUBITS} qubits)")
     print(f"wrote {circuit_path}")
     print(f"wrote {report_path}")
     if fidelity is not None and fidelity < 1.0 - 1e-9:
@@ -206,10 +204,10 @@ def _cmd_synth_symmetric(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.circuit, "r", encoding="utf-8") as fh:
         circuit = deserialize(fh.read())
-    if circuit.n_qubits > _SELF_CHECK_QUBITS:
+    if circuit.n_qubits > MAX_DENSE_QUBITS:
         raise ValueError(
             f"circuit has {circuit.n_qubits} qubits; verify is capped at "
-            f"{_SELF_CHECK_QUBITS}, as nothing bounds the support it may grow"
+            f"{MAX_DENSE_QUBITS}, as nothing bounds the support it may grow"
         )
     if args.n is None:
         raise ValueError("verify needs --n to know the data register size")

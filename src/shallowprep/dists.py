@@ -56,7 +56,7 @@ class DampedBinomial:
         return self.pmf(weight) / comb(self.m, weight)
 
 
-def _damped_numerators(m: int, k: int) -> List[int]:
+def damped_numerators(m: int, k: int) -> List[int]:
     """The damped masses C(m, w) / (m*k)**w scaled to the integers
     C(m, w) * (m*k)**(k-w), for w = 1..k."""
     mk = m * k
@@ -71,7 +71,7 @@ def damped_binomial(m: int, k: int) -> DampedBinomial:
     """
     if not (1 <= k <= m):
         raise DomainError(f"damped_binomial requires 1 <= k <= m, got m={m}, k={k}")
-    nums = _damped_numerators(m, k)
+    nums = damped_numerators(m, k)
     total = sum(nums)
     lam = Fraction((m * k) ** k, total)
     s = tuple(Fraction(t, total) for t in nums)
@@ -177,7 +177,7 @@ def hit_table(m: int, k_cap: int) -> HitTable:
     """
     if not (1 <= k_cap <= m):
         raise DomainError(f"hit_table requires 1 <= k_cap <= m, got m={m}, k_cap={k_cap}")
-    nums = _damped_numerators(m, k_cap)
+    nums = damped_numerators(m, k_cap)
     gamma = composition_weight_sums(m, k_cap, k_cap)
     mk = m * k_cap
     row = [1] + [0] * k_cap

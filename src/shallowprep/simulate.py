@@ -30,6 +30,10 @@ DOMAIN_TOL = 1e-9
 # is unitary, so the state run returns is within the sum of the dropped norms
 # of the exact state, in 2-norm.
 DROP_EPS = 1e-14
+# The widest state built as a dense 2^n vector (16 MiB of amplitudes).  The
+# CLI's synth self-check and verify stop here too, as nothing yet bounds the
+# support a circuit can grow.
+MAX_DENSE_QUBITS = 20
 
 
 class SimulationError(RuntimeError):
@@ -55,7 +59,13 @@ class StateVector:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The dense 2^n vector, built on each request."""
+        """The dense 2^n vector, built on each request, for at most
+        ``MAX_DENSE_QUBITS`` qubits."""
+        if self.n_qubits > MAX_DENSE_QUBITS:
+            raise SimulationError(
+                f"a dense {self.n_qubits}-qubit vector is over the "
+                f"{MAX_DENSE_QUBITS}-qubit cap; read the support instead"
+            )
         amps = np.zeros(2**self.n_qubits, dtype=complex)
         amps[self.indices] = self.values
         return amps
@@ -143,39 +153,55 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
 # ---- kernel ----
 #
 # The state is held as its support: distinct int64 basis indices and their
-# amplitudes.  A permutation gate remaps indices through a table over its
-# gate-local index; a matrix gate acts on a (2^w, G) block whose columns are
-# the G distinct patterns of the other qubits present in the support.
+# amplitudes.  A circuit is compiled once into a plan, one step per gate, and
+# each run replays the plan on a support.  A permutation gate remaps indices
+# through a table over its gate-local index; a matrix gate acts on a
+# (2^w, G) block whose columns are the G distinct patterns of the other
+# qubits present in the support.
+
+# step(indices, amplitudes) -> (indices, amplitudes, squared norm or None
+# when the gate only moves or negates amplitudes, squared norm dropped)
+Step = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray, Optional[float], float]]
+
+
+def _gather_bits(qubits: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(shifts, weights) that ``_move_bits`` takes to the gate-local index;
+    qubits[0] is the top bit."""
+    weights = np.int64(1) << np.arange(len(qubits) - 1, -1, -1, dtype=np.int64)
+    return np.asarray(qubits, dtype=np.int64), weights
+
+
+def _move_bits(x: np.ndarray, shifts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum over j of bit shifts[j] of each x times weights[j], as one int64
+    product (numpy calls no BLAS routine on integers)."""
+    return ((x[:, None] >> shifts) & 1) @ weights
 
 
 def _gather(idx: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """Gate-local index of each basis index; qubits[0] is the top bit."""
-    w = len(qubits)
-    local = np.zeros_like(idx)
-    for j, q in enumerate(qubits):
-        local |= ((idx >> q) & 1) << (w - 1 - j)
-    return local
+    return _move_bits(idx, *_gather_bits(qubits))
 
 
 def _spread(local: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """Basis index with the gate-local bits on their qubits, others zero."""
-    w = len(qubits)
-    idx = np.zeros_like(local)
-    for j, q in enumerate(qubits):
-        idx |= ((local >> (w - 1 - j)) & 1) << q
-    return idx
+    shifts = np.arange(len(qubits) - 1, -1, -1, dtype=np.int64)
+    return _move_bits(local, shifts, np.int64(1) << np.asarray(qubits, dtype=np.int64))
 
 
-def _with_controls(n_ctrl: int, fn: Callable[[np.ndarray], np.ndarray]):
-    """Restrict fn to the rows where every control bit is one."""
-    if n_ctrl == 0:
-        return fn
+def _mask(qubits: Sequence[int]) -> int:
+    mask = 0
+    for q in qubits:
+        mask |= 1 << q
+    return mask
+
+
+def _controlled(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Restrict fn to the rows where the control (the top bit) is one."""
 
     def wrapped(block: np.ndarray) -> np.ndarray:
-        rows = block.shape[0]
-        sub = rows >> n_ctrl
+        half = block.shape[0] // 2
         out = block.copy()
-        out[rows - sub :] = fn(block[rows - sub :])
+        out[half:] = fn(block[half:])
         return out
 
     return wrapped
@@ -229,46 +255,98 @@ def _library_fn(gate: Gate) -> Tuple[Callable[[np.ndarray], np.ndarray], int]:
     return fn, op.n_qubits
 
 
-Remap = Callable[[np.ndarray, np.ndarray], np.ndarray]
+def _two_by_two(matrix: Any) -> Callable[[np.ndarray], np.ndarray]:
+    """The 2x2 matrix on the last two rows of a block, the rows above kept
+    (they are the rows where a control bit is zero); elementwise, as a
+    BLAS product on a block this small costs more than it computes."""
+    (a, b), (c, d) = [[complex(x) for x in row] for row in np.asarray(matrix)]
 
-
-def _table_remap(
-    table: np.ndarray, in_domain: Optional[np.ndarray], after: bool, tag: str
-) -> Remap:
-    """remap(local, amp) -> new local, checking the domain before or after."""
-
-    def remap(local: np.ndarray, amp: np.ndarray) -> np.ndarray:
-        out = table[local]
-        if in_domain is not None:
-            stray = ~in_domain[out if after else local]
-            _raise_stray(float(np.sum(np.abs(amp[stray]) ** 2)), tag)
+    def fn(block: np.ndarray) -> np.ndarray:
+        out = block.copy()
+        low, high = block[-2], block[-1]
+        out[-2] = a * low + b * high
+        out[-1] = c * low + d * high
         return out
 
-    return remap
+    return fn
 
 
-def _gate_action(
-    gate: Gate,
-) -> Tuple[Tuple[int, ...], Optional[Remap], Optional[Callable[[np.ndarray], np.ndarray]]]:
-    """(qubits, remap, fn): qubits[0] is the top gate-local bit; a permutation
-    gate gives a remap of gate-local indices, a matrix gate a block map fn."""
+def _table_step(
+    qubits: Sequence[int], table: np.ndarray, ok: Optional[np.ndarray], tag: Optional[str]
+) -> Step:
+    """A permutation of gate-local indices; ok[local] is False for an input
+    that drives the gate outside its domain."""
+    shifts, weights = _gather_bits(qubits)
+    # the bits each gate-local input flips, spread onto the circuit's qubits
+    delta = _spread(np.arange(len(table), dtype=np.int64) ^ table, qubits)
+
+    def step(idx: np.ndarray, amp: np.ndarray):
+        local = _move_bits(idx, shifts, weights)
+        if ok is not None:
+            stray = ~ok[local]
+            if stray.any():
+                _raise_stray(float(np.sum(np.abs(amp[stray]) ** 2)), tag)
+        return idx ^ delta[local], amp, None, 0.0
+
+    return step
+
+
+def _matrix_step(qubits: Sequence[int], fn: Callable[[np.ndarray], np.ndarray]) -> Step:
+    """A block map on the gate's qubits, dropping what it leaves below DROP_EPS."""
+    shifts, weights = _gather_bits(qubits)
+    rows = _spread(np.arange(2 ** len(qubits), dtype=np.int64), qubits)
+    rest = ~_mask(qubits)
+
+    def step(idx: np.ndarray, amp: np.ndarray):
+        local = _move_bits(idx, shifts, weights)
+        patterns, column = np.unique(idx & rest, return_inverse=True)
+        block = np.zeros((len(rows), len(patterns)), dtype=complex)
+        block[local, column] = amp
+        out = fn(block)
+        mag = out.real**2 + out.imag**2
+        # an entry whose square underflows (|a| < 1e-161) adds nothing to the bound
+        keep = mag >= DROP_EPS * DROP_EPS
+        r, c = np.nonzero(keep)
+        return (
+            patterns[c] | rows[r],
+            out[r, c],
+            float(np.sum(mag[r, c])),
+            float(np.sum(mag, where=~keep)),
+        )
+
+    return step
+
+
+def _sign_step(targets: Sequence[int], ctrl: Optional[int]) -> Step:
+    """I - 2|0...0><0...0| negates the entries with every target bit clear
+    (and the control bit set)."""
+    on = 0 if ctrl is None else 1 << ctrl
+    mask = _mask(targets) | on
+
+    def step(idx: np.ndarray, amp: np.ndarray):
+        return idx, np.where((idx & mask) == on, -amp, amp), None, 0.0
+
+    return step
+
+
+def _step(gate: Gate) -> Step:
+    """Compile one gate: every table, weight and matrix entry it needs is
+    built here, once, and the returned step only indexes and multiplies."""
     kind = gate.kind
     p = gate.params
     extra_ctrl = p.get("ctrl")
+    if kind == "product_reflection" and p.get("local_states") is None:
+        return _sign_step(gate.targets, extra_ctrl)
     table: Optional[np.ndarray] = None
     in_domain: Optional[np.ndarray] = None
     after = False
-    n_ctrl = 0
 
     if kind == "unitary1":
-        mat = np.asarray(p["matrix"])
         qubits: Tuple[int, ...] = gate.targets
-        fn = lambda block: mat @ block  # noqa: E731
+        fn = _two_by_two(p["matrix"])
     elif kind == "ctrl_unitary1":
-        mat = np.asarray(p["matrix"])
         qubits = gate.controls + gate.targets
-        fn = lambda block: mat @ block  # noqa: E731
-        n_ctrl = 1
+        fn = _two_by_two(p["matrix"])
     elif kind in ("and", "or", "nor"):
         qubits = gate.controls + gate.targets
         table = _logic_table(kind, len(gate.controls))
@@ -281,15 +359,15 @@ def _gate_action(
         qubits = gate.targets
         table = np.array([0, 2, 1, 3], dtype=np.int64)
     elif kind == "product_reflection":
-        # the reflection about |0...0> never gets here: apply_gate flips signs
         qubits = gate.targets
         states = p["local_states"]
         vec = states[0]
         for s in states[1:]:
             vec = np.kron(vec, s)
+        vec_h = vec.conj()[:, None]
 
         def fn(block: np.ndarray) -> np.ndarray:
-            return block - 2.0 * np.outer(vec, vec.conj() @ block)
+            return block - 2.0 * np.outer(vec, (vec_h * block).sum(axis=0))
 
     elif kind == "library":
         op = _compiled(p["tag"], p["args"])
@@ -308,7 +386,6 @@ def _gate_action(
 
     if extra_ctrl is not None:
         qubits = (extra_ctrl,) + qubits
-        n_ctrl += 1
         # the control is the new top bit: the table doubles, identity below
         if table is not None:
             size = len(table)
@@ -316,51 +393,41 @@ def _gate_action(
         if in_domain is not None:
             in_domain = np.concatenate([np.ones(len(in_domain), dtype=bool), in_domain])
     if table is not None:
-        return qubits, _table_remap(table, in_domain, after, p.get("tag")), None
-    return qubits, None, _with_controls(n_ctrl, fn)
+        # the check falls on the outputs of an inverse, so read it by input
+        ok = None if in_domain is None else (in_domain[table] if after else in_domain)
+        return _table_step(qubits, table, ok, p.get("tag"))
+    # a 2x2 acts on the last two rows, which already need every control set
+    if extra_ctrl is not None and kind not in ("unitary1", "ctrl_unitary1"):
+        fn = _controlled(fn)
+    return _matrix_step(qubits, fn)
 
 
-def _mask(qubits: Sequence[int]) -> int:
-    mask = 0
-    for q in qubits:
-        mask |= 1 << q
-    return mask
+Plan = Tuple[Tuple[Step, ...], ...]
 
 
-def apply_gate(
-    idx: np.ndarray, amp: np.ndarray, gate: Gate
-) -> Tuple[np.ndarray, np.ndarray, Optional[float], float]:
-    """Apply one gate to the support (idx, amp).
+def _plan(circuit: Circuit) -> Plan:
+    """One step per gate, layer by layer."""
+    return tuple(tuple(_step(gate) for gate in layer) for layer in circuit.layers)
 
-    Returns the new support, its squared norm (None when the gate only moves
-    or negates amplitudes, so the norm is unchanged) and the squared norm of
-    the entries dropped below ``DROP_EPS``.
-    """
-    p = gate.params
-    if gate.kind == "product_reflection" and p.get("local_states") is None:
-        # I - 2|0...0><0...0| negates the entries with every target bit clear
-        hit = (idx & _mask(gate.targets)) == 0
-        if p.get("ctrl") is not None:
-            hit &= ((idx >> p["ctrl"]) & 1) == 1
-        return idx, np.where(hit, -amp, amp), None, 0.0
-    qubits, remap, fn = _gate_action(gate)
-    local = _gather(idx, qubits)
-    if remap is not None:
-        return idx ^ _spread(local ^ remap(local, amp), qubits), amp, None, 0.0
-    patterns, column = np.unique(idx & ~_mask(qubits), return_inverse=True)
-    block = np.zeros((2 ** len(qubits), len(patterns)), dtype=complex)
-    block[local, column] = amp
-    out = fn(block)
-    mag = out.real**2 + out.imag**2
-    # an entry whose square underflows (|a| < 1e-161) adds nothing to the bound
-    keep = mag >= DROP_EPS * DROP_EPS
-    rows, cols = np.nonzero(keep)
-    return (
-        patterns[cols] | _spread(rows, qubits),
-        out[rows, cols],
-        float(np.sum(mag[rows, cols])),
-        float(np.sum(mag, where=~keep)),
-    )
+
+def _execute(plan: Plan, state: StateVector) -> StateVector:
+    """Replay the plan on a normalized support, checking the norm after
+    each layer as ``run`` describes."""
+    idx, amp = state.indices, state.values
+    norm = float(np.sum(amp.real**2 + amp.imag**2))
+    dropped = 0.0
+    bound = state.error_bound
+    for layer in plan:
+        for step in layer:
+            idx, amp, kept, lost = step(idx, amp)
+            if kept is not None:
+                norm = kept
+            if lost:
+                dropped += lost
+                bound += math.sqrt(lost)
+        if abs(norm + dropped - 1.0) > NORM_TOL:
+            raise SimulationError(f"state norm drifted to {norm!r}")
+    return StateVector(state.n_qubits, idx, amp, bound)
 
 
 def _basis_index(n: int, initial: Optional[Dict[int, int]]) -> int:
@@ -373,55 +440,47 @@ def _basis_index(n: int, initial: Optional[Dict[int, int]]) -> int:
     return index
 
 
-def initial_state(
-    n: int, initial: Union[None, Dict[int, int], np.ndarray] = None
-) -> np.ndarray:
-    """The dense starting vector: a normalized array, or the basis state
-    with the listed qubits set (every qubit zero for None)."""
-    if isinstance(initial, np.ndarray):
+Initial = Union[None, Dict[int, int], np.ndarray, StateVector]
+
+
+def _support(n: int, initial: Initial) -> StateVector:
+    """The support ``run`` starts from (a dense array gives its nonzero entries)."""
+    if isinstance(initial, StateVector):
+        idx = np.asarray(initial.indices, dtype=np.int64)
+        amp = np.asarray(initial.values, dtype=complex)
+        if initial.n_qubits != n or idx.shape != amp.shape or idx.ndim != 1:
+            raise SimulationError(f"initial support does not describe a {n}-qubit state")
+        if idx.size and (idx.min() < 0 or idx.max() >= 2**n or len(np.unique(idx)) < idx.size):
+            raise SimulationError(f"initial support needs distinct indices below 2^{n}")
+        state = StateVector(n, idx, amp, initial.error_bound)
+    elif isinstance(initial, np.ndarray):
         amps = np.asarray(initial, dtype=complex).reshape(2**n)
-        if abs(np.vdot(amps, amps) - 1.0) > NORM_TOL:
-            raise SimulationError("initial state is not normalized")
-        return amps.copy()
-    amps = np.zeros(2**n, dtype=complex)
-    amps[_basis_index(n, initial)] = 1.0
-    return amps
+        # a bool mask first: flatnonzero scans a complex array about 3x slower
+        idx = np.flatnonzero(amps != 0)
+        amp = amps[idx]
+        state = StateVector(n, idx, amp)
+    else:
+        idx = np.array([_basis_index(n, initial)], dtype=np.int64)
+        return StateVector(n, idx, np.ones(1, dtype=complex))
+    if abs(float(np.sum(amp.real**2 + amp.imag**2)) - 1.0) > NORM_TOL:
+        raise SimulationError("initial state is not normalized")
+    return state
 
 
-def run(
-    circuit: Circuit,
-    initial: Union[None, Dict[int, int], np.ndarray] = None,
-) -> StateVector:
-    """Simulate the circuit from ``initial`` (see ``initial_state``).
+def initial_state(n: int, initial: Initial = None) -> np.ndarray:
+    """The dense starting vector of ``run`` for ``initial``."""
+    return _support(n, initial).amplitudes
+
+
+def run(circuit: Circuit, initial: Initial = None) -> StateVector:
+    """Simulate the circuit from ``initial``: a normalized ``StateVector``
+    (a support on the circuit's qubits), a normalized dense 2^n array, or
+    the basis state with the listed qubits set (every qubit zero for None).
 
     After each layer the norm of the state plus the mass dropped so far must
     be within ``NORM_TOL`` of one.
     """
-    n = circuit.n_qubits
-    if isinstance(initial, np.ndarray):
-        amps = initial_state(n, initial)
-        # a bool mask first: flatnonzero scans a complex array about 3x slower
-        idx = np.flatnonzero(amps != 0)
-        amp = amps[idx]
-        del amps
-        norm = float(np.sum(amp.real**2 + amp.imag**2))
-    else:
-        idx = np.array([_basis_index(n, initial)], dtype=np.int64)
-        amp = np.ones(1, dtype=complex)
-        norm = 1.0
-    dropped = 0.0
-    bound = 0.0
-    for layer in circuit.layers:
-        for gate in layer:
-            idx, amp, kept, lost = apply_gate(idx, amp, gate)
-            if kept is not None:
-                norm = kept
-            if lost:
-                dropped += lost
-                bound += math.sqrt(lost)
-        if abs(norm + dropped - 1.0) > NORM_TOL:
-            raise SimulationError(f"state norm drifted to {norm!r}")
-    return StateVector(n, idx, amp, bound)
+    return _execute(_plan(circuit), _support(circuit.n_qubits, initial))
 
 
 # ---- verification ----
@@ -444,7 +503,7 @@ def output_overlap(
     """Overlap of the state with target on the outputs and zeros elsewhere."""
     if target.shape != (2 ** len(output_qubits),):
         raise ValueError("target length does not match the output register")
-    return complex(np.conj(target) @ project(state, output_qubits))
+    return complex(np.sum(np.conj(target) * project(state, output_qubits)))
 
 
 def residual_mass(state: StateVector, qubits: Sequence[int]) -> float:
@@ -457,7 +516,7 @@ def check_clean_preparation(
     circuit: Circuit,
     target: np.ndarray,
     output_qubits: Sequence[int],
-    initial: Union[None, Dict[int, int], np.ndarray] = None,
+    initial: Initial = None,
     clean_tol: float = 1e-9,
 ) -> VerificationResult:
     """Run the circuit and bound its fidelity with ``target`` on the outputs
@@ -527,26 +586,34 @@ def certify(
             f"it is outside the gate's domain"
         )
 
+    n = explicit.n_qubits
+    if len(set(io_qubits)) != w or not all(0 <= q < n for q in io_qubits):
+        raise CertificationError(f"{tag!r} needs {w} distinct qubits of the circuit")
+    plan = _plan(explicit)
+
     def cases():
-        """(initial state, declared output on io_qubits, failure message)"""
-        for d in inputs:
-            bits = f"{d:0{w}b}"  # io_qubits[0] holds the top bit
+        """(initial support, declared output on io_qubits, failure message)"""
+        starts = _spread(np.asarray(inputs, dtype=np.int64), io_qubits)
+        for d, start in zip(inputs, starts):
             yield (
-                {q: int(b) for q, b in zip(io_qubits, bits)},
+                StateVector(n, start.reshape(1), np.ones(1, dtype=complex)),
                 _declared_output(sem, d),
-                f"disagrees with its declared action on input {bits}",
+                f"disagrees with its declared action on input {d:0{w}b}",
             )
         if probe and len(domain) > 1:
             scale = 1.0 / np.sqrt(len(domain))
-            amps = np.zeros(2**explicit.n_qubits, dtype=complex)
-            amps[_spread(np.asarray(domain, dtype=np.int64), io_qubits)] = scale
+            idx = _spread(np.asarray(domain, dtype=np.int64), io_qubits)
             expected = sum(_declared_output(sem, d) for d in domain) * scale
-            yield amps, np.asarray(expected), "fails the superposition probe"
+            yield (
+                StateVector(n, idx, np.full(len(domain), scale, dtype=complex)),
+                np.asarray(expected),
+                "fails the superposition probe",
+            )
 
     worst = 1.0
     checked = 0
     for initial, expected, failure in cases():
-        state = run(explicit, initial)
+        state = _execute(plan, initial)
         # the real part of an overlap moves by at most the error bound
         ov = output_overlap(state, expected, io_qubits).real - state.error_bound
         worst = min(worst, ov)

@@ -7,6 +7,7 @@ import pytest
 
 from shallowprep import cli
 from shallowprep.circuits import Builder, serialize
+from shallowprep.simulate import MAX_DENSE_QUBITS
 
 pytestmark = pytest.mark.filterwarnings("ignore:ratio bound skipped:UserWarning")
 
@@ -232,7 +233,7 @@ def test_report_rejects_library_costs_edited_in_the_file(tmp_path, capsys):
 
 
 def test_verify_refuses_circuits_too_wide_to_simulate(tmp_path, capsys):
-    wide = cli._SELF_CHECK_QUBITS + 1
+    wide = MAX_DENSE_QUBITS + 1
     b = Builder()
     b.add_register("data", wide)
     path = write(tmp_path / "wide.circuit", serialize(b.build()))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from shallowprep import library, simulate
 from shallowprep.circuits import (
     Builder,
+    Circuit,
     Z_MATRIX,
     g_and,
     g_cnot,
@@ -23,9 +25,11 @@ from shallowprep.circuits import (
     g_unitary1,
     g_x,
 )
+from shallowprep.primitives import ham_gadget
 from shallowprep.simulate import (
     CertificationError,
     SimulationError,
+    StateVector,
     certify_library_gate,
     check_clean_preparation,
     initial_state,
@@ -66,6 +70,80 @@ def test_initial_state_forms():
     b.add_register("x", 2)
     with pytest.raises(SimulationError, match="qubit 2"):
         run(b.build(), {2: 1})
+
+
+def test_support_input_matches_the_dense_one():
+    """A StateVector start runs exactly as the dense array with the same
+    nonzero entries; a support that is not a normalized n-qubit state with
+    distinct indices is refused."""
+    b = Builder()
+    r = b.add_register("q", 4)
+    b.append(g_unitary1(r[0], H_MATRIX))
+    b.append(g_cnot(r[0], r[2]))
+    b.append(library.make("exact", (2, 1), (r[1], r[2], r[3])))
+    b.append(g_product_reflection((r[1], r[3])).with_params(ctrl=r[0]))
+    circuit = b.build()
+    idx = np.array([0b0010, 0b1001])
+    vals = np.array([0.6, 0.8j])
+    dense = np.zeros(16, dtype=complex)
+    dense[idx] = vals
+    want = run(circuit, dense)
+    got = run(circuit, StateVector(4, idx, vals))
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.values, want.values)
+    assert got.error_bound == want.error_bound
+    for bad in (
+        StateVector(5, idx, vals),
+        StateVector(4, idx, 2 * vals),
+        StateVector(4, np.array([1, 1]), vals),
+        StateVector(4, np.array([1, 16]), vals),
+    ):
+        with pytest.raises(SimulationError):
+            run(circuit, bad)
+
+
+def test_norm_is_checked_after_each_layer():
+    """A gate that scales the state fails the per-layer norm check at its
+    own layer, even when a later layer would undo the change."""
+    b = Builder()
+    r = b.add_register("q", 2)
+    valid = b.build()
+    # the builder refuses such gates, so the layers are set directly
+    grow = g_x(r[0]).with_params(matrix=1.5 * np.eye(2))
+    shrink = g_x(r[1]).with_params(matrix=np.eye(2) / 1.5)
+    circuit = Circuit(valid.registers, ((grow,), (shrink,)), valid.metadata)
+    with pytest.raises(SimulationError, match="drifted"):
+        run(circuit)
+
+
+def test_dense_vector_is_refused_past_the_cap():
+    """A 21-qubit state of one entry reads fine from its support, and asking
+    for its dense 2^21 vector raises before anything that size is built."""
+    state = StateVector(simulate.MAX_DENSE_QUBITS + 1, np.array([5]), np.array([1.0 + 0j]))
+    assert np.array_equal(project(state, (0, 1, 2)), [0, 0, 0, 0, 0, 1, 0, 0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationError, match="dense"):
+            state.amplitudes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_certify_compiles_each_gate_once(monkeypatch):
+    """ham_gadget(3, 1) is certified from 33 starts, and each of its gates
+    is compiled into a step once."""
+    b = Builder()
+    x = b.add_register("x", 3, ancilla=False)
+    tally = tuple(ham_gadget(b, tuple(x), 1))
+    circuit = b.build()
+    compiled = []
+    real_step = simulate._step
+    monkeypatch.setattr(simulate, "_step", lambda gate: compiled.append(gate) or real_step(gate))
+    report = certify_library_gate("ham", (3, 1), circuit, tuple(x) + tally)
+    assert report.inputs_checked == 2**5 + 1
+    assert compiled == list(circuit.gates())
 
 
 def test_output_overlap_extracts_named_qubits():
