@@ -206,10 +206,10 @@ def _crit_uniformity(ws: Dict[str, Any]) -> List[CheckRow]:
     for label, state, output_qubits in ws["states"]:
         t0 = time.perf_counter()
         amps = project(state, output_qubits)
+        weights = library.hamming_weights(len(output_qubits))
         worst = 0.0
         for weight in range(len(output_qubits) + 1):
-            members = [i for i in range(amps.size) if bin(i).count("1") == weight]
-            block = amps[members]
+            block = amps[weights == weight]
             peak = float(np.max(np.abs(block)))
             if peak < 1e-12:
                 continue

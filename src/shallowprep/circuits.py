@@ -541,9 +541,7 @@ def _decode_gate(obj: Any) -> Gate:
             )
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-    gate = Gate(kind, targets, controls, params)
-    _validate_gate(gate)
-    return gate
+    return Gate(kind, targets, controls, params)
 
 
 def _decode_params(kind: str, raw: Dict[str, Any], obj: Dict[str, Any]) -> Dict[str, Any]:

@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import dists
 
@@ -267,7 +267,3 @@ def run_claims(cfg: SweepConfig) -> List[ClaimVerdict]:
     order = {c: i for i, c in enumerate(CLAIM_IDS)}
     results.sort(key=lambda v: (order[v.claim], sorted(v.params.items())))
     return results
-
-
-def all_pass(verdicts: Sequence[ClaimVerdict]) -> bool:
-    return all(v.passed for v in verdicts)

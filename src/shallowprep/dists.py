@@ -6,14 +6,11 @@ inequality checks in :mod:`shallowprep.claims` are exact comparisons.
 """
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Dict, List, Sequence, Tuple
-
-ENUMERATION_CAP = 10**6
 
 
 class DomainError(ValueError):
@@ -48,12 +45,6 @@ class DampedBinomial:
         if 1 <= j <= self.k:
             return self.s[j - 1]
         return Fraction(0)
-
-    def string_prob(self, weight: int) -> Fraction:
-        """Probability of any single m-bit string of the given weight."""
-        if weight < 1 or weight > self.k or comb(self.m, weight) == 0:
-            return Fraction(0)
-        return self.pmf(weight) / comb(self.m, weight)
 
 
 def damped_numerators(m: int, k: int) -> List[int]:
@@ -129,23 +120,6 @@ def occupancy_pmf(n: int, k: int, ell: int) -> Dict[int, Fraction]:
     counts = _occupancy_counts(n, k, ell, composition_weight_sums(m, k, min(k, ell)))
     denom = comb(n, k)
     return {j: Fraction(c, denom) for j, c in counts.items()}
-
-
-def occupancy_pmf_enumerated(n: int, k: int, ell: int) -> Dict[int, Fraction]:
-    """Brute-force occupancy pmf by listing every weight-k string.
-
-    Only valid when C(n, k) <= ENUMERATION_CAP; used as an independent oracle
-    against the closed form.
-    """
-    m = _bucket_size(n, ell)
-    if comb(n, k) > ENUMERATION_CAP:
-        raise DomainError(f"C({n},{k}) exceeds the enumeration cap")
-    counts: Dict[int, int] = {}
-    for positions in itertools.combinations(range(n), k):
-        occupied = {p // m for p in positions}
-        counts[len(occupied)] = counts.get(len(occupied), 0) + 1
-    denom = comb(n, k)
-    return {j: Fraction(c, denom) for j, c in sorted(counts.items())}
 
 
 @dataclass(frozen=True)
@@ -345,12 +319,6 @@ def weighted_ratio_sum(
 def damped_truncation_mass(m: int, k: int) -> Fraction:
     """Pr[Binom(m, 1/m) <= k], the mass kept by the weight truncation step."""
     return binomial_cdf(m, Fraction(1, m), k)
-
-
-def kept_weight_masses(m: int, k: int) -> Dict[int, Fraction]:
-    """Conditional masses alpha_j = Pr[Binom(m,1/m) = j | <= k] for j in 0..k."""
-    keep = damped_truncation_mass(m, k)
-    return {j: binomial_pmf(m, Fraction(1, m), j) / keep for j in range(0, k + 1)}
 
 
 # Rational brackets for the transcendental constants in the claim checks.

@@ -64,34 +64,25 @@ def _unit_index(total: int, position: int) -> int:
 # ---- semantics builders ----
 
 
-def _sem_threshold(n: int, k: int) -> LibrarySemantics:
-    w = n + 1
-    table = np.arange(2**w, dtype=np.int64)
-    for idx in range(2**w):
-        if bin(idx >> 1).count("1") >= k:
-            table[idx] = idx ^ 1
-    return LibrarySemantics(n_qubits=w, permutation=table)
+def hamming_weights(w: int) -> np.ndarray:
+    """The Hamming weight of every w-bit basis index 0..2^w-1."""
+    return np.bitwise_count(np.arange(2**w, dtype=np.int64))
 
 
-def _sem_exact(n: int, k: int) -> LibrarySemantics:
-    w = n + 1
-    table = np.arange(2**w, dtype=np.int64)
-    for idx in range(2**w):
-        if bin(idx >> 1).count("1") == k:
-            table[idx] = idx ^ 1
-    return LibrarySemantics(n_qubits=w, permutation=table)
+def _sem_weight_flag(n: int, k: int, hit: np.ufunc) -> LibrarySemantics:
+    """x unchanged; the low flag qubit flips where hit(|x|, k) holds."""
+    idx = np.arange(2 ** (n + 1), dtype=np.int64)
+    flip = hit(np.bitwise_count(idx >> 1), k)
+    return LibrarySemantics(n_qubits=n + 1, permutation=idx ^ flip)
 
 
 def _sem_ham(n: int, k: int) -> LibrarySemantics:
     """x unchanged; the k+1 tally qubits get e_min(k+1, |x|) XORed in."""
     w = n + k + 1
-    table = np.arange(2**w, dtype=np.int64)
-    for idx in range(2**w):
-        hx = bin(idx >> (k + 1)).count("1")
-        if hx >= 1:
-            j = min(k + 1, hx)
-            table[idx] = idx ^ (1 << (k + 1 - j))
-    return LibrarySemantics(n_qubits=w, permutation=table)
+    idx = np.arange(2**w, dtype=np.int64)
+    weight = np.arange(n + 1)
+    flip = np.where(weight >= 1, 1 << (k + 1 - np.minimum(k + 1, weight)), 0)
+    return LibrarySemantics(n_qubits=w, permutation=idx ^ flip[np.bitwise_count(idx >> (k + 1))])
 
 
 def _sem_one_hot(count: int, zero_based: bool) -> LibrarySemantics:
@@ -117,15 +108,18 @@ def _sem_one_hot(count: int, zero_based: bool) -> LibrarySemantics:
     )
 
 
-def dicke_column(ell: int, weight: int) -> np.ndarray:
-    """Uniform superposition over the weight-``weight`` strings of ell bits,
-    0 <= weight <= ell."""
-    col = np.zeros(2**ell, dtype=complex)
-    amp = 1.0 / np.sqrt(comb(ell, weight))
-    for idx in range(2**ell):
-        if bin(idx).count("1") == weight:
-            col[idx] = amp
-    return col
+def dicke_amplitudes(n: int, k: int) -> np.ndarray:
+    """The amplitude of the weight-k Dicke state on n qubits at each weight 0..n."""
+    if not 0 <= k <= n:
+        raise CircuitError(f"weight {k} out of range for {n} qubits")
+    amps = np.zeros(n + 1, dtype=complex)
+    amps[k] = 1.0 / np.sqrt(comb(n, k))
+    return amps
+
+
+def dicke_column(n: int, k: int) -> np.ndarray:
+    """Uniform superposition over the weight-k strings of n bits."""
+    return dicke_amplitudes(n, k)[hamming_weights(n)]
 
 
 def _sem_dicke_prep(ell: int, weight: int) -> LibrarySemantics:
@@ -204,12 +198,10 @@ def _sem_ctrl_dicke(ell: int, slots: int, weights: Tuple[int, ...]) -> LibrarySe
 def damped_spread_column(m: int, k: int) -> np.ndarray:
     """Unit state over nonzero m-bit strings with weight-j mass s(j)."""
     dist = dists.damped_binomial(m, k)
-    col = np.zeros(2**m, dtype=complex)
-    for idx in range(1, 2**m):
-        wt = bin(idx).count("1")
-        if 1 <= wt <= k:
-            col[idx] = np.sqrt(float(dist.pmf(wt) / comb(m, wt)))
-    return col
+    amps = np.zeros(m + 1, dtype=complex)
+    for j in range(1, k + 1):
+        amps[j] = np.sqrt(float(dist.pmf(j) / comb(m, j)))
+    return amps[hamming_weights(m)]
 
 
 def _sem_ctrl_damped(m: int, k: int) -> LibrarySemantics:
@@ -457,7 +449,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             tag="threshold",
             args=("int", "int"),  # n, k
             width=lambda a: a[0] + 1,
-            semantics=_sem_threshold,
+            semantics=lambda n, k: _sem_weight_flag(n, k, np.greater_equal),
             depth=4,
             fanout_width=lambda a: a[1],
         ),
@@ -465,7 +457,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             tag="exact",
             args=("int", "int"),  # n, k
             width=lambda a: a[0] + 1,
-            semantics=_sem_exact,
+            semantics=lambda n, k: _sem_weight_flag(n, k, np.equal),
             depth=6,
             fanout_width=lambda a: a[1] + 1,
         ),

@@ -467,11 +467,6 @@ def _support(n: int, initial: Initial) -> StateVector:
     return state
 
 
-def initial_state(n: int, initial: Initial = None) -> np.ndarray:
-    """The dense starting vector of ``run`` for ``initial``."""
-    return _support(n, initial).amplitudes
-
-
 def run(circuit: Circuit, initial: Initial = None) -> StateVector:
     """Simulate the circuit from ``initial``: a normalized ``StateVector``
     (a support on the circuit's qubits), a normalized dense 2^n array, or

@@ -42,25 +42,16 @@ from .primitives import (
 # ---- analytic target vectors ----
 
 
-def dicke_vector(n: int, k: int) -> np.ndarray:
-    """Uniform superposition over the weight-k strings of n bits."""
-    if not 0 <= k <= n:
-        raise CircuitError(f"weight {k} out of range for {n} qubits")
-    vec = np.zeros(2**n, dtype=complex)
-    amp = 1.0 / math.sqrt(comb(n, k))
-    for idx in range(2**n):
-        if bin(idx).count("1") == k:
-            vec[idx] = amp
-    return vec
+dicke_vector = library.dicke_column
 
 
 def symmetric_vector(n: int, eta: Sequence[complex]) -> np.ndarray:
     """The weighted Dicke combination with weight-k coefficient eta[k]."""
-    vec = np.zeros(2**n, dtype=complex)
+    per_weight = np.zeros(n + 1, dtype=complex)
     for k, coeff in enumerate(eta):
         if coeff != 0:
-            vec = vec + complex(coeff) * dicke_vector(n, k)
-    return vec
+            per_weight = per_weight + complex(coeff) * library.dicke_amplitudes(n, k)
+    return per_weight[library.hamming_weights(n)]
 
 
 def occupancy_vector(n: int, k: int, ell: int) -> np.ndarray:
@@ -71,21 +62,14 @@ def occupancy_vector(n: int, k: int, ell: int) -> np.ndarray:
     """
     m = n // ell
     total = n + k
+    x = np.flatnonzero(library.hamming_weights(n) == k)
+    occ = sum(((x >> (b * m)) & ((1 << m) - 1)) != 0 for b in range(ell))
+    # data bit i moves to qubit position total-1-i, above the record slots
+    idx = np.left_shift(1, k - occ)
+    for i in range(n):
+        idx |= ((x >> i) & 1) << (total - 1 - i)
     vec = np.zeros(2**total, dtype=complex)
-    amp = 1.0 / math.sqrt(comb(n, k))
-    for x in range(2**n):
-        if bin(x).count("1") != k:
-            continue
-        occ = 0
-        for b in range(ell):
-            if (x >> (b * m)) & ((1 << m) - 1):
-                occ += 1
-        idx = 0
-        for i in range(n):
-            if (x >> i) & 1:
-                idx |= 1 << (total - 1 - i)
-        idx |= 1 << (k - occ)
-        vec[idx] = amp
+    vec[idx] = 1.0 / math.sqrt(comb(n, k))
     return vec
 
 

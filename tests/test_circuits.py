@@ -323,6 +323,19 @@ def test_deserialize_rejects_gaps_in_qubit_numbering():
         deserialize(json.dumps(doc))
 
 
+def test_deserialize_checks_each_gate():
+    """A gate that is not a gate at all is refused when the circuit is checked."""
+    doc = json.loads(serialize(mixed_circuit()))
+    doc["layers"][0][0]["params"]["matrix"] = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    with pytest.raises(CircuitError, match="not unitary"):
+        deserialize(json.dumps(doc))
+    doc = json.loads(serialize(mixed_circuit()))
+    fanout = next(g for layer in doc["layers"] for g in layer if g["kind"] == "fanout")
+    fanout["targets"] = [fanout["controls"][0], fanout["targets"][1]]
+    with pytest.raises(CircuitError, match="touches a qubit twice"):
+        deserialize(json.dumps(doc))
+
+
 def _json_paths(node, path=()):
     yield path
     if isinstance(node, dict):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from shallowprep.claims import CLAIM_IDS, SweepConfig, all_pass, run_claims
+from shallowprep.claims import CLAIM_IDS, SweepConfig, run_claims
 
 TINY = SweepConfig(m_values=(1, 2, 3, 4), k_max=3, enumeration_budget=8)
 
@@ -22,7 +22,7 @@ def _rows(verdicts):
 def test_tiny_grid_all_pass():
     verdicts = run_claims(TINY)
     assert verdicts
-    assert all_pass(verdicts)
+    assert all(v.passed for v in verdicts)
     assert {v.claim for v in verdicts} == set(CLAIM_IDS)
 
 
@@ -30,7 +30,7 @@ def test_fault_injection_breaks_only_normalizer_rows():
     cfg = SweepConfig(m_values=(1, 2, 3, 4), k_max=3, enumeration_budget=8,
                       fault="lambda-off-by-one")
     verdicts = run_claims(cfg)
-    assert not all_pass(verdicts)
+    assert not all(v.passed for v in verdicts)
     for v in verdicts:
         if v.claim == "normalizer-bounds":
             assert not v.passed, v.params

@@ -111,6 +111,26 @@ def test_synth_and_verify_symmetric(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_refuses_a_target_weight_above_n(tmp_path, capsys):
+    cli.main(["synth", "dicke", "--n", "3", "--k", "1", "--out", str(tmp_path)])
+    circuit = str(tmp_path / "dicke_n3_k1.circuit")
+    capsys.readouterr()
+    rc = cli.main(
+        ["verify", "--circuit", circuit, "--target", "dicke", "--n", "3", "--k", "4"]
+    )
+    assert rc == 2
+    assert "weight 4 out of range for 3 qubits" in capsys.readouterr().err
+    eta = write(tmp_path / "eta.txt", "0 0.6 0\n4 0.8 0\n")
+    rc = cli.main(
+        [
+            "verify", "--circuit", circuit, "--target", "symmetric",
+            "--n", "3", "--eta", eta,
+        ]
+    )
+    assert rc == 2
+    assert "weight 4 out of range for 3 qubits" in capsys.readouterr().err
+
+
 def test_report_prints_costs(tmp_path, capsys):
     cli.main(["synth", "dicke", "--n", "4", "--k", "1", "--out", str(tmp_path)])
     capsys.readouterr()

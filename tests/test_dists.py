@@ -1,5 +1,6 @@
 """Oracle and property tests for the exact distribution machinery."""
 
+import itertools
 import math
 from fractions import Fraction
 from math import comb
@@ -32,13 +33,6 @@ def test_damped_binomial_domain():
         dists.damped_binomial(3, 0)
 
 
-def test_string_prob_splits_weight_mass():
-    dist = dists.damped_binomial(4, 2)
-    assert dist.string_prob(1) * 4 == dist.pmf(1)
-    assert dist.string_prob(2) * 6 == dist.pmf(2)
-    assert dist.string_prob(3) == 0
-
-
 @given(
     st.integers(1, 40).flatmap(
         lambda m: st.tuples(st.just(m), st.integers(1, min(m, 8)))
@@ -61,7 +55,12 @@ def test_occupancy_closed_form_matches_enumeration(m, ell, k):
     n = m * ell
     assume(k <= n)
     closed = dists.occupancy_pmf(n, k, ell)
-    enumerated = dists.occupancy_pmf_enumerated(n, k, ell)
+    # list every weight-k string and count the blocks it occupies
+    counts = {}
+    for positions in itertools.combinations(range(n), k):
+        occupied = len({p // m for p in positions})
+        counts[occupied] = counts.get(occupied, 0) + 1
+    enumerated = {j: Fraction(c, comb(n, k)) for j, c in counts.items()}
     for j in set(closed) | set(enumerated):
         assert closed.get(j, Fraction(0)) == enumerated.get(j, Fraction(0))
 
@@ -174,12 +173,6 @@ def test_truncation_and_trailing_mass():
     assert dists.damped_truncation_mass(2, 1) == Fraction(3, 4)
     assert dists.trailing_zero_mass(5, 1, 6) == Fraction(5, 6)
     assert dists.trailing_zero_mass(7, 2, 8) == Fraction(3, 4)
-
-
-def test_kept_weight_masses_normalize():
-    masses = dists.kept_weight_masses(3, 2)
-    assert sum(masses.values()) == 1
-    assert set(masses) == {0, 1, 2}
 
 
 def test_transcendental_brackets_are_tight_and_sound():

@@ -422,3 +422,88 @@ def test_non_orthonormal_columns_rejected(monkeypatch):
             simulate._compiled("small_state", ("not orthonormal", len(columns)))
         with pytest.raises(CircuitError, match="orthonormal"):
             library.complete_isometry(2, columns)
+
+
+# ---- per-index loops: the reference for the popcount-built tables ----
+
+
+def loop_threshold(n, k):
+    w = n + 1
+    table = np.arange(2**w, dtype=np.int64)
+    for idx in range(2**w):
+        if bin(idx >> 1).count("1") >= k:
+            table[idx] = idx ^ 1
+    return table
+
+
+def loop_exact(n, k):
+    w = n + 1
+    table = np.arange(2**w, dtype=np.int64)
+    for idx in range(2**w):
+        if bin(idx >> 1).count("1") == k:
+            table[idx] = idx ^ 1
+    return table
+
+
+def loop_ham(n, k):
+    w = n + k + 1
+    table = np.arange(2**w, dtype=np.int64)
+    for idx in range(2**w):
+        hx = bin(idx >> (k + 1)).count("1")
+        if hx >= 1:
+            j = min(k + 1, hx)
+            table[idx] = idx ^ (1 << (k + 1 - j))
+    return table
+
+
+def loop_dicke_column(ell, weight):
+    col = np.zeros(2**ell, dtype=complex)
+    amp = 1.0 / np.sqrt(comb(ell, weight))
+    for idx in range(2**ell):
+        if bin(idx).count("1") == weight:
+            col[idx] = amp
+    return col
+
+
+def loop_damped_spread_column(m, k):
+    dist = dists.damped_binomial(m, k)
+    col = np.zeros(2**m, dtype=complex)
+    for idx in range(1, 2**m):
+        wt = bin(idx).count("1")
+        if 1 <= wt <= k:
+            col[idx] = np.sqrt(float(dist.pmf(wt) / comb(m, wt)))
+    return col
+
+
+TABLE_CASES = [
+    (tag, (n, k), oracle)
+    for tag, oracle in (("threshold", loop_threshold), ("exact", loop_exact))
+    for n in range(10)
+    for k in range(n + 3)
+] + [("ham", (n, k), loop_ham) for n in range(10) for k in range(10 - n)]
+
+
+def test_weight_tables_match_the_per_index_loops():
+    """Every threshold, exact and ham table up to 10 qubits, entry for entry."""
+    for tag, args, oracle in TABLE_CASES:
+        table = library.semantics(tag, args).permutation
+        expected = oracle(*args)
+        assert table.dtype == expected.dtype == np.int64, (tag, args)
+        assert np.array_equal(table, expected), (tag, args)
+
+
+def test_weight_columns_match_the_per_index_loops_byte_for_byte():
+    for ell in range(11):
+        for weight in range(ell + 1):
+            col = library.dicke_column(ell, weight)
+            assert col.tobytes() == loop_dicke_column(ell, weight).tobytes(), (ell, weight)
+    for m in range(1, 11):
+        for k in range(1, m + 1):
+            col = library.damped_spread_column(m, k)
+            assert col.tobytes() == loop_damped_spread_column(m, k).tobytes(), (m, k)
+
+
+def test_dicke_column_refuses_a_weight_outside_0_to_n():
+    for n, k in ((3, 4), (3, -1), (0, 1)):
+        with pytest.raises(CircuitError, match="out of range"):
+            library.dicke_column(n, k)

@@ -67,6 +67,77 @@ def test_occupancy_vector_tags_block_count():
     assert abs(vec[idx] - 1.0 / math.sqrt(6)) < 1e-12
 
 
+# ---- per-index loops: the reference for the popcount-built targets ----
+
+
+def loop_dicke_vector(n, k):
+    vec = np.zeros(2**n, dtype=complex)
+    amp = 1.0 / math.sqrt(math.comb(n, k))
+    for idx in range(2**n):
+        if bin(idx).count("1") == k:
+            vec[idx] = amp
+    return vec
+
+
+def loop_symmetric_vector(n, eta):
+    vec = np.zeros(2**n, dtype=complex)
+    for k, coeff in enumerate(eta):
+        if coeff != 0:
+            vec = vec + complex(coeff) * loop_dicke_vector(n, k)
+    return vec
+
+
+def loop_occupancy_vector(n, k, ell):
+    m = n // ell
+    total = n + k
+    vec = np.zeros(2**total, dtype=complex)
+    amp = 1.0 / math.sqrt(math.comb(n, k))
+    for x in range(2**n):
+        if bin(x).count("1") != k:
+            continue
+        occ = 0
+        for b in range(ell):
+            if (x >> (b * m)) & ((1 << m) - 1):
+                occ += 1
+        idx = 0
+        for i in range(n):
+            if (x >> i) & 1:
+                idx |= 1 << (total - 1 - i)
+        idx |= 1 << (k - occ)
+        vec[idx] = amp
+    return vec
+
+
+def test_targets_match_the_per_index_loops_byte_for_byte():
+    for n in range(11):
+        for k in range(n + 1):
+            assert dicke_vector(n, k).tobytes() == loop_dicke_vector(n, k).tobytes()
+    rng = np.random.default_rng(11)
+    special = (0.0, -0.0, 1.0, -1.0, 0.5j, -0.5j, complex(-0.0, 0.25), complex(0.3, -0.0))
+    for n in range(1, 9):
+        for _ in range(6):
+            eta = list(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+            eta[rng.integers(n + 1)] = special[rng.integers(len(special))]
+            got = symmetric_vector(n, eta)
+            assert got.tobytes() == loop_symmetric_vector(n, eta).tobytes(), (n, eta)
+        # real, Fraction and shorter coefficient lists
+        for eta in ((Fraction(3, 5), Fraction(4, 5)), (0.6,), (0, -0.8, 0.6)):
+            eta = eta[: n + 1]
+            assert symmetric_vector(n, eta).tobytes() == loop_symmetric_vector(n, eta).tobytes()
+    for n, k, ell in ((4, 2, 2), (6, 3, 3), (6, 2, 2), (8, 3, 4), (8, 4, 2), (9, 2, 3), (5, 0, 5)):
+        got = occupancy_vector(n, k, ell)
+        assert got.tobytes() == loop_occupancy_vector(n, k, ell).tobytes(), (n, k, ell)
+
+
+def test_targets_refuse_a_weight_above_n():
+    with pytest.raises(CircuitError, match="weight 4 out of range for 3 qubits"):
+        dicke_vector(3, 4)
+    with pytest.raises(CircuitError, match="weight 4 out of range for 3 qubits"):
+        symmetric_vector(3, (0.6, 0, 0, 0, 0.8))
+    # a zero coefficient above n names no weight
+    assert np.array_equal(symmetric_vector(3, (1, 0, 0, 0, 0)), dicke_vector(3, 0))
+
+
 def test_prepare_zero_damped_frozen_gammas():
     assert prepare_zero_damped(2, 2)[2] == Fraction(1, 2)
     assert prepare_zero_damped(2, 1)[2] == Fraction(3, 7)
