@@ -42,10 +42,7 @@ from .simulate import (
     certify,
     certify_library_gate,
     check_clean_preparation,
-    mass_bounds,
-    output_overlap,
     project,
-    run,
 )
 from .synthesis import build_dicke, build_symmetric
 
@@ -273,10 +270,9 @@ def _controlled_prep_row(
     worst = 1.0
     for c0, c1 in ((1.0, 0.0), (0.0, 1.0), (_ISQ2, _ISQ2), (_ISQ2, -1j * _ISQ2)):
         init = StateVector(circ.n_qubits, np.array([0, 1 << ctrl]), np.array([c0, c1]))
-        state = run(circ, init)
-        overlap = output_overlap(state, c0 * zero + c1 * one, (ctrl,) + tuple(data))
-        fid, _ = mass_bounds(overlap, state.error_bound)
-        worst = min(worst, fid)
+        target = c0 * zero + c1 * one
+        res = check_clean_preparation(circ, target, (ctrl,) + tuple(data), init)
+        worst = min(worst, res.fidelity)
     return CheckRow(
         "primitive-certification",
         params,
@@ -301,8 +297,9 @@ def _rows_exact_grover() -> List[CheckRow]:
         b.append(g_unitary1(data, rot_matrix(1.0 - alpha)))
         b.append(g_and((data,), flag))
         rounds = exact_grover(b, flag, alpha)
-        state = run(b.build())
-        fid, _ = mass_bounds(project(state, (data, flag))[3], state.error_bound)
+        # fidelity with |data=1, flag=1>
+        target = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+        fid = check_clean_preparation(b.build(), target, (data, flag)).fidelity
         want = (odd_r - 1) // 2
         rows.append(
             CheckRow(

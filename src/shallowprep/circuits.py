@@ -11,24 +11,28 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 SERIAL_VERSION = 1
 ATOL = 1e-12
 
-GATE_KINDS = (
-    "unitary1",
-    "ctrl_unitary1",
-    "product_reflection",
-    "and",
-    "or",
-    "nor",
-    "fanout",
-    "swap",
-    "library",
-)
+# how many targets and controls each gate kind takes: an exact count, or
+# ONE_OR_MORE; a controlled copy's extra "ctrl" qubit is not counted
+ONE_OR_MORE = "1+"
+GATE_ARITY: Dict[str, Tuple[Any, Any]] = {
+    "unitary1": (1, 0),
+    "ctrl_unitary1": (1, 1),
+    "product_reflection": (ONE_OR_MORE, 0),
+    "and": (1, ONE_OR_MORE),
+    "or": (1, ONE_OR_MORE),
+    "nor": (1, ONE_OR_MORE),
+    "fanout": (ONE_OR_MORE, 1),
+    "swap": (2, 0),
+    "library": (ONE_OR_MORE, 0),
+}
+GATE_KINDS = tuple(GATE_ARITY)
 
 
 class CircuitError(ValueError):
@@ -75,37 +79,22 @@ class Gate:
         return Gate(self.kind, self.targets, self.controls, merged)
 
 
-def _as_matrix(value: Any) -> np.ndarray:
-    mat = np.asarray(value, dtype=complex)
-    if mat.shape != (2, 2):
-        raise CircuitError(f"single-qubit matrix must be 2x2, got shape {mat.shape}")
-    return mat
-
-
-def _check_unitary(mat: np.ndarray, who: str) -> None:
-    if np.max(np.abs(mat @ mat.conj().T - np.eye(2))) > ATOL:
-        raise CircuitError(f"{who} matrix is not unitary")
-
-
-def _check_hermitian(mat: np.ndarray, who: str) -> None:
-    if np.max(np.abs(mat - mat.conj().T)) > ATOL:
-        raise CircuitError(f"{who} matrix must be Hermitian")
-
-
-# Gate constructors.  These return validated Gate values; _check_layer adds
-# the layer-level checks (disjointness, qubit existence, fanout budget).
+# Gate constructors.  These only assemble a Gate; _check_layer applies the
+# rules of its kind (_validate_gate) when it enters a circuit.
 
 X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z_MATRIX = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def g_unitary1(qubit: int, matrix: Any, label: Optional[str] = None) -> Gate:
-    mat = _as_matrix(matrix)
-    _check_unitary(mat, "unitary1")
-    params: Dict[str, Any] = {"matrix": mat}
+def _matrix_params(matrix: Any, label: Optional[str]) -> Dict[str, Any]:
+    params: Dict[str, Any] = {"matrix": np.asarray(matrix, dtype=complex)}
     if label is not None:
         params["label"] = label
-    return Gate("unitary1", (qubit,), (), params)
+    return params
+
+
+def g_unitary1(qubit: int, matrix: Any, label: Optional[str] = None) -> Gate:
+    return Gate("unitary1", (qubit,), (), _matrix_params(matrix, label))
 
 
 def g_x(qubit: int) -> Gate:
@@ -117,15 +106,7 @@ def g_z(qubit: int) -> Gate:
 
 
 def g_ctrl_unitary1(control: int, target: int, matrix: Any, label: Optional[str] = None) -> Gate:
-    mat = _as_matrix(matrix)
-    _check_unitary(mat, "ctrl_unitary1")
-    _check_hermitian(mat, "ctrl_unitary1")
-    if control == target:
-        raise CircuitError("control and target must differ")
-    params: Dict[str, Any] = {"matrix": mat}
-    if label is not None:
-        params["label"] = label
-    return Gate("ctrl_unitary1", (target,), (control,), params)
+    return Gate("ctrl_unitary1", (target,), (control,), _matrix_params(matrix, label))
 
 
 def g_product_reflection(qubits: Sequence[int], local_states: Optional[Sequence[Any]] = None) -> Gate:
@@ -134,21 +115,10 @@ def g_product_reflection(qubits: Sequence[int], local_states: Optional[Sequence[
     ``local_states`` is one 2-vector per qubit; None means the all-zeros
     product state, i.e. a reflection about |0...0> on the listed qubits.
     """
-    qs = tuple(qubits)
-    if len(set(qs)) != len(qs) or not qs:
-        raise CircuitError("reflection qubits must be distinct and nonempty")
     params: Dict[str, Any] = {}
     if local_states is not None:
-        states = tuple(np.asarray(s, dtype=complex) for s in local_states)
-        if len(states) != len(qs):
-            raise CircuitError("need one local state per reflected qubit")
-        for s in states:
-            if s.shape != (2,):
-                raise CircuitError("local states must be 2-vectors")
-            if abs(np.vdot(s, s) - 1.0) > ATOL:
-                raise CircuitError("local reflection states must be normalized")
-        params["local_states"] = states
-    return Gate("product_reflection", qs, (), params)
+        params["local_states"] = tuple(np.asarray(s, dtype=complex) for s in local_states)
+    return Gate("product_reflection", tuple(qubits), (), params)
 
 
 def g_reflect_zero(qubits: Sequence[int]) -> Gate:
@@ -156,14 +126,7 @@ def g_reflect_zero(qubits: Sequence[int]) -> Gate:
 
 
 def _g_logic(kind: str, inputs: Sequence[int], target: int) -> Gate:
-    ins = tuple(inputs)
-    if not ins:
-        raise CircuitError(f"{kind} gate needs at least one input")
-    if len(set(ins)) != len(ins):
-        raise CircuitError(f"{kind} inputs must be distinct")
-    if target in ins:
-        raise CircuitError(f"{kind} target cannot be an input")
-    return Gate(kind, (target,), ins, {})
+    return Gate(kind, (target,), tuple(inputs), {})
 
 
 def g_and(inputs: Sequence[int], target: int) -> Gate:
@@ -183,20 +146,10 @@ def g_cnot(control: int, target: int) -> Gate:
 
 
 def g_fanout(source: int, targets: Sequence[int], widened: bool = False) -> Gate:
-    ts = tuple(targets)
-    if not ts or len(set(ts)) != len(ts):
-        raise CircuitError("fanout targets must be distinct and nonempty")
-    if source in ts:
-        raise CircuitError("fanout source cannot be a target")
-    params: Dict[str, Any] = {}
-    if widened:
-        params["widened"] = True
-    return Gate("fanout", ts, (source,), params)
+    return Gate("fanout", tuple(targets), (source,), {"widened": True} if widened else {})
 
 
 def g_swap(a: int, b: int) -> Gate:
-    if a == b:
-        raise CircuitError("swap needs two distinct qubits")
     return Gate("swap", (a, b), (), {})
 
 
@@ -208,11 +161,6 @@ def g_library(
     declared_width: int,
     inverse: bool = False,
 ) -> Gate:
-    qs = tuple(qubits)
-    if not qs or len(set(qs)) != len(qs):
-        raise CircuitError("library gate qubits must be distinct and nonempty")
-    if declared_depth < 1 or declared_width < 0:
-        raise CircuitError("library gate declared costs out of range")
     params: Dict[str, Any] = {
         "tag": tag,
         "args": tuple(args),
@@ -220,7 +168,7 @@ def g_library(
         "declared_depth": int(declared_depth),
         "declared_width": int(declared_width),
     }
-    return Gate("library", qs, (), params)
+    return Gate("library", tuple(qubits), (), params)
 
 
 def invert_gate(gate: Gate) -> Gate:
@@ -236,22 +184,41 @@ def invert_gate(gate: Gate) -> Gate:
 
 
 def _validate_gate(gate: Gate) -> None:
-    if gate.kind not in GATE_KINDS:
+    """The rules of the gate's kind, for every gate however it was made.
+
+    Checks are written ``not x <= tol`` so that a NaN fails them.
+    """
+    if gate.kind not in GATE_ARITY:
         raise CircuitError(f"unknown gate kind {gate.kind!r}")
-    touched = gate.touched()
-    if len(set(touched)) != len(touched):
-        raise CircuitError(f"gate {gate.kind} touches a qubit twice: {touched}")
+    counts = (len(gate.targets), len(gate.controls))
+    for role, count, want in zip(("targets", "controls"), counts, GATE_ARITY[gate.kind]):
+        if count != want and not (want == ONE_OR_MORE and count >= 1):
+            raise CircuitError(f"{gate.kind} gate takes {want} {role}, got {count}")
+    p = gate.params
     if gate.kind in ("unitary1", "ctrl_unitary1"):
-        mat = np.asarray(gate.params["matrix"])
-        _check_unitary(mat, gate.kind)
-        if gate.kind == "ctrl_unitary1" or gate.params.get("ctrl") is not None:
-            _check_hermitian(mat, f"controlled {gate.kind}")
+        mat = np.asarray(p["matrix"])
+        if mat.shape != (2, 2):
+            raise CircuitError(f"single-qubit matrix must be 2x2, got shape {mat.shape}")
+        if not np.max(np.abs(mat @ mat.conj().T - np.eye(2))) <= ATOL:
+            raise CircuitError(f"{gate.kind} matrix is not unitary")
+        # a controlled U is a gate of the set only for Hermitian U
+        controlled = gate.kind == "ctrl_unitary1" or p.get("ctrl") is not None
+        if controlled and not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
+            raise CircuitError(f"controlled {gate.kind} matrix must be Hermitian")
+    elif gate.kind == "product_reflection" and "local_states" in p:
+        if len(p["local_states"]) != len(gate.targets):
+            raise CircuitError("need one local state per reflected qubit")
+        for state in p["local_states"]:
+            if np.shape(state) != (2,) or not abs(np.vdot(state, state) - 1.0) <= ATOL:
+                raise CircuitError("local reflection states must be normalized 2-vectors")
+    elif gate.kind == "library" and not (p["declared_depth"] >= 1 and p["declared_width"] >= 0):
+        raise CircuitError("library gate declared costs out of range")
 
 
 def _check_layer(gates: Sequence[Gate], n_qubits: int, budget: Optional[int]) -> None:
-    """Check each gate, that it touches qubits 0..n_qubits-1 not touched by an
-    earlier gate of the layer, and that a fanout not flagged as widened fits
-    the budget."""
+    """Check each gate against the rules of its kind, that it touches qubits
+    0..n_qubits-1 that neither it nor an earlier gate of the layer touched
+    already, and that a fanout not flagged as widened fits the budget."""
     seen: set = set()
     for gate in gates:
         _validate_gate(gate)
@@ -259,7 +226,7 @@ def _check_layer(gates: Sequence[Gate], n_qubits: int, budget: Optional[int]) ->
             if not 0 <= q < n_qubits:
                 raise CircuitError(f"gate references unknown qubit {q}")
             if q in seen:
-                raise CircuitError(f"layer touches qubit {q} twice")
+                raise CircuitError(f"layer touches a qubit twice: {q}, at a {gate.kind} gate")
             seen.add(q)
         if (
             gate.kind == "fanout"
@@ -450,6 +417,25 @@ class Builder:
 _DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError)
 
 
+def _exactly(kind: type) -> Callable[[Any], Any]:
+    """A decoder that passes a JSON value through only if its type is exactly
+    ``kind``, so a string, float or bool is never read as an int."""
+
+    def decode(v: Any) -> Any:
+        if type(v) is not kind:
+            raise ParseError(f"expected a JSON {kind.__name__}, got {v!r}")
+        return v
+
+    return decode
+
+
+_as_int, _as_bool, _as_list = _exactly(int), _exactly(bool), _exactly(list)
+
+
+def _decode_ints(v: Any) -> Tuple[int, ...]:
+    return tuple(_as_int(x) for x in _as_list(v))
+
+
 def encode_complex(z: complex) -> List[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -467,7 +453,7 @@ def encode_matrix(mat: Any) -> List[List[List[float]]]:
 
 
 def decode_matrix(v: Any) -> np.ndarray:
-    return _as_matrix([[decode_complex(z) for z in row] for row in v])
+    return np.array([[decode_complex(z) for z in row] for row in v], dtype=complex)
 
 
 def encode_fraction(f: Fraction) -> List[int]:
@@ -519,10 +505,10 @@ def _decode_gate(obj: Any) -> Gate:
         raise ParseError(f"gate entry must be an object, got {type(obj).__name__}")
     try:
         kind = obj["kind"]
-        targets = tuple(int(q) for q in obj["targets"])
-        controls = tuple(int(q) for q in obj["controls"])
+        targets = _decode_ints(obj["targets"])
+        controls = _decode_ints(obj["controls"])
         raw = obj.get("params", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ParseError(f"malformed gate entry: {exc}") from exc
     if kind not in GATE_KINDS:
         raise ParseError(f"unknown gate kind {kind!r}")
@@ -557,18 +543,18 @@ def _decode_params(kind: str, raw: Dict[str, Any], obj: Dict[str, Any]) -> Dict[
                 for state in raw["local_states"]
             )
     elif kind == "fanout":
-        if raw.get("widened"):
+        if _as_bool(raw.get("widened", False)):
             params["widened"] = True
     elif kind == "library":
         ent = library.entry(raw["tag"])
         params["tag"] = ent.tag
         params["args"] = ent.decode(raw["args"])
-        params["inverse"] = bool(raw["inverse"])
-        params["declared_depth"] = int(obj["declared_depth"])
-        params["declared_width"] = int(obj["declared_width"])
+        params["inverse"] = _as_bool(raw["inverse"])
+        params["declared_depth"] = _as_int(obj["declared_depth"])
+        params["declared_width"] = _as_int(obj["declared_width"])
     if "ctrl" in raw:
-        params["ctrl"] = int(raw["ctrl"])
-    if raw.get("checked") is False:
+        params["ctrl"] = _as_int(raw["ctrl"])
+    if not _as_bool(raw.get("checked", True)):
         params["checked"] = False
     return params
 
@@ -626,9 +612,9 @@ def deserialize(text: str) -> Circuit:
         meta = _decode_meta(doc["metadata"])
         for key in ("rounds", "round_layer_cost"):
             if key in meta:
-                meta[key] = tuple(int(r) for r in meta[key])
+                meta[key] = _decode_ints(meta[key])
         if meta.get("fanout_budget") is not None:
-            meta["fanout_budget"] = int(meta["fanout_budget"])
+            meta["fanout_budget"] = _as_int(meta["fanout_budget"])
     except ParseError:
         raise
     except _DECODE_ERRORS as exc:
@@ -639,11 +625,11 @@ def deserialize(text: str) -> Circuit:
             registers.append(
                 Register(
                     name=str(entry["name"]),
-                    qubits=tuple(int(q) for q in entry["qubits"]),
-                    ancilla=bool(entry.get("ancilla", False)),
+                    qubits=_decode_ints(entry["qubits"]),
+                    ancilla=_as_bool(entry.get("ancilla", False)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed register entry: {exc}") from exc
     if not all(isinstance(layer, list) for layer in doc["layers"]):
         raise ParseError("each layer must be a JSON list of gates")

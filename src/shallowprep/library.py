@@ -25,6 +25,7 @@ from .circuits import (
     CircuitError,
     Gate,
     ParseError,
+    _exactly,
     decode_complex,
     decode_fraction,
     encode_complex,
@@ -94,18 +95,13 @@ def _sem_one_hot(count: int, zero_based: bool) -> LibrarySemantics:
     """
     b = _one_hot_width(count if zero_based else count + 1)
     w = b + count
-    partial: Dict[int, int] = {}
-    if zero_based:
-        for v in range(count):
-            partial[v << count] = _unit_index(count, v + 1)
-    else:
-        partial[0] = 0
-        for i in range(1, count + 1):
-            partial[i << count] = _unit_index(count, i)
-    table = _complete_permutation(w, partial)
-    return LibrarySemantics(
-        n_qubits=w, permutation=table, domain=tuple(sorted(partial))
-    )
+    slot = np.arange(1, count + 1, dtype=np.int64)
+    value = slot - 1 if zero_based else slot
+    inputs, outputs = value << count, _unit_index(count, slot)
+    if not zero_based:
+        inputs, outputs = np.append(0, inputs), np.append(0, outputs)
+    table = _complete_permutation(w, inputs, outputs)
+    return LibrarySemantics(n_qubits=w, permutation=table, domain=tuple(inputs.tolist()))
 
 
 def dicke_amplitudes(n: int, k: int) -> np.ndarray:
@@ -147,24 +143,20 @@ def _sem_w_swap(t: int, s: int) -> LibrarySemantics:
     w = t + s * (t + 1)
     mask = (1 << s) - 1
     table = np.arange(2**w, dtype=np.int64)
-    domain: List[int] = []
-    units = {_unit_index(t, i): i for i in range(1, t + 1)}
-    for idx in range(2**w):
-        a = idx >> (s * (t + 1))
-        if a == 0:
-            domain.append(idx)
-            continue
-        i = units.get(a)
-        if i is None:
-            continue
-        domain.append(idx)
+    # the inputs with one control pattern are one contiguous run of indices
+    run = 1 << (s * (t + 1))
+    in_domain = np.zeros(2**w, dtype=bool)
+    in_domain[:run] = True
+    for i in range(1, t + 1):
+        start = _unit_index(t, i) * run
+        in_domain[start : start + run] = True
+        idx = table[start : start + run]
         shift_i = s * (t + 1 - i)
         qi = (idx >> shift_i) & mask
         qt = idx & mask
-        out = idx & ~((mask << shift_i) | mask)
-        out |= (qt << shift_i) | qi
-        table[idx] = out
-    return LibrarySemantics(n_qubits=w, permutation=table, domain=tuple(domain))
+        table[start : start + run] = idx & ~((mask << shift_i) | mask) | (qt << shift_i) | qi
+    domain = tuple(np.flatnonzero(in_domain).tolist())
+    return LibrarySemantics(n_qubits=w, permutation=table, domain=domain)
 
 
 def _sem_marked_prep(n_data: int, amps: Tuple[complex, ...], alpha: Any) -> LibrarySemantics:
@@ -216,9 +208,6 @@ def _sem_ctrl_damped(m: int, k: int) -> LibrarySemantics:
 
 
 def _sem_onehot_dist(count: int, p: Tuple[Any, ...]) -> LibrarySemantics:
-    total = sum(float(x) for x in p)
-    if abs(total - 1.0) > ATOL:
-        raise CircuitError("onehot_dist probabilities must sum to one")
     col = np.zeros(2**count, dtype=complex)
     for i in range(1, count + 1):
         col[_unit_index(count, i)] = np.sqrt(float(p[i - 1]))
@@ -227,17 +216,31 @@ def _sem_onehot_dist(count: int, p: Tuple[Any, ...]) -> LibrarySemantics:
 
 def _sem_state_vector(amps: Tuple[complex, ...]) -> LibrarySemantics:
     col = np.asarray(amps, dtype=complex)
-    if abs(np.vdot(col, col) - 1.0) > ATOL:
-        raise CircuitError("state vector must be unit norm")
     return LibrarySemantics(
         n_qubits=int(log2(len(amps))), columns={0: col}, domain=(0,)
     )
 
 
+# The two value flaws below accept only ``x <= tol``, so that a NaN, which a
+# JSON file may carry, counts as a flaw.
+
+
 def _state_flaw(amps: Tuple[complex, ...]) -> Optional[str]:
     size = len(amps)
-    ok = size >= 2 and not size & (size - 1)
-    return None if ok else "state vector length must be a power of two, >= 2"
+    if size < 2 or size & (size - 1):
+        return "state vector length must be a power of two, >= 2"
+    col = np.asarray(amps, dtype=complex)
+    return None if abs(np.vdot(col, col) - 1.0) <= ATOL else "state vector must be unit norm"
+
+
+def _onehot_dist_flaw(a: Tuple[Any, ...]) -> Optional[str]:
+    count, p = a
+    if not len(p) == count >= 1:
+        return "needs one probability per slot"
+    # bounded before the sum, so float() cannot overflow on a huge Fraction
+    if not (all(0 <= x <= 1 for x in p) and abs(sum(float(x) for x in p) - 1.0) <= ATOL):
+        return "probabilities must be nonnegative and sum to one"
+    return None
 
 
 def _marked_prep_flaw(a: Tuple[Any, ...]) -> Optional[str]:
@@ -258,23 +261,23 @@ def _ctrl_dicke_flaw(a: Tuple[Any, ...]) -> Optional[str]:
     return None
 
 
-def _complete_permutation(w: int, partial: Dict[int, int]) -> np.ndarray:
-    """Extend a partial injection on basis states to a total permutation.
+def _complete_permutation(w: int, inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+    """Extend the injection inputs[j] -> outputs[j] on basis states to a
+    total permutation.
 
     Unmapped inputs are paired with unused outputs in increasing order, which
     keeps the completion deterministic.
     """
     size = 2**w
-    outputs = set(partial.values())
-    if len(outputs) != len(partial):
+    used = np.zeros(size, dtype=bool)
+    used[outputs] = True
+    if np.count_nonzero(used) != len(outputs):
         raise CircuitError("partial permutation is not injective")
+    mapped = np.zeros(size, dtype=bool)
+    mapped[inputs] = True
     table = np.empty(size, dtype=np.int64)
-    free = iter(o for o in range(size) if o not in outputs)
-    for idx in range(size):
-        if idx in partial:
-            table[idx] = partial[idx]
-        else:
-            table[idx] = next(free)
+    table[inputs] = outputs
+    table[~mapped] = np.flatnonzero(~used)
     return table
 
 
@@ -353,15 +356,6 @@ def low_rank_completion(
 # depth.  The JSON codec of a tag follows from its schema, one codec per
 # argument kind; decoding checks the exact JSON type of every value, so a
 # string, float or bool is never read as an int.
-
-
-def _exactly(kind: type) -> Callable[[Any], Any]:
-    def decode(v: Any) -> Any:
-        if type(v) is not kind:
-            raise ParseError(f"expected a JSON {kind.__name__}, got {v!r}")
-        return v
-
-    return decode
 
 
 def _enc_number(x: Any) -> Any:
@@ -468,6 +462,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             semantics=_sem_ham,
             depth=8,
             fanout_width=lambda a: a[1] + 1,
+            flaw=lambda a: None if min(a) >= 0 else "n and k must be nonnegative",
         ),
         LibraryEntry(
             tag="one_hot",
@@ -538,7 +533,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             semantics=_sem_onehot_dist,
             depth=160,
             fanout_width=lambda a: a[0] + 1,
-            flaw=lambda a: None if len(a[1]) == a[0] >= 1 else "needs one probability per slot",
+            flaw=_onehot_dist_flaw,
         ),
         LibraryEntry(
             tag="small_state",

@@ -418,12 +418,6 @@ def ctrl_circuit(circuit: Circuit, budget: Optional[int] = None) -> Tuple[Circui
     for gate in gates:
         if gate.params.get("ctrl") is not None:
             raise CircuitError("gate is already controlled")
-        if gate.kind == "unitary1":
-            mat = np.asarray(gate.params["matrix"])
-            if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-                raise CircuitError(
-                    "single-qubit gate is not Hermitian, hence not controllable"
-                )
     b = Builder.from_circuit(replace(circuit, layers=()))
     if budget is not None:
         b.metadata["fanout_budget"] = budget

@@ -30,7 +30,7 @@ from shallowprep.circuits import (
     invert_gate,
     serialize,
 )
-from shallowprep.simulate import run
+from shallowprep.simulate import SimulationError, run
 
 
 def rot(theta):
@@ -336,6 +336,87 @@ def test_deserialize_checks_each_gate():
         deserialize(json.dumps(doc))
 
 
+def _edited(doc, path, value):
+    """A copy of a JSON document with the value at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _gate_layer(kind, targets, controls=(), **params):
+    return [{"kind": kind, "targets": list(targets), "controls": list(controls), "params": params}]
+
+
+_X = circ.encode_matrix(circ.X_MATRIX)
+_KET0 = [[1.0, 0.0], [0.0, 0.0]]
+
+# Edits of the mixed circuit's file that deserialize must refuse: a layer
+# replaced by a gate no constructor builds, or a value of the wrong JSON
+# type.  Layers: 0 unitary1, 1 ctrl_unitary1, 2 product_reflection,
+# 3 fanout, 4 nor, 5 library exact on qubits 0-3, 6 library onehot_dist.
+MALFORMED = {
+    "swap-on-3-targets": (("layers", 0), _gate_layer("swap", (0, 1, 2))),
+    "and-with-2-targets": (("layers", 0), _gate_layer("and", (0, 1), (2,))),
+    "unitary1-on-2-targets": (("layers", 0), _gate_layer("unitary1", (0, 1), matrix=_X)),
+    "unitary1-with-a-control": (("layers", 0), _gate_layer("unitary1", (0,), (1,), matrix=_X)),
+    "fanout-with-2-sources": (("layers", 0), _gate_layer("fanout", (2,), (0, 1))),
+    "library-with-a-control": (("layers", 5, 0, "controls"), [4]),
+    "reflection-about-a-3-vector": (
+        ("layers", 2),
+        _gate_layer("product_reflection", (0,), local_states=[_KET0 + [[0.0, 0.0]]]),
+    ),
+    "reflection-with-2-states-for-1-qubit": (
+        ("layers", 2),
+        _gate_layer("product_reflection", (0,), local_states=[_KET0, _KET0]),
+    ),
+    "float-target": (("layers", 0, 0, "targets"), [1.9]),
+    "string-control": (("layers", 1, 0, "controls"), ["0"]),
+    "float-ctrl": (("layers", 4, 0, "params", "ctrl"), 4.0),
+    "string-ancilla": (("registers", 0, "ancilla"), "no"),
+    "float-register-qubit": (("registers", 1, "qubits"), [3, 4.0]),
+    "string-inverse": (("layers", 5, 0, "params", "inverse"), "false"),
+    "float-declared-depth": (("layers", 5, 0, "declared_depth"), 6.0),
+    "string-widened": (("layers", 3, 0, "params", "widened"), "false"),
+    "string-checked": (("layers", 5, 0, "params", "checked"), "no"),
+    "float-rounds": (("metadata", "rounds"), [2.5]),
+    "bool-round-layer-cost": (("metadata", "round_layer_cost"), [True]),
+    "string-fanout-budget": (("metadata", "fanout_budget"), "8"),
+}
+
+
+def malformed_text(case):
+    return json.dumps(_edited(json.loads(serialize(mixed_circuit())), *MALFORMED[case]))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_deserialize_refuses_malformed_gates_and_mistyped_values(case):
+    """Each gate obeys the rules of its kind however it entered the circuit,
+    and every int and bool in a file has its exact JSON type."""
+    with pytest.raises((circ.ParseError, CircuitError)):
+        deserialize(malformed_text(case))
+
+
+def test_gate_rules_apply_when_a_gate_is_appended():
+    """Constructors only assemble; the Builder refuses a bad gate."""
+    b = Builder()
+    b.add_register("q", 3)
+    bad = [
+        g_swap(0, 0),
+        g_and((), 1),
+        g_fanout(0, (0, 1)),
+        g_product_reflection((0,), [(1.0, 0.0, 0.0)]),
+        g_library("exact", (1, 1), (0, 1), 0, 0),
+        circ.Gate("swap", (0, 1, 2)),
+    ]
+    for gate in bad:
+        with pytest.raises(CircuitError):
+            b.append(gate)
+    assert not b.layers
+
+
 def _json_paths(node, path=()):
     yield path
     if isinstance(node, dict):
@@ -371,6 +452,11 @@ def test_deserialize_fuzz_raises_only_parse_or_circuit_errors(path, junk, delete
     else:
         parent[path[-1]] = junk
     try:
-        deserialize(json.dumps(doc))
+        circuit = deserialize(json.dumps(doc))
     except (circ.ParseError, CircuitError):
+        return
+    # a circuit that loads may still fall outside a gate's promised domain
+    try:
+        run(circuit)
+    except SimulationError:
         pass

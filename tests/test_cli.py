@@ -8,6 +8,7 @@ import pytest
 from shallowprep import cli
 from shallowprep.circuits import Builder, serialize
 from shallowprep.simulate import MAX_DENSE_QUBITS
+from test_circuits import MALFORMED, malformed_text
 
 pytestmark = pytest.mark.filterwarnings("ignore:ratio bound skipped:UserWarning")
 
@@ -264,3 +265,14 @@ def test_verify_refuses_circuits_too_wide_to_simulate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{wide} qubits" in err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_circuit_files_exit_2_with_one_line(tmp_path, capsys, case):
+    path = write(tmp_path / "bad.circuit", malformed_text(case))
+    verify = ["verify", "--circuit", path, "--target", "dicke", "--n", "3", "--k", "1"]
+    for argv in (["report", "--circuit", path], verify):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, (argv[0], err)

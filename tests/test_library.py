@@ -254,6 +254,13 @@ def test_make_charges_registry_costs():
         ("ctrl_dicke", (2, 2, (1, 3)), "each weight must lie in 0..2"),
         ("dicke_prep", (2, 5), "weight must lie in 0..2"),
         ("marked_prep", (2, (0.6, 0.8j), Fraction(1, 3)), "amplitudes for n_data=2, got 2"),
+        ("onehot_dist", (2, (0.5, 0.25)), "sum to one"),
+        ("onehot_dist", (2, (1.5, -0.5)), "nonnegative"),
+        ("onehot_dist", (2, (Fraction(10**400), 0.5)), "nonnegative"),
+        ("onehot_dist", (2, (float("nan"), 1.0)), "nonnegative"),
+        ("small_state", ((0.5, 0.5),), "unit norm"),
+        ("raw_state", ((0.6, 0.6j),), "unit norm"),
+        ("ham", (-1, 1), "nonnegative"),
     ],
 )
 def test_arguments_that_describe_no_gate_are_rejected(tag, args, match):
@@ -285,14 +292,15 @@ def test_huge_marked_prep_width_is_rejected_without_building_it():
         library.make("marked_prep", (10**12,) + args[1:], (0,))
 
 
-# one value per argument kind; the codec never reads semantics, so these
-# need not describe a valid state
+# one value per argument kind; the codec never reads semantics, but the
+# registry's flaw checks do, so the samples describe gates: the two numbers
+# are onehot_dist(2, ...) probabilities summing to one
 KIND_SAMPLES = {
     "int": 2,
     "bool": True,
     "number": Fraction(1, 3),
     "ints": (1, 2),
-    "numbers": (Fraction(1, 3), 0.25),
+    "numbers": (Fraction(1, 4), 0.75),
     "complexes": (0.6 + 0j, 0.8j),
 }
 # tags whose arguments constrain each other: marked_prep needs 2^(n_data+1)
@@ -507,3 +515,72 @@ def test_dicke_column_refuses_a_weight_outside_0_to_n():
     for n, k in ((3, 4), (3, -1), (0, 1)):
         with pytest.raises(CircuitError, match="out of range"):
             library.dicke_column(n, k)
+
+
+def loop_w_swap(t, s):
+    """Table and domain of w_swap(t, s), one basis index at a time."""
+    w = t + s * (t + 1)
+    mask = (1 << s) - 1
+    table = np.arange(2**w, dtype=np.int64)
+    domain = []
+    units = {1 << (t - i): i for i in range(1, t + 1)}
+    for idx in range(2**w):
+        a = idx >> (s * (t + 1))
+        if a == 0:
+            domain.append(idx)
+            continue
+        i = units.get(a)
+        if i is None:
+            continue
+        domain.append(idx)
+        shift_i = s * (t + 1 - i)
+        qi = (idx >> shift_i) & mask
+        qt = idx & mask
+        out = idx & ~((mask << shift_i) | mask)
+        out |= (qt << shift_i) | qi
+        table[idx] = out
+    return table, tuple(domain)
+
+
+def loop_one_hot(count, zero_based):
+    """Table and domain of one_hot(count, zero_based): the promised moves,
+    then the unmapped inputs paired in increasing order with unused outputs."""
+    w = library.entry("one_hot").width((count, zero_based))
+    partial = {}
+    if zero_based:
+        for v in range(count):
+            partial[v << count] = 1 << (count - v - 1)
+    else:
+        partial[0] = 0
+        for i in range(1, count + 1):
+            partial[i << count] = 1 << (count - i)
+    outputs = set(partial.values())
+    table = np.empty(2**w, dtype=np.int64)
+    free = iter(o for o in range(2**w) if o not in outputs)
+    for idx in range(2**w):
+        if idx in partial:
+            table[idx] = partial[idx]
+        else:
+            table[idx] = next(free)
+    return table, tuple(sorted(partial))
+
+
+W_SWAP_CASES = [(t, s) for t in range(1, 16) for s in range(1, 16) if t + s * (t + 1) <= 16]
+ONE_HOT_CASES = [(count, zb) for count in range(1, 13) for zb in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "tag,args,oracle",
+    [("w_swap", args, loop_w_swap) for args in W_SWAP_CASES]
+    + [("one_hot", args, loop_one_hot) for args in ONE_HOT_CASES],
+    ids=lambda v: v.__name__ if callable(v) else str(v),
+)
+def test_index_tables_match_the_per_index_loops(tag, args, oracle):
+    """Every w_swap up to 16 qubits and one_hot up to 12 slots, entry for
+    entry, with the same domain of Python ints."""
+    sem = library.semantics(tag, args)
+    table, domain = oracle(*args)
+    assert sem.permutation.dtype == np.int64
+    assert np.array_equal(sem.permutation, table)
+    assert sem.domain == domain
+    assert all(type(d) is int for d in sem.domain)
