@@ -4,7 +4,8 @@ A library gate is an opaque unit inside a circuit.  Each tag declares
 - its qubit width and the basis inputs on which its action is promised
   (the domain),
 - the action itself, either a permutation of basis states or a set of
-  output columns,
+  output columns; a weight-map gate declares its permutation as the
+  pattern it XORs in for each Hamming weight of its data qubits,
 - a depth and fanout width charged by the cost model,
 - an argument schema, from which its JSON codec follows.
 
@@ -70,20 +71,22 @@ def hamming_weights(w: int) -> np.ndarray:
     return np.bitwise_count(np.arange(2**w, dtype=np.int64))
 
 
-def _sem_weight_flag(n: int, k: int, hit: np.ufunc) -> LibrarySemantics:
-    """x unchanged; the low flag qubit flips where hit(|x|, k) holds."""
-    idx = np.arange(2 ** (n + 1), dtype=np.int64)
-    flip = hit(np.bitwise_count(idx >> 1), k)
-    return LibrarySemantics(n_qubits=n + 1, permutation=idx ^ flip)
+def _flag_pattern(hit: np.ufunc) -> Callable[[int, int], np.ndarray]:
+    """Per weight 0..n of x, the flag qubit flips where hit(|x|, k) holds."""
+    return lambda n, k: hit(np.arange(n + 1), k).astype(np.int64)
 
 
-def _sem_ham(n: int, k: int) -> LibrarySemantics:
-    """x unchanged; the k+1 tally qubits get e_min(k+1, |x|) XORed in."""
-    w = n + k + 1
-    idx = np.arange(2**w, dtype=np.int64)
+def _tally_pattern(n: int, k: int) -> np.ndarray:
+    """Per weight 0..n of x, the k+1 tally qubits get e_min(k+1, |x|) XORed in."""
     weight = np.arange(n + 1)
-    flip = np.where(weight >= 1, 1 << (k + 1 - np.minimum(k + 1, weight)), 0)
-    return LibrarySemantics(n_qubits=w, permutation=idx ^ flip[np.bitwise_count(idx >> (k + 1))])
+    return np.where(weight >= 1, 1 << (k + 1 - np.minimum(k + 1, weight)), 0)
+
+
+def _sem_weight_map(w: int, pattern: np.ndarray) -> LibrarySemantics:
+    """x unchanged; the low qubits after x get pattern[|x|] XORed in."""
+    idx = np.arange(2**w, dtype=np.int64)
+    low = w - (len(pattern) - 1)
+    return LibrarySemantics(n_qubits=w, permutation=idx ^ pattern[np.bitwise_count(idx >> low)])
 
 
 def _sem_one_hot(count: int, zero_based: bool) -> LibrarySemantics:
@@ -244,11 +247,14 @@ def _onehot_dist_flaw(a: Tuple[Any, ...]) -> Optional[str]:
 
 
 def _marked_prep_flaw(a: Tuple[Any, ...]) -> Optional[str]:
-    n_data, amps = a[0], a[1]
+    n_data, amps, alpha = a
     # compare exponents: n_data may be untrusted input, too large to raise 2 to
     size = len(amps)
     if n_data < 0 or size & (size - 1) or size.bit_length() != n_data + 2:
         return f"needs 2^(n_data+1) amplitudes for n_data={n_data}, got {size}"
+    # exactly, so float() cannot overflow on a huge Fraction
+    if not 0 <= alpha <= 1:
+        return "alpha must lie in [0, 1]"
     return None
 
 
@@ -352,8 +358,8 @@ def low_rank_completion(
 # ---- registry ----
 #
 # Each tag is declared once: an argument schema, a qubit width and fanout
-# width as functions of the arguments, the declared semantics and a constant
-# depth.  The JSON codec of a tag follows from its schema, one codec per
+# width as functions of the arguments, the declared semantics (or per-weight
+# pattern) and a constant depth.  The JSON codec of a tag follows from its schema, one codec per
 # argument kind; decoding checks the exact JSON type of every value, so a
 # string, float or bool is never read as an int.
 
@@ -394,9 +400,13 @@ class LibraryEntry:
     tag: str
     args: Tuple[str, ...]  # one ARG_KINDS name per argument
     width: Callable[[Tuple[Any, ...]], int]
-    semantics: Callable[..., LibrarySemantics]
     depth: int
     fanout_width: Callable[[Tuple[Any, ...]], int]
+    semantics: Optional[Callable[..., LibrarySemantics]] = None
+    # A weight-map gate XORs onto its low qubits a pattern chosen by the
+    # Hamming weight of its first n qubits, which it leaves unchanged; this
+    # gives the pattern per weight 0..n, and its table follows from it.
+    weight_pattern: Optional[Callable[..., np.ndarray]] = None
     # costs are measured from the construction the gate stands in for and
     # passed to make(); depth and fanout_width are placeholders
     measured_costs: bool = False
@@ -443,7 +453,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             tag="threshold",
             args=("int", "int"),  # n, k
             width=lambda a: a[0] + 1,
-            semantics=lambda n, k: _sem_weight_flag(n, k, np.greater_equal),
+            weight_pattern=_flag_pattern(np.greater_equal),
             depth=4,
             fanout_width=lambda a: a[1],
         ),
@@ -451,7 +461,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             tag="exact",
             args=("int", "int"),  # n, k
             width=lambda a: a[0] + 1,
-            semantics=lambda n, k: _sem_weight_flag(n, k, np.equal),
+            weight_pattern=_flag_pattern(np.equal),
             depth=6,
             fanout_width=lambda a: a[1] + 1,
         ),
@@ -459,7 +469,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             tag="ham",
             args=("int", "int"),  # n, k
             width=lambda a: a[0] + a[1] + 1,
-            semantics=_sem_ham,
+            weight_pattern=_tally_pattern,
             depth=8,
             fanout_width=lambda a: a[1] + 1,
             flaw=lambda a: None if min(a) >= 0 else "n and k must be nonnegative",
@@ -525,6 +535,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             semantics=_sem_ctrl_damped,
             depth=180,
             fanout_width=lambda a: a[1] + 1,
+            flaw=lambda a: None if 1 <= a[1] <= a[0] else f"k must lie in 1..{a[0]}",
         ),
         LibraryEntry(
             tag="onehot_dist",
@@ -570,6 +581,8 @@ def tags() -> Tuple[str, ...]:
 def semantics(tag: str, args: Tuple[Any, ...]) -> LibrarySemantics:
     ent = entry(tag)
     ent.check_args(args)
+    if ent.weight_pattern is not None:
+        return _sem_weight_map(ent.width(args), ent.weight_pattern(*args))
     return ent.semantics(*args)
 
 

@@ -102,19 +102,20 @@ def mass_bounds(amplitude: complex, error_bound: float) -> Tuple[float, float]:
 class _CompiledOp:
     """A library gate ready to apply.
 
-    Permutation gates keep their table, its inverse and, for a partial
-    domain, a mask of the domain inputs.  Column-declared gates keep the
-    low-rank form I + basis @ correction @ basis_h of their unitary.
+    Weight-map gates keep their per-weight pattern.  Permutation gates keep
+    their table and its inverse.  Column-declared gates keep the low-rank
+    form I + left @ basis^H of their unitary, where left = basis @ correction
+    forward and basis @ correction^H for the inverse.  A partial domain is
+    kept as a mask of the domain inputs.
     """
 
     n_qubits: int
-    domain: Optional[np.ndarray]
+    pattern: Optional[np.ndarray] = None
     table: Optional[np.ndarray] = None
     inverse_table: Optional[np.ndarray] = None
     in_domain: Optional[np.ndarray] = None
     basis: Optional[np.ndarray] = None
-    basis_h: Optional[np.ndarray] = None
-    correction: Optional[np.ndarray] = None
+    left: Optional[Tuple[np.ndarray, np.ndarray]] = None  # (forward, inverse)
 
 
 _OP_CACHE: Dict[Tuple[str, Tuple[Any, ...]], _CompiledOp] = {}
@@ -124,28 +125,28 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
     key = (tag, args)
     if key in _OP_CACHE:
         return _OP_CACHE[key]
-    sem = library.semantics(tag, args)
-    domain = None if sem.domain is None else np.asarray(sem.domain)
-    if sem.permutation is not None:
-        table = sem.permutation
-        inverse = np.empty_like(table)
-        inverse[table] = np.arange(len(table), dtype=table.dtype)
-        in_domain = None
-        if domain is not None:
-            in_domain = np.zeros(len(table), dtype=bool)
-            in_domain[domain] = True
-        op = _CompiledOp(
-            sem.n_qubits, domain, table=table, inverse_table=inverse, in_domain=in_domain
-        )
+    ent = library.entry(tag)
+    if ent.weight_pattern is not None:
+        # applied as an index map: no table over the 2^w inputs is built
+        ent.check_args(args)
+        op = _CompiledOp(ent.width(args), pattern=ent.weight_pattern(*args))
     else:
-        basis, correction = library.low_rank_completion(sem.n_qubits, sem.columns)
-        op = _CompiledOp(
-            sem.n_qubits,
-            domain,
-            basis=basis,
-            basis_h=basis.conj().T,
-            correction=correction,
-        )
+        sem = library.semantics(tag, args)
+        in_domain = None
+        if sem.domain is not None:
+            in_domain = np.zeros(2**sem.n_qubits, dtype=bool)
+            in_domain[list(sem.domain)] = True
+        if sem.permutation is not None:
+            table = sem.permutation
+            inverse = np.empty_like(table)
+            inverse[table] = np.arange(len(table), dtype=table.dtype)
+            op = _CompiledOp(
+                sem.n_qubits, table=table, inverse_table=inverse, in_domain=in_domain
+            )
+        else:
+            basis, correction = library.low_rank_completion(sem.n_qubits, sem.columns)
+            left = (basis @ correction, basis @ correction.conj().T)
+            op = _CompiledOp(sem.n_qubits, in_domain=in_domain, basis=basis, left=left)
     _OP_CACHE[key] = op
     return op
 
@@ -154,10 +155,14 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
 #
 # The state is held as its support: distinct int64 basis indices and their
 # amplitudes.  A circuit is compiled once into a plan, one step per gate, and
-# each run replays the plan on a support.  A permutation gate remaps indices
-# through a table over its gate-local index; a matrix gate acts on a
-# (2^w, G) block whose columns are the G distinct patterns of the other
-# qubits present in the support.
+# each run replays the plan on a support.  A gate that flips bits by a
+# predicate on other bits XORs a mask into each index; a permutation gate
+# remaps indices through a table over its gate-local index; a matrix gate
+# acts on a block whose rows are gate-local indices and whose columns are
+# the G distinct patterns of the other qubits present in the support.  No
+# step makes a BLAS call: after a threaded call OpenBLAS keeps its second
+# thread spinning, which on a 2-core host doubled the CPU time of a run
+# and saved no wall time.
 
 # step(indices, amplitudes) -> (indices, amplitudes, squared norm or None
 # when the gate only moves or negates amplitudes, squared norm dropped)
@@ -172,9 +177,16 @@ def _gather_bits(qubits: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _move_bits(x: np.ndarray, shifts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Sum over j of bit shifts[j] of each x times weights[j], as one int64
-    product (numpy calls no BLAS routine on integers)."""
-    return ((x[:, None] >> shifts) & 1) @ weights
+    """Sum over j of bit shifts[j] of each x times weights[j], in int64
+    (numpy calls no BLAS routine on integers).  One product over the
+    (len(x), w) bits costs least on a short x, where a pass per bit pays w
+    times the call overhead; on a long x the passes cost a third as much."""
+    if len(x) <= 256 * len(shifts):
+        return ((x[:, None] >> shifts) & 1) @ weights
+    out = np.zeros_like(x)
+    for s, w in zip(shifts.tolist(), weights.tolist()):
+        out += (x >> s & 1) * w
+    return out
 
 
 def _gather(idx: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
@@ -195,37 +207,10 @@ def _mask(qubits: Sequence[int]) -> int:
     return mask
 
 
-def _controlled(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Restrict fn to the rows where the control (the top bit) is one."""
-
-    def wrapped(block: np.ndarray) -> np.ndarray:
-        half = block.shape[0] // 2
-        out = block.copy()
-        out[half:] = fn(block[half:])
-        return out
-
-    return wrapped
-
-
-def _logic_table(kind: str, n_inputs: int) -> np.ndarray:
-    """Flip the target (the low bit) when the inputs meet the gate's predicate."""
-    local = np.arange(2 ** (n_inputs + 1), dtype=np.int64)
-    ins = local >> 1
-    if kind == "and":
-        pred = ins == 2**n_inputs - 1
-    elif kind == "or":
-        pred = ins != 0
-    else:
-        pred = ins == 0
-    return local ^ pred
-
-
-def _check_domain(block: np.ndarray, domain: np.ndarray, tag: str) -> None:
-    mass = np.sum(np.abs(block) ** 2, axis=1)
-    _raise_stray(float(np.sum(mass) - np.sum(mass[domain])), tag)
-
-
-def _raise_stray(outside: float, tag: str) -> None:
+def _raise_stray(stray: np.ndarray, tag: str) -> None:
+    """Raise if the amplitudes a library gate holds outside its domain carry
+    more than DOMAIN_TOL of mass."""
+    outside = float(np.sum(stray.real**2 + stray.imag**2))
     if outside > DOMAIN_TOL:
         raise SimulationError(
             f"library gate {tag!r} driven outside its domain "
@@ -233,26 +218,62 @@ def _raise_stray(outside: float, tag: str) -> None:
         )
 
 
-def _library_fn(gate: Gate) -> Tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """Block map and width of a column-declared library gate."""
-    p = gate.params
-    op = _compiled(p["tag"], p["args"])
-    inverse = p["inverse"]
-    domain = op.domain if p.get("checked", True) else None
-    tag = p["tag"]
-    basis, basis_h = op.basis, op.basis_h
-    correction = op.correction.conj().T if inverse else op.correction
+def _check_inputs(ok: np.ndarray, local: np.ndarray, amp: np.ndarray, tag: str) -> None:
+    """ok[local] is False for an input that drives the gate outside its domain."""
+    stray = ~ok[local]
+    if stray.any():
+        _raise_stray(amp[stray], tag)
 
-    def fn(block: np.ndarray) -> np.ndarray:
-        if domain is not None and not inverse:
-            _check_domain(block, domain, tag)
-        out = basis @ (correction @ (basis_h @ block))
-        out += block
-        if domain is not None and inverse:
-            _check_domain(out, domain, tag)
-        return out
 
-    return fn, op.n_qubits
+def _kept(out: np.ndarray, rows: np.ndarray, patterns: np.ndarray):
+    """The entries of a (rows, patterns) block as a step returns them: those
+    below DROP_EPS in magnitude are dropped and their squared norm counted."""
+    mag = (out.real**2 + out.imag**2).ravel()
+    # an entry whose square underflows (|a| < 1e-161) adds nothing to the bound
+    keep = mag >= DROP_EPS * DROP_EPS
+    flat = np.flatnonzero(keep)
+    r, c = np.divmod(flat, out.shape[1])
+    return (
+        patterns[c] | rows[r],
+        out.ravel()[flat],
+        float(np.sum(mag[flat])),
+        float(np.sum(mag[~keep])),
+    )
+
+
+def _weight_step(
+    data: Sequence[int], out: Sequence[int], pattern: Sequence[int], ctrl: Optional[int]
+) -> Step:
+    """XOR pattern[weight of the data bits] into the out qubits (out[0] takes
+    its top bit), where the control bit, if any, is set."""
+    data_mask = _mask(data)
+    delta = _spread(np.asarray(pattern, dtype=np.int64), out)
+
+    def step(idx: np.ndarray, amp: np.ndarray):
+        flip = delta[np.bitwise_count(idx & data_mask)]
+        if ctrl is not None:
+            flip *= (idx >> ctrl) & 1
+        return idx ^ flip, amp, None, 0.0
+
+    return step
+
+
+def _table_step(
+    qubits: Sequence[int], table: np.ndarray, ok: Optional[np.ndarray], tag: Optional[str]
+) -> Step:
+    """A permutation of gate-local indices; ok[local] is False for an input
+    that drives the gate outside its domain."""
+    shifts, weights = _gather_bits(qubits)
+    # the bits each gate-local input flips, spread onto the circuit's qubits
+    delta = _spread(np.arange(len(table), dtype=np.int64) ^ table, qubits)
+
+    def step(idx: np.ndarray, amp: np.ndarray):
+        local = _move_bits(idx, shifts, weights)
+        if ok is not None:
+            _check_inputs(ok, local, amp, tag)
+        return idx ^ delta[local], amp, None, 0.0
+
+    return step
 
 
 def _two_by_two(matrix: Any) -> Callable[[np.ndarray], np.ndarray]:
@@ -271,28 +292,8 @@ def _two_by_two(matrix: Any) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
-def _table_step(
-    qubits: Sequence[int], table: np.ndarray, ok: Optional[np.ndarray], tag: Optional[str]
-) -> Step:
-    """A permutation of gate-local indices; ok[local] is False for an input
-    that drives the gate outside its domain."""
-    shifts, weights = _gather_bits(qubits)
-    # the bits each gate-local input flips, spread onto the circuit's qubits
-    delta = _spread(np.arange(len(table), dtype=np.int64) ^ table, qubits)
-
-    def step(idx: np.ndarray, amp: np.ndarray):
-        local = _move_bits(idx, shifts, weights)
-        if ok is not None:
-            stray = ~ok[local]
-            if stray.any():
-                _raise_stray(float(np.sum(np.abs(amp[stray]) ** 2)), tag)
-        return idx ^ delta[local], amp, None, 0.0
-
-    return step
-
-
 def _matrix_step(qubits: Sequence[int], fn: Callable[[np.ndarray], np.ndarray]) -> Step:
-    """A block map on the gate's qubits, dropping what it leaves below DROP_EPS."""
+    """A block map on every row of the gate's (at most three) qubits."""
     shifts, weights = _gather_bits(qubits)
     rows = _spread(np.arange(2 ** len(qubits), dtype=np.int64), qubits)
     rest = ~_mask(qubits)
@@ -302,17 +303,47 @@ def _matrix_step(qubits: Sequence[int], fn: Callable[[np.ndarray], np.ndarray]) 
         patterns, column = np.unique(idx & rest, return_inverse=True)
         block = np.zeros((len(rows), len(patterns)), dtype=complex)
         block[local, column] = amp
-        out = fn(block)
-        mag = out.real**2 + out.imag**2
-        # an entry whose square underflows (|a| < 1e-161) adds nothing to the bound
-        keep = mag >= DROP_EPS * DROP_EPS
-        r, c = np.nonzero(keep)
-        return (
-            patterns[c] | rows[r],
-            out[r, c],
-            float(np.sum(mag[r, c])),
-            float(np.sum(mag, where=~keep)),
-        )
+        return _kept(fn(block), rows, patterns)
+
+    return step
+
+
+def _column_step(
+    qubits: Sequence[int],
+    basis: np.ndarray,
+    left: np.ndarray,
+    in_domain: Optional[np.ndarray],
+    after: bool,
+    tag: Optional[str],
+) -> Step:
+    """U = I + left @ basis^H on the gate's qubits, on the rows present.
+
+    U moves the rows present only onto them and the rows where basis is
+    nonzero; on the block of those rows R, out = block + left[R] @
+    (basis[R]^H @ block), summed one rank-one term at a time, so the work
+    follows the support and no product is left to BLAS.  The domain is
+    checked on the inputs, or with ``after`` on the outputs.
+    """
+    shifts, weights = _gather_bits(qubits)
+    rest = ~_mask(qubits)
+    touched = np.flatnonzero(np.any(basis != 0, axis=1))
+
+    def step(idx: np.ndarray, amp: np.ndarray):
+        local = _move_bits(idx, shifts, weights)
+        if in_domain is not None and not after:
+            _check_inputs(in_domain, local, amp, tag)
+        # with return_inverse, np.unique does not import numpy.ma (1 MiB of RSS)
+        rows, row = np.unique(np.concatenate([local, touched]), return_inverse=True)
+        patterns, column = np.unique(idx & rest, return_inverse=True)
+        block = np.zeros((len(rows), len(patterns)), dtype=complex)
+        block[row[: len(local)], column] = amp
+        into, onto = basis[rows].conj(), left[rows]
+        out = block.copy()
+        for j in range(basis.shape[1]):
+            out += onto[:, j, None] * np.sum(into[:, j, None] * block, axis=0)
+        if in_domain is not None and after:
+            _raise_stray(out[~in_domain[rows]], tag)
+        return _kept(out, _spread(rows, qubits), patterns)
 
     return step
 
@@ -329,77 +360,79 @@ def _sign_step(targets: Sequence[int], ctrl: Optional[int]) -> Step:
     return step
 
 
+# per weight 0..c of a logic gate's c control bits, the pattern XORed onto
+# its t targets
+_FLIPS: Dict[str, Callable[[int, int], Sequence[int]]] = {
+    "and": lambda c, t: [0] * c + [1],
+    "or": lambda c, t: [0] + [1] * c,
+    "nor": lambda c, t: [1] + [0] * c,
+    "fanout": lambda c, t: [0, 2**t - 1],
+}
+
+
 def _step(gate: Gate) -> Step:
-    """Compile one gate: every table, weight and matrix entry it needs is
+    """Compile one gate: every table, mask and matrix entry it needs is
     built here, once, and the returned step only indexes and multiplies."""
     kind = gate.kind
     p = gate.params
-    extra_ctrl = p.get("ctrl")
+    ctrl = p.get("ctrl")
     if kind == "product_reflection" and p.get("local_states") is None:
-        return _sign_step(gate.targets, extra_ctrl)
+        return _sign_step(gate.targets, ctrl)
+    if kind in _FLIPS:
+        pattern = _FLIPS[kind](len(gate.controls), len(gate.targets))
+        return _weight_step(gate.controls, gate.targets, pattern, ctrl)
+    qubits: Tuple[int, ...] = gate.controls + gate.targets
+    if kind in ("unitary1", "ctrl_unitary1"):
+        # the 2x2 acts on the last two rows, which already need every control set
+        return _matrix_step(qubits if ctrl is None else (ctrl,) + qubits, _two_by_two(p["matrix"]))
     table: Optional[np.ndarray] = None
     in_domain: Optional[np.ndarray] = None
+    basis: Optional[np.ndarray] = None
+    left: Optional[np.ndarray] = None
     after = False
 
-    if kind == "unitary1":
-        qubits: Tuple[int, ...] = gate.targets
-        fn = _two_by_two(p["matrix"])
-    elif kind == "ctrl_unitary1":
-        qubits = gate.controls + gate.targets
-        fn = _two_by_two(p["matrix"])
-    elif kind in ("and", "or", "nor"):
-        qubits = gate.controls + gate.targets
-        table = _logic_table(kind, len(gate.controls))
-    elif kind == "fanout":
-        qubits = gate.controls + gate.targets
-        w = len(qubits)
-        table = np.arange(2**w, dtype=np.int64)
-        table[2 ** (w - 1) :] ^= 2 ** (w - 1) - 1
-    elif kind == "swap":
-        qubits = gate.targets
+    if kind == "swap":
         table = np.array([0, 2, 1, 3], dtype=np.int64)
     elif kind == "product_reflection":
-        qubits = gate.targets
-        states = p["local_states"]
-        vec = states[0]
-        for s in states[1:]:
+        # I - 2 v v^H with v the product of the local states
+        vec = p["local_states"][0]
+        for s in p["local_states"][1:]:
             vec = np.kron(vec, s)
-        vec_h = vec.conj()[:, None]
-
-        def fn(block: np.ndarray) -> np.ndarray:
-            return block - 2.0 * np.outer(vec, (vec_h * block).sum(axis=0))
-
+        basis = vec[:, None]
+        left = -2.0 * basis
     elif kind == "library":
         op = _compiled(p["tag"], p["args"])
-        qubits = gate.targets
         if len(qubits) != op.n_qubits:
             raise SimulationError(f"library gate {p['tag']!r} qubit count mismatch")
-        if op.table is None:
-            fn = _library_fn(gate)[0]
+        if op.pattern is not None:
+            n_data = len(op.pattern) - 1
+            return _weight_step(qubits[:n_data], qubits[n_data:], op.pattern, ctrl)
+        if p.get("checked", True):
+            in_domain = op.in_domain
+        after = p["inverse"]
+        if op.table is not None:
+            table = op.inverse_table if after else op.table
         else:
-            table = op.inverse_table if p["inverse"] else op.table
-            if p.get("checked", True):
-                in_domain = op.in_domain
-            after = p["inverse"]
+            basis, left = op.basis, op.left[after]
     else:
         raise SimulationError(f"cannot simulate gate kind {kind!r}")
 
-    if extra_ctrl is not None:
-        qubits = (extra_ctrl,) + qubits
-        # the control is the new top bit: the table doubles, identity below
+    if ctrl is not None:
+        qubits = (ctrl,) + qubits
+        # the control is the new top bit: the gate acts only on the upper
+        # half of the gate-local indices, and the lower half is its domain
         if table is not None:
             size = len(table)
             table = np.concatenate([np.arange(size, dtype=np.int64), size + table])
         if in_domain is not None:
             in_domain = np.concatenate([np.ones(len(in_domain), dtype=bool), in_domain])
+        if basis is not None:
+            basis, left = (np.concatenate([np.zeros_like(m), m]) for m in (basis, left))
     if table is not None:
         # the check falls on the outputs of an inverse, so read it by input
         ok = None if in_domain is None else (in_domain[table] if after else in_domain)
         return _table_step(qubits, table, ok, p.get("tag"))
-    # a 2x2 acts on the last two rows, which already need every control set
-    if extra_ctrl is not None and kind not in ("unitary1", "ctrl_unitary1"):
-        fn = _controlled(fn)
-    return _matrix_step(qubits, fn)
+    return _column_step(qubits, basis, left, in_domain, after, p.get("tag"))
 
 
 Plan = Tuple[Tuple[Step, ...], ...]

@@ -355,8 +355,9 @@ _KET0 = [[1.0, 0.0], [0.0, 0.0]]
 
 # Edits of the mixed circuit's file that deserialize must refuse: a layer
 # replaced by a gate no constructor builds, or a value of the wrong JSON
-# type.  Layers: 0 unitary1, 1 ctrl_unitary1, 2 product_reflection,
-# 3 fanout, 4 nor, 5 library exact on qubits 0-3, 6 library onehot_dist.
+# type, or a library gate whose arguments describe no gate.  Layers:
+# 0 unitary1, 1 ctrl_unitary1, 2 product_reflection, 3 fanout, 4 nor,
+# 5 library exact on qubits 0-3, 6 library onehot_dist on qubits 1-2.
 MALFORMED = {
     "swap-on-3-targets": (("layers", 0), _gate_layer("swap", (0, 1, 2))),
     "and-with-2-targets": (("layers", 0), _gate_layer("and", (0, 1), (2,))),
@@ -371,6 +372,14 @@ MALFORMED = {
     "reflection-with-2-states-for-1-qubit": (
         ("layers", 2),
         _gate_layer("product_reflection", (0,), local_states=[_KET0, _KET0]),
+    ),
+    "marked-prep-alpha-past-one": (
+        ("layers", 6),
+        [{"kind": "library", "targets": [1, 2], "controls": [],
+          "declared_depth": 1, "declared_width": 0,
+          "params": {"tag": "marked_prep", "inverse": False,
+                     "args": [1, [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                              [10**400, 1]]}}],
     ),
     "float-target": (("layers", 0, 0, "targets"), [1.9]),
     "string-control": (("layers", 1, 0, "controls"), ["0"]),

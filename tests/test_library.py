@@ -261,6 +261,10 @@ def test_make_charges_registry_costs():
         ("small_state", ((0.5, 0.5),), "unit norm"),
         ("raw_state", ((0.6, 0.6j),), "unit norm"),
         ("ham", (-1, 1), "nonnegative"),
+        ("marked_prep", (1, (0.6, 0.8, 0, 0), Fraction(10**400)), r"alpha must lie in \[0, 1\]"),
+        ("marked_prep", (1, (0.6, 0.8, 0, 0), -0.5), r"alpha must lie in \[0, 1\]"),
+        ("ctrl_damped", (3, 0), "k must lie in 1..3"),
+        ("ctrl_damped", (3, 4), "k must lie in 1..3"),
     ],
 )
 def test_arguments_that_describe_no_gate_are_rejected(tag, args, match):
@@ -394,10 +398,21 @@ COLUMN_CASES = [
 
 
 def gate_fn(tag, args, inverse=False):
-    """The simulator's action of an unchecked library gate on a (2^w, rest) block."""
+    """The simulator's action of an unchecked library gate on each column
+    (a normalized state of its qubits) of a (2^w, m) block, by ``run`` of
+    the one-gate circuit."""
     width = library.entry(tag).width(args)
-    gate = library.make(tag, args, range(width), inverse=inverse)
-    return simulate._library_fn(gate.with_params(checked=False))[0]
+    b = Builder()
+    r = b.add_register("q", width)
+    # the first listed qubit is the top bit of both the gate-local and the flat index
+    gate = library.make(tag, args, tuple(reversed(r)), inverse=inverse)
+    b.append(gate.with_params(checked=False))
+    circuit = b.build()
+
+    def fn(block):
+        return np.stack([run(circuit, col).amplitudes for col in block.T], axis=1)
+
+    return fn
 
 
 @pytest.mark.parametrize("tag,args", COLUMN_CASES, ids=lambda v: str(v)[:16])

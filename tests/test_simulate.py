@@ -648,3 +648,88 @@ def test_gates_driven_outside_their_domain_raise(tag, args, inverse, ctrl):
     assert abs(np.linalg.norm(unchecked.amplitudes) - 1.0) < 1e-12
     if good is not None:
         run(one_gate(tag, args, inverse, ctrl), local_input(w, good))
+
+
+# ---- weight maps and column gates at scale ----
+
+
+def weight_map_args(tag):
+    """Every (n, k) of a weight-map tag whose gate spans at most 10 qubits,
+    with k up to one past the largest weight for exact and threshold."""
+    if tag == "ham":
+        return [(n, k) for n in range(10) for k in range(10 - n)]
+    return [(n, k) for n in range(10) for k in range(n + 2)]
+
+
+@pytest.mark.parametrize("ctrl", [False, True])
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("tag", ["exact", "threshold", "ham"])
+def test_weight_maps_match_their_tables(tag, inverse, ctrl):
+    """The simulator XORs a per-weight pattern into each index; every basis
+    input must land where the registry's table (its inverse for an inverse
+    gate) sends it, and nowhere else when the control qubit is clear."""
+    for args in weight_map_args(tag):
+        table = library.semantics(tag, args).permutation
+        if inverse:
+            table = np.argsort(table)
+        w = library.entry(tag).width(args)
+        n = w + 1
+        idx = np.arange(2**n, dtype=np.int64)
+        amp = (idx + 1) / np.linalg.norm(idx + 1) + 0j
+        state = run(one_gate(tag, args, inverse, ctrl), StateVector(n, idx, amp))
+        # gate-local index: qubit 0 is its top bit; qubit w is the control
+        local = sum(((idx >> q) & 1) << (w - 1 - q) for q in range(w))
+        moved = table[local] if not ctrl else np.where(idx >> w, table[local], local)
+        expected = (idx >> w << w) | sum(((moved >> (w - 1 - q)) & 1) << q for q in range(w))
+        assert len(np.unique(state.indices)) == 2**n, (tag, args)
+        assert np.array_equal(state.amplitudes[expected], amp), (tag, args)
+
+
+WIDE_REST = 13  # qubits beside the gate and its control: 8,192 patterns
+
+
+def wide_circuit(tag, args, ctrl, inverses, checked):
+    """The library gate on qubits 0..w-1 once per entry of ``inverses``
+    (inverse or not), behind control qubit w if ctrl, in a register with
+    WIDE_REST more qubits."""
+    w = library.entry(tag).width(args)
+    b = Builder()
+    r = b.add_register("q", w + 1 + WIDE_REST)
+    for inverse in inverses:
+        gate = library.make(tag, args, tuple(r[:w]), inverse=inverse)
+        gate = gate.with_params(checked=checked)
+        b.append(gate.with_params(ctrl=r[w]) if ctrl else gate)
+    return b.build()
+
+
+@pytest.mark.parametrize("ctrl", [False, True])
+@pytest.mark.parametrize(
+    "tag,args",
+    [("ctrl_dicke", (3, 3, (1, 2, 3))), ("onehot_dist", (2, (Fraction(2, 7), Fraction(5, 7))))],
+)
+def test_column_gates_on_wide_supports_match_the_dense_completion(tag, args, ctrl):
+    """A column gate on a support with thousands of distinct patterns of the
+    other qubits: unchecked, forward and inverse agree with the dense
+    completion I + B M B^dagger; checked, on domain inputs, the gate and
+    then its inverse give back the start."""
+    sem = library.semantics(tag, args)
+    w = sem.n_qubits
+    n = w + 1 + WIDE_REST
+    rng = np.random.default_rng(20261019)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amps /= np.linalg.norm(amps)
+    for inverse in (False, True):
+        circuit = wide_circuit(tag, args, ctrl, [inverse], checked=False)
+        expected = dense_oracle(circuit, amps)
+        assert np.max(np.abs(run(circuit, amps).amplitudes - expected)) < 1e-12
+    idx = np.arange(2**n)
+    local = sum(((idx >> q) & 1) << (w - 1 - q) for q in range(w))
+    start = np.where(np.isin(local, sem.domain), amps, 0)
+    start /= np.linalg.norm(start)
+    # distinct patterns of the qubits beside the gate and its control
+    assert len(np.unique(np.flatnonzero(start) >> (w + 1))) >= 5000
+    state = run(wide_circuit(tag, args, ctrl, [False], checked=True), start)
+    expected = dense_oracle(wide_circuit(tag, args, ctrl, [False], checked=False), start)
+    assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
+    back = run(wide_circuit(tag, args, ctrl, [False, True], checked=True), start)
+    assert np.max(np.abs(back.amplitudes - start)) < 1e-12
