@@ -82,11 +82,13 @@ def _tally_pattern(n: int, k: int) -> np.ndarray:
     return np.where(weight >= 1, 1 << (k + 1 - np.minimum(k + 1, weight)), 0)
 
 
-def _sem_weight_map(w: int, pattern: np.ndarray) -> LibrarySemantics:
-    """x unchanged; the low qubits after x get pattern[|x|] XORed in."""
+def _sem_weight_map(w: int, n_data: int, pattern: np.ndarray) -> LibrarySemantics:
+    """The first n_data qubits x unchanged; the w - n_data qubits after them
+    get pattern[|x|] XORed in."""
     idx = np.arange(2**w, dtype=np.int64)
-    low = w - (len(pattern) - 1)
-    return LibrarySemantics(n_qubits=w, permutation=idx ^ pattern[np.bitwise_count(idx >> low)])
+    return LibrarySemantics(
+        n_qubits=w, permutation=idx ^ pattern[np.bitwise_count(idx >> (w - n_data))]
+    )
 
 
 def _sem_one_hot(count: int, zero_based: bool) -> LibrarySemantics:
@@ -405,7 +407,7 @@ class LibraryEntry:
     semantics: Optional[Callable[..., LibrarySemantics]] = None
     # A weight-map gate XORs onto its low qubits a pattern chosen by the
     # Hamming weight of its first n qubits, which it leaves unchanged; this
-    # gives the pattern per weight 0..n, and its table follows from it.
+    # gives the pattern per weight 0..n (``weight_map`` states the layout).
     weight_pattern: Optional[Callable[..., np.ndarray]] = None
     # costs are measured from the construction the gate stands in for and
     # passed to make(); depth and fanout_width are placeholders
@@ -578,11 +580,24 @@ def tags() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def semantics(tag: str, args: Tuple[Any, ...]) -> LibrarySemantics:
+def weight_map(tag: str, args: Tuple[Any, ...]) -> Optional[Tuple[int, np.ndarray]]:
+    """(n_data, pattern) for a weight-map gate, None for any other: the gate
+    leaves its first n_data qubits x unchanged and XORs pattern[|x|] onto
+    the rest, the first of them taking the pattern's top bit."""
     ent = entry(tag)
+    if ent.weight_pattern is None:
+        return None
     ent.check_args(args)
-    if ent.weight_pattern is not None:
-        return _sem_weight_map(ent.width(args), ent.weight_pattern(*args))
+    pattern = ent.weight_pattern(*args)
+    return len(pattern) - 1, pattern
+
+
+def semantics(tag: str, args: Tuple[Any, ...]) -> LibrarySemantics:
+    form = weight_map(tag, args)
+    ent = entry(tag)
+    if form is not None:
+        return _sem_weight_map(ent.width(args), *form)
+    ent.check_args(args)
     return ent.semantics(*args)
 
 

@@ -102,20 +102,28 @@ def mass_bounds(amplitude: complex, error_bound: float) -> Tuple[float, float]:
 class _CompiledOp:
     """A library gate ready to apply.
 
-    Weight-map gates keep their per-weight pattern.  Permutation gates keep
-    their table and its inverse.  Column-declared gates keep the low-rank
-    form I + left @ basis^H of their unitary, where left = basis @ correction
-    forward and basis @ correction^H for the inverse.  A partial domain is
-    kept as a mask of the domain inputs.
+    Weight-map gates keep their ``library.weight_map`` form.  Permutation
+    gates keep their table and its inverse.  Column-declared gates keep the
+    low-rank form I + basis @ correction @ basis^H of their unitary.  A
+    partial domain is kept as a mask of the domain inputs.
     """
 
     n_qubits: int
-    pattern: Optional[np.ndarray] = None
+    weight_map: Optional[Tuple[int, np.ndarray]] = None
     table: Optional[np.ndarray] = None
     inverse_table: Optional[np.ndarray] = None
     in_domain: Optional[np.ndarray] = None
     basis: Optional[np.ndarray] = None
-    left: Optional[Tuple[np.ndarray, np.ndarray]] = None  # (forward, inverse)
+    correction: Optional[np.ndarray] = None
+    _left: Dict[bool, np.ndarray] = field(default_factory=dict)
+
+    def left(self, inverse: bool) -> np.ndarray:
+        """basis @ correction, or basis @ correction^H for the inverse,
+        built the first time a gate needs that direction."""
+        if inverse not in self._left:
+            correction = self.correction.conj().T if inverse else self.correction
+            self._left[inverse] = self.basis @ correction
+        return self._left[inverse]
 
 
 _OP_CACHE: Dict[Tuple[str, Tuple[Any, ...]], _CompiledOp] = {}
@@ -125,11 +133,10 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
     key = (tag, args)
     if key in _OP_CACHE:
         return _OP_CACHE[key]
-    ent = library.entry(tag)
-    if ent.weight_pattern is not None:
+    form = library.weight_map(tag, args)
+    if form is not None:
         # applied as an index map: no table over the 2^w inputs is built
-        ent.check_args(args)
-        op = _CompiledOp(ent.width(args), pattern=ent.weight_pattern(*args))
+        op = _CompiledOp(library.entry(tag).width(args), weight_map=form)
     else:
         sem = library.semantics(tag, args)
         in_domain = None
@@ -145,8 +152,9 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
             )
         else:
             basis, correction = library.low_rank_completion(sem.n_qubits, sem.columns)
-            left = (basis @ correction, basis @ correction.conj().T)
-            op = _CompiledOp(sem.n_qubits, in_domain=in_domain, basis=basis, left=left)
+            op = _CompiledOp(
+                sem.n_qubits, in_domain=in_domain, basis=basis, correction=correction
+            )
     _OP_CACHE[key] = op
     return op
 
@@ -177,16 +185,9 @@ def _gather_bits(qubits: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _move_bits(x: np.ndarray, shifts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Sum over j of bit shifts[j] of each x times weights[j], in int64
-    (numpy calls no BLAS routine on integers).  One product over the
-    (len(x), w) bits costs least on a short x, where a pass per bit pays w
-    times the call overhead; on a long x the passes cost a third as much."""
-    if len(x) <= 256 * len(shifts):
-        return ((x[:, None] >> shifts) & 1) @ weights
-    out = np.zeros_like(x)
-    for s, w in zip(shifts.tolist(), weights.tolist()):
-        out += (x >> s & 1) * w
-    return out
+    """Sum over j of bit shifts[j] of each x times weights[j], as one int64
+    product (numpy calls no BLAS routine on integers)."""
+    return ((x[:, None] >> shifts) & 1) @ weights
 
 
 def _gather(idx: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
@@ -404,16 +405,16 @@ def _step(gate: Gate) -> Step:
         op = _compiled(p["tag"], p["args"])
         if len(qubits) != op.n_qubits:
             raise SimulationError(f"library gate {p['tag']!r} qubit count mismatch")
-        if op.pattern is not None:
-            n_data = len(op.pattern) - 1
-            return _weight_step(qubits[:n_data], qubits[n_data:], op.pattern, ctrl)
+        if op.weight_map is not None:
+            n_data, pattern = op.weight_map
+            return _weight_step(qubits[:n_data], qubits[n_data:], pattern, ctrl)
         if p.get("checked", True):
             in_domain = op.in_domain
         after = p["inverse"]
         if op.table is not None:
             table = op.inverse_table if after else op.table
         else:
-            basis, left = op.basis, op.left[after]
+            basis, left = op.basis, op.left(after)
     else:
         raise SimulationError(f"cannot simulate gate kind {kind!r}")
 
