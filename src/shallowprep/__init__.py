@@ -33,11 +33,8 @@ from .dists import (
     DomainError,
     OccupancyModel,
     damped_binomial,
-    hybrid_hit_prob,
     occupancy_pmf,
     ratio_report,
-    ratio_sum_tables,
-    symmetric_R,
     trailing_zero_mass,
 )
 from .primitives import (
@@ -121,7 +118,6 @@ __all__ = [
     "dicke_vector",
     "exact_grover",
     "ham_gadget",
-    "hybrid_hit_prob",
     "occupancy_pmf",
     "occupancy_vector",
     "output_overlap",
@@ -130,13 +126,11 @@ __all__ = [
     "prepare_small_state",
     "prepare_zero_damped",
     "ratio_report",
-    "ratio_sum_tables",
     "residual_mass",
     "run",
     "run_acceptance",
     "run_claims",
     "serialize",
-    "symmetric_R",
     "symmetric_vector",
     "trailing_zero_mass",
 ]

@@ -133,9 +133,16 @@ class HitTable:
     (``composition_weight_sums(m, k_cap, k_cap)``) that cross-checked it.
     """
 
+    m: int
+    k_cap: int
     total: int
     conv: Tuple[Tuple[int, ...], ...]
     gamma: Tuple[Tuple[int, ...], ...]
+
+    @property
+    def masses(self) -> Tuple[int, ...]:
+        """The scaled damped masses ``damped_numerators(m, k_cap)``, row j = 1."""
+        return self.conv[1][1:]
 
     def prob(self, j: int, t: int) -> Fraction:
         return Fraction(self.conv[j][t], self.total**j)
@@ -168,21 +175,7 @@ def hit_table(m: int, k_cap: int) -> HitTable:
                     f"convolution and composition routes disagree"
                 )
         conv.append(tuple(row))
-    return HitTable(total=sum(nums), conv=tuple(conv), gamma=gamma)
-
-
-def hybrid_hit_prob(m: int, k_cap: int, j: int, k: int) -> Fraction:
-    """Probability that j independent damped samples have total weight exactly k.
-
-    Each sample is drawn from the damped distribution with cap ``k_cap`` on
-    m-bit buckets.
-    """
-    if not (1 <= j <= k <= k_cap <= m):
-        raise DomainError(
-            f"hybrid_hit_prob requires 1 <= j <= k <= k_cap <= m, got "
-            f"m={m}, k_cap={k_cap}, j={j}, k={k}"
-        )
-    return hit_table(m, k_cap).prob(j, k)
+    return HitTable(m=m, k_cap=k_cap, total=sum(nums), conv=tuple(conv), gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -208,9 +201,9 @@ def ratio_report(n: int, k: int, ell: int) -> OccupancyModel:
     """Full p, q, r tables plus the ratio sum R for weight k on ell buckets.
 
     The ratio bound r(j) <= e^2 * k^(j-k) is claimed only for ell >= k**3,
-    which ``bound_checked`` records (``claims`` decides it with its own
-    bracket on e^2); below that the tables are still produced and a warning
-    records that the bound was skipped.
+    which ``bound_checked`` records (``claims`` decides it on the same r(j)
+    from ``ratio_tables``, with its own bracket on e^2); below that the tables
+    are still produced and a warning records that the bound was skipped.
     """
     if k < 1:
         raise DomainError("ratio_report requires k >= 1")
@@ -242,21 +235,18 @@ def ratio_report(n: int, k: int, ell: int) -> OccupancyModel:
     )
 
 
-def ratio_tables(n: int, k_star: int, ell: int) -> Dict[int, Dict[int, Fraction]]:
-    """Per-class ratios r_k(j) = p_k(j) / q_k(j) for k in 1..k_star.
+def ratio_tables(hits: HitTable, ell: int) -> Dict[int, Dict[int, Fraction]]:
+    """Per-class ratios r_k(j) = p_k(j) / q_k(j) for k in 1..hits.k_cap.
 
-    p_k is the occupancy pmf of weight k on ell buckets and q_k(j) the
-    probability that j damped samples capped at k_star weigh k in all; one
-    hit table for the cap serves every class.
+    p_k is the occupancy pmf of weight k on ell buckets of hits.m bits and
+    q_k(j) the probability that j damped samples capped at hits.k_cap weigh
+    k in all; the one hit table for the cap serves every class.
     """
-    if not (0 <= k_star):
-        raise DomainError("k_star must be nonnegative")
-    m = _bucket_size(n, ell)
-    if k_star == 0:
-        return {}
-    hits = hit_table(m, k_star)
+    if ell < 1:
+        raise DomainError(f"bucket count {ell} must be positive")
+    n = hits.m * ell
     out: Dict[int, Dict[int, Fraction]] = {}
-    for k in range(1, k_star + 1):
+    for k in range(1, hits.k_cap + 1):
         counts = _occupancy_counts(n, k, ell, hits.gamma)
         denom = comb(n, k)
         # (c / denom) / (conv / total**j), reduced once
@@ -267,38 +257,15 @@ def ratio_tables(n: int, k_star: int, ell: int) -> Dict[int, Dict[int, Fraction]
     return out
 
 
-def ratio_sum_tables(n: int, k_star: int, ell: int) -> Dict[int, Fraction]:
-    """Per-weight ratio sums R_k for k in 0..k_star, with cap k_star throughout.
-
-    R_k = sum_j p_k(j) / q_k(j) where q_k uses damped samples capped at k_star.
-    R_0 is defined as zero.
-    """
-    return _ratio_sums(ratio_tables(n, k_star, ell))
-
-
-def _ratio_sums(ratios: Dict[int, Dict[int, Fraction]]) -> Dict[int, Fraction]:
-    out: Dict[int, Fraction] = {0: Fraction(0)}
-    for k, r in ratios.items():
-        out[k] = sum(r.values(), Fraction(0))
-    return out
-
-
-def symmetric_R(
-    n: int, k_star: int, ell: int, eta: Sequence[complex]
-) -> Tuple[float, Dict[int, Fraction]]:
-    """Weighted ratio sum R = sum_k |eta_k|^2 R_k and the per-weight table.
-
-    ``eta`` lists weights for k = 0..k_star and must be unit norm.  The k = 0
-    slot contributes nothing because R_0 is defined as zero.
-    """
-    return weighted_ratio_sum(ratio_tables(n, k_star, ell), ell, eta)
-
-
 def weighted_ratio_sum(
     ratios: Dict[int, Dict[int, Fraction]], ell: int, eta: Sequence[complex]
 ) -> Tuple[float, Dict[int, Fraction]]:
-    """``symmetric_R`` from the point's ``ratio_tables``, for a caller that
-    also reads the per-class ratios."""
+    """Weighted ratio sum R = sum_k |eta_k|^2 R_k and the per-weight table.
+
+    ``ratios`` is one point's ``ratio_tables``; ``eta`` lists weights for
+    k = 0..k_star and must be unit norm.  The k = 0 slot contributes nothing
+    because R_0 is defined as zero.
+    """
     k_star = len(ratios)
     if len(eta) != k_star + 1:
         raise DomainError(f"eta must have {k_star + 1} entries, got {len(eta)}")
@@ -311,7 +278,8 @@ def weighted_ratio_sum(
             "but the constant-bound regime is relaxed",
             stacklevel=2,
         )
-    tables = _ratio_sums(ratios)
+    tables = {0: Fraction(0)}
+    tables.update((k, sum(r.values(), Fraction(0))) for k, r in ratios.items())
     R = sum(abs(eta[k]) ** 2 * float(tables[k]) for k in range(k_star + 1))
     return R, tables
 

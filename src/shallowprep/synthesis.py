@@ -361,7 +361,7 @@ def _symmetric_divisible(
         raise CircuitError(
             f"max weight {k_star} needs 1 <= k_star <= min(blocks={ell}, size={m})"
         )
-    ratios = dists.ratio_tables(n, k_star, ell)
+    ratios = dists.ratio_tables(dists.hit_table(m, k_star), ell)
     r_sum, _ = dists.weighted_ratio_sum(ratios, ell, eta)
     r_eff = r_sum + abs(complex(eta[0])) ** 2
     bits = _pair_bits(k_star)

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import time
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from shallowprep import dists
 from shallowprep.claims import CLAIM_IDS, SweepConfig, run_claims
 
 TINY = SweepConfig(m_values=(1, 2, 3, 4), k_max=3, enumeration_budget=8)
@@ -94,3 +97,77 @@ def test_rows_sorted_by_claim_then_params():
     verdicts = run_claims(TINY)
     keys = [(CLAIM_IDS.index(v.claim), sorted(v.params.items())) for v in verdicts]
     assert keys == sorted(keys)
+
+
+def test_default_grid_builds_each_point_table_once(monkeypatch):
+    """One sweep builds the hit table and the damped pmf once per (m, k)
+    point, 369 of each on the default grid, and a second sweep builds them
+    again: no table outlives its sweep."""
+    built = {"hit_table": [], "damped_binomial": []}
+
+    def counted(real, calls):
+        def build(m, k):
+            calls.append((m, k))
+            return real(m, k)
+
+        return build
+
+    for name, calls in built.items():
+        monkeypatch.setattr(dists, name, counted(getattr(dists, name), calls))
+    points = [(m, k) for m in range(1, 65) for k in range(1, min(m, 6) + 1)]
+    assert len(points) == 369
+    run_claims(SweepConfig())
+    for calls in built.values():
+        assert calls == points
+    run_claims(SweepConfig())
+    for calls in built.values():
+        assert calls == points + points
+
+
+def _domination_oracle(m, k):
+    """The largest s_j / (4 pmf_j) as a maximum of Fraction quotients."""
+    dist = dists.damped_binomial(m, k)
+    return max(
+        dist.s[j - 1] / (4 * dists.binomial_pmf(m, Fraction(1, m), j))
+        for j in range(1, k + 1)
+    )
+
+
+def _damping_oracle(m, k_star):
+    """The smallest single^j / e^(-2j/k) bracket as a minimum of Fraction
+    quotients."""
+    dist = dists.damped_binomial(m, k_star)
+    worst = Fraction(10**9)
+    for k in range(1, k_star + 1):
+        single = sum((dist.s[w - 1] for w in range(1, k + 1)), Fraction(0))
+        for j in range(1, k + 1):
+            floor = dists.exp_neg_upper(Fraction(2 * j, k))
+            worst = min(worst, single**j / floor)
+    return worst
+
+
+def test_integer_worst_cases_match_fraction_oracles():
+    """binomial-domination and damping-lower-bound pick their worst case by
+    integer cross-multiplication; it is the Fraction forms' worst case,
+    m = 1 (where (m-1)^(m-j) is 0^0) included."""
+    verdicts = run_claims(SweepConfig(m_values=tuple(range(1, 17)), k_max=6))
+    checked = 0
+    for v in verdicts:
+        if v.claim == "binomial-domination":
+            worst = _domination_oracle(v.params["m"], v.params["k"])
+            assert (v.lhs, v.passed) == (str(worst), worst <= 1), v.params
+        elif v.claim == "damping-lower-bound":
+            worst = _damping_oracle(v.params["m"], v.params["k_star"])
+            assert (v.lhs, v.passed) == (str(worst), worst >= 1), v.params
+        else:
+            continue
+        checked += 1
+    assert checked == 2 * sum(min(m, 6) for m in range(1, 17))
+
+
+def test_verdict_seconds_add_up_to_at_most_the_sweep():
+    """Shared tables are charged once, to the first claim that reads them."""
+    t0 = time.perf_counter()
+    verdicts = run_claims(SweepConfig(m_values=tuple(range(1, 33)), k_max=6))
+    wall = time.perf_counter() - t0
+    assert 0.0 < sum(v.seconds for v in verdicts) <= wall

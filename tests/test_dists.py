@@ -73,19 +73,18 @@ def test_occupancy_pmf_domain():
 
 
 def test_hybrid_hit_prob_frozen_points():
-    assert dists.hybrid_hit_prob(2, 2, 1, 2) == Fraction(1, 9)
-    assert dists.hybrid_hit_prob(2, 2, 2, 2) == Fraction(64, 81)
+    """Hit probabilities read from the table: j samples capped at 2 on 2-bit
+    buckets weigh 2 in all."""
+    table = dists.hit_table(2, 2)
+    assert table.prob(1, 2) == Fraction(1, 9)
+    assert table.prob(2, 2) == Fraction(64, 81)
 
 
 def test_hybrid_hit_prob_domain():
     with pytest.raises(dists.DomainError):
-        dists.hybrid_hit_prob(2, 2, 0, 2)
+        dists.hit_table(2, 3)
     with pytest.raises(dists.DomainError):
-        dists.hybrid_hit_prob(2, 3, 1, 2)
-    with pytest.raises(dists.DomainError):
-        dists.hybrid_hit_prob(4, 2, 3, 2)
-    with pytest.raises(dists.DomainError):
-        dists.hybrid_hit_prob(4, 2, 0, 2)
+        dists.hit_table(4, 0)
 
 
 def _patched_gamma(monkeypatch, wrong):
@@ -107,19 +106,19 @@ def test_internal_cross_checks_raise_domain_error(monkeypatch):
     with pytest.raises(dists.DomainError, match="does not sum to 1"):
         dists.occupancy_pmf(4, 2, 2)
     with pytest.raises(dists.DomainError, match="routes disagree"):
-        dists.hybrid_hit_prob(2, 2, 1, 2)
+        dists.hit_table(2, 2)
 
 
 def test_hit_table_cross_checks_every_j(monkeypatch):
     """A composition count wrong at one (j, t) is caught by any hit table
-    that spans it, even when the caller asks for a smaller j."""
+    that spans it, whichever entry a caller goes on to read."""
     _patched_gamma(monkeypatch, lambda j, t: int(j == 1))
     with pytest.raises(dists.DomainError, match="at j=1, t=1: convolution"):
-        dists.hybrid_hit_prob(2, 2, 2, 2)
+        dists.hit_table(2, 2)
     monkeypatch.undo()
     _patched_gamma(monkeypatch, lambda j, t: int((j, t) == (2, 2)))
     with pytest.raises(dists.DomainError, match="at j=2, t=2: convolution"):
-        dists.hybrid_hit_prob(2, 2, 1, 2)
+        dists.hit_table(2, 2)
 
 
 def test_ratio_report_frozen_sums():
@@ -138,11 +137,19 @@ def test_ratio_report_checked_regime():
     assert model.R == 1
 
 
+def _ratio_sums(m, k_star, ell, eta):
+    """The weighted ratio sum and per-weight ratio sums R_k on ell buckets of
+    m bits, with every class capped at k_star."""
+    ratios = dists.ratio_tables(dists.hit_table(m, k_star), ell)
+    return dists.weighted_ratio_sum(ratios, ell, eta)
+
+
 def test_ratio_sum_tables_frozen():
     # cap 1 samples always weigh 1, so the single-bucket ratio is exactly 1
-    assert dists.ratio_sum_tables(4, 1, 2) == {0: Fraction(0), 1: Fraction(1)}
+    assert _ratio_sums(2, 1, 2, (0.0, 1.0))[1] == {0: Fraction(0), 1: Fraction(1)}
     # cap 2 on 2-bit buckets: one sample weighs 1 with mass 8/9, so R_1 = 9/8
-    tables = dists.ratio_sum_tables(4, 2, 2)
+    with pytest.warns(UserWarning):
+        _, tables = _ratio_sums(2, 2, 2, (0.0, 0.0, 1.0))
     assert tables[0] == 0
     assert tables[1] == Fraction(9, 8)
     assert tables[2] == Fraction(123, 32)
@@ -150,15 +157,15 @@ def test_ratio_sum_tables_frozen():
 
 def test_ratio_sum_tables_domain():
     with pytest.raises(dists.DomainError):
-        dists.ratio_sum_tables(5, 1, 2)
+        dists.ratio_tables(dists.hit_table(2, 1), 0)
     with pytest.raises(dists.DomainError):
-        dists.ratio_sum_tables(4, 3, 2)
+        dists.hit_table(2, 3)
 
 
 def test_symmetric_R_matches_table_mix():
     eta = (0.0, math.sqrt(1.0 / 3.0), math.sqrt(2.0 / 3.0))
     with pytest.warns(UserWarning):
-        total, tables = dists.symmetric_R(4, 2, 2, eta)
+        total, tables = _ratio_sums(2, 2, 2, eta)
     expected = float(tables[1]) / 3.0 + 2.0 * float(tables[2]) / 3.0
     assert abs(total - expected) < 1e-12
     assert abs(total - 2.9375) < 1e-12
@@ -166,7 +173,7 @@ def test_symmetric_R_matches_table_mix():
 
 def test_symmetric_R_rejects_unnormalized():
     with pytest.raises(dists.DomainError):
-        dists.symmetric_R(4, 1, 2, (0.5, 0.5))
+        _ratio_sums(2, 1, 2, (0.5, 0.5))
 
 
 def test_truncation_and_trailing_mass():
@@ -193,7 +200,7 @@ def test_transcendental_brackets_are_tight_and_sound():
 def test_hit_floor_property(point):
     """Hitting total weight k with k samples is at least (k/(k+1))^k likely."""
     m, k = point
-    assert dists.hybrid_hit_prob(m, k, k, k) >= Fraction(k, k + 1) ** k
+    assert dists.hit_table(m, k).prob(k, k) >= Fraction(k, k + 1) ** k
 
 
 @given(
@@ -277,7 +284,7 @@ def test_ratio_tables_match_per_class_oracle():
     """Each ratio equals the Fraction quotient of the oracle pmf and hit
     probability, one class at a time."""
     for n, k_star, ell in [(4, 2, 2), (12, 3, 4), (24, 3, 8), (81, 3, 27), (64, 4, 16)]:
-        tables = dists.ratio_tables(n, k_star, ell)
+        tables = dists.ratio_tables(dists.hit_table(n // ell, k_star), ell)
         assert sorted(tables) == list(range(1, k_star + 1))
         for k, ratios in tables.items():
             p = dists.occupancy_pmf(n, k, ell)
@@ -305,6 +312,7 @@ def test_hit_table_matches_per_j_oracle():
     for m in (*range(1, 9), 16, 64):
         for k_cap in range(1, min(m, 6) + 1):
             table = dists.hit_table(m, k_cap)
+            assert table.masses == tuple(dists.damped_numerators(m, k_cap))
             for k in range(1, k_cap + 1):
                 for j in range(1, k + 1):
                     assert table.prob(j, k) == _hit_oracle(m, k_cap, j, k), (m, k_cap, j, k)
