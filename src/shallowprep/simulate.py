@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -171,10 +171,32 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
 # step makes a BLAS call: after a threaded call OpenBLAS keeps its second
 # thread spinning, which on a 2-core host doubled the CPU time of a run
 # and saved no wall time.
+#
+# One support can carry a batch of independent states: state s keeps its
+# number in the index bits from the circuit's width up.  No gate touches
+# those bits, so each state evolves as it would in a run of its own, and a
+# matrix gate's patterns keep the states apart.  Norms, dropped mass and
+# the mass outside a gate's domain are summed state by state.
 
-# step(indices, amplitudes) -> (indices, amplitudes, squared norm or None
-# when the gate only moves or negates amplitudes, squared norm dropped)
-Step = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray, Optional[float], float]]
+# (the circuit's width, where the state numbers start; the number of states)
+Batch = Tuple[int, int]
+
+# step(indices, amplitudes, batch) -> (indices, amplitudes, per-state squared
+# norms kept, per-state squared norms dropped); both are None when the gate
+# only moves or negates amplitudes
+Step = Callable[
+    [np.ndarray, np.ndarray, Batch],
+    Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]],
+]
+
+
+def _per_state(batch: Batch, idx: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """The sum of mag over the entries of each state, idx giving each
+    entry's basis index (not read for a batch of one)."""
+    shift, count = batch
+    if count == 1:
+        return mag.sum(keepdims=True)
+    return np.bincount(idx >> shift, weights=mag, minlength=count)
 
 
 def _gather_bits(qubits: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -208,38 +230,42 @@ def _mask(qubits: Sequence[int]) -> int:
     return mask
 
 
-def _raise_stray(stray: np.ndarray, tag: str) -> None:
+def _raise_stray(outside: np.ndarray, tag: str) -> None:
     """Raise if the amplitudes a library gate holds outside its domain carry
-    more than DOMAIN_TOL of mass."""
-    outside = float(np.sum(stray.real**2 + stray.imag**2))
-    if outside > DOMAIN_TOL:
+    more than DOMAIN_TOL of mass in any state (outside: per-state masses)."""
+    worst = float(np.max(outside))
+    if worst > DOMAIN_TOL:
         raise SimulationError(
             f"library gate {tag!r} driven outside its domain "
-            f"(stray mass {outside:.3e})"
+            f"(stray mass {worst:.3e})"
         )
 
 
-def _check_inputs(ok: np.ndarray, local: np.ndarray, amp: np.ndarray, tag: str) -> None:
+def _check_inputs(
+    ok: np.ndarray, local: np.ndarray, idx: np.ndarray, amp: np.ndarray, tag: str, batch: Batch
+) -> None:
     """ok[local] is False for an input that drives the gate outside its domain."""
     stray = ~ok[local]
     if stray.any():
-        _raise_stray(amp[stray], tag)
+        amp = amp[stray]
+        _raise_stray(_per_state(batch, idx[stray], amp.real**2 + amp.imag**2), tag)
 
 
-def _kept(out: np.ndarray, rows: np.ndarray, patterns: np.ndarray):
+def _kept(out: np.ndarray, rows: np.ndarray, patterns: np.ndarray, batch: Batch):
     """The entries of a (rows, patterns) block as a step returns them: those
-    below DROP_EPS in magnitude are dropped and their squared norm counted."""
-    mag = (out.real**2 + out.imag**2).ravel()
+    below DROP_EPS in magnitude are dropped and their squared norm counted
+    to the state of their column."""
+    mag = out.real**2 + out.imag**2
     # an entry whose square underflows (|a| < 1e-161) adds nothing to the bound
     keep = mag >= DROP_EPS * DROP_EPS
     flat = np.flatnonzero(keep)
     r, c = np.divmod(flat, out.shape[1])
-    return (
-        patterns[c] | rows[r],
-        out.ravel()[flat],
-        float(np.sum(mag[flat])),
-        float(np.sum(mag[~keep])),
-    )
+    idx = patterns[c] | rows[r]
+    if batch[1] == 1:
+        lost = mag[~keep].sum(keepdims=True)
+    else:
+        lost = _per_state(batch, patterns, np.sum(mag, axis=0, where=~keep))
+    return idx, out.ravel()[flat], _per_state(batch, idx, mag.ravel()[flat]), lost
 
 
 def _weight_step(
@@ -250,11 +276,11 @@ def _weight_step(
     data_mask = _mask(data)
     delta = _spread(np.asarray(pattern, dtype=np.int64), out)
 
-    def step(idx: np.ndarray, amp: np.ndarray):
+    def step(idx: np.ndarray, amp: np.ndarray, batch: Batch):
         flip = delta[np.bitwise_count(idx & data_mask)]
         if ctrl is not None:
             flip *= (idx >> ctrl) & 1
-        return idx ^ flip, amp, None, 0.0
+        return idx ^ flip, amp, None, None
 
     return step
 
@@ -268,11 +294,11 @@ def _table_step(
     # the bits each gate-local input flips, spread onto the circuit's qubits
     delta = _spread(np.arange(len(table), dtype=np.int64) ^ table, qubits)
 
-    def step(idx: np.ndarray, amp: np.ndarray):
+    def step(idx: np.ndarray, amp: np.ndarray, batch: Batch):
         local = _move_bits(idx, shifts, weights)
         if ok is not None:
-            _check_inputs(ok, local, amp, tag)
-        return idx ^ delta[local], amp, None, 0.0
+            _check_inputs(ok, local, idx, amp, tag, batch)
+        return idx ^ delta[local], amp, None, None
 
     return step
 
@@ -299,12 +325,12 @@ def _matrix_step(qubits: Sequence[int], fn: Callable[[np.ndarray], np.ndarray]) 
     rows = _spread(np.arange(2 ** len(qubits), dtype=np.int64), qubits)
     rest = ~_mask(qubits)
 
-    def step(idx: np.ndarray, amp: np.ndarray):
+    def step(idx: np.ndarray, amp: np.ndarray, batch: Batch):
         local = _move_bits(idx, shifts, weights)
         patterns, column = np.unique(idx & rest, return_inverse=True)
         block = np.zeros((len(rows), len(patterns)), dtype=complex)
         block[local, column] = amp
-        return _kept(fn(block), rows, patterns)
+        return _kept(fn(block), rows, patterns, batch)
 
     return step
 
@@ -329,10 +355,10 @@ def _column_step(
     rest = ~_mask(qubits)
     touched = np.flatnonzero(np.any(basis != 0, axis=1))
 
-    def step(idx: np.ndarray, amp: np.ndarray):
+    def step(idx: np.ndarray, amp: np.ndarray, batch: Batch):
         local = _move_bits(idx, shifts, weights)
         if in_domain is not None and not after:
-            _check_inputs(in_domain, local, amp, tag)
+            _check_inputs(in_domain, local, idx, amp, tag, batch)
         # with return_inverse, np.unique does not import numpy.ma (1 MiB of RSS)
         rows, row = np.unique(np.concatenate([local, touched]), return_inverse=True)
         patterns, column = np.unique(idx & rest, return_inverse=True)
@@ -343,8 +369,10 @@ def _column_step(
         for j in range(basis.shape[1]):
             out += onto[:, j, None] * np.sum(into[:, j, None] * block, axis=0)
         if in_domain is not None and after:
-            _raise_stray(out[~in_domain[rows]], tag)
-        return _kept(out, _spread(rows, qubits), patterns)
+            stray = out[~in_domain[rows]]
+            mass = np.sum(stray.real**2 + stray.imag**2, axis=0)
+            _raise_stray(_per_state(batch, patterns, mass), tag)
+        return _kept(out, _spread(rows, qubits), patterns, batch)
 
     return step
 
@@ -355,8 +383,8 @@ def _sign_step(targets: Sequence[int], ctrl: Optional[int]) -> Step:
     on = 0 if ctrl is None else 1 << ctrl
     mask = _mask(targets) | on
 
-    def step(idx: np.ndarray, amp: np.ndarray):
-        return idx, np.where((idx & mask) == on, -amp, amp), None, 0.0
+    def step(idx: np.ndarray, amp: np.ndarray, batch: Batch):
+        return idx, np.where((idx & mask) == on, -amp, amp), None, None
 
     return step
 
@@ -444,24 +472,32 @@ def _plan(circuit: Circuit) -> Plan:
     return tuple(tuple(_step(gate) for gate in layer) for layer in circuit.layers)
 
 
-def _execute(plan: Plan, state: StateVector) -> StateVector:
-    """Replay the plan on a normalized support, checking the norm after
-    each layer as ``run`` describes."""
-    idx, amp = state.indices, state.values
-    norm = float(np.sum(amp.real**2 + amp.imag**2))
-    dropped = 0.0
-    bound = state.error_bound
+def _execute(
+    plan: Plan, idx: np.ndarray, amp: np.ndarray, batch: Batch, bound: float = 0.0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replay the plan on the support of a batch of normalized states, each
+    starting ``bound`` from its exact state, and check after each layer that
+    every state's norm plus the mass it dropped is within ``NORM_TOL`` of
+    one.  Returns the final support and each state's error bound."""
+    norm = _per_state(batch, idx, amp.real**2 + amp.imag**2)
+    dropped = np.zeros(batch[1])
+    bounds = np.full(batch[1], bound)
     for layer in plan:
+        moved = False
         for step in layer:
-            idx, amp, kept, lost = step(idx, amp)
+            idx, amp, kept, lost = step(idx, amp, batch)
             if kept is not None:
-                norm = kept
-            if lost:
-                dropped += lost
-                bound += math.sqrt(lost)
-        if abs(norm + dropped - 1.0) > NORM_TOL:
-            raise SimulationError(f"state norm drifted to {norm!r}")
-    return StateVector(state.n_qubits, idx, amp, bound)
+                norm, moved = kept, True
+                if lost.any():
+                    dropped += lost
+                    bounds += np.sqrt(lost)
+        # a layer that only moves or negates amplitudes keeps every norm
+        if moved:
+            drift = np.abs(norm + dropped - 1.0)
+            if drift.max() > NORM_TOL:
+                worst = int(np.argmax(drift))
+                raise SimulationError(f"state norm drifted to {float(norm[worst])!r}")
+    return idx, amp, bounds
 
 
 def _basis_index(n: int, initial: Optional[Dict[int, int]]) -> int:
@@ -509,7 +545,10 @@ def run(circuit: Circuit, initial: Initial = None) -> StateVector:
     After each layer the norm of the state plus the mass dropped so far must
     be within ``NORM_TOL`` of one.
     """
-    return _execute(_plan(circuit), _support(circuit.n_qubits, initial))
+    n = circuit.n_qubits
+    state = _support(n, initial)
+    idx, amp, bound = _execute(_plan(circuit), state.indices, state.values, (n, 1), state.error_bound)
+    return StateVector(n, idx, amp, float(bound[0]))
 
 
 # ---- verification ----
@@ -554,7 +593,8 @@ def check_clean_preparation(
     ``clean_tol``."""
     state = run(circuit, initial)
     delta = state.error_bound
-    non_output = [q for q in range(circuit.n_qubits) if q not in set(output_qubits)]
+    outputs = set(output_qubits)
+    non_output = [q for q in range(circuit.n_qubits) if q not in outputs]
     fid, _ = mass_bounds(output_overlap(state, target, output_qubits), delta)
     _, stray = mass_bounds(math.sqrt(residual_mass(state, non_output)), delta)
     return VerificationResult(
@@ -577,12 +617,9 @@ class CertificationReport:
     worst_overlap: float
 
 
-def _declared_output(sem: library.LibrarySemantics, local_index: int) -> np.ndarray:
-    if sem.permutation is None:
-        return sem.columns[local_index]
-    col = np.zeros(2**sem.n_qubits, dtype=complex)
-    col[sem.permutation[local_index]] = 1.0
-    return col
+# The widest index a batch of certification states may reach: the state
+# numbers sit above the circuit's qubits, and int64 indices hold 63 bits.
+_BATCH_INDEX_BITS = 62
 
 
 def certify(
@@ -602,6 +639,12 @@ def certify(
     part of the overlap must reach 1 - tol, so even a global phase fails).
     A uniform superposition probe over the domain is run as well, which
     catches errors on inputs left out by ``domain_subset``.
+
+    The inputs and then the probe run as one batch of independent states
+    (as few batches as keep the indices in int64), each with its own norm
+    check, domain checks and error bound, as in a run of its own.  The
+    error raised is the one separate runs in that order would raise first:
+    a batch that raises ``SimulationError`` is run again state by state.
     """
     w = sem.n_qubits
     if len(io_qubits) != w:
@@ -619,37 +662,75 @@ def certify(
     if len(set(io_qubits)) != w or not all(0 <= q < n for q in io_qubits):
         raise CertificationError(f"{tag!r} needs {w} distinct qubits of the circuit")
     plan = _plan(explicit)
+    starts = _spread(np.asarray(inputs, dtype=np.int64), io_qubits)
+    # the entries that count towards an overlap have every other qubit zero
+    others = ((1 << n) - 1) ^ _mask(io_qubits)
+    targets = None
+    if sem.permutation is not None:
+        # a basis input's declared output is the one index permutation[d];
+        # the probe, if any, matches no index
+        targets = np.append(sem.permutation[np.asarray(inputs, dtype=np.int64)], -1)
+    states = len(inputs)
+    if probe and len(domain) > 1:
+        # state number len(inputs): the uniform superposition over the domain
+        scale = 1.0 / np.sqrt(len(domain))
+        probe_start = _spread(np.asarray(domain, dtype=np.int64), io_qubits)
+        if sem.permutation is not None:
+            probe_output = np.zeros(2**w, dtype=complex)
+            probe_output[sem.permutation[domain]] = scale
+        else:
+            probe_output = np.asarray(sum(sem.columns[d] for d in domain) * scale)
+        states += 1
 
-    def cases():
-        """(initial support, declared output on io_qubits, failure message)"""
-        starts = _spread(np.asarray(inputs, dtype=np.int64), io_qubits)
-        for d, start in zip(inputs, starts):
-            yield (
-                StateVector(n, start.reshape(1), np.ones(1, dtype=complex)),
-                _declared_output(sem, d),
-                f"disagrees with its declared action on input {d:0{w}b}",
-            )
-        if probe and len(domain) > 1:
-            scale = 1.0 / np.sqrt(len(domain))
-            idx = _spread(np.asarray(domain, dtype=np.int64), io_qubits)
-            expected = sum(_declared_output(sem, d) for d in domain) * scale
-            yield (
-                StateVector(n, idx, np.full(len(domain), scale, dtype=complex)),
-                np.asarray(expected),
-                "fails the superposition probe",
-            )
+    def overlaps(lo: int, hi: int) -> np.ndarray:
+        """Real part of the overlap of states lo..hi-1 with their declared
+        outputs, less each state's error bound (the real part moves by at
+        most that much), from one batched run."""
+        numbers = np.arange(lo, min(hi, len(inputs)))
+        idx = [((numbers - lo) << n) | starts[numbers]]
+        amp = [np.ones(len(numbers), dtype=complex)]
+        if hi > len(inputs):
+            idx.append(((len(inputs) - lo) << n) | probe_start)
+            amp.append(np.full(len(domain), scale, dtype=complex))
+        idx, amp, bounds = _execute(plan, np.concatenate(idx), np.concatenate(amp), (n, hi - lo))
+        on = (idx & others) == 0
+        state, local, amp = idx[on] >> n, _gather(idx[on], io_qubits), amp[on]
+        vectors = {}
+        if targets is not None:
+            hit = local == targets[lo + state]
+            out = np.bincount(state[hit], weights=amp[hit].real, minlength=hi - lo)
+        else:
+            out = np.zeros(hi - lo)
+            vectors = {s - lo: sem.columns[inputs[s]] for s in numbers}
+        if hi > len(inputs):
+            vectors[len(inputs) - lo] = probe_output
+        for s, vector in vectors.items():
+            mine = state == s
+            out[s] = np.sum(np.conj(vector[local[mine]]) * amp[mine]).real
+        return out - bounds
 
+    per_batch = 1 << max(0, _BATCH_INDEX_BITS - n)
     worst = 1.0
-    checked = 0
-    for initial, expected, failure in cases():
-        state = _execute(plan, initial)
-        # the real part of an overlap moves by at most the error bound
-        ov = output_overlap(state, expected, io_qubits).real - state.error_bound
-        worst = min(worst, ov)
-        if ov < 1.0 - tol:
-            raise CertificationError(f"{tag}{args} {failure} (overlap {ov:.12f})")
-        checked += 1
-    return CertificationReport(tag, args, checked, worst)
+    for lo in range(0, states, per_batch):
+        hi = min(states, lo + per_batch)
+        try:
+            runs: Iterable[Tuple[int, np.ndarray]] = [(lo, overlaps(lo, hi))]
+        except SimulationError:
+            # some state fails a check: run each on its own, in order, so
+            # that the error raised is the one separate runs meet first
+            runs = ((s, overlaps(s, s + 1)) for s in range(lo, hi))
+        for first, found in runs:
+            bad = np.flatnonzero(found < 1.0 - tol)
+            if bad.size:
+                s, ov = first + int(bad[0]), float(found[bad[0]])
+                failure = (
+                    f"disagrees with its declared action on input {inputs[s]:0{w}b}"
+                    if s < len(inputs)
+                    else "fails the superposition probe"
+                )
+                raise CertificationError(f"{tag}{args} {failure} (overlap {ov:.12f})")
+            worst = min(worst, float(found.min()))
+    return CertificationReport(tag, args, states, worst)
 
 
 def certify_library_gate(
@@ -674,8 +755,13 @@ def certify_library_gate(
 
 
 def workers_from_env() -> int:
+    """The worker count SHALLOWPREP_WORKERS sets (1 when it is unset); any
+    value but a positive integer raises ValueError."""
     raw = os.environ.get("SHALLOWPREP_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SHALLOWPREP_WORKERS must be a positive integer, not {raw!r}")
+    return workers

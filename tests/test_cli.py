@@ -276,3 +276,26 @@ def test_malformed_circuit_files_exit_2_with_one_line(tmp_path, capsys, case):
         assert cli.main(argv) == 2, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, (argv[0], err)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "zero", "0"])
+@pytest.mark.parametrize("command", [["claims", "--grid", "m=1..2,k=1..1"], ["accept", "--only", "padding-path"]])
+def test_malformed_workers_variable_exits_2_with_one_line(monkeypatch, capsys, command, raw):
+    """SHALLOWPREP_WORKERS is the --workers default of claims and accept;
+    a value that is not a positive integer is refused like --workers 0."""
+    monkeypatch.setenv("SHALLOWPREP_WORKERS", raw)
+    assert cli.main(command) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "SHALLOWPREP_WORKERS" in err
+    # an explicit flag does not read the variable
+    assert cli.main(command + ["--workers", "1"]) == 0
+
+
+def test_synth_dicke_stops_at_the_edge_of_the_builder_domain(tmp_path, capsys):
+    """A block count exists exactly when k(k - 1) < n: 6 < 9 builds, 12 < 8
+    does not, and ends with exit code 2 and one line."""
+    assert cli.main(["synth", "dicke", "--n", "9", "--k", "3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["synth", "dicke", "--n", "8", "--k", "4", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no workable block count for n=8, k=4" in err

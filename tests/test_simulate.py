@@ -22,11 +22,12 @@ from shallowprep.circuits import (
     g_nor,
     g_or,
     g_product_reflection,
+    g_reflect_zero,
     g_swap,
     g_unitary1,
     g_x,
 )
-from shallowprep.primitives import ham_gadget
+from shallowprep.primitives import ctrl_dicke_explicit, ham_gadget
 from shallowprep.simulate import (
     CertificationError,
     SimulationError,
@@ -340,9 +341,11 @@ def test_workers_from_env(monkeypatch):
     monkeypatch.setenv("SHALLOWPREP_WORKERS", "4")
     assert workers_from_env() == 4
     monkeypatch.setenv("SHALLOWPREP_WORKERS", "zero")
-    assert workers_from_env() == 1
+    with pytest.raises(ValueError, match="SHALLOWPREP_WORKERS"):
+        workers_from_env()
     monkeypatch.setenv("SHALLOWPREP_WORKERS", "-2")
-    assert workers_from_env() == 1
+    with pytest.raises(ValueError, match="SHALLOWPREP_WORKERS"):
+        workers_from_env()
 
 
 def test_certify_rejects_subset_inputs_outside_the_domain():
@@ -358,6 +361,234 @@ def test_certify_rejects_subset_inputs_outside_the_domain():
     # a permutation gate with a partial domain: one_hot(1, classic) takes 0 and 0b10 only
     with pytest.raises(CertificationError, match="outside"):
         certify_library_gate("one_hot", (1, False), circuit, tuple(r), domain_subset=[1])
+
+
+def certify_by_separate_runs(tag, args, circuit, io, domain_subset=None, probe=True):
+    """The certification loop as one ``run`` per basis input and one for the
+    probe, each overlap read by ``output_overlap`` less the run's error
+    bound.  Returns (inputs checked, worst overlap), or raises what the
+    first failing run raises."""
+    sem = library.semantics(tag, args)
+    w, n = sem.n_qubits, circuit.n_qubits
+    domain = list(range(2**w)) if sem.domain is None else [int(d) for d in sem.domain]
+    inputs = domain if domain_subset is None else list(domain_subset)
+
+    def declared(d):
+        if sem.permutation is None:
+            return sem.columns[d]
+        out = np.zeros(2**w, dtype=complex)
+        out[sem.permutation[d]] = 1.0
+        return out
+
+    def start(d):
+        """Basis index of input d on io; io[0] holds its top bit."""
+        return sum(1 << q for j, q in enumerate(io) if (d >> (w - 1 - j)) & 1)
+
+    cases = [
+        (
+            StateVector(n, np.array([start(d)]), np.ones(1, dtype=complex)),
+            declared(d),
+            f"disagrees with its declared action on input {d:0{w}b}",
+        )
+        for d in inputs
+    ]
+    if probe and len(domain) > 1:
+        scale = 1.0 / np.sqrt(len(domain))
+        probe_start = np.array([start(d) for d in domain])
+        cases.append((
+            StateVector(n, probe_start, np.full(len(domain), scale, dtype=complex)),
+            sum(declared(d) for d in domain) * scale,
+            "fails the superposition probe",
+        ))
+    worst = 1.0
+    for initial, expected, failure in cases:
+        state = run(circuit, initial)
+        ov = output_overlap(state, expected, io).real - state.error_bound
+        worst = min(worst, ov)
+        if ov < 1.0 - 1e-9:
+            raise CertificationError(f"{tag}{args} {failure} (overlap {ov:.12f})")
+    return len(cases), worst
+
+
+def assert_batched_matches_separate_runs(tag, args, circuit, io, **kwargs):
+    """Batched certification reports what separate runs report, or raises
+    the same error with the same message; returns that message, if any."""
+    kwargs["max_qubits"] = circuit.n_qubits
+    try:
+        checked, worst = certify_by_separate_runs(
+            tag, args, circuit, io, kwargs.get("domain_subset"), kwargs.get("probe", True)
+        )
+    except (CertificationError, SimulationError) as exc:
+        with pytest.raises(type(exc)) as got:
+            certify_library_gate(tag, args, circuit, io, **kwargs)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    report = certify_library_gate(tag, args, circuit, io, **kwargs)
+    assert report.inputs_checked == checked
+    assert abs(report.worst_overlap - worst) <= 1e-15
+    return None
+
+
+def ham_case(n, k):
+    b = Builder()
+    x = b.add_register("x", n, ancilla=False)
+    tally = tuple(ham_gadget(b, tuple(x), k))
+    return "ham", (n, k), b.build(), tuple(x) + tally
+
+
+def ctrl_dicke_case(ell, slots, weights):
+    return ("ctrl_dicke", (ell, slots, weights)) + ctrl_dicke_explicit(ell, slots, weights)
+
+
+ORACLE_CASES = [ham_case(n, k) for n in range(1, 4) for k in range(0, 3)] + [
+    ctrl_dicke_case(2, 1, (0,)),
+    ctrl_dicke_case(2, 2, (0, 1)),
+    ctrl_dicke_case(3, 2, (1, 2)),
+]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: f"{c[0]}{c[1]}")
+def test_batched_certification_matches_separate_runs(case):
+    assert assert_batched_matches_separate_runs(*case) is None
+
+
+def test_batched_certification_of_a_domain_subset_matches_separate_runs():
+    tag, args, circuit, io = ham_case(3, 1)
+    subset = [0b00000, 0b10110, 0b01001, 0b10110, 0b11111]
+    for probe in (True, False):
+        kwargs = dict(domain_subset=subset, probe=probe)
+        assert assert_batched_matches_separate_runs(tag, args, circuit, io, **kwargs) is None
+    assert certify_library_gate(tag, args, circuit, io, domain_subset=subset).inputs_checked == 6
+
+
+def with_phase_on_output(circuit, io, pattern):
+    """The circuit followed by a sign flip of the io basis state ``pattern``
+    (io[0] its top bit)."""
+    b = Builder.from_circuit(circuit)
+    flips = [q for j, q in enumerate(io) if (pattern >> (len(io) - 1 - j)) & 1]
+    for q in flips:
+        b.append(g_x(q))
+    b.append(g_reflect_zero(io))
+    for q in flips:
+        b.append(g_x(q))
+    return b.build()
+
+
+def test_batched_certification_names_the_one_failing_middle_input():
+    """A sign flip on the output of input 10110 of ham_gadget(3, 1) fails
+    that input only; the message names it, as separate runs do."""
+    tag, args, circuit, io = ham_case(3, 1)
+    sem = library.semantics(tag, args)
+    bad = 0b10110
+    mutant = with_phase_on_output(circuit, io, int(sem.permutation[bad]))
+    message = assert_batched_matches_separate_runs(tag, args, mutant, io)
+    assert "disagrees with its declared action on input 10110 (overlap -1.0" in message
+    for d in range(2**5):
+        if d != bad:
+            subset = [d]
+            certify_library_gate(tag, args, mutant, io, domain_subset=subset, probe=False)
+
+
+def test_batched_certification_raises_the_first_failure_in_input_order():
+    """Input 10 of exact(1, 1) fails its overlap and input 11 drives a
+    library gate outside its domain: the overlap failure comes first, as in
+    separate runs.  With the order reversed the domain error comes first."""
+    circuit, io = cnot_as_exact11()
+    for phase_on, stray_on in ((0b11, 0b10), (0b10, 0b11)):
+        b = Builder.from_circuit(with_phase_on_output(circuit, io, phase_on))
+        flag = b.add_register("flag", 2)
+        zeros = [q for j, q in enumerate(io) if not (stray_on >> (1 - j)) & 1]
+        for q in zeros:
+            b.append(g_x(q))
+        b.append(g_and(io, flag[0]))
+        for q in zeros:
+            b.append(g_x(q))
+        # dicke_prep(2, 1) declares input 00 only; its inverse undoes it there
+        b.append(library.make("dicke_prep", (2, 1), tuple(flag)))
+        b.append(library.make("dicke_prep", (2, 1), tuple(flag), inverse=True))
+        message = assert_batched_matches_separate_runs("exact", (1, 1), b.build(), io)
+        if phase_on == 0b11:
+            assert "disagrees with its declared action on input 10" in message
+        else:
+            assert "outside its domain" in message
+
+
+def test_batched_certification_checks_each_state_norm():
+    """A gate that scales only the states with x set fails the norm check
+    of input 10, the first of them, though input 00 keeps its norm and a
+    later layer undoes the scaling."""
+    circuit, io = cnot_as_exact11()
+    b = Builder.from_circuit(circuit)
+    a = b.add_register("a", 1)
+    valid = b.build()
+    # the builder refuses such gates, so the layers are set directly
+    grow = g_ctrl_unitary1(io[0], a[0], Z_MATRIX).with_params(matrix=1.5 * np.eye(2))
+    shrink = grow.with_params(matrix=np.eye(2) / 1.5)
+    scaled = Circuit(valid.registers, valid.layers + ((grow,), (shrink,)), valid.metadata)
+    message = assert_batched_matches_separate_runs("exact", (1, 1), scaled, io)
+    assert "drifted to 2.25" in message
+
+
+def test_domain_and_error_bounds_are_kept_per_input(monkeypatch):
+    """Each input of this gadget leaves 6e-10 of stray mass at two checked
+    library gates, under DOMAIN_TOL for each run but not summed over the
+    five states; inputs with x set drop a 5e-15 entry twice.  Batched
+    certification passes as the separate runs do, and its worst overlap is
+    the one the separate runs report, not one charged every drop."""
+    circuit, io = cnot_as_exact11()
+    b = Builder.from_circuit(circuit)
+    a = b.add_register("a", 2)
+    stray = math.asin(math.sqrt(6e-10))
+    tiny = math.asin(5e-15)
+    rotate = lambda t: np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    b.append(g_unitary1(a[0], rotate(stray)))
+    b.append(g_ctrl_unitary1(io[0], a[1], rotate(tiny)))
+    b.append(library.make("dicke_prep", (2, 1), tuple(a)))
+    b.append(library.make("dicke_prep", (2, 1), tuple(a), inverse=True))
+    b.append(g_ctrl_unitary1(io[0], a[1], rotate(-tiny)))
+    b.append(g_unitary1(a[0], rotate(-stray)))
+    mutant = b.build()
+    assert 5 * 6e-10 > simulate.DOMAIN_TOL
+    bounds = [run(mutant, {io[0]: x}).error_bound for x in (0, 1)]
+    assert bounds[1] > bounds[0] + 5e-15
+    assert assert_batched_matches_separate_runs("exact", (1, 1), mutant, io) is None
+    # and in one batch: no state failed a check and sent it back to separate runs
+    batches = []
+    real_execute = simulate._execute
+    monkeypatch.setattr(
+        simulate, "_execute", lambda *a: batches.append(a[3]) or real_execute(*a)
+    )
+    certify_library_gate("exact", (1, 1), mutant, io)
+    assert batches == [(mutant.n_qubits, 5)]
+
+
+def test_inputs_split_into_batches_that_fit_int64(monkeypatch):
+    """On 61 qubits two state numbers fit under bit 62, so exact(1, 1)'s
+    four inputs and the probe run in three batches, with the same report
+    as separate runs, and a failing input is still the one named."""
+    b = Builder()
+    b.add_register("idle", 59)
+    x = b.add_register("x", 1)
+    f = b.add_register("f", 1)
+    b.append(g_cnot(x[0], f[0]))
+    circuit, io = b.build(), (x[0], f[0])
+    assert circuit.n_qubits == 61
+    batches = []
+    real_execute = simulate._execute
+
+    def execute(plan, idx, amp, batch, bound=0.0):
+        assert int(idx.max()) < 2**62
+        batches.append(batch[1])
+        return real_execute(plan, idx, amp, batch, bound)
+
+    assert assert_batched_matches_separate_runs("exact", (1, 1), circuit, io) is None
+    monkeypatch.setattr(simulate, "_execute", execute)
+    certify_library_gate("exact", (1, 1), circuit, io, max_qubits=61)
+    assert batches == [2, 2, 1]
+    monkeypatch.undo()
+    mutant = with_phase_on_output(circuit, io, 0b11)
+    message = assert_batched_matches_separate_runs("exact", (1, 1), mutant, io)
+    assert "on input 10 " in message
 
 
 def test_w_state_on_19_qubits_verifies_exact_and_clean():
