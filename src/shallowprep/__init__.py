@@ -2,7 +2,8 @@
 
 The package splits into a layered-circuit representation (``circuits``,
 ``library``), a simulator on the nonzero amplitudes with certification
-helpers (``simulate``), amplitude-amplification building blocks
+helpers (``simulate``, which applies each Grover round that ``rounds``
+finds as one reflection), amplitude-amplification building blocks
 (``primitives``), exact rational distribution machinery (``dists``), the
 state constructions themselves (``synthesis``), and sweep/acceptance
 harnesses (``claims``, ``acceptance``, ``cli``).

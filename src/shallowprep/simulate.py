@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from . import library
+from . import library, rounds
 from .circuits import Circuit, Gate
 
 NORM_TOL = 1e-10
@@ -34,6 +34,8 @@ DROP_EPS = 1e-14
 # CLI's synth self-check and verify stop here too, as nothing yet bounds the
 # support a circuit can grow.
 MAX_DENSE_QUBITS = 20
+# The widest circuit simulated at all: basis indices are int64.
+MAX_INDEX_QUBITS = 63
 
 
 class SimulationError(RuntimeError):
@@ -162,8 +164,9 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
 # ---- kernel ----
 #
 # The state is held as its support: distinct int64 basis indices and their
-# amplitudes.  A circuit is compiled once into a plan, one step per gate, and
-# each run replays the plan on a support.  A gate that flips bits by a
+# amplitudes.  A circuit is compiled once into a plan, one step per gate
+# with each Grover round as one reflection (``rounds``), and each run
+# replays the plan on a support.  A gate that flips bits by a
 # predicate on other bits XORs a mask into each index; a permutation gate
 # remaps indices through a table over its gate-local index; a matrix gate
 # acts on a block whose rows are gate-local indices and whose columns are
@@ -464,27 +467,73 @@ def _step(gate: Gate) -> Step:
     return _column_step(qubits, basis, left, in_domain, after, p.get("tag"))
 
 
-Plan = Tuple[Tuple[Step, ...], ...]
+Plan = Tuple[Union[Tuple[Step, ...], rounds.Round], ...]
 
 
 def _plan(circuit: Circuit) -> Plan:
-    """One step per gate, layer by layer."""
-    return tuple(tuple(_step(gate) for gate in layer) for layer in circuit.layers)
+    """One step per gate, layer by layer, with each Grover round that
+    ``rounds.find`` finds as one item."""
+    if circuit.n_qubits > MAX_INDEX_QUBITS:
+        raise SimulationError(
+            f"a {circuit.n_qubits}-qubit circuit is over the {MAX_INDEX_QUBITS}-qubit "
+            f"limit of int64 basis indices"
+        )
+    steps = [tuple(_step(gate) for gate in layer) for layer in circuit.layers]
+    return rounds.fuse(circuit.layers, steps)
+
+
+def _sorted(n: int, idx: np.ndarray, amp: np.ndarray, bound: float) -> StateVector:
+    order = np.argsort(idx)
+    return StateVector(n, idx[order], amp[order], bound)
+
+
+def _reflection_step(a: StateVector, mask: int) -> Step:
+    """A round as ψ − 2a⟨a|ψ⟩, dropping entries as ``_kept`` does."""
+
+    def step(idx: np.ndarray, amp: np.ndarray, batch: Batch):
+        idx, out = rounds.reflect(a.indices, a.values, mask, idx, amp)
+        mag = out.real**2 + out.imag**2
+        keep = mag >= DROP_EPS * DROP_EPS
+        lost = _per_state(batch, idx[~keep], mag[~keep])
+        idx = idx[keep]
+        return idx, out[keep], _per_state(batch, idx, mag[keep]), lost
+
+    return step
 
 
 def _execute(
     plan: Plan, idx: np.ndarray, amp: np.ndarray, batch: Batch, bound: float = 0.0
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replay the plan on the support of a batch of normalized states, each
-    starting ``bound`` from its exact state, and check after each layer that
-    every state's norm plus the mass it dropped is within ``NORM_TOL`` of
-    one.  Returns the final support and each state's error bound."""
+    starting ``bound`` from its exact state, and check after each layer and
+    round that every state's norm plus the mass it dropped is within
+    ``NORM_TOL`` of one.  Returns the final support and each state's error
+    bound.
+
+    A round takes a = A|0⟩ from the state a run of one state from |0…0⟩
+    held after A, or else runs A's plan from |0…0⟩ once (its own norm
+    checks and drops included).  It costs each state 2δ(2 + δ)·‖ψ‖ of
+    bound, δ being a's: I − 2|a⟩⟨a| is that close to I − 2|A0⟩⟨A0|.
+    """
     norm = _per_state(batch, idx, amp.real**2 + amp.imag**2)
     dropped = np.zeros(batch[1])
     bounds = np.full(batch[1], bound)
-    for layer in plan:
+    held: Dict[Optional[int], Optional[StateVector]] = {}
+    if batch[1] == 1 and idx.size == 1 and idx[0] == 0 and amp[0] == 1:
+        held = {item.prefix: None for item in plan if isinstance(item, rounds.Round)}
+    for i, item in enumerate(plan):
+        if i in held:
+            held[i] = _sorted(batch[0], idx, amp, float(bounds[0]) - bound)
+        if isinstance(item, rounds.Round):
+            a = held.get(item.prefix) or item.a
+            if a is None:
+                zero = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
+                a_idx, a_amp, a_bound = _execute(item.forward, *zero, (batch[0], 1))
+                a = item.a = _sorted(batch[0], a_idx, a_amp, float(a_bound[0]))
+            bounds += 2.0 * a.error_bound * (2.0 + a.error_bound) * np.sqrt(norm)
+            item = (_reflection_step(a, item.mask),)
         moved = False
-        for step in layer:
+        for step in item:
             idx, amp, kept, lost = step(idx, amp, batch)
             if kept is not None:
                 norm, moved = kept, True
@@ -546,8 +595,9 @@ def run(circuit: Circuit, initial: Initial = None) -> StateVector:
     be within ``NORM_TOL`` of one.
     """
     n = circuit.n_qubits
+    plan = _plan(circuit)
     state = _support(n, initial)
-    idx, amp, bound = _execute(_plan(circuit), state.indices, state.values, (n, 1), state.error_bound)
+    idx, amp, bound = _execute(plan, state.indices, state.values, (n, 1), state.error_bound)
     return StateVector(n, idx, amp, float(bound[0]))
 
 

@@ -1,7 +1,9 @@
 """Simulator conventions, verification helpers, and certification checks."""
 
 import cmath
+import json
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -10,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shallowprep import library, simulate
+from shallowprep import acceptance, library, primitives, rounds, simulate
 from shallowprep.circuits import (
     Builder,
     Circuit,
     Z_MATRIX,
+    deserialize,
     g_and,
     g_cnot,
     g_ctrl_unitary1,
@@ -26,6 +29,7 @@ from shallowprep.circuits import (
     g_swap,
     g_unitary1,
     g_x,
+    serialize,
 )
 from shallowprep.primitives import ctrl_dicke_explicit, ham_gadget
 from shallowprep.simulate import (
@@ -964,3 +968,242 @@ def test_column_gates_on_wide_supports_match_the_dense_completion(tag, args, ctr
     assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
     back = run(wide_circuit(tag, args, ctrl, [False, True], checked=True), start)
     assert np.max(np.abs(back.amplitudes - start)) < 1e-12
+
+
+# ---- Grover rounds as rank-1 reflections ----
+
+
+def rounds_in(circuit):
+    """How many rounds the plan fuses at its top level."""
+    return sum(isinstance(item, rounds.Round) for item in simulate._plan(circuit))
+
+
+def split_run(circuit, initial=None):
+    """The plain result: the circuit run in pieces cut before every layer
+    that holds a lone reflection, so no piece holds a mirror around one."""
+    cuts = [c for c, layer in enumerate(circuit.layers) if rounds.is_zero_reflection(layer)]
+    state = initial
+    edges = [0] + cuts + [len(circuit.layers)]
+    for lo, hi in zip(edges, edges[1:]):
+        piece = replace(circuit, layers=circuit.layers[lo:hi])
+        assert rounds_in(piece) == 0
+        state = run(piece, state)
+    return state
+
+
+def as_dict(state):
+    return dict(zip(state.indices.tolist(), state.values.tolist()))
+
+
+def assert_same_run(circuit, initial=None):
+    """A circuit the plan does not fuse runs exactly as the split run."""
+    assert rounds_in(circuit) == 0
+    got, want = run(circuit, initial), split_run(circuit, initial)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.values, want.values)
+    assert got.error_bound == want.error_bound
+
+
+def assert_fused_matches_split(circuit, initial=None):
+    """Fused and split runs agree within 1e-13 on the union of their
+    supports, and their 2-norm distance is within the sum of their bounds
+    (plus 1e-14 of rounding, which no bound counts yet)."""
+    fused, plain = run(circuit, initial), split_run(circuit, initial)
+    got, want = as_dict(fused), as_dict(plain)
+    diffs = [abs(got.get(i, 0) - want.get(i, 0)) for i in set(got) | set(want)]
+    assert max(diffs) <= 1e-13
+    distance = math.sqrt(sum(d * d for d in diffs))
+    assert distance <= fused.error_bound + plain.error_bound + 1e-14
+    return fused, plain
+
+
+ORACLE = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+
+
+def round_circuit(segment, n, targets=None, reflection=None):
+    """The segment, then one round of it: -Z on qubit 0, the segment
+    inverted, a reflection (about zero on the targets, all n qubits by
+    default) and the segment, replayed unchecked as ``exact_grover`` does."""
+    b = Builder()
+    b.add_register("q", n)
+    for layer in segment:
+        b.append_layer(list(layer))
+    b.append(g_unitary1(0, ORACLE))
+    b.replay_inverse(segment, checked=False)
+    b.append(reflection or g_reflect_zero(range(n) if targets is None else targets))
+    b.replay(segment, checked=False)
+    return b.build()
+
+
+H0 = (g_unitary1(0, H_MATRIX),)
+DAMPED = (library.make("ctrl_damped", (3, 1), (0, 1, 2, 3)),)
+TURN = (g_ctrl_unitary1(1, 2, hermitian_unitary(0.3, 0.7)),)
+
+
+def with_gate(circuit, layer, gate):
+    layers = list(circuit.layers)
+    layers[layer] = (gate,)
+    return replace(circuit, layers=tuple(layers))
+
+
+def test_a_strict_round_is_fused_and_matches_the_split_run():
+    circuit = round_circuit((H0, DAMPED, TURN), 4)
+    (item,) = [i for i in simulate._plan(circuit) if isinstance(i, rounds.Round)]
+    # layers 4..10 around the reflection at 7; the forward half is the
+    # circuit's first three layers, run before the round
+    assert rounds.find(circuit.layers) == [(4, 10, 3)]
+    assert item.prefix == 3
+    assert_fused_matches_split(circuit)
+    # from another start, a comes from the forward half's own steps
+    assert_fused_matches_split(circuit, {0: 1})
+    # a changed gate at distance 2 leaves the round of the mirror within it
+    damped = circuit.layers[5][0]
+    mutant = with_gate(circuit, 5, damped.with_params(args=(3, 2)))
+    assert rounds.find(mutant.layers) == [(6, 8, 1)]
+    assert_fused_matches_split(mutant, {0: 1})
+
+
+def test_a_round_charges_the_bound_of_a():
+    """The prefix drops a 5e-15 entry, so the a it holds is δ = 5e-15 from
+    A|0>, and the round adds 2δ(2 + δ) to the bound, which then covers the
+    distance from the exact state."""
+    tilt = math.asin(5e-15)
+    rotate = np.array([[math.cos(tilt), -math.sin(tilt)], [math.sin(tilt), math.cos(tilt)]])
+    circuit = round_circuit(((g_unitary1(0, H_MATRIX),), (g_unitary1(1, rotate),)), 2)
+    assert rounds_in(circuit) == 1
+    state = run(circuit)
+    # δ for the prefix's drop, about 4δ for the round
+    assert state.error_bound > 4.9 * 5e-15
+    exact = dense_oracle(circuit, start_vector(circuit))
+    assert np.linalg.norm(state.amplitudes - exact) <= state.error_bound
+
+
+def test_a_round_that_is_not_a_strict_mirror_is_not_fused():
+    """Each case runs step for step as the circuit split at its reflection
+    (layer 7; layer 6 is the last gate of the segment's inverse)."""
+    damped_first = round_circuit((DAMPED, TURN, H0), 4)
+    damped = damped_first.layers[6][0]
+    assert (damped.params["tag"], damped.params["inverse"]) == ("ctrl_damped", True)
+    turn_first = round_circuit((TURN, H0, DAMPED), 4)
+    matrix = np.array(turn_first.layers[6][0].params["matrix"])
+    matrix[0, 1] = np.nextafter(matrix[0, 1].real, 2.0)
+    cases = [
+        # a mirrored ctrl_damped gate with another k
+        with_gate(damped_first, 6, damped.with_params(args=(3, 2))),
+        # a mirrored matrix one ulp off its inverse
+        with_gate(turn_first, 6, turn_first.layers[6][0].with_params(matrix=matrix)),
+        # a controlled reflection, and a reflection about a product state
+        round_circuit((H0, DAMPED), 5, reflection=g_reflect_zero(range(4)).with_params(ctrl=4)),
+        round_circuit((H0, DAMPED), 4, reflection=g_product_reflection(range(4), [(1, 0)] * 4)),
+        # a mirrored gate on a qubit outside the reflection's targets
+        round_circuit(((g_cnot(0, 4),), H0), 5, targets=range(4)),
+    ]
+    for case in cases:
+        assert_same_run(case)
+        assert_same_run(case, {0: 1})
+    # a loaded file whose reflection sits between empty layers
+    doc = json.loads(serialize(damped_first))
+    doc["layers"][7:8] = [[], doc["layers"][7], []]
+    assert_same_run(deserialize(json.dumps(doc)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_circuit(), st.integers(0, 2**32 - 1))
+def test_fused_rounds_match_the_dense_oracle(segment_circuit, seed):
+    """Random layers as A in a round, from |0...0> (a is the state held
+    after the prefix) and from a random start (a is run from |0>)."""
+    n = segment_circuit.n_qubits
+    circuit = round_circuit(segment_circuit.layers, n)
+    assert rounds_in(circuit) >= 1
+    for initial in (None, seeded_input(n, False, seed)):
+        expected = dense_oracle(circuit, start_vector(circuit, initial))
+        if expected is None:
+            with pytest.raises(SimulationError, match="outside its domain"):
+                run(circuit, initial)
+            continue
+        state = run(circuit, initial)
+        assert np.linalg.norm(state.amplitudes - expected) <= state.error_bound + 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_circuit())
+def test_batched_certification_runs_fused_rounds(segment_circuit):
+    """CNOT then two rounds of random layers, which cancel: certified as
+    exact(1, 1) in one batch whose rounds take a from the forward half."""
+    n = segment_circuit.n_qubits
+    b = Builder()
+    b.add_register("q", n)
+    b.append(g_cnot(0, 1))
+    for _ in range(2):
+        b.replay_inverse(segment_circuit.layers, checked=False)
+        b.append(g_reflect_zero(range(n)))
+        b.replay(segment_circuit.layers, checked=False)
+    circuit = b.build()
+    assert rounds_in(circuit) >= 1
+    report = certify_library_gate("exact", (1, 1), circuit, (0, 1))
+    assert report.inputs_checked == 5
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_acceptance_circuits_fused_match_the_split_runs(monkeypatch):
+    """Every run the acceptance battery makes, fused against split; the
+    fused bound still counts every drop the two runs share, before the
+    first round."""
+    runs = []
+    real_run = simulate.run
+
+    def recorded(circuit, initial=None):
+        runs.append((circuit, initial))
+        return real_run(circuit, initial)
+
+    for module in (simulate, primitives):
+        monkeypatch.setattr(module, "run", recorded)
+    simulating = ["exact-dicke-grid", "padding-path", "symmetric-states", "primitive-certification"]
+    assert acceptance.run_acceptance(simulating).passed
+    monkeypatch.undo()
+    assert len(runs) > 40
+    for circuit, initial in runs:
+        fused, _ = assert_fused_matches_split(circuit, initial)
+        spans = rounds.find(circuit.layers)
+        # every amplification in these circuits fuses
+        assert bool(spans) == any(rounds.is_zero_reflection(l) for l in circuit.layers)
+        if spans:
+            shared = run(replace(circuit, layers=circuit.layers[: spans[0][0]]), initial)
+            assert fused.error_bound >= shared.error_bound
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("n,k", [(27, 3), (30, 3), (20, 4)])
+def test_wide_dicke_states_run_in_seconds(n, k):
+    """Once each round is one reflection, these end with their C(n, k)
+    amplitudes and no stray mass in under 2 s of CPU time each; layer by
+    layer, dicke(27, 3) peaked at 21 million entries."""
+    out = build_dicke(n, k)
+    start = time.process_time()
+    state = run(out.circuit)
+    assert time.process_time() - start < 2.0
+    assert len(state.indices) == math.comb(n, k)
+    others = [q for q in range(out.circuit.n_qubits) if q not in set(out.output_qubits)]
+    assert residual_mass(state, others) == 0.0
+
+
+def test_circuits_past_63_qubits_raise_before_any_step_compiles(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(simulate, "_step", lambda gate: compiled.append(gate))
+    wide = build_dicke(64, 2).circuit
+    assert wide.n_qubits == 76
+    with pytest.raises(SimulationError, match="63-qubit"):
+        run(wide)
+    b = Builder()
+    b.add_register("idle", 62)
+    x, f = b.add_register("x", 1)[0], b.add_register("f", 1)[0]
+    b.append(g_cnot(x, f))
+    with pytest.raises(SimulationError, match="63-qubit"):
+        certify_library_gate("exact", (1, 1), b.build(), (x, f), max_qubits=64)
+    assert compiled == []
+    monkeypatch.undo()
+    # 63 qubits still run: the top qubit is bit 62
+    b = Builder()
+    q = b.add_register("q", 63)
+    b.append(g_x(q[62]))
+    assert run(b.build()).indices.tolist() == [1 << 62]
