@@ -559,16 +559,18 @@ def _decode_params(kind: str, raw: Dict[str, Any], obj: Dict[str, Any]) -> Dict[
     return params
 
 
-def _encode_meta(value: Any) -> Any:
+def encode_json(value: Any, fraction: Callable[[Fraction], Any]) -> Any:
+    """``value`` in JSON types: dict keys as strings, tuples as lists and
+    each Fraction as ``fraction`` encodes it."""
     if isinstance(value, Fraction):
-        return {"__frac__": encode_fraction(value)}
+        return fraction(value)
     if isinstance(value, dict):
-        return {str(k): _encode_meta(v) for k, v in value.items()}
+        return {str(k): encode_json(v, fraction) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_encode_meta(v) for v in value]
+        return [encode_json(v, fraction) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
-    raise ParseError(f"metadata value {value!r} is not serializable")
+    raise ParseError(f"value {value!r} is not serializable")
 
 
 def _decode_meta(value: Any) -> Any:
@@ -584,7 +586,9 @@ def _decode_meta(value: Any) -> Any:
 def serialize(circuit: Circuit) -> str:
     doc = {
         "version": SERIAL_VERSION,
-        "metadata": _encode_meta(dict(circuit.metadata)),
+        "metadata": encode_json(
+            dict(circuit.metadata), lambda f: {"__frac__": encode_fraction(f)}
+        ),
         "registers": [
             {"name": r.name, "qubits": list(r.qubits), "ancilla": r.ancilla}
             for r in circuit.registers

@@ -11,13 +11,12 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
 from . import acceptance, claims
-from .circuits import CircuitError, cost, deserialize, serialize
+from .circuits import CircuitError, cost, deserialize, encode_json, serialize
 from .dists import DomainError
 from .simulate import (
     MAX_DENSE_QUBITS,
@@ -29,33 +28,18 @@ from .simulate import (
 from .synthesis import build_dicke, build_symmetric, dicke_vector, symmetric_vector
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return value
-
-
 def _write_json(path: str, payload: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def read_eta(path: str) -> np.ndarray:
-    """Read weight amplitudes from lines of ``k real imag``.
+def read_eta(path: str, n: int) -> np.ndarray:
+    """Read the weight amplitudes of an n-qubit state from lines of
+    ``k real imag``.
 
     Blank lines and ``#`` comments are skipped; weights may come in any
-    order but must not repeat.
+    order but must not repeat, and none may exceed n.
     """
     weights: Dict[int, complex] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -71,9 +55,14 @@ def read_eta(path: str) -> np.ndarray:
             k = int(parts[0])
             if k < 0:
                 raise ValueError(f"{path}:{lineno}: negative weight {k}")
+            if k > n:
+                raise ValueError(f"{path}:{lineno}: weight {k} out of range for {n} qubits")
             if k in weights:
                 raise ValueError(f"{path}:{lineno}: duplicate weight {k}")
-            weights[k] = complex(float(parts[1]), float(parts[2]))
+            amp = complex(float(parts[1]), float(parts[2]))
+            if not np.isfinite(amp):
+                raise ValueError(f"{path}:{lineno}: amplitude {amp} is not finite")
+            weights[k] = amp
     if not weights:
         raise ValueError(f"{path}: no amplitude lines found")
     eta = np.zeros(max(weights) + 1, dtype=complex)
@@ -175,7 +164,7 @@ def _emit_synthesis(result, stem: str, outdir: Optional[str]) -> int:
         "layers": len(result.circuit.layers),
         "output_qubits": list(result.output_qubits),
         "fidelity": fidelity,
-        "info": _jsonable(result.info),
+        "info": encode_json(result.info, str),
     }
     report_path = os.path.join(outdir, stem + ".report.json")
     _write_json(report_path, payload)
@@ -201,7 +190,7 @@ def _cmd_synth_dicke(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth_symmetric(args: argparse.Namespace) -> int:
-    eta = read_eta(args.eta)
+    eta = read_eta(args.eta, args.n)
     result = build_symmetric(args.n, eta, args.ell)
     return _emit_synthesis(result, f"symmetric_n{args.n}", args.out)
 
@@ -223,7 +212,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.eta is None:
             raise ValueError("verify --target symmetric needs --eta FILE")
-        target = symmetric_vector(args.n, read_eta(args.eta))
+        target = symmetric_vector(args.n, read_eta(args.eta, args.n))
     output_qubits = [
         q for reg in circuit.registers if not reg.ancilla for q in reg.qubits
     ]

@@ -166,11 +166,13 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
 # The state is held as its support: distinct int64 basis indices and their
 # amplitudes.  A circuit is compiled once into a plan, one step per gate
 # with each Grover round as one reflection (``rounds``), and each run
-# replays the plan on a support.  A gate that flips bits by a
-# predicate on other bits XORs a mask into each index; a permutation gate
-# remaps indices through a table over its gate-local index; a matrix gate
+# replays the plan on a support.  Each step takes one of three forms.  An
+# index map XORs a mask into each index, read from the weight of some bits
+# or from a table over the gate-local index.  A low-rank update I + L·B†
 # acts on a block whose rows are gate-local indices and whose columns are
-# the G distinct patterns of the other qubits present in the support.  No
+# the G distinct patterns of the other qubits present in the support.  A
+# reflection I − 2|a⟩⟨a| is ψ − 2a⟨a|ψ⟩ for each pattern of the bits
+# outside a's: every Grover round and every ``product_reflection``.  No
 # step makes a BLAS call: after a threaded call OpenBLAS keeps its second
 # thread spinning, which on a 2-core host doubled the CPU time of a run
 # and saved no wall time.
@@ -185,8 +187,8 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
 Batch = Tuple[int, int]
 
 # step(indices, amplitudes, batch) -> (indices, amplitudes, per-state squared
-# norms kept, per-state squared norms dropped); both are None when the gate
-# only moves or negates amplitudes
+# norms kept, per-state squared norms dropped); both are None for an index
+# map, which only moves amplitudes
 Step = Callable[
     [np.ndarray, np.ndarray, Batch],
     Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]],
@@ -254,21 +256,15 @@ def _check_inputs(
         _raise_stray(_per_state(batch, idx[stray], amp.real**2 + amp.imag**2), tag)
 
 
-def _kept(out: np.ndarray, rows: np.ndarray, patterns: np.ndarray, batch: Batch):
-    """The entries of a (rows, patterns) block as a step returns them: those
-    below DROP_EPS in magnitude are dropped and their squared norm counted
-    to the state of their column."""
+def _drop(idx: np.ndarray, out: np.ndarray, batch: Batch):
+    """A step's entries as it returns them: those below DROP_EPS in magnitude
+    are dropped and their squared norm counted to the state of their index."""
     mag = out.real**2 + out.imag**2
     # an entry whose square underflows (|a| < 1e-161) adds nothing to the bound
     keep = mag >= DROP_EPS * DROP_EPS
-    flat = np.flatnonzero(keep)
-    r, c = np.divmod(flat, out.shape[1])
-    idx = patterns[c] | rows[r]
-    if batch[1] == 1:
-        lost = mag[~keep].sum(keepdims=True)
-    else:
-        lost = _per_state(batch, patterns, np.sum(mag, axis=0, where=~keep))
-    return idx, out.ravel()[flat], _per_state(batch, idx, mag.ravel()[flat]), lost
+    lost = _per_state(batch, idx[~keep], mag[~keep])
+    idx = idx[keep]
+    return idx, out[keep], _per_state(batch, idx, mag[keep]), lost
 
 
 def _weight_step(
@@ -302,38 +298,6 @@ def _table_step(
         if ok is not None:
             _check_inputs(ok, local, idx, amp, tag, batch)
         return idx ^ delta[local], amp, None, None
-
-    return step
-
-
-def _two_by_two(matrix: Any) -> Callable[[np.ndarray], np.ndarray]:
-    """The 2x2 matrix on the last two rows of a block, the rows above kept
-    (they are the rows where a control bit is zero); elementwise, as a
-    BLAS product on a block this small costs more than it computes."""
-    (a, b), (c, d) = [[complex(x) for x in row] for row in np.asarray(matrix)]
-
-    def fn(block: np.ndarray) -> np.ndarray:
-        out = block.copy()
-        low, high = block[-2], block[-1]
-        out[-2] = a * low + b * high
-        out[-1] = c * low + d * high
-        return out
-
-    return fn
-
-
-def _matrix_step(qubits: Sequence[int], fn: Callable[[np.ndarray], np.ndarray]) -> Step:
-    """A block map on every row of the gate's (at most three) qubits."""
-    shifts, weights = _gather_bits(qubits)
-    rows = _spread(np.arange(2 ** len(qubits), dtype=np.int64), qubits)
-    rest = ~_mask(qubits)
-
-    def step(idx: np.ndarray, amp: np.ndarray, batch: Batch):
-        local = _move_bits(idx, shifts, weights)
-        patterns, column = np.unique(idx & rest, return_inverse=True)
-        block = np.zeros((len(rows), len(patterns)), dtype=complex)
-        block[local, column] = amp
-        return _kept(fn(block), rows, patterns, batch)
 
     return step
 
@@ -375,19 +339,7 @@ def _column_step(
             stray = out[~in_domain[rows]]
             mass = np.sum(stray.real**2 + stray.imag**2, axis=0)
             _raise_stray(_per_state(batch, patterns, mass), tag)
-        return _kept(out, _spread(rows, qubits), patterns, batch)
-
-    return step
-
-
-def _sign_step(targets: Sequence[int], ctrl: Optional[int]) -> Step:
-    """I - 2|0...0><0...0| negates the entries with every target bit clear
-    (and the control bit set)."""
-    on = 0 if ctrl is None else 1 << ctrl
-    mask = _mask(targets) | on
-
-    def step(idx: np.ndarray, amp: np.ndarray, batch: Batch):
-        return idx, np.where((idx & mask) == on, -amp, amp), None, None
+        return _drop((_spread(rows, qubits)[:, None] | patterns).ravel(), out.ravel(), batch)
 
     return step
 
@@ -408,15 +360,12 @@ def _step(gate: Gate) -> Step:
     kind = gate.kind
     p = gate.params
     ctrl = p.get("ctrl")
-    if kind == "product_reflection" and p.get("local_states") is None:
-        return _sign_step(gate.targets, ctrl)
     if kind in _FLIPS:
         pattern = _FLIPS[kind](len(gate.controls), len(gate.targets))
         return _weight_step(gate.controls, gate.targets, pattern, ctrl)
+    if kind == "product_reflection":
+        return _reflection_step(*_product_support(gate.targets, p.get("local_states"), ctrl))
     qubits: Tuple[int, ...] = gate.controls + gate.targets
-    if kind in ("unitary1", "ctrl_unitary1"):
-        # the 2x2 acts on the last two rows, which already need every control set
-        return _matrix_step(qubits if ctrl is None else (ctrl,) + qubits, _two_by_two(p["matrix"]))
     table: Optional[np.ndarray] = None
     in_domain: Optional[np.ndarray] = None
     basis: Optional[np.ndarray] = None
@@ -425,13 +374,12 @@ def _step(gate: Gate) -> Step:
 
     if kind == "swap":
         table = np.array([0, 2, 1, 3], dtype=np.int64)
-    elif kind == "product_reflection":
-        # I - 2 v v^H with v the product of the local states
-        vec = p["local_states"][0]
-        for s in p["local_states"][1:]:
-            vec = np.kron(vec, s)
-        basis = vec[:, None]
-        left = -2.0 * basis
+    elif kind in ("unitary1", "ctrl_unitary1"):
+        # B is the last two rows, where every control is set; L = B·(U − I)
+        basis = np.zeros((2 ** len(qubits), 2), dtype=complex)
+        basis[-2:] = np.eye(2)
+        left = np.zeros_like(basis)
+        left[-2:] = np.asarray(p["matrix"]) - np.eye(2)
     elif kind == "library":
         op = _compiled(p["tag"], p["args"])
         if len(qubits) != op.n_qubits:
@@ -487,16 +435,30 @@ def _sorted(n: int, idx: np.ndarray, amp: np.ndarray, bound: float) -> StateVect
     return StateVector(n, idx[order], amp[order], bound)
 
 
-def _reflection_step(a: StateVector, mask: int) -> Step:
-    """A round as ψ − 2a⟨a|ψ⟩, dropping entries as ``_kept`` does."""
+def _product_support(
+    targets: Sequence[int], local_states: Optional[Sequence[np.ndarray]], ctrl: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The sorted support of a = |1⟩ on the control, if any, times
+    local_states[i] on targets[i] (|0⟩ where none are given), and the mask
+    of those bits."""
+    on = 0 if ctrl is None else 1 << ctrl
+    idx = np.array([on], dtype=np.int64)
+    amp = np.ones(1, dtype=complex)
+    # a |0⟩ factor sets no bit and scales by one
+    for t, s in zip(targets, local_states or ()):
+        parts = [(idx | (bit << t), amp * s[bit]) for bit in (0, 1) if s[bit] != 0]
+        idx = np.concatenate([part[0] for part in parts])
+        amp = np.concatenate([part[1] for part in parts])
+    order = np.argsort(idx)
+    return idx[order], amp[order], _mask(targets) | on
+
+
+def _reflection_step(a_idx: np.ndarray, a_amp: np.ndarray, mask: int) -> Step:
+    """I − 2|a⟩⟨a| as ψ − 2a⟨a|ψ⟩ for each pattern of the bits outside the
+    mask; a's indices are sorted and inside it."""
 
     def step(idx: np.ndarray, amp: np.ndarray, batch: Batch):
-        idx, out = rounds.reflect(a.indices, a.values, mask, idx, amp)
-        mag = out.real**2 + out.imag**2
-        keep = mag >= DROP_EPS * DROP_EPS
-        lost = _per_state(batch, idx[~keep], mag[~keep])
-        idx = idx[keep]
-        return idx, out[keep], _per_state(batch, idx, mag[keep]), lost
+        return _drop(*rounds.reflect(a_idx, a_amp, mask, idx, amp), batch)
 
     return step
 
@@ -531,7 +493,7 @@ def _execute(
                 a_idx, a_amp, a_bound = _execute(item.forward, *zero, (batch[0], 1))
                 a = item.a = _sorted(batch[0], a_idx, a_amp, float(a_bound[0]))
             bounds += 2.0 * a.error_bound * (2.0 + a.error_bound) * np.sqrt(norm)
-            item = (_reflection_step(a, item.mask),)
+            item = (_reflection_step(a.indices, a.values, item.mask),)
         moved = False
         for step in item:
             idx, amp, kept, lost = step(idx, amp, batch)
@@ -540,7 +502,7 @@ def _execute(
                 if lost.any():
                     dropped += lost
                     bounds += np.sqrt(lost)
-        # a layer that only moves or negates amplitudes keeps every norm
+        # a layer of index maps only keeps every norm
         if moved:
             drift = np.abs(norm + dropped - 1.0)
             if drift.max() > NORM_TOL:
@@ -640,7 +602,12 @@ def check_clean_preparation(
     """Run the circuit and bound its fidelity with ``target`` on the outputs
     (every other qubit zero) from below and its mass off the zero state of
     the other qubits from above; ``clean`` means that bound is below
-    ``clean_tol``."""
+    ``clean_tol``.  A target that is not unit norm within 1e-9 raises
+    ValueError."""
+    norm = float(np.sum(target.real**2 + target.imag**2))
+    # written so that a NaN or an infinite entry fails it too
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"target has squared norm {norm!r}, need 1")
     state = run(circuit, initial)
     delta = state.error_bound
     outputs = set(output_qubits)

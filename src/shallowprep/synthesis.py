@@ -427,7 +427,7 @@ def build_symmetric(
     """
     eta = tuple(complex(x) for x in eta)
     norm = sum(abs(x) ** 2 for x in eta)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise CircuitError(f"weight coefficients have norm {norm}, need 1")
     while len(eta) > 1 and eta[-1] == 0:
         eta = eta[:-1]

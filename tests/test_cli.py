@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, emitted files, and input parsing."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -26,19 +27,21 @@ def test_read_eta_parses_comments_gaps_and_order(tmp_path):
         "2 0.0 0.8  # imaginary part in the third column\n"
         "0 0.6 0.0\n",
     )
-    eta = cli.read_eta(path)
+    eta = cli.read_eta(path, 2)
     assert np.allclose(eta, [0.6, 0.0, 0.8j])
 
 
 def test_read_eta_errors(tmp_path):
     with pytest.raises(ValueError, match="expected"):
-        cli.read_eta(write(tmp_path / "a.txt", "1 0.5\n"))
+        cli.read_eta(write(tmp_path / "a.txt", "1 0.5\n"), 3)
     with pytest.raises(ValueError, match="negative"):
-        cli.read_eta(write(tmp_path / "b.txt", "-1 0.5 0\n"))
+        cli.read_eta(write(tmp_path / "b.txt", "-1 0.5 0\n"), 3)
     with pytest.raises(ValueError, match="duplicate"):
-        cli.read_eta(write(tmp_path / "c.txt", "1 0.5 0\n1 0.5 0\n"))
+        cli.read_eta(write(tmp_path / "c.txt", "1 0.5 0\n1 0.5 0\n"), 3)
     with pytest.raises(ValueError, match="no amplitude"):
-        cli.read_eta(write(tmp_path / "d.txt", "# nothing here\n"))
+        cli.read_eta(write(tmp_path / "d.txt", "# nothing here\n"), 3)
+    with pytest.raises(ValueError, match="e.txt:2: weight 1000000000000 out of range"):
+        cli.read_eta(write(tmp_path / "e.txt", "0 1 0\n1000000000000 1 0\n"), 3)
 
 
 def test_parse_grid():
@@ -130,6 +133,42 @@ def test_verify_refuses_a_target_weight_above_n(tmp_path, capsys):
     )
     assert rc == 2
     assert "weight 4 out of range for 3 qubits" in capsys.readouterr().err
+
+
+def test_a_weight_far_above_n_exits_2_at_once(tmp_path, capsys):
+    """The weight is refused on its own line, before an array of that size
+    is built."""
+    cli.main(["synth", "dicke", "--n", "4", "--k", "1", "--out", str(tmp_path)])
+    circuit = str(tmp_path / "dicke_n4_k1.circuit")
+    eta = write(tmp_path / "eta.txt", "1000000000000 1 0\n")
+    verify = ["verify", "--circuit", circuit, "--target", "symmetric", "--n", "4", "--eta", eta]
+    synth = ["synth", "symmetric", "--n", "4", "--eta", eta, "--out", str(tmp_path)]
+    for argv in (verify, synth):
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert cli.main(argv) == 2, argv[0]
+        assert time.perf_counter() - start < 0.5, argv[0]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "eta.txt:1: weight 1000000000000" in err, err
+
+
+@pytest.mark.parametrize("line", ["1 1.2 0", "1 nan 0", "0 inf 0"])
+def test_a_target_that_is_not_unit_norm_exits_2(tmp_path, capsys, line):
+    """An eta of norm 1.44 read fidelity 1.44 and passed; a NaN read
+    fidelity 0 and failed with exit 1.  Both are input errors, named in
+    one line."""
+    cli.main(["synth", "dicke", "--n", "4", "--k", "1", "--out", str(tmp_path)])
+    circuit = str(tmp_path / "dicke_n4_k1.circuit")
+    eta = write(tmp_path / "eta.txt", line + "\n")
+    verify = ["verify", "--circuit", circuit, "--target", "symmetric", "--n", "4", "--eta", eta]
+    synth = ["synth", "symmetric", "--n", "4", "--eta", eta, "--out", str(tmp_path)]
+    for argv in (verify, synth):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
+        assert ("norm" if line == "1 1.2 0" else "eta.txt:1: amplitude") in captured.err
 
 
 def test_report_prints_costs(tmp_path, capsys):

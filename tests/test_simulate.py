@@ -223,6 +223,18 @@ def test_check_clean_preparation_passes_clean_circuit():
     assert res.fidelity > 1 - 1e-12
 
 
+@pytest.mark.parametrize(
+    "target", [[0, 1.2], [0, 0.5], [0, math.nan], [math.nan, 1], [0, math.inf]]
+)
+def test_check_clean_preparation_refuses_a_target_that_is_not_unit_norm(target):
+    """A target of norm 1.2 read fidelity 1.44; a NaN one read fidelity 0."""
+    b = Builder()
+    data = b.add_register("d", 1)
+    b.append(g_x(data[0]))
+    with pytest.raises(ValueError, match="norm"):
+        check_clean_preparation(b.build(), np.array(target, dtype=complex), (data[0],))
+
+
 def test_wide_state_is_read_from_its_support():
     """One X gate on 40 qubits: the state is one support entry, and every
     reader works from it (a dense vector would take 16 TiB)."""
@@ -971,6 +983,83 @@ def test_column_gates_on_wide_supports_match_the_dense_completion(tag, args, ctr
 
 
 # ---- Grover rounds as rank-1 reflections ----
+
+
+PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+
+
+def product_states(bits, plus):
+    """|0> or |1> per bit, and |+> at the positions in ``plus``."""
+    return [PLUS if i in plus else np.eye(2, dtype=complex)[b] for i, b in enumerate(bits)]
+
+
+def test_a_wide_product_reflection_is_a_rank_one_update():
+    """I - 2|a><a| on 48 of 50 qubits with a the product of |0>s and |1>s
+    and two |+>s: a has 4 entries, where the product as one vector has
+    2^48.  The run matches psi - 2a<a|psi> for each pattern of qubits 0
+    and 49, worked out here entry by entry."""
+    n, targets = 50, list(range(1, 49))
+    bits = np.random.default_rng(3).integers(0, 2, size=len(targets))
+    plus = (5, 30)
+    b = Builder()
+    b.add_register("q", n)
+    b.append(g_product_reflection(targets, product_states(bits, plus)))
+    circuit = b.build()
+    base = sum(int(bits[i]) << t for i, t in enumerate(targets) if i not in plus)
+    a = {
+        base | (x << targets[plus[0]]) | (y << targets[plus[1]]): 0.5
+        for x in (0, 1)
+        for y in (0, 1)
+    }
+    a_idx, a_amp, _ = simulate._product_support(targets, product_states(bits, plus), None)
+    assert a_idx.tolist() == sorted(a) and np.allclose(a_amp, 0.5, rtol=0.0, atol=1e-15)
+    spots = sorted(a)
+    far = 1 << 49
+    psi = {
+        spots[0]: 0.3 + 0.1j,
+        spots[3]: -0.2j,
+        spots[1] | 1: 0.4,
+        spots[2] | 1: 0.25 - 0.3j,
+        spots[2] ^ (1 << 10): 0.5j,
+        spots[3] | far: -0.35,
+        (1 << 10) | 1 | far: 0.2 + 0.2j,
+    }
+    scale = math.sqrt(sum(abs(v) ** 2 for v in psi.values()))
+    psi = {i: v / scale for i, v in psi.items()}
+    expected = dict(psi)
+    for pattern in (0, 1, far, far | 1):
+        overlap = sum(np.conj(amp) * psi.get(i | pattern, 0) for i, amp in a.items())
+        for i, amp in a.items():
+            expected[i | pattern] = expected.get(i | pattern, 0) - 2 * overlap * amp
+    idx = np.array(sorted(psi), dtype=np.int64)
+    state = run(circuit, StateVector(n, idx, np.array([psi[i] for i in idx.tolist()])))
+    got = dict(zip(state.indices.tolist(), state.values.tolist()))
+    assert set(got) <= set(expected)
+    for i, want in expected.items():
+        assert abs(got.get(i, 0) - want) < 1e-15, i
+    assert state.error_bound == 0.0
+    assert len(got) == sum(abs(v) >= simulate.DROP_EPS for v in expected.values())
+
+
+@pytest.mark.parametrize("ctrl", [None, 4])
+@pytest.mark.parametrize("zero", [False, True])
+def test_product_reflections_match_the_dense_oracle(ctrl, zero):
+    """The 8-qubit analogue of the wide reflection, on 6 targets listed out
+    of order, with and without a control, about the product state and about
+    |0...0>, from a state with every amplitude nonzero."""
+    targets = [6, 0, 3, 1, 7, 2]
+    states = None if zero else product_states([1, 0, 0, 1, 1, 0], (2, 4))
+    gate = g_product_reflection(targets, states)
+    if ctrl is not None:
+        gate = gate.with_params(ctrl=ctrl)
+    b = Builder()
+    b.add_register("q", 8)
+    b.append(gate)
+    circuit = b.build()
+    for seed in range(3):
+        initial = seeded_input(8, False, seed)
+        expected = dense_oracle(circuit, start_vector(circuit, initial))
+        assert np.max(np.abs(run(circuit, initial).amplitudes - expected)) < 1e-15
 
 
 def rounds_in(circuit):

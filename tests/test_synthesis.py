@@ -307,3 +307,11 @@ def test_synthesized_circuit_serializes():
     assert cost(back).as_dict() == out.report.as_dict()
     res = check_clean_preparation(back, out.target, out.output_qubits)
     assert res.fidelity > 1 - 1e-9
+
+
+def test_build_symmetric_refuses_a_non_finite_weight():
+    """A NaN norm passed the old ``> 1e-9`` check and was refused only
+    later, by a library gate built from it."""
+    for bad in (float("nan"), complex(0.6, float("nan")), float("inf")):
+        with pytest.raises(CircuitError, match="weight coefficients have norm"):
+            build_symmetric(4, (0.8, bad))
