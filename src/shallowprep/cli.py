@@ -52,14 +52,19 @@ def read_eta(path: str, n: int) -> np.ndarray:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'k real imag', got {line!r}"
                 )
-            k = int(parts[0])
+            try:
+                field = "weight"
+                k = int(parts[0])
+                field = "amplitude"
+                amp = complex(float(parts[1]), float(parts[2]))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {field} is not a number in {line!r}") from None
             if k < 0:
                 raise ValueError(f"{path}:{lineno}: negative weight {k}")
             if k > n:
                 raise ValueError(f"{path}:{lineno}: weight {k} out of range for {n} qubits")
             if k in weights:
                 raise ValueError(f"{path}:{lineno}: duplicate weight {k}")
-            amp = complex(float(parts[1]), float(parts[2]))
             if not np.isfinite(amp):
                 raise ValueError(f"{path}:{lineno}: amplitude {amp} is not finite")
             weights[k] = amp

@@ -22,11 +22,11 @@ first layers, run before the round (as ``exact_grover`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuits import Gate, invert_gate
+from .circuits import GATE_KINDS, Gate, invert_gate
 
 # (first layer, last layer, prefix): prefix is r when the round's forward
 # half is the layers 0..r-1, all run before it, with no round across their end
@@ -34,10 +34,14 @@ Span = Tuple[int, int, Optional[int]]
 
 
 def _value(v: Any) -> Any:
-    """A parameter as a hashable value: arrays and sequences as tuples."""
+    """A parameter as a hashable value: an array as its shape and entries,
+    a list, or a tuple that holds a sequence or an array, as a tuple; any
+    other tuple (a library gate's ``args``) is hashable as it is."""
     if isinstance(v, np.ndarray):
         return (v.shape, tuple(complex(x) for x in v.ravel()))
-    if isinstance(v, (tuple, list)):
+    if isinstance(v, list) or (
+        isinstance(v, tuple) and any(isinstance(x, (np.ndarray, list, tuple)) for x in v)
+    ):
         return tuple(_value(x) for x in v)
     return v
 
@@ -77,7 +81,11 @@ def find(layers: Sequence[Sequence[Gate]]) -> List[Span]:
         reach = 0
         while c - reach > 0 and c + reach + 1 < len(layers):
             left = layers[c - reach - 1]
-            if not left or any(not set(g.touched()) <= targets for g in left):
+            # a gate of no known kind has no inverse; outside a round, its
+            # layer is compiled, which refuses it
+            if not left or any(
+                g.kind not in GATE_KINDS or not set(g.touched()) <= targets for g in left
+            ):
                 break
             if key(c - reach - 1, inverse=True) != key(c + reach + 1):
                 break
@@ -103,22 +111,25 @@ def find(layers: Sequence[Sequence[Gate]]) -> List[Span]:
 
 @dataclass
 class Round:
-    """A round on the target bits ``mask``: ``forward`` is the plan of its
-    forward half A, ``prefix`` the plan item before which a run of one state
-    from |0…0⟩ holds A|0⟩, and ``a`` caches A|0⟩ run from that plan."""
+    """A round on the target bits ``mask``: ``layers`` are its forward half
+    A, ``prefix`` the plan item before which a run of one state from |0…0⟩
+    holds A|0⟩, and ``a`` caches A|0⟩ once a run has computed it."""
 
     mask: int
-    forward: Tuple[Any, ...]
+    layers: Sequence[Sequence[Gate]]
     prefix: Optional[int]
     a: Any = None
 
 
-def fuse(layers: Sequence[Sequence[Gate]], steps: Sequence[Any]) -> Tuple[Any, ...]:
-    """The plan of these layers: the steps of each layer, with a ``Round`` in
-    place of the layers of each round (its forward half fused in turn)."""
+def fuse(
+    layers: Sequence[Sequence[Gate]], compile_layer: Callable[[Sequence[Gate]], Any]
+) -> Tuple[Any, ...]:
+    """The plan of these layers: ``compile_layer(layer)`` for each layer
+    outside a round, and a ``Round`` in place of the layers of each round.
+    No gate of a round is compiled here: its A† half and its reflection
+    never run, and its forward half is compiled by the first run that needs
+    A|0⟩ and holds none."""
     spans = {lo: (hi, prefix) for lo, hi, prefix in find(layers)}
-    if not spans:
-        return tuple(steps)
     items: List[Any] = []
     # the plan item that starts at each layer
     start: Dict[int, int] = {}
@@ -129,10 +140,10 @@ def fuse(layers: Sequence[Sequence[Gate]], steps: Sequence[Any]) -> Tuple[Any, .
             hi, prefix = spans[q]
             c = (q + hi) // 2
             mask = sum(1 << t for t in set(layers[c][0].targets))
-            items.append(Round(mask, fuse(layers[c + 1 : hi + 1], steps[c + 1 : hi + 1]), prefix))
+            items.append(Round(mask, layers[c + 1 : hi + 1], prefix))
             q = hi + 1
         else:
-            items.append(steps[q])
+            items.append(compile_layer(layers[q]))
             q += 1
     for item in items:
         if isinstance(item, Round) and item.prefix is not None:

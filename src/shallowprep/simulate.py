@@ -164,11 +164,13 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
 # ---- kernel ----
 #
 # The state is held as its support: distinct int64 basis indices and their
-# amplitudes.  A circuit is compiled once into a plan, one step per gate
-# with each Grover round as one reflection (``rounds``), and each run
-# replays the plan on a support.  Each step takes one of three forms.  An
-# index map XORs a mask into each index, read from the weight of some bits
-# or from a table over the gate-local index.  A low-rank update I + L·B†
+# amplitudes.  A circuit is compiled into a plan, one step per gate outside
+# the Grover rounds and one reflection per round (``rounds``), and each run
+# replays the plan on a support.  A round's gates are not compiled: only
+# its forward half A, and only by a run that must compute A|0⟩ because it
+# holds none.  Each step takes one of three forms.  An index map XORs a
+# mask into each index, read from the weight of some bits or from a table
+# over the gate-local index.  A low-rank update I + L·B†
 # acts on a block whose rows are gate-local indices and whose columns are
 # the G distinct patterns of the other qubits present in the support.  A
 # reflection I − 2|a⟩⟨a| is ψ − 2a⟨a|ψ⟩ for each pattern of the bits
@@ -315,19 +317,25 @@ def _column_step(
     U moves the rows present only onto them and the rows where basis is
     nonzero; on the block of those rows R, out = block + left[R] @
     (basis[R]^H @ block), summed one rank-one term at a time, so the work
-    follows the support and no product is left to BLAS.  The domain is
-    checked on the inputs, or with ``after`` on the outputs.
+    follows the support and no product is left to BLAS.  A gate of at most
+    8 rows takes them all as R: sorting the rows present costs more than
+    the zero rows it adds, which ``_drop`` drops with no mass.  The domain
+    is checked on the inputs, or with ``after`` on the outputs.
     """
     shifts, weights = _gather_bits(qubits)
     rest = ~_mask(qubits)
     touched = np.flatnonzero(np.any(basis != 0, axis=1))
+    every = np.arange(len(basis))
 
     def step(idx: np.ndarray, amp: np.ndarray, batch: Batch):
         local = _move_bits(idx, shifts, weights)
         if in_domain is not None and not after:
             _check_inputs(in_domain, local, idx, amp, tag, batch)
-        # with return_inverse, np.unique does not import numpy.ma (1 MiB of RSS)
-        rows, row = np.unique(np.concatenate([local, touched]), return_inverse=True)
+        if len(every) <= 8:
+            rows, row = every, local
+        else:
+            # with return_inverse, np.unique does not import numpy.ma (1 MiB of RSS)
+            rows, row = np.unique(np.concatenate([local, touched]), return_inverse=True)
         patterns, column = np.unique(idx & rest, return_inverse=True)
         block = np.zeros((len(rows), len(patterns)), dtype=complex)
         block[row[: len(local)], column] = amp
@@ -418,16 +426,19 @@ def _step(gate: Gate) -> Step:
 Plan = Tuple[Union[Tuple[Step, ...], rounds.Round], ...]
 
 
+def _layer(layer: Sequence[Gate]) -> Tuple[Step, ...]:
+    return tuple(_step(gate) for gate in layer)
+
+
 def _plan(circuit: Circuit) -> Plan:
-    """One step per gate, layer by layer, with each Grover round that
-    ``rounds.find`` finds as one item."""
+    """The layers' steps, with each Grover round that ``rounds.find`` finds
+    as one item; only the layers outside a round are compiled here."""
     if circuit.n_qubits > MAX_INDEX_QUBITS:
         raise SimulationError(
             f"a {circuit.n_qubits}-qubit circuit is over the {MAX_INDEX_QUBITS}-qubit "
             f"limit of int64 basis indices"
         )
-    steps = [tuple(_step(gate) for gate in layer) for layer in circuit.layers]
-    return rounds.fuse(circuit.layers, steps)
+    return rounds.fuse(circuit.layers, _layer)
 
 
 def _sorted(n: int, idx: np.ndarray, amp: np.ndarray, bound: float) -> StateVector:
@@ -473,9 +484,10 @@ def _execute(
     bound.
 
     A round takes a = A|0⟩ from the state a run of one state from |0…0⟩
-    held after A, or else runs A's plan from |0…0⟩ once (its own norm
-    checks and drops included).  It costs each state 2δ(2 + δ)·‖ψ‖ of
-    bound, δ being a's: I − 2|a⟩⟨a| is that close to I − 2|A0⟩⟨A0|.
+    held after A, or else compiles A's layers and runs them from |0…0⟩
+    once per plan (their own norm checks and drops included).  It costs
+    each state 2δ(2 + δ)·‖ψ‖ of bound, δ being a's: I − 2|a⟩⟨a| is that
+    close to I − 2|A0⟩⟨A0|.
     """
     norm = _per_state(batch, idx, amp.real**2 + amp.imag**2)
     dropped = np.zeros(batch[1])
@@ -489,8 +501,9 @@ def _execute(
         if isinstance(item, rounds.Round):
             a = held.get(item.prefix) or item.a
             if a is None:
+                forward = rounds.fuse(item.layers, _layer)
                 zero = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
-                a_idx, a_amp, a_bound = _execute(item.forward, *zero, (batch[0], 1))
+                a_idx, a_amp, a_bound = _execute(forward, *zero, (batch[0], 1))
                 a = item.a = _sorted(batch[0], a_idx, a_amp, float(a_bound[0]))
             bounds += 2.0 * a.error_bound * (2.0 + a.error_bound) * np.sqrt(norm)
             item = (_reflection_step(a.indices, a.values, item.mask),)

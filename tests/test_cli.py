@@ -171,6 +171,25 @@ def test_a_target_that_is_not_unit_norm_exits_2(tmp_path, capsys, line):
         assert ("norm" if line == "1 1.2 0" else "eta.txt:1: amplitude") in captured.err
 
 
+@pytest.mark.parametrize(
+    "text,want",
+    [("x 1 0\n", "eta.txt:1: weight"), ("0 1 0\n1 a 0\n", "eta.txt:2: amplitude")],
+)
+def test_a_field_that_is_not_a_number_exits_2_with_its_place(tmp_path, capsys, text, want):
+    """int() and float() used to report 'x' and 'a' with no file or line."""
+    cli.main(["synth", "dicke", "--n", "4", "--k", "1", "--out", str(tmp_path)])
+    circuit = str(tmp_path / "dicke_n4_k1.circuit")
+    eta = write(tmp_path / "eta.txt", text)
+    verify = ["verify", "--circuit", circuit, "--target", "symmetric", "--n", "4", "--eta", eta]
+    synth = ["synth", "symmetric", "--n", "4", "--eta", eta, "--out", str(tmp_path)]
+    for argv in (verify, synth):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert want in err and "is not a number" in err, err
+
+
 def test_report_prints_costs(tmp_path, capsys):
     cli.main(["synth", "dicke", "--n", "4", "--k", "1", "--out", str(tmp_path)])
     capsys.readouterr()

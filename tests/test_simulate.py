@@ -982,6 +982,35 @@ def test_column_gates_on_wide_supports_match_the_dense_completion(tag, args, ctr
     assert np.max(np.abs(back.amplitudes - start)) < 1e-12
 
 
+def test_a_narrow_column_step_matches_the_sorted_rows_step():
+    """A ctrl_unitary1 behind a ctrl has 8 gate-local rows, so its step takes
+    all of them.  The same gate on 16 rows, acting as I on a spare top
+    qubit, sorts the rows present instead.  On a support that leaves most
+    rows absent, the two give the same entries, bit for bit, and the same
+    norms and drops (summed in another order)."""
+    matrix = hermitian_unitary(0.3, 0.7)
+    narrow = simulate._step(g_ctrl_unitary1(1, 2, matrix).with_params(ctrl=0))
+    basis = np.zeros((8, 2), dtype=complex)
+    basis[-2:] = np.eye(2)
+    left = np.zeros_like(basis)
+    left[-2:] = matrix - np.eye(2)
+    spare = np.eye(2)
+    wide = simulate._column_step(
+        (3, 0, 1, 2), np.kron(spare, basis), np.kron(spare, left), None, False, None
+    )
+    rng = np.random.default_rng(7)
+    idx = np.sort(rng.choice(2**6, size=20, replace=False)).astype(np.int64)
+    amp = rng.normal(size=20) + 1j * rng.normal(size=20)
+    amp /= np.linalg.norm(amp)
+    # an entry below DROP_EPS that the gate leaves alone (qubit 0 clear)
+    idx, amp = np.append(idx, 0b110110), np.append(amp, 1e-15)
+    i, a, kept, lost = narrow(idx, amp, (6, 1))
+    j, b, want_kept, want_lost = wide(idx, amp, (6, 1))
+    assert np.array_equal(np.sort(i), np.sort(j))
+    assert np.array_equal(a[np.argsort(i)], b[np.argsort(j)])
+    assert abs(kept[0] - want_kept[0]) < 1e-15 and lost[0] == want_lost[0] == 1e-30
+
+
 # ---- Grover rounds as rank-1 reflections ----
 
 
@@ -1194,6 +1223,92 @@ def test_a_round_that_is_not_a_strict_mirror_is_not_fused():
     doc = json.loads(serialize(damped_first))
     doc["layers"][7:8] = [[], doc["layers"][7], []]
     assert_same_run(deserialize(json.dumps(doc)))
+
+
+def count_steps(monkeypatch):
+    """The gates ``simulate._step`` compiles from here on."""
+    compiled = []
+    real_step = simulate._step
+    monkeypatch.setattr(simulate, "_step", lambda gate: compiled.append(gate) or real_step(gate))
+    return compiled
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_the_plan_compiles_only_the_layers_a_run_executes(monkeypatch):
+    """dicke(8, 2, 4) holds 49 gates, and a run from |0...0> compiles 24:
+    its rounds take a from the prefix, so no gate of a round is compiled.
+    A circuit with no round compiles every gate."""
+    compiled = count_steps(monkeypatch)
+    circuit = build_dicke(8, 2, 4).circuit
+    assert rounds_in(circuit) >= 1
+    compiled.clear()
+    run(circuit)
+    assert (len(list(circuit.gates())), len(compiled)) == (49, 24)
+    plain = round_circuit((H0, DAMPED, TURN), 4)
+    plain = replace(plain, layers=plain.layers[:4])
+    compiled.clear()
+    run(plain, {0: 1})
+    assert compiled == list(plain.gates())
+
+
+def test_a_round_compiles_its_forward_half_once_on_first_use(monkeypatch):
+    """From |0...0> the round takes a from the prefix and never compiles its
+    forward half; from another start the plan compiles it when the round is
+    reached, and the next run of that plan compiles nothing."""
+    circuit = round_circuit((H0, DAMPED, TURN), 4)
+    compiled = count_steps(monkeypatch)
+    plan = simulate._plan(circuit)
+    # the prefix and the -Z before the round
+    assert compiled == list(circuit.gates())[:4]
+    (item,) = [i for i in plan if isinstance(i, rounds.Round)]
+    zero = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
+    simulate._execute(plan, *zero, (4, 1))
+    assert len(compiled) == 4
+    for _ in range(2):
+        # qubit 0 set
+        simulate._execute(plan, np.ones(1, dtype=np.int64), np.ones(1, dtype=complex), (4, 1))
+        assert compiled[4:] == [g for layer in item.layers for g in layer]
+
+
+def test_batched_certification_compiles_each_forward_half_once(monkeypatch):
+    """Two rounds whose forward half is not the prefix: the batch of five
+    states compiles the CNOT and each round's forward half, once."""
+    b = Builder()
+    b.add_register("q", 4)
+    b.append(g_cnot(0, 1))
+    for _ in range(2):
+        b.replay_inverse((H0, DAMPED, TURN), checked=False)
+        b.append(g_reflect_zero(range(4)))
+        b.replay((H0, DAMPED, TURN), checked=False)
+    circuit = b.build()
+    assert [prefix for _, _, prefix in rounds.find(circuit.layers)] == [None, None]
+    compiled = count_steps(monkeypatch)
+    report = certify_library_gate("exact", (1, 1), circuit, (0, 1))
+    assert report.inputs_checked == 5
+    gates = list(circuit.gates())
+    assert compiled == [gates[0]] + gates[5:8] + gates[12:15]
+
+
+def test_a_gate_the_simulator_refuses_raises_from_a_lazy_forward_half():
+    """The round's forward half is not the prefix, and the ctrl_damped gate
+    in both halves is given 3 of its 4 qubits: the run raises when the
+    round is reached, with the error the split run raises at compile time.
+    A gate of no known kind ends the mirror, so its layer is compiled and
+    refused, rather than failing the search for rounds."""
+    circuit = round_circuit((H0, DAMPED, TURN), 4)
+    circuit = replace(circuit, layers=circuit.layers[3:])
+    assert rounds.find(circuit.layers) == [(1, 7, None)]
+    for change in (dict(targets=(0, 1, 2)), dict(kind="bogus")):
+        bad = circuit
+        for layer in (2, 6):
+            bad = with_gate(bad, layer, replace(bad.layers[layer][0], **change))
+        with pytest.raises(SimulationError) as want:
+            split_run(bad)
+        assert "qubit count mismatch" in str(want.value) or "'bogus'" in str(want.value)
+        for initial in (None, {0: 1}):
+            with pytest.raises(SimulationError) as got:
+                run(bad, initial)
+            assert str(got.value) == str(want.value)
 
 
 @settings(max_examples=60, deadline=None)
