@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import dists
 
@@ -129,8 +129,9 @@ class _Point:
         return dists.hit_table(self.m, self.k)
 
     @functools.cached_property
-    def ratios(self) -> Dict[int, Dict[int, Fraction]]:
-        """Per-class ratios at the canonical bucket count k^3."""
+    def ratios(self) -> Dict[int, Dict[int, Tuple[int, int]]]:
+        """Per-class ratios at the canonical bucket count k^3, as the
+        unreduced (num, den) pairs of ``dists.ratio_tables``."""
         return dists.ratio_tables(self.hits, self.k**3)
 
 
@@ -141,6 +142,16 @@ class _Point:
 # cross-multiplication where only the extreme value is reported.
 
 _Outcome = Tuple[str, Dict[str, int], Any, Any, bool]
+
+
+def _largest(pairs: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
+    """The largest of non-negative ratios num/den (den > 0), each given as an
+    unreduced pair, by integer cross-multiplication."""
+    best_num, best_den = 0, 1
+    for num, den in pairs:
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return best_num, best_den
 
 
 def _eval_normalizer(pt: _Point, fault: Optional[str]) -> _Outcome:
@@ -162,11 +173,11 @@ def _eval_domination(pt: _Point) -> _Outcome:
     cross-multiplication and only it becomes a Fraction.
     """
     m, k = pt.m, pt.k
-    best_num, best_den = 0, 1
-    for j, num in enumerate(pt.hits.masses, start=1):
-        den = comb(m, j) * (m - 1) ** (m - j)  # 0**0 == 1 covers m = 1
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
+    best_num, best_den = _largest(
+        # 0**0 == 1 covers m = 1
+        (num, comb(m, j) * (m - 1) ** (m - j))
+        for j, num in enumerate(pt.hits.masses, start=1)
+    )
     worst = Fraction(best_num * m**m, 4 * pt.hits.total * best_den)
     return "binomial-domination", {"m": m, "k": k}, worst, 1, worst <= 1
 
@@ -194,12 +205,17 @@ def _eval_slice_uniformity(pt: _Point, j: int) -> _Outcome:
 
 
 def _eval_ratio_bound(pt: _Point, brackets: Brackets) -> _Outcome:
-    """p(j)/q(j) <= e^2 k^(j-k) at the canonical bucket count k^3."""
+    """p(j)/q(j) <= e^2 k^(j-k) at the canonical bucket count k^3.
+
+    That holds for every j iff the largest r(j) k^(k-j) is at most the
+    rational lower bound on e^2.  With r(j) the pair num/den, the largest
+    num k^(k-j) / den is found by integer cross-multiplication and only it
+    becomes a Fraction.
+    """
     m, k = pt.m, pt.k
-    r = pt.ratios[k]
-    # r(j) <= e^2 k^(j-k) for every j iff the largest r(j) k^(k-j) is at most
-    # the rational lower bound on e^2
-    worst = max(r[j] * Fraction(k) ** (k - j) for j in sorted(r))
+    worst = Fraction(
+        *_largest((num * k ** (k - j), den) for j, (num, den) in pt.ratios[k].items())
+    )
     params = {"m": m, "k": k, "ell": k**3}
     return "occupancy-ratio-bound", params, worst, brackets.e2, worst <= brackets.e2
 
@@ -213,8 +229,12 @@ def _eval_hit_floor(pt: _Point) -> _Outcome:
 
 
 def _eval_ratio_sum(pt: _Point, brackets: Brackets) -> _Outcome:
-    """Every per-class ratio sum stays below 2e^4 at bucket count k_star^3."""
-    worst = max(sum(r.values(), Fraction(0)) for r in pt.ratios.values())
+    """Every per-class ratio sum stays below 2e^4 at bucket count k_star^3.
+
+    Each class sum is added as one unreduced pair; the largest is found by
+    integer cross-multiplication and only it becomes a Fraction.
+    """
+    worst = Fraction(*_largest(dists.ratio_sum(r) for r in pt.ratios.values()))
     cap = brackets.two_e4
     params = {"m": pt.m, "k_star": pt.k, "ell": pt.k**3}
     return "ratio-sum-bound", params, worst, cap, worst <= cap
@@ -276,8 +296,10 @@ def run_claims(cfg: SweepConfig) -> List[ClaimVerdict]:
     points = [
         (m, k) for m in sorted(set(cfg.m_values)) for k in range(1, min(m, cfg.k_max) + 1)
     ]
+    # no point has k above its m, so brackets past the largest m go unread
+    k_top = min(cfg.k_max, max(cfg.m_values))
     run = functools.partial(
-        _run_point, _brackets(cfg.k_max), cfg.enumeration_budget, cfg.fault
+        _run_point, _brackets(k_top), cfg.enumeration_budget, cfg.fault
     )
     if cfg.workers > 1:
         # imported here: with multiprocessing it costs about 15 ms of import

@@ -77,16 +77,25 @@ def read_eta(path: str, n: int) -> np.ndarray:
 
 
 def _parse_grid(spec: str) -> Dict[str, int]:
-    """Parse a sweep grid like ``m=1..64,k=1..6``."""
+    """Parse a sweep grid like ``m=1..64,k=1..6``; each key at most once."""
     out = {"m_lo": 1, "m_hi": 64, "k_max": 6}
+    seen = set()
     for part in spec.split(","):
         key, sep, rng = part.partition("=")
         key = key.strip()
         if not sep or key not in ("m", "k"):
             raise ValueError(f"bad grid component {part!r}; use m=LO..HI,k=LO..HI")
+        if key in seen:
+            raise ValueError(f"grid component {key!r} given twice in {spec!r}")
+        seen.add(key)
         lo, sep2, hi = rng.partition("..")
-        lo_v = int(lo)
-        hi_v = int(hi) if sep2 else lo_v
+        try:
+            lo_v = int(lo)
+            hi_v = int(hi) if sep2 else lo_v
+        except ValueError:
+            raise ValueError(
+                f"bad grid component {part!r}; bounds must be integers"
+            ) from None
         if key == "m":
             out["m_lo"], out["m_hi"] = lo_v, hi_v
         else:

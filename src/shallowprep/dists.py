@@ -235,36 +235,47 @@ def ratio_report(n: int, k: int, ell: int) -> OccupancyModel:
     )
 
 
-def ratio_tables(hits: HitTable, ell: int) -> Dict[int, Dict[int, Fraction]]:
-    """Per-class ratios r_k(j) = p_k(j) / q_k(j) for k in 1..hits.k_cap.
+def ratio_tables(hits: HitTable, ell: int) -> Dict[int, Dict[int, Tuple[int, int]]]:
+    """Per-class ratios r_k(j) = p_k(j) / q_k(j) for k in 1..hits.k_cap, each
+    as an unreduced integer pair (num, den) with den > 0.
 
     p_k is the occupancy pmf of weight k on ell buckets of hits.m bits and
     q_k(j) the probability that j damped samples capped at hits.k_cap weigh
-    k in all; the one hit table for the cap serves every class.
+    k in all; the one hit table for the cap serves every class.  With
+    p_k(j) = C(ell, j) Gamma_j(k) / C(n, k) and q_k(j) = conv[j][k] / total^j,
+    num = C(ell, j) Gamma_j(k) total^j and den = C(n, k) conv[j][k]; callers
+    compare pairs by cross-multiplication and reduce only what they report.
     """
     if ell < 1:
         raise DomainError(f"bucket count {ell} must be positive")
     n = hits.m * ell
-    out: Dict[int, Dict[int, Fraction]] = {}
+    out: Dict[int, Dict[int, Tuple[int, int]]] = {}
     for k in range(1, hits.k_cap + 1):
         counts = _occupancy_counts(n, k, ell, hits.gamma)
         denom = comb(n, k)
-        # (c / denom) / (conv / total**j), reduced once
         out[k] = {
-            j: Fraction(c * hits.total**j, denom * hits.conv[j][k])
-            for j, c in counts.items()
+            j: (c * hits.total**j, denom * hits.conv[j][k]) for j, c in counts.items()
         }
     return out
 
 
+def ratio_sum(ratios: Dict[int, Tuple[int, int]]) -> Tuple[int, int]:
+    """One class's ratio sum sum_j r_k(j) as an unreduced pair (num, den)."""
+    num, den = 0, 1
+    for a, b in ratios.values():
+        num, den = num * b + a * den, den * b
+    return num, den
+
+
 def weighted_ratio_sum(
-    ratios: Dict[int, Dict[int, Fraction]], ell: int, eta: Sequence[complex]
+    ratios: Dict[int, Dict[int, Tuple[int, int]]], ell: int, eta: Sequence[complex]
 ) -> Tuple[float, Dict[int, Fraction]]:
     """Weighted ratio sum R = sum_k |eta_k|^2 R_k and the per-weight table.
 
-    ``ratios`` is one point's ``ratio_tables``; ``eta`` lists weights for
-    k = 0..k_star and must be unit norm.  The k = 0 slot contributes nothing
-    because R_0 is defined as zero.
+    ``ratios`` is one point's ``ratio_tables``; each class sum R_k is added
+    in integers and reduced once.  ``eta`` lists weights for k = 0..k_star
+    and must be unit norm.  The k = 0 slot contributes nothing because R_0
+    is defined as zero.
     """
     k_star = len(ratios)
     if len(eta) != k_star + 1:
@@ -279,7 +290,7 @@ def weighted_ratio_sum(
             stacklevel=2,
         )
     tables = {0: Fraction(0)}
-    tables.update((k, sum(r.values(), Fraction(0))) for k, r in ratios.items())
+    tables.update((k, Fraction(*ratio_sum(r))) for k, r in ratios.items())
     R = sum(abs(eta[k]) ** 2 * float(tables[k]) for k in range(k_star + 1))
     return R, tables
 

@@ -329,14 +329,16 @@ def _pair_bits(k_star: int) -> int:
 
 
 def _pair_amplitudes(
-    ratios: Dict[int, Dict[int, Fraction]], eta: Sequence[complex], r_eff: float
+    ratios: Dict[int, Dict[int, Tuple[int, int]]], eta: Sequence[complex], r_eff: float
 ) -> np.ndarray:
     """Amplitudes over packed (weight class, occupancy) pairs.
 
     Pair (k, j) sits at flat index k * 2^bits + j; the k = 0 branch is the
     (0, 0) slot.  Squared masses are |eta_k|^2 p_k(j) / (q_k(j) R) for
     k >= 1 and |eta_0|^2 / R, with the per-bucket samples capped at the
-    largest weight class; ``ratios`` is the point's ``dists.ratio_tables``.
+    largest weight class; ``ratios`` is the point's ``dists.ratio_tables``,
+    whose (num, den) pairs become floats by the one correctly rounded
+    division ``num / den``.
     """
     k_star = len(eta) - 1
     bits = _pair_bits(k_star)
@@ -345,8 +347,8 @@ def _pair_amplitudes(
     for k, per_class in ratios.items():
         if eta[k] == 0:
             continue
-        for j, ratio in per_class.items():
-            vec[(k << bits) | j] = complex(eta[k]) * math.sqrt(float(ratio) / r_eff)
+        for j, (num, den) in per_class.items():
+            vec[(k << bits) | j] = complex(eta[k]) * math.sqrt(num / den / r_eff)
     return vec / np.linalg.norm(vec)
 
 

@@ -73,6 +73,23 @@ def test_workers_get_every_bracket_up_to_k_max():
     assert _rows(serial) == _rows(parallel)
 
 
+def test_brackets_are_sized_by_the_grid_not_by_k_max(monkeypatch):
+    """A point has k <= m, so a huge k_max on a small grid builds only the
+    e^(-2j/k) brackets for k <= max(m) and gives the k_max = 2 rows."""
+    small = _rows(run_claims(SweepConfig(m_values=(1, 2), k_max=2)))
+    built = []
+    real = dists.exp_neg_upper
+
+    def counted(x):
+        built.append(x)
+        assert len(built) <= 3, "brackets built past the largest m"
+        return real(x)
+
+    monkeypatch.setattr(dists, "exp_neg_upper", counted)
+    assert _rows(run_claims(SweepConfig(m_values=(1, 2), k_max=10**6))) == small
+    assert sorted(built) == [Fraction(1), Fraction(2), Fraction(2)]
+
+
 def test_default_grid_rows_are_pinned_and_repeatable():
     """The default sweep is bit-identical to the pinned rows, and a second
     sweep in the same process gives the same rows."""
@@ -146,11 +163,33 @@ def _damping_oracle(m, k_star):
     return worst
 
 
+def _ratio_bound_oracle(m, k):
+    """The largest p(j) k^(k-j) / q(j) at ell = k^3, from the occupancy pmf
+    and the hit probabilities as Fractions."""
+    ell = k**3
+    p = dists.occupancy_pmf(m * ell, k, ell)
+    hits = dists.hit_table(m, k)
+    return max(p[j] / hits.prob(j, k) * k ** (k - j) for j in p)
+
+
+def _ratio_sum_oracle(m, k_star):
+    """The largest per-class sum of p_k(j) / q_k(j) at ell = k_star^3, with
+    every class's samples capped at k_star."""
+    ell = k_star**3
+    hits = dists.hit_table(m, k_star)
+    sums = []
+    for k in range(1, k_star + 1):
+        p = dists.occupancy_pmf(m * ell, k, ell)
+        sums.append(sum((p[j] / hits.prob(j, k) for j in p), Fraction(0)))
+    return max(sums)
+
+
 def test_integer_worst_cases_match_fraction_oracles():
-    """binomial-domination and damping-lower-bound pick their worst case by
-    integer cross-multiplication; it is the Fraction forms' worst case,
-    m = 1 (where (m-1)^(m-j) is 0^0) included."""
+    """binomial-domination, damping-lower-bound and the two ratio claims pick
+    their worst case by integer cross-multiplication; it is the Fraction
+    forms' worst case, m = 1 (where (m-1)^(m-j) is 0^0) included."""
     verdicts = run_claims(SweepConfig(m_values=tuple(range(1, 17)), k_max=6))
+    e2, two_e4 = dists.e_squared_lower(), dists.two_e_fourth_lower()
     checked = 0
     for v in verdicts:
         if v.claim == "binomial-domination":
@@ -159,10 +198,36 @@ def test_integer_worst_cases_match_fraction_oracles():
         elif v.claim == "damping-lower-bound":
             worst = _damping_oracle(v.params["m"], v.params["k_star"])
             assert (v.lhs, v.passed) == (str(worst), worst >= 1), v.params
+        elif v.claim == "occupancy-ratio-bound":
+            worst = _ratio_bound_oracle(v.params["m"], v.params["k"])
+            assert (v.lhs, v.passed) == (str(worst), worst <= e2), v.params
+        elif v.claim == "ratio-sum-bound":
+            worst = _ratio_sum_oracle(v.params["m"], v.params["k_star"])
+            assert (v.lhs, v.passed) == (str(worst), worst <= two_e4), v.params
         else:
             continue
         checked += 1
-    assert checked == 2 * sum(min(m, 6) for m in range(1, 17))
+    assert checked == 4 * sum(min(m, 6) for m in range(1, 17))
+
+
+def test_ratio_claims_fail_where_one_ratio_is_inflated(monkeypatch):
+    """Scaling the numerator of one point's top-class pair r_k(k) by 10^6
+    fails the ratio bound at that point and nowhere else; the class sum
+    there, which reads the same pair, fails with it."""
+    real = dists.ratio_tables
+
+    def inflated(hits, ell):
+        tables = real(hits, ell)
+        if (hits.m, hits.k_cap) == (5, 3):
+            num, den = tables[3][3]
+            tables[3][3] = (num * 10**6, den)
+        return tables
+
+    monkeypatch.setattr(dists, "ratio_tables", inflated)
+    verdicts = run_claims(SweepConfig(m_values=tuple(range(1, 9)), k_max=4))
+    failed = {(v.claim, v.params["m"], v.params.get("k", v.params.get("k_star")))
+              for v in verdicts if not v.passed}
+    assert failed == {("occupancy-ratio-bound", 5, 3), ("ratio-sum-bound", 5, 3)}
 
 
 def test_verdict_seconds_add_up_to_at_most_the_sweep():

@@ -51,6 +51,29 @@ def test_parse_grid():
         cli._parse_grid("q=1..2")
     with pytest.raises(ValueError, match="starts at 1"):
         cli._parse_grid("k=2..4")
+    with pytest.raises(ValueError, match="'m' given twice"):
+        cli._parse_grid("m=1..2,m=5..6,k=1..2")
+    with pytest.raises(ValueError, match="'k' given twice"):
+        cli._parse_grid("k=1..2,k=1..3")
+    for spec in ("m=a..3", "m=1..b", "k=1..x", "m=", "m=1.5"):
+        with pytest.raises(ValueError, match="bad grid component"):
+            cli._parse_grid(spec)
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("m=1..2,m=5..6,k=1..2", "error: grid component 'm' given twice"),
+        ("m=a..3", "error: bad grid component 'm=a..3'"),
+    ],
+)
+def test_claims_bad_grid_exits_2_with_one_line(grid, message, capsys):
+    rc = cli.main(["claims", "--grid", grid])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), lines
 
 
 def test_synth_dicke_writes_files_and_passes(tmp_path, capsys):

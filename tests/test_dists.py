@@ -281,16 +281,21 @@ def test_composition_table_matches_per_j_oracle():
 
 
 def test_ratio_tables_match_per_class_oracle():
-    """Each ratio equals the Fraction quotient of the oracle pmf and hit
-    probability, one class at a time."""
+    """Each ratio is an unreduced pair of ints whose quotient equals the
+    Fraction quotient of the oracle pmf and hit probability, one class at a
+    time, and whose float division is the Fraction's float."""
     for n, k_star, ell in [(4, 2, 2), (12, 3, 4), (24, 3, 8), (81, 3, 27), (64, 4, 16)]:
         tables = dists.ratio_tables(dists.hit_table(n // ell, k_star), ell)
         assert sorted(tables) == list(range(1, k_star + 1))
         for k, ratios in tables.items():
             p = dists.occupancy_pmf(n, k, ell)
             assert list(ratios) == sorted(p)
-            for j, r in ratios.items():
+            for j, pair in ratios.items():
+                num, den = pair
+                assert type(num) is int and type(den) is int and den > 0, pair
+                r = Fraction(num, den)
                 assert r == p[j] / _hit_oracle(n // ell, k_star, j, k), (n, k, j)
+                assert num / den == float(r), (n, k, j)
 
 
 def test_exp_series_matches_term_by_term_oracle():
