@@ -5,8 +5,9 @@ The package splits into a layered-circuit representation (``circuits``,
 helpers (``simulate``, which applies each Grover round that ``rounds``
 finds as one reflection), amplitude-amplification building blocks
 (``primitives``), exact rational distribution machinery (``dists``), the
-state constructions themselves (``synthesis``), and sweep/acceptance
-harnesses (``claims``, ``acceptance``, ``cli``).
+state constructions themselves (``synthesis``: Dicke and weighted symmetric
+states share one occupancy construction), and sweep/acceptance harnesses
+(``claims``, ``acceptance``, ``cli``).
 """
 
 from .acceptance import (
@@ -32,10 +33,8 @@ from .claims import CLAIM_IDS, ClaimVerdict, SweepConfig, run_claims
 from .dists import (
     DampedBinomial,
     DomainError,
-    OccupancyModel,
     damped_binomial,
     occupancy_pmf,
-    ratio_report,
     trailing_zero_mass,
 )
 from .primitives import (
@@ -66,11 +65,9 @@ from .simulate import (
 from .synthesis import (
     SynthesisOutput,
     build_dicke,
-    build_occupancy_state,
     build_symmetric,
     default_ell,
     dicke_vector,
-    occupancy_vector,
     prepare_zero_damped,
     symmetric_vector,
 )
@@ -93,7 +90,6 @@ __all__ = [
     "DomainError",
     "Gate",
     "MarkedPreparation",
-    "OccupancyModel",
     "PRIMITIVE_NAMES",
     "Register",
     "SimulationError",
@@ -104,7 +100,6 @@ __all__ = [
     "adjust_amplitudes",
     "amplify_to_exact",
     "build_dicke",
-    "build_occupancy_state",
     "build_symmetric",
     "certify_library_gate",
     "certify_primitive",
@@ -120,13 +115,11 @@ __all__ = [
     "exact_grover",
     "ham_gadget",
     "occupancy_pmf",
-    "occupancy_vector",
     "output_overlap",
     "parallel_amplify",
     "prepare_onehot_dist",
     "prepare_small_state",
     "prepare_zero_damped",
-    "ratio_report",
     "residual_mass",
     "run",
     "run_acceptance",

@@ -178,63 +178,6 @@ def hit_table(m: int, k_cap: int) -> HitTable:
     return HitTable(m=m, k_cap=k_cap, total=sum(nums), conv=tuple(conv), gamma=gamma)
 
 
-@dataclass(frozen=True)
-class OccupancyModel:
-    """Exact occupancy/hybrid tables and their ratio for one (n, k, ell) point."""
-
-    n: int
-    k: int
-    ell: int
-    m: int
-    p: Dict[int, Fraction]
-    q: Dict[int, Fraction]
-    r: Dict[int, Fraction]
-    R: Fraction
-    Gamma: Dict[int, int]
-    bound_checked: bool
-
-    def support(self) -> List[int]:
-        return sorted(self.p.keys())
-
-
-def ratio_report(n: int, k: int, ell: int) -> OccupancyModel:
-    """Full p, q, r tables plus the ratio sum R for weight k on ell buckets.
-
-    The ratio bound r(j) <= e^2 * k^(j-k) is claimed only for ell >= k**3,
-    which ``bound_checked`` records (``claims`` decides it on the same r(j)
-    from ``ratio_tables``, with its own bracket on e^2); below that the tables
-    are still produced and a warning records that the bound was skipped.
-    """
-    if k < 1:
-        raise DomainError("ratio_report requires k >= 1")
-    m = _bucket_size(n, ell)
-    hits = hit_table(m, k)
-    p = {
-        j: Fraction(c, comb(n, k))
-        for j, c in _occupancy_counts(n, k, ell, hits.gamma).items()
-    }
-    check = ell >= k**3
-    if not check:
-        warnings.warn(
-            f"ratio bound skipped for (n={n}, k={k}, ell={ell}): needs ell >= k^3",
-            stacklevel=2,
-        )
-    q = {j: hits.prob(j, k) for j in p}
-    r = {j: p[j] / q[j] for j in p}
-    return OccupancyModel(
-        n=n,
-        k=k,
-        ell=ell,
-        m=m,
-        p=p,
-        q=q,
-        r=r,
-        R=sum(r.values(), Fraction(0)),
-        Gamma={j: hits.gamma[j][k] for j in p},
-        bound_checked=check,
-    )
-
-
 def ratio_tables(hits: HitTable, ell: int) -> Dict[int, Dict[int, Tuple[int, int]]]:
     """Per-class ratios r_k(j) = p_k(j) / q_k(j) for k in 1..hits.k_cap, each
     as an unreduced integer pair (num, den) with den > 0.

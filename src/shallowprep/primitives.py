@@ -80,18 +80,6 @@ class MarkedPreparation:
     alpha: Number
 
 
-def _append_round(
-    builder: Builder,
-    flag: int,
-    segment: Sequence[Sequence[Gate]],
-    reflect_qubits: Sequence[int],
-) -> None:
-    builder.append(g_unitary1(flag, ORACLE_MATRIX, label="-Z"))
-    builder.replay_inverse(segment, checked=False)
-    builder.append(g_reflect_zero(reflect_qubits))
-    builder.replay(segment, checked=False)
-
-
 def exact_grover(builder: Builder, flag: int, alpha: Number) -> int:
     """Amplify a branch whose mass is exactly sin^2(pi / (2r)) for odd r.
 
@@ -118,7 +106,10 @@ def exact_grover(builder: Builder, flag: int, alpha: Number) -> int:
     reflect_qubits = tuple(range(builder.n_qubits))
     rounds = (r - 1) // 2
     for _ in range(rounds):
-        _append_round(builder, flag, segment, reflect_qubits)
+        builder.append(g_unitary1(flag, ORACLE_MATRIX, label="-Z"))
+        builder.replay_inverse(segment, checked=False)
+        builder.append(g_reflect_zero(reflect_qubits))
+        builder.replay(segment, checked=False)
     builder.record_rounds(rounds, 2 * len(segment) + 2)
     return rounds
 
@@ -151,25 +142,15 @@ def amplify_to_exact(
     while math.pi / (2.0 * r) > theta + ANGLE_TOL:
         r += 2
     target = math.sin(math.pi / (2.0 * r)) ** 2
-    shrink: Optional[int] = None
     gamma: Optional[float] = None
+    flags = [flag]
     if abs(target - af) > ANGLE_TOL:
         gamma = target / af
         shrink = builder.new_register("shrink", 1)[0]
         builder.append(g_ctrl_unitary1(flag, shrink, rot_matrix(1.0 - gamma), label="shrink"))
-        round_flag = shrink
-    else:
-        round_flag = flag
-    segment = builder.layers_since(0)
-    reflect_qubits = tuple(range(builder.n_qubits))
-    rounds = (r - 1) // 2
-    for _ in range(rounds):
-        _append_round(builder, round_flag, segment, reflect_qubits)
-    if shrink is not None:
-        builder.append_layer([g_x(flag), g_x(shrink)])
-    else:
-        builder.append(g_x(flag))
-    builder.record_rounds(rounds, 2 * len(segment) + 2)
+        flags.append(shrink)
+    rounds = exact_grover(builder, flags[-1], target)
+    builder.append_layer([g_x(q) for q in flags])
     return AmplifyInfo(
         rounds=rounds, odd_r=r, alpha=af, alpha_target=target, gamma=gamma
     )

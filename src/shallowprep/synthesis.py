@@ -1,7 +1,8 @@
-"""Top-level state synthesis: damped block states, occupancy-tagged Dicke
-states, Dicke states for arbitrary (n, k), and weighted symmetric states.
+"""Top-level state synthesis: damped block states, Dicke states for
+arbitrary (n, k), and weighted symmetric states.
 
-The common scheme: distribute weight over equally sized blocks using
+The common scheme: draw a one-hot occupancy record j with probability
+r_k(j) / R_k, spread the weight over j of ell equally sized blocks with
 controlled block-level preparations, mark the wanted total weight, amplify
 that branch to probability one with exactly computed branch masses, and
 uncompute every record register.
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,25 +52,6 @@ def symmetric_vector(n: int, eta: Sequence[complex]) -> np.ndarray:
         if coeff != 0:
             per_weight = per_weight + complex(coeff) * library.dicke_amplitudes(n, k)
     return per_weight[library.hamming_weights(n)]
-
-
-def occupancy_vector(n: int, k: int, ell: int) -> np.ndarray:
-    """Weight-k Dicke state joined with a one-hot record of its occupancy.
-
-    Output order is the data block followed by the k record qubits; record
-    slot j is hot when exactly j of the ell blocks are nonzero.
-    """
-    m = n // ell
-    total = n + k
-    x = np.flatnonzero(library.hamming_weights(n) == k)
-    occ = sum(((x >> (b * m)) & ((1 << m) - 1)) != 0 for b in range(ell))
-    # data bit i moves to qubit position total-1-i, above the record slots
-    idx = np.left_shift(1, k - occ)
-    for i in range(n):
-        idx |= ((x >> i) & 1) << (total - 1 - i)
-    vec = np.zeros(2**total, dtype=complex)
-    vec[idx] = 1.0 / math.sqrt(comb(n, k))
-    return vec
 
 
 # ---- output container ----
@@ -151,51 +132,35 @@ def ctrl_damped_explicit(m: int, k: int) -> Tuple[Circuit, Tuple[int, ...]]:
     return circuit, (ctrl,) + tuple(data)
 
 
-# ---- occupancy-tagged Dicke state ----
+# ---- block distribution ----
 
 
 def _block(qubits: Sequence[int], i: int, m: int) -> Tuple[int, ...]:
     return tuple(qubits[i * m : (i + 1) * m])
 
 
-def _occupancy_core(
-    b: Builder,
-    data: Sequence[int],
-    k: int,
-    ell: int,
-    record_ancilla: bool = True,
-) -> Tuple[Register, Register, dists.OccupancyModel]:
-    """Append the occupancy construction onto existing data qubits.
+def _spread_blocks(
+    b: Builder, data: Sequence[int], record: Register, ell: int
+) -> Register:
+    """Spread weight over the ell blocks of the data register.
 
-    Leaves the data register holding the weight-k Dicke state entangled
-    with the one-hot occupancy record; the block-marker register is clean.
-    Returns (record register, block-marker register, distribution model).
+    The one-hot record (slot j hot for j occupied blocks) picks j of the
+    bucket markers uniformly, each marked block gets a nonzero damped sample
+    capped at len(record), and an OR of each block then clears its marker.
+    Returns the clean marker register, which ``_uncompute_record`` reuses.
     """
-    n = len(data)
-    if ell < 1 or n % ell != 0:
-        raise CircuitError(f"block count {ell} must divide {n}")
-    m = n // ell
-    if not 1 <= k <= min(ell, m):
-        raise CircuitError(
-            f"weight {k} needs 1 <= k <= min(blocks={ell}, block size={m})"
-        )
-    model = dists.ratio_report(n, k, ell)
-    probs = tuple(model.r[j] / model.R for j in range(1, k + 1))
-    record = b.new_register("occ", k, ancilla=record_ancilla)
-    b.append(library.make("onehot_dist", (k, probs), tuple(record)))
+    k_cap = len(record)
+    m = len(data) // ell
     marks = b.new_register("bucket", ell)
-    append_ctrl_dicke(b, record, marks, weights=range(1, k + 1))
+    append_ctrl_dicke(b, record, marks, weights=range(1, k_cap + 1))
     b.append_layer(
         [
-            library.make("ctrl_damped", (m, k), (marks[i],) + _block(data, i, m))
+            library.make("ctrl_damped", (m, k_cap), (marks[i],) + _block(data, i, m))
             for i in range(ell)
         ]
     )
     b.append_layer([g_or(_block(data, i, m), marks[i]) for i in range(ell)])
-    hit = b.new_register("hit", 1)[0]
-    b.append(library.make("exact", (n, k), tuple(data) + (hit,)))
-    amplify_to_exact(b, hit, 1 / model.R)
-    return record, marks, model
+    return marks
 
 
 def _uncompute_record(
@@ -210,22 +175,6 @@ def _uncompute_record(
         library.make("ham", (ell, len(record) - 1), tuple(marks) + tuple(record))
     )
     b.append_layer(or_layer)
-
-
-def build_occupancy_state(n: int, k: int, ell: int) -> SynthesisOutput:
-    """Prepare the weight-k Dicke state tagged with its block occupancy."""
-    b = Builder(metadata={"fanout_budget": max(k + 1, ell)})
-    data = b.add_register("data", n, ancilla=False)
-    record, _, model = _occupancy_core(b, data, k, ell, record_ancilla=False)
-    circuit = b.build()
-    out = SynthesisOutput(
-        circuit=circuit,
-        report=cost(circuit),
-        output_qubits=tuple(data) + tuple(record),
-        info={"R": model.R, "p": model.p},
-        _target_fn=lambda: occupancy_vector(n, k, ell),
-    )
-    return out
 
 
 # ---- Dicke states ----
@@ -251,8 +200,33 @@ def default_ell(n: int, k: int) -> int:
     )
 
 
+def _check_ell(ell: Optional[int]) -> None:
+    if ell is not None and ell < 1:
+        raise CircuitError(f"block count {ell} must be at least 1")
+
+
 def _dicke_divisible(b: Builder, data: Sequence[int], k: int, ell: int) -> None:
-    record, marks, _ = _occupancy_core(b, data, k, ell)
+    """Append the weight-k Dicke construction on ell blocks dividing the data.
+
+    The record is drawn from class k of ``dists.ratio_tables``: slot j with
+    probability r_k(j) / R_k, as reduced Fractions.  The weight-k branch of
+    the spread then has mass exactly 1 / R_k.
+    """
+    n = len(data)
+    m = n // ell
+    if not 1 <= k <= min(ell, m):
+        raise CircuitError(
+            f"weight {k} needs 1 <= k <= min(blocks={ell}, block size={m})"
+        )
+    ratios = dists.ratio_tables(dists.hit_table(m, k), ell)[k]
+    r_sum = Fraction(*dists.ratio_sum(ratios))
+    probs = tuple(Fraction(*ratios[j]) / r_sum for j in range(1, k + 1))
+    record = b.new_register("occ", k)
+    b.append(library.make("onehot_dist", (k, probs), tuple(record)))
+    marks = _spread_blocks(b, data, record, ell)
+    hit = b.new_register("hit", 1)[0]
+    b.append(library.make("exact", (n, k), tuple(data) + (hit,)))
+    amplify_to_exact(b, hit, 1 / r_sum)
     _uncompute_record(b, data, record, marks)
 
 
@@ -266,6 +240,7 @@ def build_dicke(n: int, k: int, ell: Optional[int] = None) -> SynthesisOutput:
     """
     if not 0 <= k <= n:
         raise CircuitError(f"weight {k} out of range for {n} qubits")
+    _check_ell(ell)
     if k == 0 or k == n:
         b = Builder()
         data = b.add_register("data", n, ancilla=False)
@@ -382,15 +357,7 @@ def _symmetric_divisible(
             ),
         ]
     )
-    marks = b.new_register("bucket", ell)
-    append_ctrl_dicke(b, record, marks, weights=range(1, k_star + 1))
-    b.append_layer(
-        [
-            library.make("ctrl_damped", (m, k_star), (marks[i],) + _block(data, i, m))
-            for i in range(ell)
-        ]
-    )
-    b.append_layer([g_or(_block(data, i, m), marks[i]) for i in range(ell)])
+    marks = _spread_blocks(b, data, record, ell)
 
     # Weight marking: branch k must hold exactly k ones; the zero branch is
     # identified by its clear class register.
@@ -436,6 +403,7 @@ def build_symmetric(
     k_star = len(eta) - 1
     if k_star > n:
         raise CircuitError(f"max weight {k_star} exceeds qubit count {n}")
+    _check_ell(ell)
     if k_star == 0:
         b = Builder()
         data = b.add_register("data", n, ancilla=False)

@@ -9,10 +9,7 @@ import pytest
 from shallowprep.acceptance import run_acceptance
 from shallowprep.simulate import workers_from_env
 
-pytestmark = [
-    pytest.mark.filterwarnings("ignore:ratio bound skipped:UserWarning"),
-    pytest.mark.filterwarnings("ignore:ell=:UserWarning"),
-]
+pytestmark = pytest.mark.filterwarnings("ignore:ell=:UserWarning")
 
 
 @pytest.fixture(scope="module")

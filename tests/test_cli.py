@@ -11,9 +11,6 @@ from shallowprep.circuits import Builder, serialize
 from shallowprep.simulate import MAX_DENSE_QUBITS
 from test_circuits import MALFORMED, malformed_text
 
-pytestmark = pytest.mark.filterwarnings("ignore:ratio bound skipped:UserWarning")
-
-
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -380,3 +377,16 @@ def test_synth_dicke_stops_at_the_edge_of_the_builder_domain(tmp_path, capsys):
     assert cli.main(["synth", "dicke", "--n", "8", "--k", "4", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "no workable block count for n=8, k=4" in err
+
+
+@pytest.mark.parametrize("ell", ["0", "-4"])
+def test_synth_refuses_a_block_count_below_one(tmp_path, capsys, ell):
+    """--ell 0 used to end in a ZeroDivisionError traceback from n % ell."""
+    eta = write(tmp_path / "eta.txt", "0 0.6 0\n1 0 0.8\n")
+    for argv in (
+        ["synth", "dicke", "--n", "8", "--k", "2"],
+        ["synth", "symmetric", "--n", "8", "--eta", eta],
+    ):
+        assert cli.main(argv + ["--ell", ell, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"block count {ell} must be at least 1" in err

@@ -121,22 +121,6 @@ def test_hit_table_cross_checks_every_j(monkeypatch):
         dists.hit_table(2, 2)
 
 
-def test_ratio_report_frozen_sums():
-    with pytest.warns(UserWarning):
-        assert dists.ratio_report(4, 2, 2).R == Fraction(123, 32)
-    with pytest.warns(UserWarning):
-        assert dists.ratio_report(8, 2, 4).R == Fraction(531, 224)
-
-
-def test_ratio_report_checked_regime():
-    """At ell >= k^3 the per-weight ratio bound is actually enforced."""
-    model = dists.ratio_report(8, 1, 8)
-    assert model.bound_checked
-    # r(j) <= e^2 * k^(j-k) with k = 1
-    assert max(model.r.values()) <= dists.e_squared_lower()
-    assert model.R == 1
-
-
 def _ratio_sums(m, k_star, ell, eta):
     """The weighted ratio sum and per-weight ratio sums R_k on ell buckets of
     m bits, with every class capped at k_star."""
@@ -153,6 +137,16 @@ def test_ratio_sum_tables_frozen():
     assert tables[0] == 0
     assert tables[1] == Fraction(9, 8)
     assert tables[2] == Fraction(123, 32)
+    # class 2 at (m, k, ell) = (2, 2, 4), the R_2 that build_dicke(8, 2, 4) reads
+    ratios = dists.ratio_tables(dists.hit_table(2, 2), 4)[2]
+    assert Fraction(*dists.ratio_sum(ratios)) == Fraction(531, 224)
+
+
+def test_ratio_tables_checked_regime():
+    """At ell >= k^3 each ratio is within r(j) <= e^2 * k^(j-k), here with k = 1."""
+    ratios = dists.ratio_tables(dists.hit_table(1, 1), 8)[1]
+    assert Fraction(*dists.ratio_sum(ratios)) == 1
+    assert max(Fraction(*r) for r in ratios.values()) <= dists.e_squared_lower()
 
 
 def test_ratio_sum_tables_domain():

@@ -281,7 +281,6 @@ def test_controlled_reflection_about_zero_needs_its_control():
     assert not on[:4].any()
 
 
-@pytest.mark.filterwarnings("ignore:ratio bound skipped:UserWarning")
 def test_residue_is_dropped_from_dicke_12_2():
     """Only the C(12, 2) = 66 real amplitudes survive; exact-zero dropping
     ended this run with 74,086 nonzero entries."""

@@ -1,15 +1,33 @@
 """End-to-end synthesis tests: exact states, frozen constants, cost shape."""
 
+import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from shallowprep import dists
-from shallowprep.circuits import CircuitError, cost, deserialize, serialize
+from shallowprep.acceptance import DICKE_GRID, PADDED_GRID, _symmetric_cases
+from shallowprep.circuits import (
+    Builder,
+    CircuitError,
+    cost,
+    deserialize,
+    g_and,
+    g_unitary1,
+    serialize,
+)
 from shallowprep.library import damped_spread_column
-from shallowprep.primitives import ctrl_from_zero_overlap
+from shallowprep.primitives import (
+    amplify_to_exact,
+    ctrl_from_zero_overlap,
+    prepare_onehot_dist,
+    prepare_small_state,
+    rot_matrix,
+    zero_w_explicit,
+)
 from shallowprep.simulate import (
     certify_library_gate,
     check_clean_preparation,
@@ -19,12 +37,10 @@ from shallowprep.simulate import (
 from shallowprep.synthesis import (
     SynthesisOutput,
     build_dicke,
-    build_occupancy_state,
     build_symmetric,
     ctrl_damped_explicit,
     default_ell,
     dicke_vector,
-    occupancy_vector,
     prepare_zero_damped,
     symmetric_vector,
 )
@@ -55,18 +71,6 @@ def test_symmetric_vector_combines_weights():
         assert abs(vec[i] - 0.8 / math.sqrt(3)) < 1e-12
 
 
-def test_occupancy_vector_tags_block_count():
-    vec = occupancy_vector(4, 2, 2)
-    # x = 0011 occupies one block of size two; record slot 1 is the low bit
-    n, k = 4, 2
-    idx = 0
-    for i in range(n):
-        if (0b0011 >> i) & 1:
-            idx |= 1 << (n + k - 1 - i)
-    idx |= 1 << (k - 1)
-    assert abs(vec[idx] - 1.0 / math.sqrt(6)) < 1e-12
-
-
 # ---- per-index loops: the reference for the popcount-built targets ----
 
 
@@ -87,27 +91,6 @@ def loop_symmetric_vector(n, eta):
     return vec
 
 
-def loop_occupancy_vector(n, k, ell):
-    m = n // ell
-    total = n + k
-    vec = np.zeros(2**total, dtype=complex)
-    amp = 1.0 / math.sqrt(math.comb(n, k))
-    for x in range(2**n):
-        if bin(x).count("1") != k:
-            continue
-        occ = 0
-        for b in range(ell):
-            if (x >> (b * m)) & ((1 << m) - 1):
-                occ += 1
-        idx = 0
-        for i in range(n):
-            if (x >> i) & 1:
-                idx |= 1 << (total - 1 - i)
-        idx |= 1 << (k - occ)
-        vec[idx] = amp
-    return vec
-
-
 def test_targets_match_the_per_index_loops_byte_for_byte():
     for n in range(11):
         for k in range(n + 1):
@@ -124,9 +107,6 @@ def test_targets_match_the_per_index_loops_byte_for_byte():
         for eta in ((Fraction(3, 5), Fraction(4, 5)), (0.6,), (0, -0.8, 0.6)):
             eta = eta[: n + 1]
             assert symmetric_vector(n, eta).tobytes() == loop_symmetric_vector(n, eta).tobytes()
-    for n, k, ell in ((4, 2, 2), (6, 3, 3), (6, 2, 2), (8, 3, 4), (8, 4, 2), (9, 2, 3), (5, 0, 5)):
-        got = occupancy_vector(n, k, ell)
-        assert got.tobytes() == loop_occupancy_vector(n, k, ell).tobytes(), (n, k, ell)
 
 
 def test_targets_refuse_a_weight_above_n():
@@ -220,11 +200,12 @@ def test_default_ell_rules():
         default_ell(2, 2)
 
 
-def test_build_occupancy_state_frozen_ratio():
-    out = build_occupancy_state(4, 2, 2)
-    assert out.info["R"] == Fraction(123, 32)
-    assert out.info["p"] == {1: Fraction(1, 3), 2: Fraction(2, 3)}
-    assert_exact(out)
+def test_build_dicke_below_the_cube_regime_does_not_warn():
+    """The Dicke builder reads the ratio table without the bound check that
+    warned below ell = k^3."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_dicke(8, 2, 4)
 
 
 def test_build_symmetric_reduces_to_dicke():
@@ -315,3 +296,82 @@ def test_build_symmetric_refuses_a_non_finite_weight():
     for bad in (float("nan"), complex(0.6, float("nan")), float("inf")):
         with pytest.raises(CircuitError, match="weight coefficients have norm"):
             build_symmetric(4, (0.8, bad))
+
+
+# ---- pinned emitted circuits ----
+
+
+def _amplified(alpha):
+    """One data qubit at mass alpha, its flag amplified: no shrink qubit
+    when alpha is sin^2(pi/(2r)), a shrink qubit otherwise."""
+    b = Builder()
+    data = b.add_register("d", 1)[0]
+    flag = b.new_register("flag", 1)[0]
+    b.append(g_unitary1(data, rot_matrix(1.0 - alpha)))
+    b.append(g_and((data,), flag))
+    amplify_to_exact(b, flag, alpha)
+    return b.build()
+
+
+def _pinned_builds():
+    """Label -> thunk building the circuit whose serialization is pinned."""
+    cases = {}
+    dicke = list(DICKE_GRID) + list(PADDED_GRID) + [(8, 6, None), (5, 0, None)]
+    dicke += [(16, 2, None), (24, 3, None), (64, 3, None), (1009, 2, None)]
+    for n, k, ell in dicke:
+        cases[f"dicke({n},{k},{ell})"] = lambda n=n, k=k, ell=ell: build_dicke(n, k, ell).circuit
+    for label, eta in _symmetric_cases():
+        cases[f"symmetric(4,{label})"] = lambda eta=eta: build_symmetric(4, eta).circuit
+    cases["symmetric(5,weights-01,2)"] = lambda: build_symmetric(5, (0.6, 0.8), ell=2).circuit
+    cases["ctrl_damped_explicit(4,2)"] = lambda: ctrl_damped_explicit(4, 2)[0]
+    cases["zero_w_explicit(3)"] = lambda: zero_w_explicit(3)[0]
+    cases["onehot_dist(1/2,1/3,1/6)"] = lambda: prepare_onehot_dist(
+        (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    )[0].build()
+    cases["small_state(4)"] = lambda: prepare_small_state((0.5, 0.5j, -0.5, 0.5))[0].build()
+    for label, alpha in (("1/4", 0.25), ("sin^2(pi/10)", math.sin(math.pi / 10) ** 2),
+                         ("0.4", 0.4), ("1", 1.0)):
+        cases[f"amplify({label})"] = lambda alpha=alpha: _amplified(alpha)
+    return cases
+
+
+# SHA-256 of serialize(...) for each pinned build, as emitted while the Dicke
+# builder still had its own ratio table and distribution body and
+# amplify_to_exact its own round loop
+EMITTED_SHA256 = {
+    "dicke(4,1,2)": "cc0b82268ac76cb5564f4660b19936f35c6bf1d26d80f5c24ebf7450a4f86da4",
+    "dicke(4,1,4)": "d408bb83c8e9df6ae5df7561eaf743f9144d41ba49de8d666d60df2ec61df7b8",
+    "dicke(4,2,2)": "636fba3b191d9169d9ba5f4d5c97876cadf402cc322437dbbbed809cd913e8e0",
+    "dicke(6,2,3)": "92f1a477e6923a918475d95063db7bcc60b520a9f0c286ff03e6e6ce610125b2",
+    "dicke(8,2,4)": "a7e719e81ad8792cfb4e99293ccc92ffef191f303250bc164cbf525d23361f77",
+    "dicke(6,1,3)": "d6487b9ecbe4076ddd58c29ee614af3d2041dd4095557d364453ad01a8ac1e6b",
+    "dicke(8,1,4)": "fdd915dbe8adf6b324c36cc92a4fcccb5836e16aa7e4922a140ed265f71bb4a1",
+    "dicke(5,1,2)": "c04c0aa6e12ea36d78720df024c30310addc7fb9ce34d6a5f6c92d4f18a7c988",
+    "dicke(7,2,4)": "a423a869a4cc1b4397aa7b90700c8f077687cef5bdaca23850c7dd893836d2b4",
+    "dicke(8,6,None)": "0000ef27791bd4a6d6121e030ef5cc09c203a5ae09117ffacf782bcf241598ee",
+    "dicke(5,0,None)": "c57ecd3628469fd7f4e42071b282ca4dfa1b991cd40206326d507fa09d3f20b2",
+    "dicke(16,2,None)": "ce721a768b362d5171c70fa018a3267a1572891e8142136d2d920756e25acf82",
+    "dicke(24,3,None)": "98c4b3e5c3011486640d0c99ea7271f26d0a0813f57f7043f32c9e6f821d1b04",
+    "dicke(64,3,None)": "9c5a50917671a94294b118968b6d15738e78e942bc88e77fc4ba47523ecab3b0",
+    "dicke(1009,2,None)": "0949890646ce376a37ec306e2fbd526877905505af84508252a56f4833d72149",
+    "symmetric(4,weights-01)": "2241ce458632d711bd9ca1b68a4a6f73ac09ad00d707a008fc46b45688641352",
+    "symmetric(4,weights-12)": "d49c4316d6746e8eb216d9d20b021b8f9919c6b99d642471e8b6bc026adb29af",
+    "symmetric(4,weights-012-phase)": "c9c1a5595c29d0a17c6d410bd3b685b797f031ef73a2c2f818c81bad1166f0fb",
+    "symmetric(5,weights-01,2)": "d47d82006259d7a14ad5b16ba48e023c41c34ef8b3a829f10d2fc0d7be06f5ee",
+    "ctrl_damped_explicit(4,2)": "79a05616f0c81063ff0e4666185cb85df0b6d7a9ec225ed7349314cf0237d5e5",
+    "zero_w_explicit(3)": "978fdb22a435d5275f5421ca12eabbd818df7129619574a2d810321177e1c6a3",
+    "onehot_dist(1/2,1/3,1/6)": "f5a0fac504a8c49c0af473533d5e2776023e0327171741c7093e1e2fbf8ddd47",
+    "small_state(4)": "1c1ee52bd710f387ffa025d84743f14263cc2b678069572024a9323a00c10cdd",
+    "amplify(1/4)": "9a6e30cdd34d3720a333861fc161f8a90c46e90f6ab13e2d6b86fd77a4ce6d74",
+    "amplify(sin^2(pi/10))": "9bf5c200263d9ea3510240d968236b8ca54011395c214d7d95b5f6dd6c4b6927",
+    "amplify(0.4)": "b0787e4bf873cc272c0f34f16914a788b7355e07000c029ec7680d586d807452",
+    "amplify(1)": "c01bdbb8de4483877f5a6334260eecd5ecc843ea97163cca5a6a5f17553fecf6",
+}
+
+
+def test_emitted_circuits_are_pinned():
+    got = {
+        label: hashlib.sha256(serialize(build()).encode()).hexdigest()
+        for label, build in _pinned_builds().items()
+    }
+    assert got == EMITTED_SHA256
