@@ -80,7 +80,8 @@ class Gate:
 
 
 # Gate constructors.  These only assemble a Gate; _check_layer applies the
-# rules of its kind (_validate_gate) when it enters a circuit.
+# rules of its kind (_validate_gate) and the fanout budget when it enters a
+# circuit, and walks its qubits once per distinct layer footprint.
 
 X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z_MATRIX = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -215,19 +216,35 @@ def _validate_gate(gate: Gate) -> None:
         raise CircuitError("library gate declared costs out of range")
 
 
-def _check_layer(gates: Sequence[Gate], n_qubits: int, budget: Optional[int]) -> None:
+def _check_layer(
+    gates: Sequence[Gate], n_qubits: int, budget: Optional[int], footprints: set
+) -> None:
     """Check each gate against the rules of its kind, that it touches qubits
     0..n_qubits-1 that neither it nor an earlier gate of the layer touched
-    already, and that a fanout not flagged as widened fits the budget."""
+    already, and that a fanout not flagged as widened fits the budget.
+
+    ``footprints`` holds the layer footprints (each gate's touched qubits, in
+    order) that passed the qubit walk at a qubit count no larger than
+    ``n_qubits``; a layer with one of them skips only that walk.  A passing
+    layer adds its footprint.
+    """
+    try:
+        footprint: Any = tuple(g.touched() for g in gates)
+        walk = footprint not in footprints
+    except TypeError:
+        # a qubit list that is not a tuple, or an unhashable qubit: the walk
+        # raises at that gate, after the errors of the gates before it
+        footprint, walk = None, True
     seen: set = set()
     for gate in gates:
         _validate_gate(gate)
-        for q in gate.touched():
-            if not 0 <= q < n_qubits:
-                raise CircuitError(f"gate references unknown qubit {q}")
-            if q in seen:
-                raise CircuitError(f"layer touches a qubit twice: {q}, at a {gate.kind} gate")
-            seen.add(q)
+        if walk:
+            for q in gate.touched():
+                if not 0 <= q < n_qubits:
+                    raise CircuitError(f"gate references unknown qubit {q}")
+                if q in seen:
+                    raise CircuitError(f"layer touches a qubit twice: {q}, at a {gate.kind} gate")
+                seen.add(q)
         if (
             gate.kind == "fanout"
             and budget is not None
@@ -238,6 +255,7 @@ def _check_layer(gates: Sequence[Gate], n_qubits: int, budget: Optional[int]) ->
                 f"fanout width {len(gate.targets)} exceeds budget {budget}; "
                 "flag the gate as widened to allow it"
             )
+    footprints.add(footprint)
 
 
 @dataclass(frozen=True)
@@ -326,6 +344,9 @@ class Builder:
         self.layers: List[Tuple[Gate, ...]] = []
         self.metadata: Dict[str, Any] = dict(metadata or {})
         self._next_qubit = 0
+        # footprints of the appended layers: the qubit count only grows, so
+        # each would pass the qubit walk again
+        self._footprints: set = set()
 
     # ---- registers ----
 
@@ -362,7 +383,9 @@ class Builder:
     def append_layer(self, gates: Sequence[Gate]) -> None:
         if not gates:
             return
-        _check_layer(gates, self._next_qubit, self.metadata.get("fanout_budget"))
+        _check_layer(
+            gates, self._next_qubit, self.metadata.get("fanout_budget"), self._footprints
+        )
         self.layers.append(tuple(gates))
 
     # ---- replay ----
@@ -433,7 +456,11 @@ _as_int, _as_bool, _as_list = _exactly(int), _exactly(bool), _exactly(list)
 
 
 def _decode_ints(v: Any) -> Tuple[int, ...]:
-    return tuple(_as_int(x) for x in _as_list(v))
+    out = tuple(_as_list(v))
+    if set(map(type, out)) <= {int}:
+        return out
+    # name the first entry that is not an int
+    return tuple(_as_int(x) for x in out)
 
 
 def encode_complex(z: complex) -> List[float]:
@@ -660,8 +687,9 @@ def validate_circuit(circuit: Circuit) -> None:
     if known != set(range(len(known))):
         raise CircuitError("register qubits must number 0..n-1 with no gaps")
     budget = circuit.metadata.get("fanout_budget")
+    footprints: set = set()
     for layer in circuit.layers:
-        _check_layer(layer, len(known), budget)
+        _check_layer(layer, len(known), budget, footprints)
 
 
 # the registry is built on the gate types above, so it is imported after them

@@ -272,6 +272,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+ELL_HELP = (
+    "block count override: the number of equal blocks the data qubits are split "
+    "into (n is padded up to a multiple of it), e.g. 4 on n = 8 makes four blocks of 2"
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shallowprep",
@@ -309,13 +315,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sd = starget.add_parser("dicke", help="uniform fixed-weight superposition")
     sd.add_argument("--n", type=int, required=True)
     sd.add_argument("--k", type=int, required=True)
-    sd.add_argument("--ell", type=int, default=None, help="bucket size override")
+    sd.add_argument("--ell", type=int, default=None, help=ELL_HELP)
     sd.add_argument("--out", default=None, help="output directory")
     sd.set_defaults(handler=_cmd_synth_dicke)
     sy = starget.add_parser("symmetric", help="weighted mix of Dicke states")
     sy.add_argument("--n", type=int, required=True)
     sy.add_argument("--eta", required=True, help="file of lines 'k real imag'")
-    sy.add_argument("--ell", type=int, default=None, help="bucket size override")
+    sy.add_argument("--ell", type=int, default=None, help=ELL_HELP)
     sy.add_argument("--out", default=None, help="output directory")
     sy.set_defaults(handler=_cmd_synth_symmetric)
 

@@ -336,6 +336,62 @@ def test_deserialize_checks_each_gate():
         deserialize(json.dumps(doc))
 
 
+def _non_unitary():
+    return np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+
+
+def test_builder_reruns_gate_rules_on_a_footprint_it_has_passed():
+    """The qubit walk is skipped for a footprint seen before, never the rules
+    of a gate's kind or the fanout budget."""
+    b = Builder(metadata={"fanout_budget": 3})
+    r = b.add_register("q", 4)
+    b.append_layer([g_unitary1(r[0], rot(0.3)), g_x(r[1])])
+    with pytest.raises(CircuitError, match="not unitary"):
+        b.append_layer([g_unitary1(r[0], rot(0.3)), g_unitary1(r[1], _non_unitary())])
+    # a gate whose qubits cannot form a footprint fails after the gate before it
+    with pytest.raises(CircuitError, match="not unitary"):
+        b.append_layer([g_unitary1(r[0], _non_unitary()), circ.Gate("swap", [r[1], r[2]])])
+    b.append(g_fanout(r[0], (r[1], r[2], r[3])))
+    b.metadata["fanout_budget"] = 2
+    with pytest.raises(CircuitError, match="exceeds budget 2"):
+        b.replay(b.layers_since(1))
+    assert len(b.layers) == 2
+
+
+def test_deserialize_checks_every_copy_of_a_footprint():
+    """A second layer on the same qubits as a passed one still has its
+    matrix checked."""
+    b = Builder()
+    r = b.add_register("q", 2)
+    for _ in range(2):
+        b.append_layer([g_unitary1(r[0], rot(0.3)), g_x(r[1])])
+    doc = json.loads(serialize(b.build()))
+    deserialize(json.dumps(doc))
+    doc["layers"][1][0]["params"]["matrix"] = circ.encode_matrix(_non_unitary())
+    with pytest.raises(CircuitError, match="not unitary"):
+        deserialize(json.dumps(doc))
+
+
+def test_validate_circuit_trusts_no_footprint_from_another_call():
+    """A layer on qubit 2 passes in a 3-qubit circuit and not in a 2-qubit one."""
+    layers = ((g_x(2),),)
+    circ.validate_circuit(circ.Circuit((circ.Register("q", (0, 1, 2)),), layers, {}))
+    with pytest.raises(CircuitError, match="unknown qubit 2"):
+        circ.validate_circuit(circ.Circuit((circ.Register("q", (0, 1)),), layers, {}))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "3"])
+@pytest.mark.parametrize("path", [("layers", 2, 0, "targets"), ("registers", 0, "qubits")])
+def test_decode_ints_refuses_a_mistyped_entry_deep_in_a_long_list(path, bad):
+    """One mistyped entry at position 900 of 1,000 is named as it is."""
+    ints = list(range(1000))
+    ints[900] = bad
+    text = json.dumps(_edited(json.loads(serialize(mixed_circuit())), path, ints))
+    with pytest.raises(circ.ParseError) as exc:
+        deserialize(text)
+    assert str(exc.value) == f"expected a JSON int, got {bad!r}"
+
+
 def _edited(doc, path, value):
     """A copy of a JSON document with the value at ``path`` replaced."""
     doc = json.loads(json.dumps(doc))

@@ -390,3 +390,22 @@ def test_synth_refuses_a_block_count_below_one(tmp_path, capsys, ell):
         assert cli.main(argv + ["--ell", ell, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"block count {ell} must be at least 1" in err
+
+
+@pytest.mark.parametrize("target", ["dicke", "symmetric"])
+def test_synth_ell_help_names_the_block_count(tmp_path, capsys, target):
+    """--ell is the number of blocks, not their size: --ell 4 on n = 8 makes
+    four blocks of two, one bucket marker each."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", target, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--ell ELL block count override: the number of equal blocks" in out
+    assert "bucket size" not in out
+    eta = write(tmp_path / "eta.txt", "0 0.6 0\n1 0 0.8\n")
+    args = {"dicke": ["--k", "2"], "symmetric": ["--eta", eta]}[target]
+    assert cli.main(["synth", target, "--n", "8", *args, "--ell", "4", "--out", str(tmp_path)]) == 0
+    report = json.loads(next(tmp_path.glob("*.report.json")).read_text(encoding="utf-8"))
+    circuit = (tmp_path / report["circuit"]).read_text(encoding="utf-8")
+    sizes = {r["name"]: len(r["qubits"]) for r in json.loads(circuit)["registers"]}
+    assert sizes["data"] == 8 and sizes["bucket0"] == 4
