@@ -5,8 +5,9 @@ The package splits into a layered-circuit representation (``circuits``,
 helpers (``simulate``, which applies each Grover round that ``rounds``
 finds as one reflection), amplitude-amplification building blocks
 (``primitives``), exact rational distribution machinery (``dists``), the
-state constructions themselves (``synthesis``: Dicke and weighted symmetric
-states share one occupancy construction), and sweep/acceptance harnesses
+state constructions themselves (``synthesis``: one builder for weighted
+symmetric states, whose one-hot case is the Dicke state), and
+sweep/acceptance harnesses
 (``claims``, ``acceptance``, ``cli``).
 """
 

@@ -6,7 +6,6 @@ inequality checks in :mod:`shallowprep.claims` are exact comparisons.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -211,7 +210,7 @@ def ratio_sum(ratios: Dict[int, Tuple[int, int]]) -> Tuple[int, int]:
 
 
 def weighted_ratio_sum(
-    ratios: Dict[int, Dict[int, Tuple[int, int]]], ell: int, eta: Sequence[complex]
+    ratios: Dict[int, Dict[int, Tuple[int, int]]], eta: Sequence[complex]
 ) -> Tuple[float, Dict[int, Fraction]]:
     """Weighted ratio sum R = sum_k |eta_k|^2 R_k and the per-weight table.
 
@@ -226,12 +225,6 @@ def weighted_ratio_sum(
     norm = sum(abs(e) ** 2 for e in eta)
     if abs(norm - 1.0) > 1e-9:
         raise DomainError(f"eta is not unit norm (sum |eta|^2 = {norm})")
-    if ell < k_star**3:
-        warnings.warn(
-            f"ell={ell} below k_star^3={k_star**3}; ratio constants are exact "
-            "but the constant-bound regime is relaxed",
-            stacklevel=2,
-        )
     tables = {0: Fraction(0)}
     tables.update((k, Fraction(*ratio_sum(r))) for k, r in ratios.items())
     R = sum(abs(eta[k]) ** 2 * float(tables[k]) for k in range(k_star + 1))

@@ -1,11 +1,12 @@
-"""Top-level state synthesis: damped block states, Dicke states for
-arbitrary (n, k), and weighted symmetric states.
+"""Top-level state synthesis: damped block states and weighted symmetric
+states, with the Dicke state D^n_k as the one-hot case e_k.
 
-The common scheme: draw a one-hot occupancy record j with probability
-r_k(j) / R_k, spread the weight over j of ell equally sized blocks with
-controlled block-level preparations, mark the wanted total weight, amplify
-that branch to probability one with exactly computed branch masses, and
-uncompute every record register.
+One builder, ``build_symmetric``, serves both: draw a one-hot occupancy
+record j with probability r_k(j) / R_k (jointly with the weight class k when
+eta mixes several weights), spread the weight over j of ell equally sized
+blocks with controlled block-level preparations, mark the wanted total
+weight, amplify that branch to probability one with exactly computed branch
+masses, and uncompute every record register.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .circuits import (
     g_x,
 )
 from .primitives import (
+    Number,
     adjust_amplitudes,
     amplify_to_exact,
     append_ctrl_dicke,
@@ -177,7 +179,7 @@ def _uncompute_record(
     b.append_layer(or_layer)
 
 
-# ---- Dicke states ----
+# ---- symmetric and Dicke states ----
 
 
 def default_ell(n: int, k: int) -> int:
@@ -195,107 +197,9 @@ def default_ell(n: int, k: int) -> int:
             return ell
     raise CircuitError(
         f"no workable block count for n={n}, k={k}; blocks must hold {k} ones, "
-        f"so the builders need k <= min(ell, n/ell), i.e. k(k-1) < n "
+        f"so the builder needs k <= min(ell, n/ell), i.e. k(k-1) < n "
         f"(every k <= sqrt(n) qualifies)"
     )
-
-
-def _check_ell(ell: Optional[int]) -> None:
-    if ell is not None and ell < 1:
-        raise CircuitError(f"block count {ell} must be at least 1")
-
-
-def _dicke_divisible(b: Builder, data: Sequence[int], k: int, ell: int) -> None:
-    """Append the weight-k Dicke construction on ell blocks dividing the data.
-
-    The record is drawn from class k of ``dists.ratio_tables``: slot j with
-    probability r_k(j) / R_k, as reduced Fractions.  The weight-k branch of
-    the spread then has mass exactly 1 / R_k.
-    """
-    n = len(data)
-    m = n // ell
-    if not 1 <= k <= min(ell, m):
-        raise CircuitError(
-            f"weight {k} needs 1 <= k <= min(blocks={ell}, block size={m})"
-        )
-    ratios = dists.ratio_tables(dists.hit_table(m, k), ell)[k]
-    r_sum = Fraction(*dists.ratio_sum(ratios))
-    probs = tuple(Fraction(*ratios[j]) / r_sum for j in range(1, k + 1))
-    record = b.new_register("occ", k)
-    b.append(library.make("onehot_dist", (k, probs), tuple(record)))
-    marks = _spread_blocks(b, data, record, ell)
-    hit = b.new_register("hit", 1)[0]
-    b.append(library.make("exact", (n, k), tuple(data) + (hit,)))
-    amplify_to_exact(b, hit, 1 / r_sum)
-    _uncompute_record(b, data, record, marks)
-
-
-def build_dicke(n: int, k: int, ell: Optional[int] = None) -> SynthesisOutput:
-    """Prepare the n-qubit, weight-k Dicke state exactly, ancillas clean.
-
-    Domain: k' = min(k, n - k) needs ell blocks with k' <= min(ell, n/ell)
-    (block size rounded up after padding); they exist exactly when
-    k'(k'-1) < n, so for every k' <= sqrt(n).  Outside it ``default_ell``
-    raises CircuitError.
-    """
-    if not 0 <= k <= n:
-        raise CircuitError(f"weight {k} out of range for {n} qubits")
-    _check_ell(ell)
-    if k == 0 or k == n:
-        b = Builder()
-        data = b.add_register("data", n, ancilla=False)
-        if k == n:
-            b.append_layer([g_x(q) for q in data])
-        circuit = b.build()
-        return SynthesisOutput(
-            circuit=circuit,
-            report=cost(circuit),
-            output_qubits=tuple(data),
-            info={"ell": None},
-            _target_fn=lambda: dicke_vector(n, k),
-        )
-    if k > n - k and ell is None:
-        inner = build_dicke(n, n - k)
-        b = Builder.from_circuit(inner.circuit)
-        b.append_layer([g_x(q) for q in inner.output_qubits])
-        circuit = b.build()
-        return SynthesisOutput(
-            circuit=circuit,
-            report=cost(circuit),
-            output_qubits=inner.output_qubits,
-            info=dict(inner.info, complemented=True),
-            _target_fn=lambda: dicke_vector(n, k),
-        )
-    if ell is None:
-        ell = default_ell(n, k)
-    b = Builder(metadata={"fanout_budget": max(k + 1, ell)})
-    info: Dict[str, Any] = {"ell": ell}
-    if n % ell == 0:
-        data = b.add_register("data", n, ancilla=False)
-        _dicke_divisible(b, data, k, ell)
-        out_qubits = tuple(data)
-    else:
-        n2 = ell * math.ceil(n / ell)
-        data = b.add_register("data", n, ancilla=False)
-        pad = b.add_register("pad", n2 - n, ancilla=True)
-        _dicke_divisible(b, tuple(data) + tuple(pad), k, ell)
-        flag = b.new_register("padflag", 1)[0]
-        b.append(g_nor(tuple(pad), flag))
-        p0 = dists.trailing_zero_mass(n, k, n2)
-        amplify_to_exact(b, flag, p0)
-        out_qubits = tuple(data)
-        info.update({"padded_to": n2, "p0": p0})
-    circuit = b.build()
-    return SynthesisOutput(
-        circuit=circuit,
-        report=cost(circuit),
-        output_qubits=out_qubits,
-        info=info,
-        _target_fn=lambda: dicke_vector(n, k),
-    )
-
-
-# ---- weighted symmetric states ----
 
 
 def _pair_bits(k_star: int) -> int:
@@ -327,10 +231,17 @@ def _pair_amplitudes(
     return vec / np.linalg.norm(vec)
 
 
-def _symmetric_divisible(
+def _divisible(
     b: Builder, data: Sequence[int], eta: Sequence[complex], ell: int
-) -> float:
-    """Append the weighted-symmetric construction; returns the ratio sum."""
+) -> Number:
+    """Append the construction on ell blocks dividing the data.
+
+    Returns R, the inverse mass of the marked branch.  A one-hot eta holds
+    one weight class k, so the class register and its marking are constant:
+    the record is drawn from class k of ``dists.ratio_tables`` as the exact
+    Fractions r_k(j) / R_k, one ``exact`` test marks weight k, and R = R_k
+    is a Fraction.
+    """
     n = len(data)
     k_star = len(eta) - 1
     m = n // ell
@@ -339,7 +250,20 @@ def _symmetric_divisible(
             f"max weight {k_star} needs 1 <= k_star <= min(blocks={ell}, size={m})"
         )
     ratios = dists.ratio_tables(dists.hit_table(m, k_star), ell)
-    r_sum, _ = dists.weighted_ratio_sum(ratios, ell, eta)
+    if not any(eta[:-1]):
+        ratios_k = ratios[k_star]
+        r_sum = Fraction(*dists.ratio_sum(ratios_k))
+        probs = tuple(Fraction(*ratios_k[j]) / r_sum for j in range(1, k_star + 1))
+        record = b.new_register("occ", k_star)
+        b.append(library.make("onehot_dist", (k_star, probs), tuple(record)))
+        marks = _spread_blocks(b, data, record, ell)
+        hit = b.new_register("hit", 1)[0]
+        b.append(library.make("exact", (n, k_star), tuple(data) + (hit,)))
+        amplify_to_exact(b, hit, 1 / r_sum)
+        _uncompute_record(b, data, record, marks)
+        return r_sum
+
+    r_sum, _ = dists.weighted_ratio_sum(ratios, eta)
     r_eff = r_sum + abs(complex(eta[0])) ** 2
     bits = _pair_bits(k_star)
     vec = _pair_amplitudes(ratios, eta, r_eff)
@@ -377,7 +301,7 @@ def _symmetric_divisible(
         b.append(test)
         b.append(g_and((scratch, classq[k - 1]), zmarks[k]))
         b.append(test)
-    amplify_to_exact(b, flag, 1.0 / r_eff)
+    amplify_to_exact(b, flag, 1 / r_eff)
 
     b.append(library.make("ham", (n, k_star - 1), tuple(data) + tuple(classq)))
     _uncompute_record(b, data, record, marks)
@@ -390,61 +314,83 @@ def build_symmetric(
     """Prepare sum_k eta[k] |weight-k Dicke state> exactly, ancillas clean.
 
     ``eta`` lists one complex coefficient per weight 0..k_star and must be
-    unit norm.  Domain: as for ``build_dicke``, with k' the top weight that
-    has a nonzero coefficient, so no mix over all weights 0..n, n >= 2,
-    builds.
+    unit norm.  A one-hot eta is the Dicke state of its weight; its phase is
+    global and is dropped.  All weight on 0 or on n is a basis state.  With
+    ``ell`` left to ``default_ell``, an eta whose lowest weight w has
+    n - w < k_star is built reversed (weight k as n - k) and every data
+    qubit is flipped.
+
+    Domain: k' = the top weight of the eta that is built needs ell blocks
+    with k' <= min(ell, n/ell) (block size rounded up after padding); they
+    exist exactly when k'(k'-1) < n, so for every k' <= sqrt(n).  Outside
+    it ``default_ell`` raises CircuitError; no mix over all weights 0..n,
+    n >= 2, builds.
     """
-    eta = tuple(complex(x) for x in eta)
-    norm = sum(abs(x) ** 2 for x in eta)
+    target = tuple(complex(x) for x in eta)
+    norm = sum(abs(x) ** 2 for x in target)
     if not abs(norm - 1.0) <= 1e-9:
         raise CircuitError(f"weight coefficients have norm {norm}, need 1")
-    while len(eta) > 1 and eta[-1] == 0:
-        eta = eta[:-1]
-    k_star = len(eta) - 1
+    weights = [k for k, c in enumerate(target) if c != 0]
+    k_star = weights[-1]
+    target = target[: k_star + 1]
     if k_star > n:
         raise CircuitError(f"max weight {k_star} exceeds qubit count {n}")
-    _check_ell(ell)
-    if k_star == 0:
-        b = Builder()
-        data = b.add_register("data", n, ancilla=False)
+    if ell is not None and ell < 1:
+        raise CircuitError(f"block count {ell} must be at least 1")
+    # a one-hot eta's phase is global, so it is built as e_k, whose integer
+    # entries keep its branch masses exact Fractions down to amplify_to_exact
+    eta = target if len(weights) > 1 else (0,) * k_star + (1,)
+
+    def output(
+        b: Builder, out_qubits: Sequence[int], info: Dict[str, Any]
+    ) -> SynthesisOutput:
         circuit = b.build()
         return SynthesisOutput(
             circuit=circuit,
             report=cost(circuit),
-            output_qubits=tuple(data),
-            info={"k_star": 0},
-            _target_fn=lambda: symmetric_vector(n, eta),
+            output_qubits=tuple(out_qubits),
+            info=info,
+            _target_fn=lambda: symmetric_vector(n, target),
         )
+
+    if k_star == 0 or weights[0] == n:
+        b = Builder()
+        data = b.add_register("data", n, ancilla=False)
+        if k_star:
+            b.append_layer([g_x(q) for q in data])
+        return output(b, data, {"ell": None, "k_star": k_star})
+    if ell is None and n - weights[0] < k_star:
+        inner = build_symmetric(n, (eta + (0,) * (n - k_star))[::-1])
+        b = Builder.from_circuit(inner.circuit)
+        b.append_layer([g_x(q) for q in inner.output_qubits])
+        return output(b, inner.output_qubits, dict(inner.info, complemented=True))
     if ell is None:
         ell = default_ell(n, k_star)
-    pair_width = 1 << (2 * _pair_bits(k_star))
+    pair_width = 1 << (2 * _pair_bits(k_star)) if any(eta[:-1]) else 0
     b = Builder(metadata={"fanout_budget": max(k_star + 1, ell, pair_width)})
+    data = b.add_register("data", n, ancilla=False)
     info: Dict[str, Any] = {"ell": ell, "k_star": k_star}
     if n % ell == 0:
-        data = b.add_register("data", n, ancilla=False)
-        r_eff = _symmetric_divisible(b, tuple(data), eta, ell)
-        out_qubits = tuple(data)
-        info["R"] = r_eff
+        info["R"] = _divisible(b, tuple(data), eta, ell)
     else:
+        # Pad to n2 qubits: reweight eta_k by 1/sqrt(p0_k), where p0_k is the
+        # mass of weight k that leaves the pad clear, and amplify that branch.
         n2 = ell * math.ceil(n / ell)
-        data = b.add_register("data", n, ancilla=False)
         pad = b.add_register("pad", n2 - n, ancilla=True)
-        p0 = [dists.trailing_zero_mass(n, k, n2) for k in range(k_star + 1)]
-        z_r = sum(abs(eta[k]) ** 2 / float(p0[k]) for k in range(k_star + 1))
-        eta2 = tuple(
-            eta[k] / math.sqrt(float(p0[k]) * z_r) for k in range(k_star + 1)
-        )
-        r_eff = _symmetric_divisible(b, tuple(data) + tuple(pad), eta2, ell)
+        p0 = {k: dists.trailing_zero_mass(n, k, n2) for k in weights}
+        z_r = sum(abs(eta[k]) ** 2 / p0[k] for k in weights)
+        eta2 = tuple(c / math.sqrt(p0[k] * z_r) if c else c for k, c in enumerate(eta))
+        info["R"] = _divisible(b, tuple(data) + tuple(pad), eta2, ell)
         flag = b.new_register("padflag", 1)[0]
         b.append(g_nor(tuple(pad), flag))
-        amplify_to_exact(b, flag, 1.0 / z_r)
-        out_qubits = tuple(data)
-        info.update({"padded_to": n2, "R": r_eff, "Z": z_r})
-    circuit = b.build()
-    return SynthesisOutput(
-        circuit=circuit,
-        report=cost(circuit),
-        output_qubits=out_qubits,
-        info=info,
-        _target_fn=lambda: symmetric_vector(n, eta),
-    )
+        amplify_to_exact(b, flag, 1 / z_r)
+        info.update({"padded_to": n2, "p0": 1 / z_r})
+    return output(b, data, info)
+
+
+def build_dicke(n: int, k: int, ell: Optional[int] = None) -> SynthesisOutput:
+    """Prepare the n-qubit, weight-k Dicke state: ``build_symmetric`` on the
+    one-hot e_k, with its domain."""
+    if not 0 <= k <= n:
+        raise CircuitError(f"weight {k} out of range for {n} qubits")
+    return build_symmetric(n, (0,) * k + (1,), ell)

@@ -9,8 +9,6 @@ import pytest
 from shallowprep.acceptance import run_acceptance
 from shallowprep.simulate import workers_from_env
 
-pytestmark = pytest.mark.filterwarnings("ignore:ell=:UserWarning")
-
 
 @pytest.fixture(scope="module")
 def battery():

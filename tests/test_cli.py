@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,25 @@ def test_accept_only_subset(tmp_path, capsys):
     rows = json.loads(text)
     assert rows and all(row["verdict"] for row in rows)
     assert all("seconds" not in row for row in rows)
+
+
+def test_accept_writes_nothing_to_stderr(tmp_path, capsys):
+    """A passing battery reports on stdout alone: no warning reaches stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["accept", "--workers", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert [str(w.message) for w in caught] == []
+
+
+def test_synth_symmetric_on_a_one_hot_eta_writes_the_dicke_circuit(tmp_path, capsys):
+    eta = write(tmp_path / "e2.txt", "2 1 0\n")
+    out = str(tmp_path)
+    assert cli.main(["synth", "symmetric", "--n", "8", "--eta", eta, "--out", out]) == 0
+    assert cli.main(["synth", "dicke", "--n", "8", "--k", "2", "--out", out]) == 0
+    circuit = (tmp_path / "symmetric_n8.circuit").read_bytes()
+    assert circuit == (tmp_path / "dicke_n8_k2.circuit").read_bytes()
 
 
 def test_accept_unknown_criterion(capsys):

@@ -125,15 +125,14 @@ def _ratio_sums(m, k_star, ell, eta):
     """The weighted ratio sum and per-weight ratio sums R_k on ell buckets of
     m bits, with every class capped at k_star."""
     ratios = dists.ratio_tables(dists.hit_table(m, k_star), ell)
-    return dists.weighted_ratio_sum(ratios, ell, eta)
+    return dists.weighted_ratio_sum(ratios, eta)
 
 
 def test_ratio_sum_tables_frozen():
     # cap 1 samples always weigh 1, so the single-bucket ratio is exactly 1
     assert _ratio_sums(2, 1, 2, (0.0, 1.0))[1] == {0: Fraction(0), 1: Fraction(1)}
     # cap 2 on 2-bit buckets: one sample weighs 1 with mass 8/9, so R_1 = 9/8
-    with pytest.warns(UserWarning):
-        _, tables = _ratio_sums(2, 2, 2, (0.0, 0.0, 1.0))
+    _, tables = _ratio_sums(2, 2, 2, (0.0, 0.0, 1.0))
     assert tables[0] == 0
     assert tables[1] == Fraction(9, 8)
 
@@ -141,10 +140,8 @@ def test_ratio_sum_tables_frozen():
 def test_ratio_report_frozen_sums():
     # class 2 at (m, k, ell) = (2, 2, 2) and (2, 2, 4); the second is the R_2
     # that build_dicke(8, 2, 4) reads
-    with pytest.warns(UserWarning):
-        assert _ratio_sums(2, 2, 2, (0.0, 0.0, 1.0))[1][2] == Fraction(123, 32)
-    with pytest.warns(UserWarning):
-        assert _ratio_sums(2, 2, 4, (0.0, 0.0, 1.0))[1][2] == Fraction(531, 224)
+    assert _ratio_sums(2, 2, 2, (0.0, 0.0, 1.0))[1][2] == Fraction(123, 32)
+    assert _ratio_sums(2, 2, 4, (0.0, 0.0, 1.0))[1][2] == Fraction(531, 224)
 
 
 def test_ratio_tables_checked_regime():
@@ -163,8 +160,7 @@ def test_ratio_sum_tables_domain():
 
 def test_symmetric_R_matches_table_mix():
     eta = (0.0, math.sqrt(1.0 / 3.0), math.sqrt(2.0 / 3.0))
-    with pytest.warns(UserWarning):
-        total, tables = _ratio_sums(2, 2, 2, eta)
+    total, tables = _ratio_sums(2, 2, 2, eta)
     expected = float(tables[1]) / 3.0 + 2.0 * float(tables[2]) / 3.0
     assert abs(total - expected) < 1e-12
     assert abs(total - 2.9375) < 1e-12

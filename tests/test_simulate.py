@@ -182,7 +182,6 @@ def test_output_overlap_requires_other_qubits_zero():
     assert abs(output_overlap(state, target, (r[0],))) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_residual_mass():
     b = Builder()
     r = b.add_register("x", 2)
@@ -1232,7 +1231,6 @@ def count_steps(monkeypatch):
     return compiled
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_the_plan_compiles_only_the_layers_a_run_executes(monkeypatch):
     """dicke(8, 2, 4) holds 49 gates, and a run from |0...0> compiles 24:
     its rounds take a from the prefix, so no gate of a round is compiled.
@@ -1347,7 +1345,6 @@ def test_batched_certification_runs_fused_rounds(segment_circuit):
     assert report.inputs_checked == 5
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_acceptance_circuits_fused_match_the_split_runs(monkeypatch):
     """Every run the acceptance battery makes, fused against split; the
     fused bound still counts every drop the two runs share, before the
@@ -1375,7 +1372,6 @@ def test_acceptance_circuits_fused_match_the_split_runs(monkeypatch):
             assert fused.error_bound >= shared.error_bound
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("n,k", [(27, 3), (30, 3), (20, 4)])
 def test_wide_dicke_states_run_in_seconds(n, k):
     """Once each round is one reflection, these end with their C(n, k)

@@ -45,8 +45,6 @@ from shallowprep.synthesis import (
     symmetric_vector,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 
 def assert_exact(out, tol=1e-9):
     res = check_clean_preparation(out.circuit, out.target, out.output_qubits)
@@ -201,18 +199,54 @@ def test_default_ell_rules():
 
 
 def test_build_dicke_below_the_cube_regime_does_not_warn():
-    """The Dicke builder reads the ratio table without the bound check that
-    warned below ell = k^3."""
+    """Building below ell = k^3 raises no warning; the claims sweep, not the
+    builder, decides which points are in the constant-bound regime."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         build_dicke(8, 2, 4)
 
 
+def _one_hot(k):
+    return (0,) * k + (1,)
+
+
 def test_build_symmetric_reduces_to_dicke():
-    out = build_symmetric(4, (0, 0, 1))
+    out = build_symmetric(4, _one_hot(2))
+    assert serialize(out.circuit) == serialize(build_dicke(4, 2).circuit)
     state = run(out.circuit)
     ov = output_overlap(state, dicke_vector(4, 2), out.output_qubits)
     assert abs(ov) ** 2 > 1 - 1e-9
+
+
+@pytest.mark.parametrize(
+    "n,k,ell",
+    list(DICKE_GRID) + list(PADDED_GRID)
+    + [(16, 2, None), (24, 3, None), (64, 3, None), (1009, 2, None)],
+)
+def test_build_symmetric_on_a_one_hot_eta_is_build_dicke(n, k, ell):
+    """A one-hot eta takes the Dicke construction gate for gate."""
+    got = serialize(build_symmetric(n, _one_hot(k), ell).circuit)
+    assert got == serialize(build_dicke(n, k, ell).circuit)
+
+
+@pytest.mark.parametrize("coeff", [-1, 1j])
+def test_build_symmetric_drops_a_one_hot_phase(coeff):
+    """A one-hot eta's phase is global: the circuit is the e_k circuit, and it
+    prepares the phased target up to that global phase."""
+    eta = (0, 0, coeff)
+    out = build_symmetric(8, eta, 4)
+    assert serialize(out.circuit) == serialize(build_dicke(8, 2, 4).circuit)
+    assert_exact(out)
+
+
+def test_build_symmetric_complements_a_high_weight_mix():
+    """Weights {8, 9} on 9 qubits are built as weights {1, 0}, then flipped;
+    no block count would hold 9 ones directly."""
+    eta = (0,) * 8 + (0.6, 0.8j)
+    out = build_symmetric(9, eta)
+    assert out.info["complemented"]
+    assert out.info["k_star"] == 1
+    assert_exact(out)
 
 
 def test_build_symmetric_complex_weights():
@@ -225,7 +259,7 @@ def test_build_symmetric_complex_weights():
 def test_build_symmetric_padded():
     out = build_symmetric(5, (0.6, 0.8), ell=2)
     assert out.info["padded_to"] == 6
-    assert out.info["Z"] > 0
+    assert 0 < out.info["p0"] < 1
     assert_exact(out)
 
 
@@ -318,6 +352,7 @@ def _pinned_builds():
     cases = {}
     dicke = list(DICKE_GRID) + list(PADDED_GRID) + [(8, 6, None), (5, 0, None)]
     dicke += [(16, 2, None), (24, 3, None), (64, 3, None), (1009, 2, None)]
+    dicke += [(4, 4, None), (7, 5, None), (24, 21, None)]
     for n, k, ell in dicke:
         cases[f"dicke({n},{k},{ell})"] = lambda n=n, k=k, ell=ell: build_dicke(n, k, ell).circuit
     for label, eta in _symmetric_cases():
@@ -337,7 +372,8 @@ def _pinned_builds():
 
 # SHA-256 of serialize(...) for each pinned build, as emitted while the Dicke
 # builder still had its own ratio table and distribution body and
-# amplify_to_exact its own round loop
+# amplify_to_exact its own round loop; the k = n and complement pins, as
+# emitted while build_dicke was still a builder of its own
 EMITTED_SHA256 = {
     "dicke(4,1,2)": "cc0b82268ac76cb5564f4660b19936f35c6bf1d26d80f5c24ebf7450a4f86da4",
     "dicke(4,1,4)": "d408bb83c8e9df6ae5df7561eaf743f9144d41ba49de8d666d60df2ec61df7b8",
@@ -354,6 +390,9 @@ EMITTED_SHA256 = {
     "dicke(24,3,None)": "98c4b3e5c3011486640d0c99ea7271f26d0a0813f57f7043f32c9e6f821d1b04",
     "dicke(64,3,None)": "9c5a50917671a94294b118968b6d15738e78e942bc88e77fc4ba47523ecab3b0",
     "dicke(1009,2,None)": "0949890646ce376a37ec306e2fbd526877905505af84508252a56f4833d72149",
+    "dicke(4,4,None)": "979c0ac924be300f3328be44d44bc056e11ca5aa8d81b96c554d73995700aa82",
+    "dicke(7,5,None)": "4ea568041f99b53d46addcf4fe81b553315227e6ee6c331022ffb9d17264a481",
+    "dicke(24,21,None)": "96247bbe6522ad64f326003230dc1bcf0a1ebe58f0df6a7ffa22bedc4faba145",
     "symmetric(4,weights-01)": "2241ce458632d711bd9ca1b68a4a6f73ac09ad00d707a008fc46b45688641352",
     "symmetric(4,weights-12)": "d49c4316d6746e8eb216d9d20b021b8f9919c6b99d642471e8b6bc026adb29af",
     "symmetric(4,weights-012-phase)": "c9c1a5595c29d0a17c6d410bd3b685b797f031ef73a2c2f818c81bad1166f0fb",
