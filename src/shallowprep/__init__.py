@@ -43,7 +43,6 @@ from .primitives import (
     MarkedPreparation,
     adjust_amplitudes,
     amplify_to_exact,
-    ctrl_circuit,
     ctrl_from_zero_overlap,
     ctrl_state,
     exact_grover,
@@ -106,7 +105,6 @@ __all__ = [
     "certify_primitive",
     "check_clean_preparation",
     "cost",
-    "ctrl_circuit",
     "ctrl_from_zero_overlap",
     "ctrl_state",
     "damped_binomial",

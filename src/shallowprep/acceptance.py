@@ -8,6 +8,7 @@ them so that two runs of the same configuration compare byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -44,20 +45,9 @@ from .simulate import (
     check_clean_preparation,
     project,
 )
-from .synthesis import build_dicke, build_symmetric
+from .synthesis import SynthesisOutput, build_dicke, build_symmetric
 
 FIDELITY_TOL = 1e-9
-
-CRITERION_IDS = (
-    "exact-dicke-grid",
-    "padding-path",
-    "symmetric-states",
-    "weight-uniformity",
-    "claim-sweep",
-    "primitive-certification",
-    "depth-witness",
-    "determinism",
-)
 
 DICKE_GRID = (
     (4, 1, 2),
@@ -72,6 +62,8 @@ DICKE_GRID = (
 PADDED_GRID = ((5, 1, 2), (7, 2, 4))
 
 _ISQ2 = math.sqrt(0.5)
+
+_PRIMITIVE = "primitive-certification"
 
 
 @dataclass
@@ -102,6 +94,18 @@ def canonical_rows(rows: Sequence[CheckRow]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _row(
+    check_id: str, params: Dict[str, Any], rhs: str, measure: Callable[[], Tuple[str, bool]]
+) -> CheckRow:
+    """One row: ``measure()`` is timed and returns the lhs and the verdict."""
+    t0 = time.perf_counter()
+    lhs, ok = measure()
+    return CheckRow(check_id, params, lhs, rhs, ok, time.perf_counter() - t0)
+
+
+# ---- prepared states ----
+
+
 def _symmetric_cases() -> Tuple[Tuple[str, np.ndarray], ...]:
     return (
         ("weights-01", np.array([0.6, 0.8], dtype=complex)),
@@ -116,92 +120,62 @@ def _symmetric_cases() -> Tuple[Tuple[str, np.ndarray], ...]:
     )
 
 
-def _verified_row(
-    check_id: str,
-    params: Dict[str, Any],
-    out,
-    ws: Dict[str, Any],
-    label: str,
-    extra: str = "",
-    t0: float = 0.0,
-) -> CheckRow:
-    res = check_clean_preparation(out.circuit, out.target, out.output_qubits)
-    ws["states"].append((label, res.state, out.output_qubits))
-    stray = res.residual_ancilla_mass
-    return CheckRow(
-        check_id,
-        params,
-        f"fidelity={res.fidelity:.12f} stray={stray:.3e}{extra}",
-        "fidelity >= 1-1e-9 and stray <= 1e-9",
-        res.fidelity >= 1.0 - FIDELITY_TOL and stray <= FIDELITY_TOL,
-        time.perf_counter() - t0,
-    )
+def _state_cases() -> List[Tuple[str, Dict[str, Any], str, Callable[[], SynthesisOutput], bool]]:
+    """(criterion, params, label, build, padded) for every prepared state.
+
+    A padded row also reports ``padded_to`` and ``p0``, and fails when the
+    build did not pad.
+    """
+    cases = []
+    for criterion, grid, kind in (
+        ("exact-dicke-grid", DICKE_GRID, "dicke"),
+        ("padding-path", PADDED_GRID, "dicke-padded"),
+    ):
+        for n, k, ell in grid:
+            build = functools.partial(build_dicke, n, k, ell)
+            label = f"{kind} n={n} k={k} ell={ell}"
+            padded = criterion == "padding-path"
+            cases.append((criterion, {"n": n, "k": k, "ell": ell}, label, build, padded))
+    for case, eta in _symmetric_cases():
+        build = functools.partial(build_symmetric, 4, eta)
+        label = f"symmetric n=4 {case}"
+        cases.append(("symmetric-states", {"n": 4, "case": case}, label, build, False))
+    return cases
 
 
-def _crit_dicke_grid(ws: Dict[str, Any]) -> List[CheckRow]:
-    rows = []
-    for n, k, ell in DICKE_GRID:
-        t0 = time.perf_counter()
-        out = build_dicke(n, k, ell)
-        rows.append(
-            _verified_row(
-                "exact-dicke-grid",
-                {"n": n, "k": k, "ell": ell},
-                out,
-                ws,
-                f"dicke n={n} k={k} ell={ell}",
-                t0=t0,
-            )
+def _crit_states(ws: Dict[str, Any], check_id: str) -> List[CheckRow]:
+    def measure(
+        label: str, build: Callable[[], SynthesisOutput], padded: bool
+    ) -> Tuple[str, bool]:
+        out = build()
+        res = check_clean_preparation(out.circuit, out.target, out.output_qubits)
+        ws["states"].append((label, res.state, out.output_qubits))
+        stray = res.residual_ancilla_mass
+        lhs = f"fidelity={res.fidelity:.12f} stray={stray:.3e}"
+        ok = res.fidelity >= 1.0 - FIDELITY_TOL and stray <= FIDELITY_TOL
+        if padded:
+            lhs += f" padded_to={out.info.get('padded_to')} p0={out.info.get('p0')}"
+            ok = ok and out.info.get("padded_to") is not None
+        return lhs, ok
+
+    return [
+        _row(
+            check_id,
+            params,
+            "fidelity >= 1-1e-9 and stray <= 1e-9",
+            functools.partial(measure, label, build, padded),
         )
-    return rows
-
-
-def _crit_padding(ws: Dict[str, Any]) -> List[CheckRow]:
-    rows = []
-    for n, k, ell in PADDED_GRID:
-        t0 = time.perf_counter()
-        out = build_dicke(n, k, ell)
-        padded = out.info.get("padded_to")
-        extra = f" padded_to={padded} p0={out.info.get('p0')}"
-        row = _verified_row(
-            "padding-path",
-            {"n": n, "k": k, "ell": ell},
-            out,
-            ws,
-            f"dicke-padded n={n} k={k} ell={ell}",
-            extra=extra,
-            t0=t0,
-        )
-        row.verdict = row.verdict and padded is not None
-        rows.append(row)
-    return rows
-
-
-def _crit_symmetric(ws: Dict[str, Any]) -> List[CheckRow]:
-    rows = []
-    for label, eta in _symmetric_cases():
-        t0 = time.perf_counter()
-        out = build_symmetric(4, eta)
-        rows.append(
-            _verified_row(
-                "symmetric-states",
-                {"n": 4, "case": label},
-                out,
-                ws,
-                f"symmetric n=4 {label}",
-                t0=t0,
-            )
-        )
-    return rows
+        for criterion, params, label, build, padded in _state_cases()
+        if criterion == check_id
+    ]
 
 
 def _crit_uniformity(ws: Dict[str, Any]) -> List[CheckRow]:
     if not ws["states"]:
-        for fn in (_crit_dicke_grid, _crit_padding, _crit_symmetric):
-            fn(ws)
-    rows = []
-    for label, state, output_qubits in ws["states"]:
-        t0 = time.perf_counter()
+        for check_id in ("exact-dicke-grid", "padding-path", "symmetric-states"):
+            _crit_states(ws, check_id)
+
+    def measure(state: StateVector, output_qubits: Sequence[int]) -> Tuple[str, bool]:
         amps = project(state, output_qubits)
         weights = library.hamming_weights(len(output_qubits))
         worst = 0.0
@@ -212,17 +186,17 @@ def _crit_uniformity(ws: Dict[str, Any]) -> List[CheckRow]:
                 continue
             centre = complex(np.mean(block))
             worst = max(worst, float(np.max(np.abs(block - centre))) / peak)
-        rows.append(
-            CheckRow(
-                "weight-uniformity",
-                {"state": label},
-                f"spread={worst:.3e}",
-                "relative spread within each weight class <= 1e-9",
-                worst <= 1e-9,
-                time.perf_counter() - t0,
-            )
+        return f"spread={worst:.3e}", worst <= 1e-9
+
+    return [
+        _row(
+            "weight-uniformity",
+            {"state": label},
+            "relative spread within each weight class <= 1e-9",
+            functools.partial(measure, state, output_qubits),
         )
-    return rows
+        for label, state, output_qubits in ws["states"]
+    ]
 
 
 def _crit_claims(ws: Dict[str, Any]) -> List[CheckRow]:
@@ -249,14 +223,9 @@ def _crit_claims(ws: Dict[str, Any]) -> List[CheckRow]:
 # ---- primitive certification cases ----
 
 
-def _controlled_prep_row(
-    params: Dict[str, Any],
-    t0: float,
-    circ,
-    ctrl: int,
-    phi: Sequence[complex],
-    data: Sequence[int],
-) -> CheckRow:
+def _worst_controlled(
+    circ, ctrl: int, phi: Sequence[complex], data: Sequence[int]
+) -> Tuple[str, bool]:
     """Worst fidelity of a controlled preparation over four control states.
 
     With the control clear nothing may happen; with it set the data register
@@ -273,24 +242,25 @@ def _controlled_prep_row(
         target = c0 * zero + c1 * one
         res = check_clean_preparation(circ, target, (ctrl,) + tuple(data), init)
         worst = min(worst, res.fidelity)
-    return CheckRow(
-        "primitive-certification",
-        params,
-        f"worst_fidelity={worst:.12f}",
-        "worst fidelity over four control states >= 1-1e-9",
-        worst >= 1.0 - FIDELITY_TOL,
-        time.perf_counter() - t0,
-    )
+    return f"worst_fidelity={worst:.12f}", worst >= 1.0 - FIDELITY_TOL
+
+
+_CONTROLLED_RHS = "worst fidelity over four control states >= 1-1e-9"
+
+
+def _certified(
+    certified: Callable[..., CertificationReport], *args: Any, measure: str = "worst_overlap"
+) -> Tuple[str, bool]:
+    """The run ``certified(*args)`` as a measure; a failure is a failed row."""
+    try:
+        rep = certified(*args)
+    except (CertificationError, SimulationError, CircuitError) as exc:
+        return f"failed: {exc}", False
+    return f"{measure}={rep.worst_overlap:.12f} inputs={rep.inputs_checked}", True
 
 
 def _rows_exact_grover() -> List[CheckRow]:
-    rows = []
-    cases = (
-        ("1/4", 0.25, 3),
-        ("sin^2(pi/10)", math.sin(math.pi / 10.0) ** 2, 5),
-    )
-    for label, alpha, odd_r in cases:
-        t0 = time.perf_counter()
+    def measure(alpha: float, want: int) -> Tuple[str, bool]:
         b = Builder()
         data = b.add_register("data", 1, ancilla=False)[0]
         flag = b.add_register("flag", 1, ancilla=False)[0]
@@ -300,24 +270,27 @@ def _rows_exact_grover() -> List[CheckRow]:
         # fidelity with |data=1, flag=1>
         target = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
         fid = check_clean_preparation(b.build(), target, (data, flag)).fidelity
-        want = (odd_r - 1) // 2
-        rows.append(
-            CheckRow(
-                "primitive-certification",
-                {"name": "exact_grover", "alpha": label},
-                f"fidelity={fid:.12f} rounds={rounds}",
-                f"fidelity >= 1-1e-9 and rounds={want}",
-                fid >= 1.0 - FIDELITY_TOL and rounds == want,
-                time.perf_counter() - t0,
-            )
+        lhs = f"fidelity={fid:.12f} rounds={rounds}"
+        return lhs, fid >= 1.0 - FIDELITY_TOL and rounds == want
+
+    # alpha = sin^2(pi/(2r)) for odd r = 3, 5 takes (r - 1) / 2 rounds
+    cases = (
+        ("1/4", 0.25, 1),
+        ("sin^2(pi/10)", math.sin(math.pi / 10.0) ** 2, 2),
+    )
+    return [
+        _row(
+            _PRIMITIVE,
+            {"name": "exact_grover", "alpha": label},
+            f"fidelity >= 1-1e-9 and rounds={want}",
+            functools.partial(measure, alpha, want),
         )
-    return rows
+        for label, alpha, want in cases
+    ]
 
 
 def _rows_amplify() -> List[CheckRow]:
-    rows = []
-    for label, alpha, want_rounds in (("0.4", 0.4, 1), ("1", 1.0, 0)):
-        t0 = time.perf_counter()
+    def measure(alpha: float, want_rounds: int) -> Tuple[str, bool]:
         b = Builder()
         data = b.add_register("data", 1, ancilla=False)
         flag = b.new_register("flag", 1)[0]
@@ -332,37 +305,22 @@ def _rows_amplify() -> List[CheckRow]:
             and res.clean
             and info.rounds == want_rounds
         )
-        rows.append(
-            CheckRow(
-                "primitive-certification",
-                {"name": "amplify_to_exact", "alpha": label},
-                f"fidelity={res.fidelity:.12f} clean={res.clean} rounds={info.rounds}",
-                f"fidelity >= 1-1e-9, clean, rounds={want_rounds}",
-                ok,
-                time.perf_counter() - t0,
-            )
+        return f"fidelity={res.fidelity:.12f} clean={res.clean} rounds={info.rounds}", ok
+
+    return [
+        _row(
+            _PRIMITIVE,
+            {"name": "amplify_to_exact", "alpha": label},
+            f"fidelity >= 1-1e-9, clean, rounds={want_rounds}",
+            functools.partial(measure, alpha, want_rounds),
         )
-    return rows
+        for label, alpha, want_rounds in (("0.4", 0.4, 1), ("1", 1.0, 0))
+    ]
 
 
 def _rows_adjust() -> List[CheckRow]:
-    rng = random.Random(20240811)
-    rows = []
-    for draw in range(5):
-        t0 = time.perf_counter()
-        n_slots = rng.randint(1, 4)
-        total = rng.uniform(0.3, 0.85)
-        raw = [rng.uniform(0.2, 1.0) for _ in range(n_slots)]
-        alphas = [r * total / sum(raw) for r in raw]
-        betas = []
-        for _ in range(n_slots):
-            roll = rng.random()
-            if roll < 0.2:
-                betas.append(0.0)
-            elif roll < 0.4:
-                betas.append(1.0)
-            else:
-                betas.append(rng.uniform(0.1, 0.95))
+    def measure(alphas: List[float], betas: List[float]) -> Tuple[str, bool]:
+        n_slots = len(alphas)
         b = Builder()
         slots = b.add_register("slots", n_slots, ancilla=False)
         amps = np.zeros(2**n_slots, dtype=complex)
@@ -376,25 +334,41 @@ def _rows_adjust() -> List[CheckRow]:
         for j in range(n_slots):
             target[1 << (n_slots - 1 - j)] = math.sqrt(alphas[j] * betas[j] / float(z))
         res = check_clean_preparation(b.build(), target, tuple(slots))
+        lhs = f"fidelity={res.fidelity:.12f} clean={res.clean}"
+        return lhs, res.fidelity >= 1.0 - FIDELITY_TOL and res.clean
+
+    rng = random.Random(20240811)
+    rows = []
+    for draw in range(5):
+        n_slots = rng.randint(1, 4)
+        total = rng.uniform(0.3, 0.85)
+        raw = [rng.uniform(0.2, 1.0) for _ in range(n_slots)]
+        alphas = [r * total / sum(raw) for r in raw]
+        betas = []
+        for _ in range(n_slots):
+            roll = rng.random()
+            if roll < 0.2:
+                betas.append(0.0)
+            elif roll < 0.4:
+                betas.append(1.0)
+            else:
+                betas.append(rng.uniform(0.1, 0.95))
         rows.append(
-            CheckRow(
-                "primitive-certification",
+            _row(
+                _PRIMITIVE,
                 {"name": "adjust_amplitudes", "draw": draw, "slots": n_slots},
-                f"fidelity={res.fidelity:.12f} clean={res.clean}",
                 "fidelity >= 1-1e-9 and clean",
-                res.fidelity >= 1.0 - FIDELITY_TOL and res.clean,
-                time.perf_counter() - t0,
+                functools.partial(measure, alphas, betas),
             )
         )
     return rows
 
 
 def _rows_parallel_amplify() -> List[CheckRow]:
-    rows = []
     psi = np.zeros(4, dtype=complex)
     psi[1] = psi[2] = _ISQ2
-    for label, alpha in (("1/2", Fraction(1, 2)), ("1/3", Fraction(1, 3))):
-        t0 = time.perf_counter()
+
+    def measure(alpha: Fraction) -> Tuple[str, bool]:
         mb = Builder()
         d = mb.add_register("pdata", 2, ancilla=False)
         f = mb.add_register("pflag", 1, ancilla=False)
@@ -406,37 +380,18 @@ def _rows_parallel_amplify() -> List[CheckRow]:
         b = Builder()
         out = parallel_amplify(b, marked)
         res = check_clean_preparation(b.build(), psi, tuple(out))
-        rows.append(
-            CheckRow(
-                "primitive-certification",
-                {"name": "parallel_amplify", "alpha": label},
-                f"fidelity={res.fidelity:.12f} clean={res.clean}",
-                "fidelity >= 1-1e-9 and clean",
-                res.fidelity >= 1.0 - FIDELITY_TOL and res.clean,
-                time.perf_counter() - t0,
-            )
+        lhs = f"fidelity={res.fidelity:.12f} clean={res.clean}"
+        return lhs, res.fidelity >= 1.0 - FIDELITY_TOL and res.clean
+
+    return [
+        _row(
+            _PRIMITIVE,
+            {"name": "parallel_amplify", "alpha": label},
+            "fidelity >= 1-1e-9 and clean",
+            functools.partial(measure, alpha),
         )
-    return rows
-
-
-def _certified_row(
-    params: Dict[str, Any],
-    rhs: str,
-    certified: Callable[[], CertificationReport],
-    measure: str = "worst_overlap",
-) -> CheckRow:
-    """One row from a certification run; a failure is a failed row."""
-    t0 = time.perf_counter()
-    try:
-        rep = certified()
-        lhs = f"{measure}={rep.worst_overlap:.12f} inputs={rep.inputs_checked}"
-        ok = True
-    except (CertificationError, SimulationError, CircuitError) as exc:
-        lhs = f"failed: {exc}"
-        ok = False
-    return CheckRow(
-        "primitive-certification", params, lhs, rhs, ok, time.perf_counter() - t0
-    )
+        for label, alpha in (("1/2", Fraction(1, 2)), ("1/3", Fraction(1, 3)))
+    ]
 
 
 def _rows_ham_gadget() -> List[CheckRow]:
@@ -449,10 +404,11 @@ def _rows_ham_gadget() -> List[CheckRow]:
         )
 
     return [
-        _certified_row(
+        _row(
+            _PRIMITIVE,
             {"name": "ham_gadget", "n": n, "k": k},
             "matches the tally semantics on every input",
-            lambda: certified(n, k),
+            functools.partial(_certified, certified, n, k),
         )
         for n in range(1, 5)
         for k in range(0, 3)
@@ -460,15 +416,7 @@ def _rows_ham_gadget() -> List[CheckRow]:
 
 
 def _rows_ctrl_state() -> List[CheckRow]:
-    cases = (
-        ("one", (0j, 1.0 + 0j)),
-        ("plus", (_ISQ2 + 0j, _ISQ2 + 0j)),
-        ("minus-i", (_ISQ2 + 0j, -1j * _ISQ2)),
-        ("pair-complex", (0j, _ISQ2 + 0j, 1j * _ISQ2, 0j)),
-    )
-    rows = []
-    for label, phi in cases:
-        t0 = time.perf_counter()
+    def measure(phi: Tuple[complex, ...]) -> Tuple[str, bool]:
         w = len(phi).bit_length() - 1
         pb = Builder()
         data = pb.add_register("sdata", w, ancilla=False)
@@ -479,16 +427,29 @@ def _rows_ctrl_state() -> List[CheckRow]:
             amps[2 * i + 1] = a * _ISQ2
         pb.append(library.make("raw_state", (tuple(amps),), tuple(data) + tuple(branch)))
         circ, ctrl = ctrl_state(pb.build(), branch[0])
-        params = {"name": "ctrl_state", "case": label}
-        rows.append(_controlled_prep_row(params, t0, circ, ctrl, phi, data))
-    return rows
+        return _worst_controlled(circ, ctrl, phi, data)
+
+    cases = (
+        ("one", (0j, 1.0 + 0j)),
+        ("plus", (_ISQ2 + 0j, _ISQ2 + 0j)),
+        ("minus-i", (_ISQ2 + 0j, -1j * _ISQ2)),
+        ("pair-complex", (0j, _ISQ2 + 0j, 1j * _ISQ2, 0j)),
+    )
+    return [
+        _row(
+            _PRIMITIVE,
+            {"name": "ctrl_state", "case": label},
+            _CONTROLLED_RHS,
+            functools.partial(measure, phi),
+        )
+        for label, phi in cases
+    ]
 
 
 def _rows_ctrl_from_zero_overlap() -> List[CheckRow]:
-    rows = []
     rest = (0j, _ISQ2 + 0j, _ISQ2 + 0j, 0j)
-    for label, alpha in (("0.3", 0.3), ("1/2", Fraction(1, 2)), ("0.75", 0.75)):
-        t0 = time.perf_counter()
+
+    def measure(alpha: Any) -> Tuple[str, bool]:
         pb = Builder()
         data = pb.add_register("zdata", 2, ancilla=False)
         amps = np.zeros(4, dtype=complex)
@@ -496,19 +457,31 @@ def _rows_ctrl_from_zero_overlap() -> List[CheckRow]:
         amps[1] = amps[2] = math.sqrt((1.0 - float(alpha)) / 2.0)
         pb.append(library.make("raw_state", (tuple(amps),), tuple(data)))
         circ, ctrl = ctrl_from_zero_overlap(pb.build(), tuple(data), alpha)
-        params = {"name": "ctrl_from_zero_overlap", "alpha": label}
-        rows.append(_controlled_prep_row(params, t0, circ, ctrl, rest, data))
-    return rows
+        return _worst_controlled(circ, ctrl, rest, data)
+
+    return [
+        _row(
+            _PRIMITIVE,
+            {"name": "ctrl_from_zero_overlap", "alpha": label},
+            _CONTROLLED_RHS,
+            functools.partial(measure, alpha),
+        )
+        for label, alpha in (("0.3", 0.3), ("1/2", Fraction(1, 2)), ("0.75", 0.75))
+    ]
 
 
 def _rows_ctrl_dicke() -> List[CheckRow]:
+    def certified(ell: int, slots: int, weights: Tuple[int, ...]) -> CertificationReport:
+        return certify_library_gate(
+            "ctrl_dicke", (ell, slots, weights), *ctrl_dicke_explicit(ell, slots, weights)
+        )
+
     return [
-        _certified_row(
+        _row(
+            _PRIMITIVE,
             {"name": "ctrl_dicke", "ell": ell, "slots": slots},
             "matches the declared routing on its whole domain",
-            lambda: certify_library_gate(
-                "ctrl_dicke", (ell, slots, weights), *ctrl_dicke_explicit(ell, slots, weights)
-            ),
+            functools.partial(_certified, certified, ell, slots, weights),
         )
         for ell, slots, weights in ((2, 1, (0,)), (2, 2, (0, 1)), (3, 2, (1, 2)))
     ]
@@ -544,11 +517,11 @@ def _rows_custom_threshold() -> List[CheckRow]:
         return certify("custom_threshold", (n, k), sem, b.build(), io)
 
     return [
-        _certified_row(
+        _row(
+            _PRIMITIVE,
             {"name": "custom_threshold", "n": n, "selectors": k},
             "matches the selector predicate on its whole domain",
-            certified,
-            measure="worst_fidelity",
+            functools.partial(_certified, certified, measure="worst_fidelity"),
         )
     ]
 
@@ -580,10 +553,7 @@ def certify_primitive(name: str) -> List[CheckRow]:
 
 
 def _crit_primitives(ws: Dict[str, Any]) -> List[CheckRow]:
-    rows: List[CheckRow] = []
-    for name in PRIMITIVE_NAMES:
-        rows.extend(certify_primitive(name))
-    return rows
+    return [row for name in PRIMITIVE_NAMES for row in certify_primitive(name)]
 
 
 def _crit_depth_witness(ws: Dict[str, Any]) -> List[CheckRow]:
@@ -623,14 +593,16 @@ def _crit_depth_witness(ws: Dict[str, Any]) -> List[CheckRow]:
 
 
 _CRITERIA: Dict[str, Callable[[Dict[str, Any]], List[CheckRow]]] = {
-    "exact-dicke-grid": _crit_dicke_grid,
-    "padding-path": _crit_padding,
-    "symmetric-states": _crit_symmetric,
+    "exact-dicke-grid": functools.partial(_crit_states, check_id="exact-dicke-grid"),
+    "padding-path": functools.partial(_crit_states, check_id="padding-path"),
+    "symmetric-states": functools.partial(_crit_states, check_id="symmetric-states"),
     "weight-uniformity": _crit_uniformity,
     "claim-sweep": _crit_claims,
     "primitive-certification": _crit_primitives,
     "depth-witness": _crit_depth_witness,
 }
+
+CRITERION_IDS = tuple(_CRITERIA) + ("determinism",)
 
 
 @dataclass
@@ -668,9 +640,9 @@ class AcceptanceReport:
 def _run_ids(ids: Sequence[str], workers: int) -> List[CheckRow]:
     ws: Dict[str, Any] = {"workers": workers, "states": []}
     rows: List[CheckRow] = []
-    for cid in CRITERION_IDS:
-        if cid in ids and cid in _CRITERIA:
-            rows.extend(_CRITERIA[cid](ws))
+    for cid, criterion in _CRITERIA.items():
+        if cid in ids:
+            rows.extend(criterion(ws))
     return rows
 
 
@@ -691,19 +663,19 @@ def run_acceptance(
     base_ids = [cid for cid in chosen if cid != "determinism"]
     rows = _run_ids(base_ids, workers)
     if "determinism" in chosen:
-        t0 = time.perf_counter()
-        repeat_ids = base_ids or [c for c in CRITERION_IDS if c != "determinism"]
-        first = rows if base_ids else _run_ids(repeat_ids, workers)
-        second = _run_ids(repeat_ids, workers)
-        same = canonical_rows(first) == canonical_rows(second)
+        repeat_ids = base_ids or list(_CRITERIA)
+
+        def measure() -> Tuple[str, bool]:
+            first = rows if base_ids else _run_ids(repeat_ids, workers)
+            same = canonical_rows(first) == canonical_rows(_run_ids(repeat_ids, workers))
+            return ("reports byte-identical" if same else "reports differ"), same
+
         rows.append(
-            CheckRow(
+            _row(
                 "determinism",
                 {"criteria": len(repeat_ids)},
-                "reports byte-identical" if same else "reports differ",
                 "two runs serialize identically (timings excluded)",
-                same,
-                time.perf_counter() - t0,
+                measure,
             )
         )
     return AcceptanceReport(rows=rows)

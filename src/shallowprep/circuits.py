@@ -19,7 +19,7 @@ SERIAL_VERSION = 1
 ATOL = 1e-12
 
 # how many targets and controls each gate kind takes: an exact count, or
-# ONE_OR_MORE; a controlled copy's extra "ctrl" qubit is not counted
+# ONE_OR_MORE; the optional extra "ctrl" qubit of any gate is not counted
 ONE_OR_MORE = "1+"
 GATE_ARITY: Dict[str, Tuple[Any, Any]] = {
     "unitary1": (1, 0),

@@ -40,6 +40,18 @@ Number = Union[Fraction, float]
 
 ANGLE_TOL = 1e-12
 
+# smallest branch mass that amplify_to_exact amplifies
+AMPLIFY_FLOOR = 1e-4
+
+# slack on the simulated masses that extract_marked_state and ctrl_state check
+MASS_TOL = 1e-9
+
+# ctrl_from_zero_overlap: the zero-branch mass must lie in
+# [ZERO_BRANCH_FLOOR, 1 - ZERO_BRANCH_FLOOR] and match the simulated one
+# within ZERO_BRANCH_TOL
+ZERO_BRANCH_FLOOR = 0.01
+ZERO_BRANCH_TOL = 1e-10
+
 ORACLE_MATRIX = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
@@ -114,9 +126,7 @@ def exact_grover(builder: Builder, flag: int, alpha: Number) -> int:
     return rounds
 
 
-def amplify_to_exact(
-    builder: Builder, flag: int, alpha: Number, floor: float = 1e-4
-) -> AmplifyInfo:
+def amplify_to_exact(builder: Builder, flag: int, alpha: Number) -> AmplifyInfo:
     """Make the flagged branch certain, for any branch mass above the floor.
 
     If the mass is not already an exact rotation angle, a fresh qubit is
@@ -129,8 +139,8 @@ def amplify_to_exact(
     if not 0.0 < af <= 1.0 + ANGLE_TOL:
         raise CircuitError(f"branch mass {af} out of range")
     af = min(af, 1.0)
-    if af < floor:
-        raise CircuitError(f"branch mass {af} below amplification floor {floor}")
+    if af < AMPLIFY_FLOOR:
+        raise CircuitError(f"branch mass {af} below amplification floor {AMPLIFY_FLOOR}")
     if af >= 1.0 - ANGLE_TOL:
         builder.append(g_x(flag))
         builder.record_rounds(0, 0)
@@ -201,7 +211,7 @@ def adjust_amplitudes(
     return z
 
 
-def extract_marked_state(marked: MarkedPreparation, tol: float = 1e-9) -> np.ndarray:
+def extract_marked_state(marked: MarkedPreparation) -> np.ndarray:
     """Simulate the preparation once and pull out its (data, flag) state.
 
     Raises if ancillas are dirty or the unflagged branch is not all zeros.
@@ -210,18 +220,18 @@ def extract_marked_state(marked: MarkedPreparation, tol: float = 1e-9) -> np.nda
     io = tuple(marked.data_register) + (marked.flag_qubit,)
     others = [q for q in range(marked.circuit.n_qubits) if q not in set(io)]
     _, dirt = mass_bounds(math.sqrt(residual_mass(state, others)), state.error_bound)
-    if dirt > tol:
+    if dirt > MASS_TOL:
         raise SimulationError(f"marked preparation leaves ancilla mass {dirt:.3e}")
     vec = project(state, io)
     norm = float(np.real(np.vdot(vec, vec)))
     vec = vec / math.sqrt(norm)
     flagged = float(np.sum(np.abs(vec[1::2]) ** 2))
-    if abs(flagged - float(marked.alpha)) > tol:
+    if abs(flagged - float(marked.alpha)) > MASS_TOL:
         raise SimulationError(
             f"flag mass {flagged} disagrees with declared alpha {float(marked.alpha)}"
         )
     bad = float(np.sum(np.abs(vec[2::2]) ** 2))
-    if bad > tol:
+    if bad > MASS_TOL:
         raise SimulationError("unflagged branch of the preparation is not all zeros")
     return vec
 
@@ -310,24 +320,6 @@ def ham_gadget(builder: Builder, x_qubits: Sequence[int], k: int) -> Register:
     return tally
 
 
-def one_hot_gate(
-    builder: Builder,
-    binary_qubits: Sequence[int],
-    slot_qubits: Sequence[int],
-    zero_based: bool = False,
-    inverse: bool = False,
-) -> None:
-    count = len(slot_qubits)
-    builder.append(
-        library.make(
-            "one_hot",
-            (count, zero_based),
-            tuple(binary_qubits) + tuple(slot_qubits),
-            inverse=inverse,
-        )
-    )
-
-
 def custom_threshold(
     builder: Builder,
     x_qubits: Sequence[int],
@@ -385,41 +377,7 @@ def custom_threshold_predicate(x_weight: int, selector_index: int) -> int:
 # ---- controlled circuits and controlled state preparation ----
 
 
-def ctrl_circuit(circuit: Circuit, budget: Optional[int] = None) -> Tuple[Circuit, int]:
-    """Control every gate of a circuit on one fresh qubit.
-
-    The control is fanned out to one copy per gate so that parallel layers
-    stay parallel.  Single-qubit gates must be Hermitian to be controllable;
-    library gates are controllable by declaration.
-    """
-    gates = list(circuit.gates())
-    g_count = len(gates)
-    if g_count == 0:
-        raise CircuitError("cannot control an empty circuit")
-    for gate in gates:
-        if gate.params.get("ctrl") is not None:
-            raise CircuitError("gate is already controlled")
-    b = Builder.from_circuit(replace(circuit, layers=()))
-    if budget is not None:
-        b.metadata["fanout_budget"] = budget
-    ctrl = b.new_register("ctrl_in", 1, ancilla=False)[0]
-    copies = b.new_register("ctrlcopies", g_count)
-    eff_budget = b.metadata.get("fanout_budget")
-    widened = eff_budget is not None and g_count > eff_budget
-    fan = g_fanout(ctrl, tuple(copies), widened=widened)
-    b.append(fan)
-    i = 0
-    for layer in circuit.layers:
-        out = []
-        for gate in layer:
-            out.append(gate.with_params(ctrl=copies[i]))
-            i += 1
-        b.append_layer(out)
-    b.append(fan)
-    return b.build(), ctrl
-
-
-def ctrl_state(prep: Circuit, branch_qubit: int, tol: float = 1e-9) -> Tuple[Circuit, int]:
+def ctrl_state(prep: Circuit, branch_qubit: int) -> Tuple[Circuit, int]:
     """Turn an equal-superposition preparation into a controlled preparation.
 
     ``prep`` must produce (|0...0>|0>_b + |phi>|1>_b) / sqrt(2) with a real
@@ -433,7 +391,7 @@ def ctrl_state(prep: Circuit, branch_qubit: int, tol: float = 1e-9) -> Tuple[Cir
     low, high = mass_bounds(
         math.sqrt(1.0 - residual_mass(state, [branch_qubit])), state.error_bound
     )
-    if low < 0.5 - tol or high > 0.5 + tol or abs(amp0 - math.sqrt(0.5)) > 1e-6:
+    if low < 0.5 - MASS_TOL or high > 0.5 + MASS_TOL or abs(amp0 - math.sqrt(0.5)) > 1e-6:
         raise SimulationError(
             "controlled preparation needs an equal split with a real positive "
             "all-zeros branch"
@@ -455,8 +413,6 @@ def ctrl_from_zero_overlap(
     prep: Circuit,
     data_qubits: Sequence[int],
     alpha: Number,
-    floor: float = 0.01,
-    tol: float = 1e-10,
 ) -> Tuple[Circuit, int]:
     """Controlled preparation of the nonzero part of a state.
 
@@ -466,15 +422,15 @@ def ctrl_from_zero_overlap(
     then delegating to the reflection construction.
     """
     af = float(alpha)
-    if af < floor or af > 1.0 - floor:
+    if af < ZERO_BRANCH_FLOOR or af > 1.0 - ZERO_BRANCH_FLOOR:
         raise CircuitError(
-            f"zero-branch mass {af} too extreme (floor {floor} on both sides)"
+            f"zero-branch mass {af} too extreme (floor {ZERO_BRANCH_FLOOR} on both sides)"
         )
     state = run(prep)
     delta = state.error_bound
     amp0 = project(state, ())[0]
     low, high = mass_bounds(amp0, delta)
-    if low < af - tol or high > af + tol:
+    if low < af - ZERO_BRANCH_TOL or high > af + ZERO_BRANCH_TOL:
         raise SimulationError(
             f"prepared zero-branch mass {abs(amp0)**2:.12f} disagrees with alpha {af}"
         )
@@ -511,16 +467,14 @@ def ctrl_from_zero_overlap(
 
 
 def ctrl_dicke_explicit(
-    ell: int, slots: int, weights: Optional[Sequence[int]] = None
+    ell: int, slots: int, weights: Sequence[int]
 ) -> Tuple[Circuit, Tuple[int, ...]]:
     """Explicit form of the one-hot controlled Dicke preparation.
 
-    Each slot's control drives its own staging block, and the block picked
-    by the one-hot pattern is routed to the shared output.
+    Each slot's control drives its own staging block (slot i prepares
+    weight ``weights[i]``), and the block picked by the one-hot pattern is
+    routed to the shared output.
     """
-    if weights is None:
-        weights = [j - 1 for j in range(1, slots + 1)]
-    weights = tuple(int(w) for w in weights)
     b = Builder()
     sel = b.add_register("sel", slots)
     stage = [b.add_register(f"stage{i}", ell, ancilla=True) for i in range(slots)]
@@ -539,21 +493,6 @@ def ctrl_dicke_explicit(
     qubits.extend(out)
     b.append(library.make("w_swap", (slots, ell), qubits))
     return b.build(), tuple(sel) + tuple(out)
-
-
-def append_ctrl_dicke(
-    builder: Builder,
-    sel_qubits: Sequence[int],
-    out_qubits: Sequence[int],
-    weights: Sequence[int],
-) -> None:
-    builder.append(
-        library.make(
-            "ctrl_dicke",
-            (len(out_qubits), len(sel_qubits), tuple(int(w) for w in weights)),
-            tuple(sel_qubits) + tuple(out_qubits),
-        )
-    )
 
 
 def w_swap_explicit(t: int, s: int) -> Tuple[Circuit, Tuple[int, ...]]:
@@ -592,9 +531,7 @@ def zero_w_explicit(n: int) -> Tuple[Circuit, Tuple[int, ...]]:
     return b.build(), tuple(data)
 
 
-def prepare_onehot_dist(
-    p: Sequence[Number], builder: Optional[Builder] = None
-) -> Tuple[Builder, Register]:
+def prepare_onehot_dist(p: Sequence[Number]) -> Tuple[Builder, Register]:
     """Prepare sum_i sqrt(p_i) |slot i hot> over len(p) slots, ancillas clean.
 
     The distribution is staged on a half-zero seed, rebalanced branch by
@@ -622,7 +559,9 @@ def prepare_onehot_dist(
     )
     width = library.entry("one_hot").width((count, False)) - count
     binary = stage.add_register("value", width)
-    one_hot_gate(stage, binary, slots, zero_based=False, inverse=True)
+    stage.append(
+        library.make("one_hot", (count, False), tuple(binary) + tuple(slots), inverse=True)
+    )
     stage.append(g_x(flag))
     marked = MarkedPreparation(
         circuit=stage.build(),
@@ -631,18 +570,15 @@ def prepare_onehot_dist(
         alpha=Fraction(1, count + 1),
     )
 
-    if builder is None:
-        builder = Builder()
+    builder = Builder()
     carried = builder.new_register("pdata", width)
     parallel_amplify(builder, marked, out=carried)
     out = builder.new_register("onehot_out", count, ancilla=False)
-    one_hot_gate(builder, carried, out, zero_based=False, inverse=False)
+    builder.append(library.make("one_hot", (count, False), tuple(carried) + tuple(out)))
     return builder, out
 
 
-def prepare_small_state(
-    amps: Sequence[complex], builder: Optional[Builder] = None
-) -> Tuple[Builder, Register]:
+def prepare_small_state(amps: Sequence[complex]) -> Tuple[Builder, Register]:
     """Prepare an arbitrary state on log2(len(amps)) qubits, ancillas clean.
 
     Magnitudes ride on the one-hot distribution preparation; phases are
@@ -653,8 +589,7 @@ def prepare_small_state(
     library.semantics("small_state", (tuple(amps),))
     size = len(amps)
     vec = np.asarray(amps, dtype=complex)
-    if builder is None:
-        builder = Builder()
+    builder = Builder()
     probs = tuple(float(abs(a)) ** 2 for a in vec)
     slots = builder.new_register("valslots", size)
     builder.append(library.make("onehot_dist", (size, probs), tuple(slots)))
@@ -671,5 +606,7 @@ def prepare_small_state(
         builder.append_layer(phase_gates)
     width = library.entry("one_hot").width((size, True)) - size
     out = builder.new_register("smallout", width, ancilla=False)
-    one_hot_gate(builder, out, slots, zero_based=True, inverse=True)
+    builder.append(
+        library.make("one_hot", (size, True), tuple(out) + tuple(slots), inverse=True)
+    )
     return builder, out

@@ -35,7 +35,6 @@ from .primitives import (
     Number,
     adjust_amplitudes,
     amplify_to_exact,
-    append_ctrl_dicke,
     ctrl_from_zero_overlap,
     rot_matrix,
 )
@@ -154,7 +153,8 @@ def _spread_blocks(
     k_cap = len(record)
     m = len(data) // ell
     marks = b.new_register("bucket", ell)
-    append_ctrl_dicke(b, record, marks, weights=range(1, k_cap + 1))
+    weights = tuple(range(1, k_cap + 1))
+    b.append(library.make("ctrl_dicke", (ell, k_cap, weights), tuple(record) + tuple(marks)))
     b.append_layer(
         [
             library.make("ctrl_damped", (m, k_cap), (marks[i],) + _block(data, i, m))
@@ -315,10 +315,9 @@ def build_symmetric(
 
     ``eta`` lists one complex coefficient per weight 0..k_star and must be
     unit norm.  A one-hot eta is the Dicke state of its weight; its phase is
-    global and is dropped.  All weight on 0 or on n is a basis state.  With
-    ``ell`` left to ``default_ell``, an eta whose lowest weight w has
-    n - w < k_star is built reversed (weight k as n - k) and every data
-    qubit is flipped.
+    global and is dropped.  All weight on 0 or on n is a basis state.  An
+    eta whose lowest weight w has n - w < k_star is built reversed (weight
+    k as n - k, with the same ``ell``) and every data qubit is flipped.
 
     Domain: k' = the top weight of the eta that is built needs ell blocks
     with k' <= min(ell, n/ell) (block size rounded up after padding); they
@@ -359,8 +358,8 @@ def build_symmetric(
         if k_star:
             b.append_layer([g_x(q) for q in data])
         return output(b, data, {"ell": None, "k_star": k_star})
-    if ell is None and n - weights[0] < k_star:
-        inner = build_symmetric(n, (eta + (0,) * (n - k_star))[::-1])
+    if n - weights[0] < k_star:
+        inner = build_symmetric(n, (eta + (0,) * (n - k_star))[::-1], ell)
         b = Builder.from_circuit(inner.circuit)
         b.append_layer([g_x(q) for q in inner.output_qubits])
         return output(b, inner.output_qubits, dict(inner.info, complemented=True))

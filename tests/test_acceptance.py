@@ -4,9 +4,11 @@ The battery runs once per module; every criterion's rows must all hold with
 fidelity slack 1e-9 or better where fidelities are involved.
 """
 
+import hashlib
+
 import pytest
 
-from shallowprep.acceptance import run_acceptance
+from shallowprep.acceptance import canonical_rows, run_acceptance
 from shallowprep.simulate import workers_from_env
 
 
@@ -61,3 +63,10 @@ def test_depth_witness(battery):
 def test_determinism(battery):
     """A repeated run yields byte-identical canonical reports."""
     _assert_criterion(battery, "determinism")
+
+
+def test_canonical_report_is_pinned(battery):
+    """The timing-free report keeps its exact bytes: every lhs, rhs and
+    verdict of the full battery, in order."""
+    digest = hashlib.sha256(canonical_rows(battery.rows).encode()).hexdigest()
+    assert digest == "fae4cb760287203ab63e066a579b256e9c4d3da422d37c057034678ce2fa61d5"

@@ -99,6 +99,14 @@ def test_controlled_unitary_must_be_hermitian():
         Builder_with_gate(g_ctrl_unitary1(0, 1, non_hermitian))
 
 
+def test_unitary_with_a_ctrl_param_must_be_hermitian():
+    b = Builder()
+    q, c = b.add_register("d", 2)
+    b.append(g_unitary1(q, np.eye(2, dtype=complex)).with_params(ctrl=c))
+    with pytest.raises(CircuitError, match="controlled unitary1 matrix must be Hermitian"):
+        b.append(g_unitary1(q, rot(0.3)).with_params(ctrl=c))
+
+
 def Builder_with_gate(gate):
     b = Builder()
     b.add_register("x", max(gate.touched()) + 1)

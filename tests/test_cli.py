@@ -291,6 +291,12 @@ def test_synth_symmetric_on_a_one_hot_eta_writes_the_dicke_circuit(tmp_path, cap
     assert circuit == (tmp_path / "dicke_n8_k2.circuit").read_bytes()
 
 
+def test_synth_dicke_complements_at_an_explicit_ell(tmp_path, capsys):
+    argv = ["synth", "dicke", "--n", "8", "--k", "6", "--ell", "4", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert "self-check fidelity" in capsys.readouterr().out
+
+
 def test_accept_unknown_criterion(capsys):
     rc = cli.main(["accept", "--only", "no-such-criterion"])
     assert rc == 2

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from shallowprep import library
-from shallowprep.circuits import Builder, CircuitError, g_and, g_unitary1, g_x
+from shallowprep.circuits import Builder, CircuitError, g_and, g_unitary1
 from shallowprep.primitives import (
     MarkedPreparation,
     adjust_amplitudes,
     amplify_to_exact,
-    ctrl_circuit,
     ctrl_dicke_explicit,
     ctrl_from_zero_overlap,
     ctrl_state,
@@ -20,7 +19,6 @@ from shallowprep.primitives import (
     custom_threshold_predicate,
     exact_grover,
     ham_gadget,
-    one_hot_gate,
     parallel_amplify,
     prepare_onehot_dist,
     prepare_small_state,
@@ -220,59 +218,12 @@ def test_one_hot_gate_round_trip():
     b = Builder()
     binary = b.add_register("v", width)
     slots = b.add_register("s", count)
-    one_hot_gate(b, tuple(binary), tuple(slots))
-    one_hot_gate(b, tuple(binary), tuple(slots), inverse=True)
+    io = tuple(binary) + tuple(slots)
+    b.append(library.make("one_hot", (count, False), io))
+    b.append(library.make("one_hot", (count, False), io, inverse=True))
     state = run(b.build(), initial={binary[1]: 1})  # value 1
     idx = 1 << binary[1]
     assert abs(abs(state.amplitudes[idx]) ** 2 - 1.0) < 1e-9
-
-
-def test_ctrl_circuit_controls_every_gate():
-    b = Builder()
-    d = b.add_register("d", 2)
-    b.append(g_x(d[0]))
-    b.append(g_x(d[1]))
-    controlled, ctrl = ctrl_circuit(b.build())
-    off = run(controlled).amplitudes
-    assert abs(abs(off[0]) ** 2 - 1.0) < 1e-12
-    on = run(controlled, initial={ctrl: 1}).amplitudes
-    idx = (1 << ctrl) | (1 << d[0]) | (1 << d[1])
-    assert abs(abs(on[idx]) ** 2 - 1.0) < 1e-12
-
-
-def test_ctrl_circuit_validation():
-    empty = Builder()
-    empty.add_register("d", 1)
-    with pytest.raises(CircuitError, match="empty"):
-        ctrl_circuit(empty.build())
-    bad = Builder()
-    d = bad.add_register("d", 1)
-    theta = 0.3
-    non_hermitian = np.array(
-        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]],
-        dtype=complex,
-    )
-    bad.append(g_unitary1(d[0], non_hermitian))
-    with pytest.raises(CircuitError, match="Hermitian"):
-        ctrl_circuit(bad.build())
-
-
-def test_ctrl_circuit_already_controlled():
-    b = Builder()
-    d = b.add_register("d", 2)
-    b.append(g_x(d[0]).with_params(ctrl=d[1]))
-    with pytest.raises(CircuitError, match="already"):
-        ctrl_circuit(b.build())
-
-
-def test_ctrl_circuit_budget_widening():
-    b = Builder()
-    d = b.add_register("d", 3)
-    for q in d:
-        b.append(g_x(q))
-    controlled, ctrl = ctrl_circuit(b.build(), budget=2)
-    fans = [g for g in controlled.gates() if g.kind == "fanout"]
-    assert fans and all(g.params.get("widened") for g in fans)
 
 
 def test_ctrl_state_requires_equal_split():

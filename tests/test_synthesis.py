@@ -175,6 +175,15 @@ def test_build_dicke_complement():
     assert_exact(out)
 
 
+def test_build_dicke_complement_keeps_an_explicit_ell():
+    """D^8_6 with ell = 4 is the complement of D^8_2 with ell = 4; no 4 blocks
+    of 2 qubits hold 6 ones directly."""
+    out = build_dicke(8, 6, 4)
+    assert out.info["complemented"]
+    assert out.info["ell"] == 4 and out.info["k_star"] == 2
+    assert_exact(out)
+
+
 def test_build_dicke_trivial_weights():
     for k in (0, 4):
         out = build_dicke(4, k)
@@ -246,6 +255,13 @@ def test_build_symmetric_complements_a_high_weight_mix():
     out = build_symmetric(9, eta)
     assert out.info["complemented"]
     assert out.info["k_star"] == 1
+    assert_exact(out)
+
+
+def test_build_symmetric_complements_a_high_weight_mix_at_an_explicit_ell():
+    out = build_symmetric(9, (0,) * 8 + (0.6, 0.8j), ell=3)
+    assert out.info["complemented"]
+    assert out.info["ell"] == 3
     assert_exact(out)
 
 
