@@ -201,7 +201,7 @@ def _crit_uniformity(ws: Dict[str, Any]) -> List[CheckRow]:
 
 def _crit_claims(ws: Dict[str, Any]) -> List[CheckRow]:
     t0 = time.perf_counter()
-    verdicts = claims.run_claims(claims.SweepConfig(workers=ws["workers"]))
+    verdicts = claims.run_claims(claims.SweepConfig())
     elapsed = time.perf_counter() - t0
     rows = []
     for claim_id in claims.CLAIM_IDS:
@@ -637,8 +637,8 @@ class AcceptanceReport:
         return "\n".join(lines)
 
 
-def _run_ids(ids: Sequence[str], workers: int) -> List[CheckRow]:
-    ws: Dict[str, Any] = {"workers": workers, "states": []}
+def _run_ids(ids: Sequence[str]) -> List[CheckRow]:
+    ws: Dict[str, Any] = {"states": []}
     rows: List[CheckRow] = []
     for cid, criterion in _CRITERIA.items():
         if cid in ids:
@@ -646,9 +646,7 @@ def _run_ids(ids: Sequence[str], workers: int) -> List[CheckRow]:
     return rows
 
 
-def run_acceptance(
-    only: Optional[Sequence[str]] = None, workers: int = 1
-) -> AcceptanceReport:
+def run_acceptance(only: Optional[Sequence[str]] = None) -> AcceptanceReport:
     """Run the acceptance battery, or a subset of its criteria.
 
     The determinism criterion repeats whatever else was selected (the full
@@ -661,13 +659,13 @@ def run_acceptance(
                 f"unknown criterion {cid!r}; choose from " + ", ".join(CRITERION_IDS)
             )
     base_ids = [cid for cid in chosen if cid != "determinism"]
-    rows = _run_ids(base_ids, workers)
+    rows = _run_ids(base_ids)
     if "determinism" in chosen:
         repeat_ids = base_ids or list(_CRITERIA)
 
         def measure() -> Tuple[str, bool]:
-            first = rows if base_ids else _run_ids(repeat_ids, workers)
-            same = canonical_rows(first) == canonical_rows(_run_ids(repeat_ids, workers))
+            first = rows if base_ids else _run_ids(repeat_ids)
+            same = canonical_rows(first) == canonical_rows(_run_ids(repeat_ids))
             return ("reports byte-identical" if same else "reports differ"), same
 
         rows.append(

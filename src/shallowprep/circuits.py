@@ -4,7 +4,8 @@ Gates are grouped into layers; every gate in a layer must touch disjoint
 qubits.  The gate set is the constant-depth one used throughout the package:
 multi-input AND/OR/NOR with XOR-into-target semantics, fanout, swap,
 single-qubit unitaries, controlled Hermitian single-qubit gates, reflections
-about product states, and opaque library gates with declared costs.
+about product states, and opaque library gates, whose width and costs come
+from their registry entry.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 import numpy as np
 
-SERIAL_VERSION = 1
+SERIAL_VERSION = 2
 ATOL = 1e-12
 
 # how many targets and controls each gate kind takes: an exact count, or
@@ -154,24 +155,6 @@ def g_swap(a: int, b: int) -> Gate:
     return Gate("swap", (a, b), (), {})
 
 
-def g_library(
-    tag: str,
-    args: Tuple[Any, ...],
-    qubits: Sequence[int],
-    declared_depth: int,
-    declared_width: int,
-    inverse: bool = False,
-) -> Gate:
-    params: Dict[str, Any] = {
-        "tag": tag,
-        "args": tuple(args),
-        "inverse": bool(inverse),
-        "declared_depth": int(declared_depth),
-        "declared_width": int(declared_width),
-    }
-    return Gate("library", tuple(qubits), (), params)
-
-
 def invert_gate(gate: Gate) -> Gate:
     """Inverse of a single gate; everything here is unitary so this is total."""
     if gate.kind in ("and", "or", "nor", "fanout", "swap", "product_reflection"):
@@ -212,8 +195,8 @@ def _validate_gate(gate: Gate) -> None:
         for state in p["local_states"]:
             if np.shape(state) != (2,) or not abs(np.vdot(state, state) - 1.0) <= ATOL:
                 raise CircuitError("local reflection states must be normalized 2-vectors")
-    elif gate.kind == "library" and not (p["declared_depth"] >= 1 and p["declared_width"] >= 0):
-        raise CircuitError("library gate declared costs out of range")
+    elif gate.kind == "library":
+        library.entry(p["tag"]).check(p["args"], len(gate.targets))
 
 
 def _check_layer(
@@ -291,9 +274,9 @@ class Circuit:
 class CostReport:
     """Headline costs of a circuit.
 
-    depth counts layers, with each library gate charged its declared depth.
-    max_fanout_width is the widest fanout, native or declared by a library
-    gate.  grover_rounds totals the amplification rounds the builder logged.
+    depth counts layers, each library gate charged its registry depth.
+    max_fanout_width is the widest fanout, native or a library gate's.
+    grover_rounds totals the amplification rounds the builder logged.
     """
 
     depth: int
@@ -317,8 +300,9 @@ def cost(circuit: Circuit) -> CostReport:
         layer_depth = 1
         for gate in layer:
             if gate.kind == "library":
-                layer_depth = max(layer_depth, gate.params["declared_depth"])
-                max_fan = max(max_fan, gate.params["declared_width"])
+                depth_g, fan_g = library.entry(gate.params["tag"]).cost(gate.params["args"])
+                layer_depth = max(layer_depth, depth_g)
+                max_fan = max(max_fan, fan_g)
             elif gate.kind == "fanout":
                 max_fan = max(max_fan, len(gate.targets))
         depth += layer_depth
@@ -434,7 +418,7 @@ class Builder:
 # [re, im] pairs, 2x2 matrices are nested pairs, Fractions are [num, den].
 # Library gate arguments follow the argument schema of their tag's registry
 # entry, which also fixes the qubit width and the (depth, fanout width) a
-# gate is charged; a tag with measured costs carries them in the file.
+# gate is charged; marked_prep carries its measured costs as two arguments.
 
 # what malformed JSON values raise when decoded field by field
 _DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError)
@@ -517,8 +501,6 @@ def _encode_gate(gate: Gate) -> Dict[str, Any]:
         params["tag"] = p["tag"]
         params["args"] = library.entry(p["tag"]).encode(p["args"])
         params["inverse"] = p["inverse"]
-        out["declared_depth"] = p["declared_depth"]
-        out["declared_width"] = p["declared_width"]
     if p.get("ctrl") is not None:
         params["ctrl"] = p["ctrl"]
     if p.get("checked") is False:
@@ -542,22 +524,15 @@ def _decode_gate(obj: Any) -> Gate:
     if not isinstance(raw, dict):
         raise ParseError(f"gate params must be an object, got {type(raw).__name__}")
     try:
-        params = _decode_params(kind, raw, obj)
+        params = _decode_params(kind, raw)
     except ParseError:
         raise
     except _DECODE_ERRORS as exc:
         raise ParseError(f"malformed {kind} gate params: {exc!r}") from exc
-    if kind == "library":
-        try:
-            library.entry(params["tag"]).check(
-                params["args"], len(targets), params["declared_depth"], params["declared_width"]
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
     return Gate(kind, targets, controls, params)
 
 
-def _decode_params(kind: str, raw: Dict[str, Any], obj: Dict[str, Any]) -> Dict[str, Any]:
+def _decode_params(kind: str, raw: Dict[str, Any]) -> Dict[str, Any]:
     params: Dict[str, Any] = {}
     if kind in ("unitary1", "ctrl_unitary1"):
         params["matrix"] = decode_matrix(raw["matrix"])
@@ -577,8 +552,6 @@ def _decode_params(kind: str, raw: Dict[str, Any], obj: Dict[str, Any]) -> Dict[
         params["tag"] = ent.tag
         params["args"] = ent.decode(raw["args"])
         params["inverse"] = _as_bool(raw["inverse"])
-        params["declared_depth"] = _as_int(obj["declared_depth"])
-        params["declared_width"] = _as_int(obj["declared_width"])
     if "ctrl" in raw:
         params["ctrl"] = _as_int(raw["ctrl"])
     if not _as_bool(raw.get("checked", True)):

@@ -23,7 +23,6 @@ from .simulate import (
     CertificationError,
     SimulationError,
     check_clean_preparation,
-    workers_from_env,
 )
 from .synthesis import build_dicke, build_symmetric, dicke_vector, symmetric_vector
 
@@ -108,17 +107,12 @@ def _parse_grid(spec: str) -> Dict[str, int]:
 # ---- subcommand handlers ----
 
 
-def _workers(args: argparse.Namespace) -> int:
-    """--workers, or SHALLOWPREP_WORKERS when the flag is not given."""
-    return workers_from_env() if args.workers is None else args.workers
-
-
 def _cmd_claims(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     cfg = claims.SweepConfig(
         m_values=tuple(range(grid["m_lo"], grid["m_hi"] + 1)),
         k_max=grid["k_max"],
-        workers=_workers(args),
+        workers=args.workers,
         fault=args.fault,
     )
     t0 = time.perf_counter()
@@ -147,7 +141,7 @@ def _cmd_claims(args: argparse.Namespace) -> int:
 
 def _cmd_accept(args: argparse.Namespace) -> int:
     only = [s.strip() for s in args.only.split(",")] if args.only else None
-    report = acceptance.run_acceptance(only=only, workers=_workers(args))
+    report = acceptance.run_acceptance(only=only)
     print(report.table())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -289,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("claims", help="sweep the exact combinatorial claims")
-    c.add_argument("--workers", type=int, default=None)
+    c.add_argument("--workers", type=int, default=1)
     c.add_argument("--grid", default="m=1..64,k=1..6", help="e.g. m=1..16,k=1..4")
     c.add_argument(
         "--fault",
@@ -301,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(handler=_cmd_claims)
 
     a = sub.add_parser("accept", help="run the acceptance battery")
-    a.add_argument("--workers", type=int, default=None)
     a.add_argument(
         "--only",
         default=None,

@@ -6,7 +6,8 @@ A library gate is an opaque unit inside a circuit.  Each tag declares
 - the action itself, either a permutation of basis states or a set of
   output columns; a weight-map gate declares its permutation as the
   pattern it XORs in for each Hamming weight of its data qubits,
-- a depth and fanout width charged by the cost model,
+- the (depth, fanout width) the cost model charges, as a function of its
+  arguments,
 - an argument schema, from which its JSON codec follows.
 
 The simulator applies library gates through these semantics; explicit
@@ -31,7 +32,6 @@ from .circuits import (
     decode_fraction,
     encode_complex,
     encode_fraction,
-    g_library,
 )
 
 ATOL = 1e-9
@@ -164,7 +164,10 @@ def _sem_w_swap(t: int, s: int) -> LibrarySemantics:
     return LibrarySemantics(n_qubits=w, permutation=table, domain=domain)
 
 
-def _sem_marked_prep(n_data: int, amps: Tuple[complex, ...], alpha: Any) -> LibrarySemantics:
+def _sem_marked_prep(
+    n_data: int, amps: Tuple[complex, ...], alpha: Any, *costs: int
+) -> LibrarySemantics:
+    # costs: the measured depth and fanout width, which leave the action alone
     w = n_data + 1
     col = np.asarray(amps, dtype=complex)
     if abs(np.vdot(col, col) - 1.0) > ATOL:
@@ -249,7 +252,7 @@ def _onehot_dist_flaw(a: Tuple[Any, ...]) -> Optional[str]:
 
 
 def _marked_prep_flaw(a: Tuple[Any, ...]) -> Optional[str]:
-    n_data, amps, alpha = a
+    n_data, amps, alpha, depth, fanout_width = a
     # compare exponents: n_data may be untrusted input, too large to raise 2 to
     size = len(amps)
     if n_data < 0 or size & (size - 1) or size.bit_length() != n_data + 2:
@@ -257,6 +260,8 @@ def _marked_prep_flaw(a: Tuple[Any, ...]) -> Optional[str]:
     # exactly, so float() cannot overflow on a huge Fraction
     if not 0 <= alpha <= 1:
         return "alpha must lie in [0, 1]"
+    if not (depth >= 1 and fanout_width >= 0):
+        return "costs out of range: depth must be >= 1 and fanout width >= 0"
     return None
 
 
@@ -359,11 +364,13 @@ def low_rank_completion(
 
 # ---- registry ----
 #
-# Each tag is declared once: an argument schema, a qubit width and fanout
-# width as functions of the arguments, the declared semantics (or per-weight
-# pattern) and a constant depth.  The JSON codec of a tag follows from its schema, one codec per
-# argument kind; decoding checks the exact JSON type of every value, so a
-# string, float or bool is never read as an int.
+# Each tag is declared once: an argument schema, a qubit width and a
+# (depth, fanout width) cost as functions of the arguments, and the declared
+# semantics (or per-weight pattern).  A gate stores only its tag, arguments
+# and inverse flag; its width and costs are read from here.  The JSON codec
+# of a tag follows from its schema, one codec per argument kind; decoding
+# checks the exact JSON type of every value, so a string, float or bool is
+# never read as an int.
 
 
 def _enc_number(x: Any) -> Any:
@@ -402,16 +409,13 @@ class LibraryEntry:
     tag: str
     args: Tuple[str, ...]  # one ARG_KINDS name per argument
     width: Callable[[Tuple[Any, ...]], int]
-    depth: int
-    fanout_width: Callable[[Tuple[Any, ...]], int]
+    # the (depth, fanout width) the cost model charges the gate
+    cost: Callable[[Tuple[Any, ...]], Tuple[int, int]]
     semantics: Optional[Callable[..., LibrarySemantics]] = None
     # A weight-map gate XORs onto its low qubits a pattern chosen by the
     # Hamming weight of its first n qubits, which it leaves unchanged; this
     # gives the pattern per weight 0..n (``weight_map`` states the layout).
     weight_pattern: Optional[Callable[..., np.ndarray]] = None
-    # costs are measured from the construction the gate stands in for and
-    # passed to make(); depth and fanout_width are placeholders
-    measured_costs: bool = False
     # why arguments of the schema's types still describe no gate, or None
     flaw: Callable[[Tuple[Any, ...]], Optional[str]] = lambda a: None
 
@@ -426,25 +430,22 @@ class LibraryEntry:
     def check_args(self, args: Tuple[Any, ...]) -> None:
         """Raise CircuitError if the arguments describe no gate, before any
         width or table is computed from them."""
+        if len(args) != len(self.args):
+            raise CircuitError(
+                f"library gate {self.tag}{args} takes arguments {list(self.args)}"
+            )
         flaw = self.flaw(args)
         if flaw is not None:
             raise CircuitError(f"library gate {self.tag}{args}: {flaw}")
 
-    def check(self, args: Tuple[Any, ...], n_qubits: int, depth: int, fanout_width: int) -> None:
+    def check(self, args: Tuple[Any, ...], n_qubits: int) -> None:
         """Raise CircuitError unless the arguments describe a gate that spans
-        the declared width and, unless its costs are measured, is charged the
-        declared (depth, fanout width)."""
+        ``n_qubits`` qubits."""
         self.check_args(args)
         expected = self.width(args)
         if n_qubits != expected:
             raise CircuitError(
                 f"library gate {self.tag}{args} spans {expected} qubits, got {n_qubits}"
-            )
-        declared = (self.depth, self.fanout_width(args))
-        if not self.measured_costs and (depth, fanout_width) != declared:
-            raise CircuitError(
-                f"library gate {self.tag}{args} declares (depth, width) "
-                f"{(depth, fanout_width)}; the registry charges {declared}"
             )
 
 
@@ -456,24 +457,21 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             args=("int", "int"),  # n, k
             width=lambda a: a[0] + 1,
             weight_pattern=_flag_pattern(np.greater_equal),
-            depth=4,
-            fanout_width=lambda a: a[1],
+            cost=lambda a: (4, a[1]),
         ),
         LibraryEntry(
             tag="exact",
             args=("int", "int"),  # n, k
             width=lambda a: a[0] + 1,
             weight_pattern=_flag_pattern(np.equal),
-            depth=6,
-            fanout_width=lambda a: a[1] + 1,
+            cost=lambda a: (6, a[1] + 1),
         ),
         LibraryEntry(
             tag="ham",
             args=("int", "int"),  # n, k
             width=lambda a: a[0] + a[1] + 1,
             weight_pattern=_tally_pattern,
-            depth=8,
-            fanout_width=lambda a: a[1] + 1,
+            cost=lambda a: (8, a[1] + 1),
             flaw=lambda a: None if min(a) >= 0 else "n and k must be nonnegative",
         ),
         LibraryEntry(
@@ -481,8 +479,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             args=("int", "bool"),  # count, zero_based
             width=lambda a: _one_hot_width(a[0] if a[1] else a[0] + 1) + a[0],
             semantics=_sem_one_hot,
-            depth=8,
-            fanout_width=lambda a: a[0],
+            cost=lambda a: (8, a[0]),
             flaw=lambda a: None if a[0] >= 1 else "needs at least one slot",
         ),
         LibraryEntry(
@@ -490,8 +487,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             args=("int", "int"),  # ell, weight
             width=lambda a: a[0],
             semantics=_sem_dicke_prep,
-            depth=120,
-            fanout_width=lambda a: a[0],
+            cost=lambda a: (120, a[0]),
             flaw=lambda a: None if 0 <= a[1] <= a[0] else f"weight must lie in 0..{a[0]}",
         ),
         LibraryEntry(
@@ -499,8 +495,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             args=("int",),  # n
             width=lambda a: a[0],
             semantics=_sem_zero_w,
-            depth=24,
-            fanout_width=lambda a: a[0],
+            cost=lambda a: (24, a[0]),
             flaw=lambda a: None if a[0] >= 1 else "needs at least one slot",
         ),
         LibraryEntry(
@@ -508,17 +503,16 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             args=("int", "int"),  # t, s
             width=lambda a: a[0] + a[1] * (a[0] + 1),
             semantics=_sem_w_swap,
-            depth=6,
-            fanout_width=lambda a: a[0],
+            cost=lambda a: (6, a[0]),
         ),
         LibraryEntry(
             tag="marked_prep",
-            args=("int", "complexes", "number"),  # n_data, amps, alpha
+            # n_data, amps, alpha, and the depth and fanout width measured on
+            # the preparation the gate stands in for
+            args=("int", "complexes", "number", "int", "int"),
             width=lambda a: a[0] + 1,
             semantics=_sem_marked_prep,
-            depth=1,
-            fanout_width=lambda a: 0,
-            measured_costs=True,
+            cost=lambda a: (a[3], a[4]),
             flaw=_marked_prep_flaw,
         ),
         LibraryEntry(
@@ -526,8 +520,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             args=("int", "int", "ints"),  # ell, slots, weights
             width=lambda a: a[1] + a[0],
             semantics=_sem_ctrl_dicke,
-            depth=140,
-            fanout_width=lambda a: a[0],
+            cost=lambda a: (140, a[0]),
             flaw=_ctrl_dicke_flaw,
         ),
         LibraryEntry(
@@ -535,8 +528,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             args=("int", "int"),  # m, k
             width=lambda a: a[0] + 1,
             semantics=_sem_ctrl_damped,
-            depth=180,
-            fanout_width=lambda a: a[1] + 1,
+            cost=lambda a: (180, a[1] + 1),
             flaw=lambda a: None if 1 <= a[1] <= a[0] else f"k must lie in 1..{a[0]}",
         ),
         LibraryEntry(
@@ -544,8 +536,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             args=("int", "numbers"),  # count, p
             width=lambda a: a[0],
             semantics=_sem_onehot_dist,
-            depth=160,
-            fanout_width=lambda a: a[0] + 1,
+            cost=lambda a: (160, a[0] + 1),
             flaw=_onehot_dist_flaw,
         ),
         LibraryEntry(
@@ -553,8 +544,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             args=("complexes",),  # amps
             width=lambda a: int(log2(len(a[0]))),
             semantics=_sem_state_vector,
-            depth=200,
-            fanout_width=lambda a: len(a[0]),
+            cost=lambda a: (200, len(a[0])),
             flaw=lambda a: _state_flaw(a[0]),
         ),
         LibraryEntry(
@@ -562,8 +552,7 @@ _REGISTRY: Dict[str, LibraryEntry] = {
             args=("complexes",),  # amps
             width=lambda a: int(log2(len(a[0]))),
             semantics=_sem_state_vector,
-            depth=1,
-            fanout_width=lambda a: 0,
+            cost=lambda a: (1, 0),
             flaw=lambda a: _state_flaw(a[0]),
         ),
     )
@@ -606,16 +595,8 @@ def make(
     args: Tuple[Any, ...],
     qubits: Sequence[int],
     inverse: bool = False,
-    declared_depth: Optional[int] = None,
-    declared_width: Optional[int] = None,
 ) -> Gate:
-    """Build a library Gate charged the registry's costs.
-
-    Only a tag with measured costs takes them per call: marked_prep carries
-    the measured costs of the preparation it stands in for.
-    """
-    ent = entry(tag)
-    depth = ent.depth if declared_depth is None else declared_depth
-    width = ent.fanout_width(args) if declared_width is None else declared_width
-    ent.check(args, len(qubits), depth, width)
-    return g_library(tag, args, qubits, depth, width, inverse=inverse)
+    """A library Gate on ``qubits``.  Its width and costs are its registry
+    entry's; the gate is checked against them when it enters a circuit."""
+    params = {"tag": tag, "args": tuple(args), "inverse": bool(inverse)}
+    return Gate("library", tuple(qubits), (), params)

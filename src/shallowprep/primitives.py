@@ -257,19 +257,12 @@ def parallel_amplify(
     vec = extract_marked_state(marked)
     d = len(marked.data_register)
     report = cost(marked.circuit)
-    prep_gate_args = (d, tuple(complex(x) for x in vec), alpha)
+    prep_gate_args = (
+        d, tuple(complex(x) for x in vec), alpha, max(1, report.depth), report.max_fanout_width
+    )
     copies = [builder.new_register(f"copy{i}_", d + 1) for i in range(t)]
     builder.append_layer(
-        [
-            library.make(
-                "marked_prep",
-                prep_gate_args,
-                tuple(reg),
-                declared_depth=max(1, report.depth),
-                declared_width=report.max_fanout_width,
-            )
-            for reg in copies
-        ]
+        [library.make("marked_prep", prep_gate_args, tuple(reg)) for reg in copies]
     )
     flags = [reg[d] for reg in copies]
     h = builder.new_register("onecheck", 2)

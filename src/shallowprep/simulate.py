@@ -15,7 +15,6 @@ rule, so tables and columns line up with no re-indexing.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -782,16 +781,3 @@ def certify_library_gate(
         )
     sem = library.semantics(tag, args)
     return certify(tag, args, sem, explicit, io_qubits, tol, domain_subset, probe)
-
-
-def workers_from_env() -> int:
-    """The worker count SHALLOWPREP_WORKERS sets (1 when it is unset); any
-    value but a positive integer raises ValueError."""
-    raw = os.environ.get("SHALLOWPREP_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"SHALLOWPREP_WORKERS must be a positive integer, not {raw!r}")
-    return workers

@@ -9,12 +9,11 @@ import hashlib
 import pytest
 
 from shallowprep.acceptance import canonical_rows, run_acceptance
-from shallowprep.simulate import workers_from_env
 
 
 @pytest.fixture(scope="module")
 def battery():
-    return run_acceptance(workers=workers_from_env())
+    return run_acceptance()
 
 
 def _assert_criterion(battery, check_id):

@@ -18,7 +18,6 @@ from shallowprep.circuits import (
     g_cnot,
     g_ctrl_unitary1,
     g_fanout,
-    g_library,
     g_nor,
     g_or,
     g_product_reflection,
@@ -31,6 +30,7 @@ from shallowprep.circuits import (
     serialize,
 )
 from shallowprep.simulate import SimulationError, run
+from test_library import one_gate_circuit
 
 
 def rot(theta):
@@ -135,7 +135,7 @@ def test_invert_unitary_is_dagger():
 
 
 def test_invert_library_toggles_flag():
-    g = g_library("ham", (2, 1), (0, 1, 2, 3), declared_depth=3, declared_width=4)
+    g = library.make("ham", (2, 1), (0, 1, 2, 3))
     gi = invert_gate(g)
     assert gi.params["inverse"] is True
     assert invert_gate(gi).params["inverse"] is False
@@ -162,16 +162,17 @@ def test_gate_then_inverse_is_identity(angles, perm_seed):
 def test_cost_counts_library_depth_and_width():
     b = Builder()
     r = b.add_register("x", 5)
-    b.append(g_library("threshold", (4, 1), tuple(r), declared_depth=7, declared_width=9))
+    b.append(library.make("threshold", (4, 4), tuple(r)))
     b.append(g_or((r[0], r[1], r[2], r[3]), r[4]))
     b.append(g_fanout(r[0], (r[1], r[2], r[3])))
     b.record_rounds(2, 6)
     b.record_rounds(3, 8)
     report = cost(b.build())
-    # one declared-depth-7 layer plus two plain layers
-    assert report.depth == 7 + 1 + 1
-    # wide OR is free; fanout width is max(native 3, declared 9)
-    assert report.max_fanout_width == 9
+    assert library.entry("threshold").cost((4, 4)) == (4, 4)
+    # one depth-4 library layer plus two plain layers
+    assert report.depth == 4 + 1 + 1
+    # wide OR is free; fanout width is max(native 3, threshold's 4)
+    assert report.max_fanout_width == 4
     assert report.grover_rounds == 5
     assert report.ancilla_count == 0
     d = report.as_dict()
@@ -256,30 +257,28 @@ def test_deserialize_rejects_garbage():
 
 def test_deserialize_rejects_library_width_mismatch():
     """exact(5, 1) spans 6 qubits; a file may not place it on 3."""
-    b = Builder()
-    r = b.add_register("q", 3)
-    b.append(g_library("exact", (5, 1), tuple(r), 6, 2))
-    with pytest.raises(circ.ParseError, match="spans 6 qubits, got 3"):
-        deserialize(serialize(b.build()))
+    doc = json.loads(serialize(one_gate_circuit("exact", (2, 1))))
+    doc["layers"][0][0]["params"]["args"] = [5, 1]
+    with pytest.raises(CircuitError, match="spans 6 qubits, got 3"):
+        deserialize(json.dumps(doc))
 
 
 def test_deserialize_rejects_library_costs_off_the_registry():
-    """exact(3, 1) is charged depth 6 and width 2; a file may not claim less.
-
-    marked_prep is exempt: its costs are measured from the preparation it
-    stands in for and travel with the gate.
-    """
-    b = Builder()
-    r = b.add_register("q", 4)
-    b.append(g_library("exact", (3, 1), tuple(r), 1, 0))
-    with pytest.raises(circ.ParseError, match="registry charges"):
-        deserialize(serialize(b.build()))
-    b = Builder()
-    r = b.add_register("q", 2)
-    args = (1, (0.5, 0.5, 0.5, 0.5), Fraction(1, 2))
-    b.append(library.make("marked_prep", args, tuple(r), declared_depth=17, declared_width=3))
-    gate = next(deserialize(serialize(b.build())).gates())
-    assert (gate.params["declared_depth"], gate.params["declared_width"]) == (17, 3)
+    """A file cannot charge a library gate costs of its own: cost fields
+    beside a gate are not read, and exact(3, 1) stays at depth 6 and fanout
+    width 2.  marked_prep's measured costs are arguments, held to depth >= 1
+    and fanout width >= 0."""
+    doc = json.loads(serialize(one_gate_circuit("exact", (3, 1))))
+    doc["layers"][0][0].update(declared_depth=1, declared_width=0)
+    report = cost(deserialize(json.dumps(doc)))
+    assert (report.depth, report.max_fanout_width) == (6, 2)
+    args = (1, (0.5, 0.5, 0.5, 0.5), Fraction(1, 2), 17, 3)
+    doc = json.loads(serialize(one_gate_circuit("marked_prep", args)))
+    report = cost(deserialize(json.dumps(doc)))
+    assert (report.depth, report.max_fanout_width) == (17, 3)
+    doc["layers"][0][0]["params"]["args"][3] = 0
+    with pytest.raises(CircuitError, match="costs out of range"):
+        deserialize(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -302,10 +301,7 @@ def test_deserialize_rejects_library_costs_off_the_registry():
 )
 def test_deserialize_rejects_mistyped_library_args(tag, args, bad):
     """Each library argument must have its schema's exact JSON type."""
-    b = Builder()
-    r = b.add_register("q", library.entry(tag).width(args))
-    b.append(library.make(tag, args, tuple(r)))
-    doc = json.loads(serialize(b.build()))
+    doc = json.loads(serialize(one_gate_circuit(tag, args)))
     deserialize(json.dumps(doc))
     doc["layers"][0][0]["params"]["args"] = bad
     with pytest.raises(circ.ParseError):
@@ -440,18 +436,24 @@ MALFORMED = {
     "marked-prep-alpha-past-one": (
         ("layers", 6),
         [{"kind": "library", "targets": [1, 2], "controls": [],
-          "declared_depth": 1, "declared_width": 0,
           "params": {"tag": "marked_prep", "inverse": False,
                      "args": [1, [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0], [0.0, 0.0]],
-                              [10**400, 1]]}}],
+                              [10**400, 1], 1, 0]}}],
     ),
+    "marked-prep-depth-zero": (
+        ("layers", 6),
+        [{"kind": "library", "targets": [1, 2], "controls": [],
+          "params": {"tag": "marked_prep", "inverse": False,
+                     "args": [1, [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                              [16, 25], 0, 0]}}],
+    ),
+    "exact-on-the-wrong-width": (("layers", 5, 0, "params", "args"), [4, 1]),
     "float-target": (("layers", 0, 0, "targets"), [1.9]),
     "string-control": (("layers", 1, 0, "controls"), ["0"]),
     "float-ctrl": (("layers", 4, 0, "params", "ctrl"), 4.0),
     "string-ancilla": (("registers", 0, "ancilla"), "no"),
     "float-register-qubit": (("registers", 1, "qubits"), [3, 4.0]),
     "string-inverse": (("layers", 5, 0, "params", "inverse"), "false"),
-    "float-declared-depth": (("layers", 5, 0, "declared_depth"), 6.0),
     "string-widened": (("layers", 3, 0, "params", "widened"), "false"),
     "string-checked": (("layers", 5, 0, "params", "checked"), "no"),
     "float-rounds": (("metadata", "rounds"), [2.5]),
@@ -481,12 +483,32 @@ def test_gate_rules_apply_when_a_gate_is_appended():
         g_and((), 1),
         g_fanout(0, (0, 1)),
         g_product_reflection((0,), [(1.0, 0.0, 0.0)]),
-        g_library("exact", (1, 1), (0, 1), 0, 0),
+        library.make("exact", (1, 1), (0, 1, 2)),
         circ.Gate("swap", (0, 1, 2)),
     ]
     for gate in bad:
         with pytest.raises(CircuitError):
             b.append(gate)
+    assert not b.layers
+
+
+@pytest.mark.parametrize(
+    "tag,args,n_qubits,match",
+    [
+        ("exact", (3, 1), 5, "spans 4 qubits, got 5"),
+        ("onehot_dist", (2, (0.5, 0.25)), 2, "sum to one"),
+        ("ham", (1,), 2, r"takes arguments \['int', 'int'\]"),
+    ],
+    ids=["exact-on-5-qubits", "flawed-onehot-dist", "ham-with-one-arg"],
+)
+def test_a_library_gate_is_checked_against_its_entry_when_appended(tag, args, n_qubits, match):
+    """However a library gate is made, the Builder holds it to its registry
+    entry, as deserialize does, so cost() never reads an unchecked gate."""
+    params = {"tag": tag, "args": args, "inverse": False}
+    b = Builder()
+    b.add_register("q", n_qubits)
+    with pytest.raises(CircuitError, match=match):
+        b.append(circ.Gate("library", tuple(range(n_qubits)), (), params))
     assert not b.layers
 
 

@@ -276,7 +276,7 @@ def test_accept_writes_nothing_to_stderr(tmp_path, capsys):
     """A passing battery reports on stdout alone: no warning reaches stderr."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = cli.main(["accept", "--workers", "1", "--out", str(tmp_path)])
+        rc = cli.main(["accept", "--out", str(tmp_path)])
     assert rc == 0
     assert capsys.readouterr().err == ""
     assert [str(w.message) for w in caught] == []
@@ -338,9 +338,18 @@ def test_malformed_circuit_json_is_config_error(tmp_path, capsys, key, value):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _report(path, capsys):
+    capsys.readouterr()
+    assert cli.main(["report", "--circuit", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 def test_report_rejects_library_costs_edited_in_the_file(tmp_path, capsys):
+    """Costs written beside the library gates of a file are not read: the
+    report charges the registry's, so a file cannot lower its cost."""
     cli.main(["synth", "dicke", "--n", "4", "--k", "1", "--out", str(tmp_path)])
     path = tmp_path / "dicke_n4_k1.circuit"
+    before = _report(path, capsys)
     doc = json.loads(path.read_text())
     edited = 0
     for layer in doc["layers"]:
@@ -350,11 +359,26 @@ def test_report_rejects_library_costs_edited_in_the_file(tmp_path, capsys):
                 edited += 1
     assert edited
     path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    rc = cli.main(["report", "--circuit", str(path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    after = _report(path, capsys)
+    assert before["depth"] > len(doc["layers"])
+    assert (after["depth"], after["max_fanout_width"]) == (
+        before["depth"], before["max_fanout_width"]
+    )
+
+
+def test_a_version_1_circuit_file_exits_2_with_one_line(tmp_path, capsys):
+    cli.main(["synth", "dicke", "--n", "4", "--k", "1", "--out", str(tmp_path)])
+    path = tmp_path / "dicke_n4_k1.circuit"
+    doc = json.loads(path.read_text())
+    doc["version"] = 1
+    path.write_text(json.dumps(doc))
+    verify = ["verify", "--circuit", str(path), "--target", "dicke", "--n", "4", "--k", "1"]
+    for argv in (["report", "--circuit", str(path)], verify):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, (argv[0], err)
+        assert "version 1" in err
 
 
 def test_verify_refuses_circuits_too_wide_to_simulate(tmp_path, capsys):
@@ -382,16 +406,11 @@ def test_malformed_circuit_files_exit_2_with_one_line(tmp_path, capsys, case):
         assert err.startswith("error:") and err.count("\n") == 1, (argv[0], err)
 
 
-@pytest.mark.parametrize("raw", ["abc", "-3", "zero", "0"])
-@pytest.mark.parametrize("command", [["claims", "--grid", "m=1..2,k=1..1"], ["accept", "--only", "padding-path"]])
-def test_malformed_workers_variable_exits_2_with_one_line(monkeypatch, capsys, command, raw):
-    """SHALLOWPREP_WORKERS is the --workers default of claims and accept;
-    a value that is not a positive integer is refused like --workers 0."""
-    monkeypatch.setenv("SHALLOWPREP_WORKERS", raw)
-    assert cli.main(command) == 2
+def test_claims_refuses_a_worker_count_below_one(capsys):
+    command = ["claims", "--grid", "m=1..2,k=1..1"]
+    assert cli.main(command + ["--workers", "0"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "SHALLOWPREP_WORKERS" in err
-    # an explicit flag does not read the variable
+    assert err.startswith("error:") and err.count("\n") == 1
     assert cli.main(command + ["--workers", "1"]) == 0
 
 

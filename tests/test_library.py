@@ -14,19 +14,19 @@ from shallowprep import dists, library, simulate
 from shallowprep.circuits import (
     Builder,
     CircuitError,
-    ParseError,
+    SERIAL_VERSION,
+    cost,
     deserialize,
-    g_library,
     serialize,
 )
 from shallowprep.simulate import SimulationError, run
 
 
-def one_gate_circuit(tag, args, **make_kwargs):
+def one_gate_circuit(tag, args):
     ent = library.entry(tag)
     b = Builder()
     r = b.add_register("q", ent.width(args))
-    b.append(library.make(tag, args, tuple(r), **make_kwargs))
+    b.append(library.make(tag, args, tuple(r)))
     return b.build()
 
 
@@ -225,23 +225,46 @@ def test_state_vector_validation():
 
 def test_marked_prep_validation():
     ok = (math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0)
-    library.semantics("marked_prep", (1, ok, 0.5))
+    library.semantics("marked_prep", (1, ok, 0.5, 1, 0))
     with pytest.raises(CircuitError):
-        library.semantics("marked_prep", (1, ok, 0.25))
+        library.semantics("marked_prep", (1, ok, 0.25, 1, 0))
     dirty = (math.sqrt(0.5), 0.0, math.sqrt(0.5), 0.0)
     with pytest.raises(CircuitError):
-        library.semantics("marked_prep", (1, dirty, 0.0))
+        library.semantics("marked_prep", (1, dirty, 0.0, 1, 0))
 
 
-def test_make_checks_qubit_count():
+def test_a_made_gate_on_the_wrong_qubit_count_is_refused():
+    """make only assembles the gate; the circuit it enters checks its width."""
+    gate = library.make("threshold", (3, 1), (0, 1, 2))
+    b = Builder()
+    b.add_register("q", 3)
     with pytest.raises(CircuitError, match="spans 4 qubits, got 3"):
-        library.make("threshold", (3, 1), (0, 1, 2))
+        b.append(gate)
 
 
 def test_make_charges_registry_costs():
-    """Only a tag with measured costs takes them per call."""
-    with pytest.raises(CircuitError, match="registry charges"):
-        library.make("exact", (3, 1), (0, 1, 2, 3), declared_depth=1, declared_width=0)
+    """A gate stores no costs: cost() reads them from its registry entry,
+    and marked_prep's measured costs are two of its arguments."""
+    gate = library.make("exact", (3, 1), (0, 1, 2, 3))
+    assert set(gate.params) == {"tag", "args", "inverse"}
+    marked = library.make("marked_prep", (1, (0.6, 0.8, 0.0, 0.0), 0.0, 17, 3), (4, 5))
+    b = Builder()
+    b.add_register("q", 6)
+    b.append_layer([gate, marked])
+    report = cost(b.build())
+    assert library.entry("exact").cost((3, 1)) == (6, 2)
+    assert (report.depth, report.max_fanout_width) == (17, 3)
+
+
+def _library_file(tag, args, n_qubits):
+    """A circuit file holding one library gate on qubits 0..n_qubits-1,
+    written by hand, so its arguments need not describe a gate."""
+    gate = {"kind": "library", "targets": list(range(n_qubits)), "controls": [],
+            "params": {"tag": tag, "args": library.entry(tag).encode(args), "inverse": False}}
+    return json.dumps({
+        "version": SERIAL_VERSION, "metadata": {}, "layers": [[gate]],
+        "registers": [{"name": "q", "qubits": list(range(n_qubits)), "ancilla": False}],
+    })
 
 
 @pytest.mark.parametrize(
@@ -253,7 +276,7 @@ def test_make_charges_registry_costs():
         ("onehot_dist", (2, (1.0,)), "one probability per slot"),
         ("ctrl_dicke", (2, 2, (1, 3)), "each weight must lie in 0..2"),
         ("dicke_prep", (2, 5), "weight must lie in 0..2"),
-        ("marked_prep", (2, (0.6, 0.8j), Fraction(1, 3)), "amplitudes for n_data=2, got 2"),
+        ("marked_prep", (2, (0.6, 0.8j), Fraction(1, 3), 1, 0), "amplitudes for n_data=2, got 2"),
         ("onehot_dist", (2, (0.5, 0.25)), "sum to one"),
         ("onehot_dist", (2, (1.5, -0.5)), "nonnegative"),
         ("onehot_dist", (2, (Fraction(10**400), 0.5)), "nonnegative"),
@@ -261,39 +284,39 @@ def test_make_charges_registry_costs():
         ("small_state", ((0.5, 0.5),), "unit norm"),
         ("raw_state", ((0.6, 0.6j),), "unit norm"),
         ("ham", (-1, 1), "nonnegative"),
-        ("marked_prep", (1, (0.6, 0.8, 0, 0), Fraction(10**400)), r"alpha must lie in \[0, 1\]"),
-        ("marked_prep", (1, (0.6, 0.8, 0, 0), -0.5), r"alpha must lie in \[0, 1\]"),
+        ("marked_prep", (1, (0.6, 0.8, 0, 0), Fraction(10**400), 1, 0), r"alpha must lie in \[0, 1\]"),
+        ("marked_prep", (1, (0.6, 0.8, 0, 0), -0.5, 1, 0), r"alpha must lie in \[0, 1\]"),
         ("ctrl_damped", (3, 0), "k must lie in 1..3"),
         ("ctrl_damped", (3, 4), "k must lie in 1..3"),
+        ("marked_prep", (1, (0.6, 0.8, 0, 0), 0.0, 0, 0), "costs out of range"),
+        ("marked_prep", (1, (0.6, 0.8, 0, 0), 0.0, 1, -1), "costs out of range"),
     ],
 )
 def test_arguments_that_describe_no_gate_are_rejected(tag, args, match):
-    """Arguments of the schema's types can still describe no gate; make and
-    deserialize both refuse them before any table is built."""
-    ent = library.entry(tag)
-    qubits = tuple(range(ent.width(args)))
-    with pytest.raises(CircuitError, match=match):
-        library.make(tag, args, qubits)
+    """Arguments of the schema's types can still describe no gate; a Builder
+    and deserialize both refuse them before any table is built."""
+    width = library.entry(tag).width(args)
     b = Builder()
-    b.add_register("q", len(qubits))
-    b.append(g_library(tag, args, qubits, ent.depth, ent.fanout_width(args)))
-    with pytest.raises(ParseError, match=match):
-        deserialize(serialize(b.build()))
+    b.add_register("q", width)
+    with pytest.raises(CircuitError, match=match):
+        b.append(library.make(tag, args, tuple(range(width))))
+    assert not b.layers
+    with pytest.raises(CircuitError, match=match):
+        deserialize(_library_file(tag, args, width))
 
 
 def test_huge_marked_prep_width_is_rejected_without_building_it():
     """A file may name any n_data; the amplitude-count check compares
     exponents, so n_data = 10**12 is refused as fast as n_data = 2."""
-    args = (0, (0.6 + 0j, 0.8j), Fraction(1, 3))
+    args = (0, (0.6 + 0j, 0.8j), Fraction(1, 3), 1, 0)
+    deserialize(_library_file("marked_prep", args, 1))
+    huge = (10**12,) + args[1:]
+    with pytest.raises(CircuitError, match="amplitudes for n_data=1000000000000, got 2"):
+        deserialize(_library_file("marked_prep", huge, 1))
     b = Builder()
     b.add_register("q", 1)
-    b.append(g_library("marked_prep", args, (0,), 1, 0))
-    doc = json.loads(serialize(b.build()))
-    doc["layers"][0][0]["params"]["args"][0] = 10**12
-    with pytest.raises(ParseError, match="amplitudes for n_data=1000000000000, got 2"):
-        deserialize(json.dumps(doc))
     with pytest.raises(CircuitError, match="amplitudes for n_data"):
-        library.make("marked_prep", (10**12,) + args[1:], (0,))
+        b.append(library.make("marked_prep", huge, (0,)))
 
 
 # one value per argument kind; the codec never reads semantics, but the
@@ -309,7 +332,9 @@ KIND_SAMPLES = {
 }
 # tags whose arguments constrain each other: marked_prep needs 2^(n_data+1)
 # amplitudes, so the two complex samples go with n_data = 0
-TAG_SAMPLES = {"marked_prep": (0, KIND_SAMPLES["complexes"], KIND_SAMPLES["number"])}
+TAG_SAMPLES = {
+    "marked_prep": (0, KIND_SAMPLES["complexes"], KIND_SAMPLES["number"], 2, 2)
+}
 
 
 def _types(value):
@@ -319,7 +344,9 @@ def _types(value):
 
 
 def test_readme_table_matches_the_registry():
-    """The README's library-gate table lists each tag's schema and depth."""
+    """The README's library-gate table lists each tag's schema, and its depth
+    and fanout width as expressions in the argument names that agree with
+    the registry's cost."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = {}
     for line in readme.splitlines():
@@ -329,8 +356,14 @@ def test_readme_table_matches_the_registry():
     assert set(rows) == set(library.tags())
     for tag, cells in rows.items():
         ent = library.entry(tag)
-        assert tuple(a.split(": ")[1] for a in cells[1].split(", ")) == ent.args
-        assert cells[3] == ("measured" if ent.measured_costs else str(ent.depth))
+        names, kinds = zip(*(a.split(": ") for a in cells[1].split(", ")))
+        assert kinds == ent.args
+        # distinct ints, so that a cell naming the wrong argument shows
+        args = tuple(
+            5 + i if kind == "int" else KIND_SAMPLES[kind] for i, kind in enumerate(kinds)
+        )
+        scope = dict(zip(names, args), len=len)
+        assert tuple(eval(cell, {}, scope) for cell in cells[3:]) == ent.cost(args)
 
 
 @pytest.mark.parametrize("tag", library.tags())
@@ -386,7 +419,7 @@ _MARKED_AMPS = (math.sqrt(2 / 3), math.sqrt(1 / 12), 0, math.sqrt(1 / 12),
 COLUMN_CASES = [
     ("dicke_prep", (4, 2)),
     ("zero_w", (5,)),
-    ("marked_prep", (2, _MARKED_AMPS, Fraction(1, 3))),
+    ("marked_prep", (2, _MARKED_AMPS, Fraction(1, 3), 3, 1)),
     ("ctrl_dicke", (3, 2, (1, 2))),
     ("ctrl_damped", (5, 2)),
     ("ctrl_damped", (7, 1)),

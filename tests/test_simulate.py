@@ -43,7 +43,6 @@ from shallowprep.simulate import (
     project,
     residual_mass,
     run,
-    workers_from_env,
 )
 from shallowprep.synthesis import build_dicke
 
@@ -347,19 +346,6 @@ def test_certify_checks_io_width():
     circuit, io = cnot_as_exact11()
     with pytest.raises(CertificationError):
         certify_library_gate("exact", (1, 1), circuit, io[:1])
-
-
-def test_workers_from_env(monkeypatch):
-    monkeypatch.delenv("SHALLOWPREP_WORKERS", raising=False)
-    assert workers_from_env() == 1
-    monkeypatch.setenv("SHALLOWPREP_WORKERS", "4")
-    assert workers_from_env() == 4
-    monkeypatch.setenv("SHALLOWPREP_WORKERS", "zero")
-    with pytest.raises(ValueError, match="SHALLOWPREP_WORKERS"):
-        workers_from_env()
-    monkeypatch.setenv("SHALLOWPREP_WORKERS", "-2")
-    with pytest.raises(ValueError, match="SHALLOWPREP_WORKERS"):
-        workers_from_env()
 
 
 def test_certify_rejects_subset_inputs_outside_the_domain():

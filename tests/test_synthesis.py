@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shallowprep import dists
+from shallowprep import dists, library
 from shallowprep.acceptance import DICKE_GRID, PADDED_GRID, _symmetric_cases
 from shallowprep.circuits import (
     Builder,
@@ -389,38 +389,41 @@ def _pinned_builds():
 # SHA-256 of serialize(...) for each pinned build, as emitted while the Dicke
 # builder still had its own ratio table and distribution body and
 # amplify_to_exact its own round loop; the k = n and complement pins, as
-# emitted while build_dicke was still a builder of its own
+# emitted while build_dicke was still a builder of its own.  Format version 2
+# digests, made from that version-1 output by setting "version" to 2 and
+# dropping each library gate's "declared_depth" and "declared_width" (which
+# marked_prep appends to its args instead)
 EMITTED_SHA256 = {
-    "dicke(4,1,2)": "cc0b82268ac76cb5564f4660b19936f35c6bf1d26d80f5c24ebf7450a4f86da4",
-    "dicke(4,1,4)": "d408bb83c8e9df6ae5df7561eaf743f9144d41ba49de8d666d60df2ec61df7b8",
-    "dicke(4,2,2)": "636fba3b191d9169d9ba5f4d5c97876cadf402cc322437dbbbed809cd913e8e0",
-    "dicke(6,2,3)": "92f1a477e6923a918475d95063db7bcc60b520a9f0c286ff03e6e6ce610125b2",
-    "dicke(8,2,4)": "a7e719e81ad8792cfb4e99293ccc92ffef191f303250bc164cbf525d23361f77",
-    "dicke(6,1,3)": "d6487b9ecbe4076ddd58c29ee614af3d2041dd4095557d364453ad01a8ac1e6b",
-    "dicke(8,1,4)": "fdd915dbe8adf6b324c36cc92a4fcccb5836e16aa7e4922a140ed265f71bb4a1",
-    "dicke(5,1,2)": "c04c0aa6e12ea36d78720df024c30310addc7fb9ce34d6a5f6c92d4f18a7c988",
-    "dicke(7,2,4)": "a423a869a4cc1b4397aa7b90700c8f077687cef5bdaca23850c7dd893836d2b4",
-    "dicke(8,6,None)": "0000ef27791bd4a6d6121e030ef5cc09c203a5ae09117ffacf782bcf241598ee",
-    "dicke(5,0,None)": "c57ecd3628469fd7f4e42071b282ca4dfa1b991cd40206326d507fa09d3f20b2",
-    "dicke(16,2,None)": "ce721a768b362d5171c70fa018a3267a1572891e8142136d2d920756e25acf82",
-    "dicke(24,3,None)": "98c4b3e5c3011486640d0c99ea7271f26d0a0813f57f7043f32c9e6f821d1b04",
-    "dicke(64,3,None)": "9c5a50917671a94294b118968b6d15738e78e942bc88e77fc4ba47523ecab3b0",
-    "dicke(1009,2,None)": "0949890646ce376a37ec306e2fbd526877905505af84508252a56f4833d72149",
-    "dicke(4,4,None)": "979c0ac924be300f3328be44d44bc056e11ca5aa8d81b96c554d73995700aa82",
-    "dicke(7,5,None)": "4ea568041f99b53d46addcf4fe81b553315227e6ee6c331022ffb9d17264a481",
-    "dicke(24,21,None)": "96247bbe6522ad64f326003230dc1bcf0a1ebe58f0df6a7ffa22bedc4faba145",
-    "symmetric(4,weights-01)": "2241ce458632d711bd9ca1b68a4a6f73ac09ad00d707a008fc46b45688641352",
-    "symmetric(4,weights-12)": "d49c4316d6746e8eb216d9d20b021b8f9919c6b99d642471e8b6bc026adb29af",
-    "symmetric(4,weights-012-phase)": "c9c1a5595c29d0a17c6d410bd3b685b797f031ef73a2c2f818c81bad1166f0fb",
-    "symmetric(5,weights-01,2)": "d47d82006259d7a14ad5b16ba48e023c41c34ef8b3a829f10d2fc0d7be06f5ee",
-    "ctrl_damped_explicit(4,2)": "79a05616f0c81063ff0e4666185cb85df0b6d7a9ec225ed7349314cf0237d5e5",
-    "zero_w_explicit(3)": "978fdb22a435d5275f5421ca12eabbd818df7129619574a2d810321177e1c6a3",
-    "onehot_dist(1/2,1/3,1/6)": "f5a0fac504a8c49c0af473533d5e2776023e0327171741c7093e1e2fbf8ddd47",
-    "small_state(4)": "1c1ee52bd710f387ffa025d84743f14263cc2b678069572024a9323a00c10cdd",
-    "amplify(1/4)": "9a6e30cdd34d3720a333861fc161f8a90c46e90f6ab13e2d6b86fd77a4ce6d74",
-    "amplify(sin^2(pi/10))": "9bf5c200263d9ea3510240d968236b8ca54011395c214d7d95b5f6dd6c4b6927",
-    "amplify(0.4)": "b0787e4bf873cc272c0f34f16914a788b7355e07000c029ec7680d586d807452",
-    "amplify(1)": "c01bdbb8de4483877f5a6334260eecd5ecc843ea97163cca5a6a5f17553fecf6",
+    "dicke(4,1,2)": "0c6205a7149822713bd4f42397b35da8a7ec85ffdaf32683a866210acad7183c",
+    "dicke(4,1,4)": "fb2a79e8f500183aacabf9332a5dd2b7c58bcfede54684900dd9641590054835",
+    "dicke(4,2,2)": "02db41fc4f26a5a37d203210e01b166c4e0d9b0c049446ace87b730de19d9b0d",
+    "dicke(6,2,3)": "7fd2acee6dc0fabd3751d72a9a210d51d1dd3ea83da4562950f4595a43cf20ce",
+    "dicke(8,2,4)": "95bbc34fa1b447ca08631597360331bdc308b4d93e29bea45be5cf65bd6ffabf",
+    "dicke(6,1,3)": "31aa9201d2ad260a62c152bbd71bce777a7be30ac0c256c9b743034f63b28d40",
+    "dicke(8,1,4)": "6b6834dce8dbf97bcb19a28814f220e13dd27a6791d57c6960b8a14d83af6066",
+    "dicke(5,1,2)": "48477cf35a0867beb6d64386527ce7d3cbf4aa09543609cb48dbee27da8c8c47",
+    "dicke(7,2,4)": "cbadd610388dd843899fe14f89090e058f07498641db082a06c168d111fba454",
+    "dicke(8,6,None)": "854f928d53e33000847c5dedd7aa444a063fa1bb5e8decc390696520956f442e",
+    "dicke(5,0,None)": "283fec5afdc9876c58c28672535b7785b75759248a04b982d0d97635a03d78f9",
+    "dicke(16,2,None)": "97a185e33f32d96aa8b4a75d33d53a6c02b68a24c3d408e1f167be00ae46d607",
+    "dicke(24,3,None)": "c56115c47cd74f013a3c88951ece83e1610cd6f2437cf60371fda08286b3b872",
+    "dicke(64,3,None)": "a9ebe8f40e9d96e5824df488c41115b24ac7f5bbc13a144fceccd18b331a900c",
+    "dicke(1009,2,None)": "13606425dd1a276b361b32412f5a82589b1fb7bf3db5604191bed7542af159b5",
+    "dicke(4,4,None)": "8e9d29d8f3c24b542f6a1a62598a3dd9ec141f723470dd81d64be75bc317221c",
+    "dicke(7,5,None)": "bf850c0dff8b43bd11a27ec57355922f8ad921ec84d3dd8c0d3555b76b185089",
+    "dicke(24,21,None)": "b2f45d40f6e9951aedfc9018494a24da3cc1ef9debee1c297ffc062ed84362f1",
+    "symmetric(4,weights-01)": "1a9aadf5c5389b91e6d50d96e570c0e251d67291479e9b020f46a80f180aab42",
+    "symmetric(4,weights-12)": "3b2e2e629c46691dcb11670c3bad7421c664a45da2e5b3f913c221198542561a",
+    "symmetric(4,weights-012-phase)": "4f95cc7e273c135ed9e70615122bbea6b9c1186c6bf38f8c936bd3604b326b83",
+    "symmetric(5,weights-01,2)": "a301ca5dc0abfc454ee8169b496e3592e06bca296c8ad9d569f8746092d676ba",
+    "ctrl_damped_explicit(4,2)": "a02dcc04a47b2f88030cf4ddf830636c4e234f9eb20836e9170231e13841b7aa",
+    "zero_w_explicit(3)": "86a2059c701a817496a7f604abb320812df95d88c258662b3b695f8b2e74e0ef",
+    "onehot_dist(1/2,1/3,1/6)": "b0ac3b49c85c13d85c8d1081109b0efec29e7a8b135f905fceb72fe55e115c79",
+    "small_state(4)": "058f12c90d65168799096448141672a8ca42c24acb5cec18c68e3aac693538e9",
+    "amplify(1/4)": "0b33662586351f720683ef93db2d382f0d3cd1227f6791b9b4716e97b5991ba3",
+    "amplify(sin^2(pi/10))": "80a48ef2b3364a058bf85c949da86c191b99c127e02cd5fb324e32c3a1033202",
+    "amplify(0.4)": "f99fba449e76ce236fd3ae5e882a79bb7a2ba53c44e035edc460c843a83343d8",
+    "amplify(1)": "a01662d67cee413edd89be7952186f9c540f61dc8f60576bd28c7ec51c2a9f71",
 }
 
 
@@ -430,3 +433,23 @@ def test_emitted_circuits_are_pinned():
         for label, build in _pinned_builds().items()
     }
     assert got == EMITTED_SHA256
+
+
+def test_pinned_costs_are_the_registry_sums():
+    """cost() of every pinned build charges each layer the largest registry
+    depth of its library gates (1 when it has none), and reports the widest
+    native or registry fanout."""
+    for label, build in _pinned_builds().items():
+        circuit = build()
+        depth = fanout = 0
+        for layer in circuit.layers:
+            charged = [
+                library.entry(g.params["tag"]).cost(g.params["args"])
+                for g in layer
+                if g.kind == "library"
+            ]
+            depth += max([1] + [d for d, _ in charged])
+            native = [len(g.targets) for g in layer if g.kind == "fanout"]
+            fanout = max([fanout] + [w for _, w in charged] + native)
+        report = cost(circuit)
+        assert (report.depth, report.max_fanout_width) == (depth, fanout), label
