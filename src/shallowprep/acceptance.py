@@ -564,12 +564,12 @@ def _crit_depth_witness(ws: Dict[str, Any]) -> List[CheckRow]:
         layers = len(out.circuit.layers)
         rounds = list(out.circuit.metadata.get("rounds", []))
         costs = list(out.circuit.metadata.get("round_layer_cost", []))
-        replay = sum(r * c for r, c in zip(rounds, costs))
+        in_rounds = sum(r * c for r, c in zip(rounds, costs))
         measured.append(
             (
                 n,
                 layers,
-                layers - replay,
+                layers - in_rounds,
                 out.report.max_fanout_width,
                 out.report.depth,
                 time.perf_counter() - t0,

@@ -4,8 +4,8 @@ Gates are grouped into layers; every gate in a layer must touch disjoint
 qubits.  The gate set is the constant-depth one used throughout the package:
 multi-input AND/OR/NOR with XOR-into-target semantics, fanout, swap,
 single-qubit unitaries, controlled Hermitian single-qubit gates, reflections
-about product states, and opaque library gates, whose width and costs come
-from their registry entry.
+about |0...0>, and opaque library gates, whose width and costs come from
+their registry entry.
 """
 from __future__ import annotations
 
@@ -34,6 +34,17 @@ GATE_ARITY: Dict[str, Tuple[Any, Any]] = {
     "library": (ONE_OR_MORE, 0),
 }
 GATE_KINDS = tuple(GATE_ARITY)
+
+# the params each gate kind takes: its own, if listed, and on every kind
+# "ctrl" (one extra control qubit) and "checked" (False skips a domain check)
+_OWN_PARAMS = {
+    "unitary1": ("matrix", "label"),
+    "ctrl_unitary1": ("matrix", "label"),
+    "library": ("tag", "args", "inverse"),
+}
+GATE_PARAMS: Dict[str, frozenset] = {
+    kind: frozenset(_OWN_PARAMS.get(kind, ()) + ("ctrl", "checked")) for kind in GATE_KINDS
+}
 
 
 class CircuitError(ValueError):
@@ -111,20 +122,9 @@ def g_ctrl_unitary1(control: int, target: int, matrix: Any, label: Optional[str]
     return Gate("ctrl_unitary1", (target,), (control,), _matrix_params(matrix, label))
 
 
-def g_product_reflection(qubits: Sequence[int], local_states: Optional[Sequence[Any]] = None) -> Gate:
-    """Reflection I - 2|v><v| where |v| is the product of the local states.
-
-    ``local_states`` is one 2-vector per qubit; None means the all-zeros
-    product state, i.e. a reflection about |0...0> on the listed qubits.
-    """
-    params: Dict[str, Any] = {}
-    if local_states is not None:
-        params["local_states"] = tuple(np.asarray(s, dtype=complex) for s in local_states)
-    return Gate("product_reflection", tuple(qubits), (), params)
-
-
 def g_reflect_zero(qubits: Sequence[int]) -> Gate:
-    return g_product_reflection(qubits, None)
+    """Reflection I - 2|0...0><0...0| on the listed qubits."""
+    return Gate("product_reflection", tuple(qubits), (), {})
 
 
 def _g_logic(kind: str, inputs: Sequence[int], target: int) -> Gate:
@@ -147,8 +147,8 @@ def g_cnot(control: int, target: int) -> Gate:
     return g_and((control,), target)
 
 
-def g_fanout(source: int, targets: Sequence[int], widened: bool = False) -> Gate:
-    return Gate("fanout", tuple(targets), (source,), {"widened": True} if widened else {})
+def g_fanout(source: int, targets: Sequence[int]) -> Gate:
+    return Gate("fanout", tuple(targets), (source,), {})
 
 
 def g_swap(a: int, b: int) -> Gate:
@@ -179,6 +179,10 @@ def _validate_gate(gate: Gate) -> None:
         if count != want and not (want == ONE_OR_MORE and count >= 1):
             raise CircuitError(f"{gate.kind} gate takes {want} {role}, got {count}")
     p = gate.params
+    allowed = GATE_PARAMS[gate.kind]
+    if not allowed.issuperset(p):
+        key = next(k for k in p if k not in allowed)
+        raise CircuitError(f"{gate.kind} gate takes no parameter {key!r}")
     if gate.kind in ("unitary1", "ctrl_unitary1"):
         mat = np.asarray(p["matrix"])
         if mat.shape != (2, 2):
@@ -189,12 +193,6 @@ def _validate_gate(gate: Gate) -> None:
         controlled = gate.kind == "ctrl_unitary1" or p.get("ctrl") is not None
         if controlled and not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
             raise CircuitError(f"controlled {gate.kind} matrix must be Hermitian")
-    elif gate.kind == "product_reflection" and "local_states" in p:
-        if len(p["local_states"]) != len(gate.targets):
-            raise CircuitError("need one local state per reflected qubit")
-        for state in p["local_states"]:
-            if np.shape(state) != (2,) or not abs(np.vdot(state, state) - 1.0) <= ATOL:
-                raise CircuitError("local reflection states must be normalized 2-vectors")
     elif gate.kind == "library":
         library.entry(p["tag"]).check(p["args"], len(gate.targets))
 
@@ -204,7 +202,7 @@ def _check_layer(
 ) -> None:
     """Check each gate against the rules of its kind, that it touches qubits
     0..n_qubits-1 that neither it nor an earlier gate of the layer touched
-    already, and that a fanout not flagged as widened fits the budget.
+    already, and that every fanout fits the budget.
 
     ``footprints`` holds the layer footprints (each gate's touched qubits, in
     order) that passed the qubit walk at a qubit count no larger than
@@ -228,16 +226,8 @@ def _check_layer(
                 if q in seen:
                     raise CircuitError(f"layer touches a qubit twice: {q}, at a {gate.kind} gate")
                 seen.add(q)
-        if (
-            gate.kind == "fanout"
-            and budget is not None
-            and len(gate.targets) > budget
-            and not gate.params.get("widened")
-        ):
-            raise CircuitError(
-                f"fanout width {len(gate.targets)} exceeds budget {budget}; "
-                "flag the gate as widened to allow it"
-            )
+        if gate.kind == "fanout" and budget is not None and len(gate.targets) > budget:
+            raise CircuitError(f"fanout width {len(gate.targets)} exceeds budget {budget}")
     footprints.add(footprint)
 
 
@@ -316,11 +306,7 @@ def cost(circuit: Circuit) -> CostReport:
 
 
 class Builder:
-    """Mutable circuit under construction: allocates qubits, appends layers.
-
-    A segment of the layer log can be replayed (forward or inverted), which
-    is how the amplification rounds re-run a preparation segment.
-    """
+    """Mutable circuit under construction: allocates qubits, appends layers."""
 
     def __init__(self, metadata: Optional[Dict[str, Any]] = None):
         self.registers: List[Register] = []
@@ -371,22 +357,6 @@ class Builder:
             gates, self._next_qubit, self.metadata.get("fanout_budget"), self._footprints
         )
         self.layers.append(tuple(gates))
-
-    # ---- replay ----
-
-    def layers_since(self, mark: int) -> Tuple[Tuple[Gate, ...], ...]:
-        return tuple(self.layers[mark:])
-
-    def replay(self, segment: Sequence[Sequence[Gate]], checked: Optional[bool] = None) -> None:
-        for layer in segment:
-            if checked is not None:
-                layer = [g.with_params(checked=checked) for g in layer]
-            self.append_layer(layer)
-
-    def replay_inverse(
-        self, segment: Sequence[Sequence[Gate]], checked: Optional[bool] = None
-    ) -> None:
-        self.replay([[invert_gate(g) for g in layer] for layer in reversed(segment)], checked)
 
     def record_rounds(self, rounds: int, layer_cost: int) -> None:
         """Log one amplification: its round count and the layers each round adds."""
@@ -478,35 +448,23 @@ def decode_fraction(v: Any) -> Fraction:
 
 
 def _encode_gate(gate: Gate) -> Dict[str, Any]:
-    out: Dict[str, Any] = {
+    # a gate holds only the params of its kind: a matrix and library args
+    # take their JSON forms, and ctrl=None and a check left on are not written
+    params = dict(gate.params)
+    if "matrix" in params:
+        params["matrix"] = encode_matrix(params["matrix"])
+    if gate.kind == "library":
+        params["args"] = library.entry(params["tag"]).encode(params["args"])
+    if params.get("ctrl", 0) is None:
+        del params["ctrl"]
+    if params.get("checked", False) is not False:
+        del params["checked"]
+    return {
         "kind": gate.kind,
         "targets": list(gate.targets),
         "controls": list(gate.controls),
+        "params": params,
     }
-    params: Dict[str, Any] = {}
-    p = gate.params
-    if gate.kind in ("unitary1", "ctrl_unitary1"):
-        params["matrix"] = encode_matrix(p["matrix"])
-        if "label" in p:
-            params["label"] = p["label"]
-    elif gate.kind == "product_reflection":
-        if "local_states" in p:
-            params["local_states"] = [
-                [encode_complex(z) for z in state] for state in p["local_states"]
-            ]
-    elif gate.kind == "fanout":
-        if p.get("widened"):
-            params["widened"] = True
-    elif gate.kind == "library":
-        params["tag"] = p["tag"]
-        params["args"] = library.entry(p["tag"]).encode(p["args"])
-        params["inverse"] = p["inverse"]
-    if p.get("ctrl") is not None:
-        params["ctrl"] = p["ctrl"]
-    if p.get("checked") is False:
-        params["checked"] = False
-    out["params"] = params
-    return out
 
 
 def _decode_gate(obj: Any) -> Gate:
@@ -525,7 +483,7 @@ def _decode_gate(obj: Any) -> Gate:
         raise ParseError(f"gate params must be an object, got {type(raw).__name__}")
     try:
         params = _decode_params(kind, raw)
-    except ParseError:
+    except (ParseError, CircuitError):
         raise
     except _DECODE_ERRORS as exc:
         raise ParseError(f"malformed {kind} gate params: {exc!r}") from exc
@@ -538,15 +496,6 @@ def _decode_params(kind: str, raw: Dict[str, Any]) -> Dict[str, Any]:
         params["matrix"] = decode_matrix(raw["matrix"])
         if "label" in raw:
             params["label"] = raw["label"]
-    elif kind == "product_reflection":
-        if "local_states" in raw:
-            params["local_states"] = tuple(
-                np.array([decode_complex(z) for z in state], dtype=complex)
-                for state in raw["local_states"]
-            )
-    elif kind == "fanout":
-        if _as_bool(raw.get("widened", False)):
-            params["widened"] = True
     elif kind == "library":
         ent = library.entry(raw["tag"])
         params["tag"] = ent.tag
@@ -556,6 +505,10 @@ def _decode_params(kind: str, raw: Dict[str, Any]) -> Dict[str, Any]:
         params["ctrl"] = _as_int(raw["ctrl"])
     if not _as_bool(raw.get("checked", True)):
         params["checked"] = False
+    allowed = GATE_PARAMS[kind]
+    if not allowed.issuperset(raw):
+        # kept as it is, so that validate_circuit refuses it by the params rule
+        params.update((k, v) for k, v in raw.items() if k not in allowed)
     return params
 
 

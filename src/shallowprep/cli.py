@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
@@ -221,6 +222,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.eta is None:
             raise ValueError("verify --target symmetric needs --eta FILE")
         target = symmetric_vector(args.n, read_eta(args.eta, args.n))
+    # a file may not switch a domain check off (the builders flag only fused rounds)
+    layers = (
+        [replace(g, params={k: v for k, v in g.params.items() if k != "checked"}) for g in layer]
+        for layer in circuit.layers
+    )
+    circuit = replace(circuit, layers=tuple(map(tuple, layers)))
     output_qubits = [
         q for reg in circuit.registers if not reg.ancilla for q in reg.qubits
     ]

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, comb, log2
+from numbers import Complex, Integral, Real
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -370,7 +372,8 @@ def low_rank_completion(
 # and inverse flag; its width and costs are read from here.  The JSON codec
 # of a tag follows from its schema, one codec per argument kind; decoding
 # checks the exact JSON type of every value, so a string, float or bool is
-# never read as an int.
+# never read as an int.  A gate's arguments follow the same rule when it
+# enters a circuit, however it was made.
 
 
 def _enc_number(x: Any) -> Any:
@@ -381,7 +384,19 @@ def _dec_number(v: Any) -> Any:
     return v if type(v) is float else decode_fraction(v)
 
 
-def _tuple_of(enc: Callable[[Any], Any], dec: Callable[[Any], Any]):
+@lru_cache(maxsize=None)
+def _is_a(kind: type, t: type) -> bool:
+    """Whether values of type ``t`` are numbers of the abstract type
+    ``kind`` (numpy's scalars included); as in JSON, a bool is no number."""
+    return issubclass(t, kind) and not issubclass(t, bool)
+
+
+def _number(kind: type) -> Callable[[Any], bool]:
+    # an int is a number of every kind
+    return lambda x: type(x) is int or _is_a(kind, type(x))
+
+
+def _tuple_of(enc: Callable[[Any], Any], dec: Callable[[Any], Any], kind: type):
     as_list = _exactly(list)
 
     def encode(xs: Sequence[Any]) -> List[Any]:
@@ -390,18 +405,25 @@ def _tuple_of(enc: Callable[[Any], Any], dec: Callable[[Any], Any]):
     def decode(v: Any) -> Tuple[Any, ...]:
         return tuple(dec(x) for x in as_list(v))
 
-    return encode, decode
+    def holds(xs: Any) -> bool:
+        return isinstance(xs, tuple) and all(_is_a(kind, t) for t in set(map(type, xs)))
+
+    return encode, decode, holds
 
 
-# argument kind -> (encode, decode) between a Python value and its JSON form
-ARG_KINDS: Dict[str, Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
-    "int": (int, _exactly(int)),
-    "bool": (bool, _exactly(bool)),
-    "number": (_enc_number, _dec_number),
-    "ints": _tuple_of(int, _exactly(int)),
-    "numbers": _tuple_of(_enc_number, _dec_number),
-    "complexes": _tuple_of(encode_complex, decode_complex),
+# argument kind -> (encode to JSON, decode from JSON, whether a value is of it)
+ARG_KINDS: Dict[str, Tuple[Callable[[Any], Any], ...]] = {
+    "int": (int, _exactly(int), _number(Integral)),
+    "bool": (bool, _exactly(bool), lambda x: type(x) is bool),
+    "number": (_enc_number, _dec_number, _number(Real)),
+    "ints": _tuple_of(int, _exactly(int), Integral),
+    "numbers": _tuple_of(_enc_number, _dec_number, Real),
+    "complexes": _tuple_of(encode_complex, decode_complex, Complex),
 }
+
+
+def _fits(kind: str, value: Any) -> bool:
+    return ARG_KINDS[kind][2](value)
 
 
 @dataclass(frozen=True)
@@ -430,7 +452,7 @@ class LibraryEntry:
     def check_args(self, args: Tuple[Any, ...]) -> None:
         """Raise CircuitError if the arguments describe no gate, before any
         width or table is computed from them."""
-        if len(args) != len(self.args):
+        if len(args) != len(self.args) or not all(map(_fits, self.args, args)):
             raise CircuitError(
                 f"library gate {self.tag}{args} takes arguments {list(self.args)}"
             )

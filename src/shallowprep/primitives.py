@@ -1,9 +1,9 @@
 """Reusable circuit-building blocks: exact amplification, amplitude
 adjustment, tally gadgets, and controlled state preparation.
 
-Amplification here is always exact: a preparation segment is replayed
-(forward and inverted) around a reflection so that after a computed number
-of rounds the marked branch has probability one, not merely close to one.
+Amplification here is always exact: each round (``rounds.append``) runs a
+preparation segment around a reflection, and after a computed number of
+rounds the marked branch has probability one, not merely close to one.
 """
 from __future__ import annotations
 
@@ -14,12 +14,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import library
+from . import library, rounds
 from .circuits import (
     Builder,
     Circuit,
     CircuitError,
-    Gate,
     Register,
     cost,
     g_and,
@@ -28,7 +27,6 @@ from .circuits import (
     g_fanout,
     g_nor,
     g_or,
-    g_reflect_zero,
     g_swap,
     g_unitary1,
     g_x,
@@ -114,16 +112,13 @@ def exact_grover(builder: Builder, flag: int, alpha: Number) -> int:
         raise CircuitError(
             f"branch mass {af} is not an exact rotation angle sin^2(pi/(2r))"
         )
-    segment = builder.layers_since(0)
-    reflect_qubits = tuple(range(builder.n_qubits))
-    rounds = (r - 1) // 2
-    for _ in range(rounds):
+    segment = tuple(builder.layers)
+    count = (r - 1) // 2
+    for _ in range(count):
         builder.append(g_unitary1(flag, ORACLE_MATRIX, label="-Z"))
-        builder.replay_inverse(segment, checked=False)
-        builder.append(g_reflect_zero(reflect_qubits))
-        builder.replay(segment, checked=False)
-    builder.record_rounds(rounds, 2 * len(segment) + 2)
-    return rounds
+        rounds.append(builder, segment)
+    builder.record_rounds(count, 2 * len(segment) + 2)
+    return count
 
 
 def amplify_to_exact(builder: Builder, flag: int, alpha: Number) -> AmplifyInfo:
@@ -159,10 +154,10 @@ def amplify_to_exact(builder: Builder, flag: int, alpha: Number) -> AmplifyInfo:
         shrink = builder.new_register("shrink", 1)[0]
         builder.append(g_ctrl_unitary1(flag, shrink, rot_matrix(1.0 - gamma), label="shrink"))
         flags.append(shrink)
-    rounds = exact_grover(builder, flags[-1], target)
+    count = exact_grover(builder, flags[-1], target)
     builder.append_layer([g_x(q) for q in flags])
     return AmplifyInfo(
-        rounds=rounds, odd_r=r, alpha=af, alpha_target=target, gamma=gamma
+        rounds=count, odd_r=r, alpha=af, alpha_target=target, gamma=gamma
     )
 
 
@@ -391,13 +386,8 @@ def ctrl_state(prep: Circuit, branch_qubit: int) -> Tuple[Circuit, int]:
         )
     b = Builder.from_circuit(replace(prep, layers=()))
     x = b.new_register("ctrl_in", 1, ancilla=False)[0]
-    segment: List[Tuple[Gate, ...]] = list(prep.layers)
-    segment.append((g_x(x),))
-    segment.append((g_cnot(branch_qubit, x),))
-    segment.append((g_z(branch_qubit),))
-    b.replay_inverse(segment, checked=False)
-    b.append(g_reflect_zero(tuple(range(b.n_qubits))))
-    b.replay(segment, checked=False)
+    segment = prep.layers + ((g_x(x),), (g_cnot(branch_qubit, x),), (g_z(branch_qubit),))
+    rounds.append(b, segment)
     b.append(g_swap(x, branch_qubit))
     return b.build(), x
 

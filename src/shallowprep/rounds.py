@@ -1,4 +1,4 @@
-"""Grover rounds found in a circuit's layers, applied as rank-1 reflections.
+"""Grover rounds: written by ``append``, found and applied as reflections.
 
 For every unitary A, A·S₀·A† = I − 2|a⟩⟨a| with |a⟩ = A|0⟩, where S₀ =
 I − 2|0⟩⟨0| is the reflection about zero on A's qubits T (Brassard, Høyer,
@@ -8,12 +8,12 @@ untrusted), and applies each one as ψ − 2a⟨a|ψ⟩ for every pattern of the
 bits outside T: one overlap and one axpy, whose support is at most
 supp ψ ∪ supp a, where layer by layer A† would first spread ψ.
 
-A round is a layer holding one reflection about zero with no local states
-and no control, whose neighbours at distance j = 1..r are exact inverses of
-each other and touch only T.  Gates are compared with ``checked`` and
-``label`` left out; a library gate's inverse has ``inverse`` flipped, a 2x2
-matrix's inverse is its conjugate transpose bit for bit, and every other
-gate is its own inverse.  Where the mirrors of two reflections overlap, the
+A round is a layer holding one reflection about zero with no control,
+whose neighbours at distance j = 1..r are exact inverses of each other and
+touch only T.  Gates are compared with ``checked`` and ``label`` left out;
+a library gate's inverse has ``inverse`` flipped, a 2x2 matrix's inverse
+is its conjugate transpose bit for bit, and every other gate is its own
+inverse.  Where the mirrors of two reflections overlap, the
 later one either takes in the earlier round whole or is cut to end before
 it.  Its r is the largest that makes its forward half the circuit's own
 first layers, run before the round (as ``exact_grover`` and
@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tup
 
 import numpy as np
 
-from .circuits import GATE_KINDS, Gate, invert_gate
+from .circuits import GATE_KINDS, Builder, Gate, g_reflect_zero, invert_gate
 
 # (first layer, last layer, prefix): prefix is r when the round's forward
 # half is the layers 0..r-1, all run before it, with no round across their end
@@ -34,15 +34,12 @@ Span = Tuple[int, int, Optional[int]]
 
 
 def _value(v: Any) -> Any:
-    """A parameter as a hashable value: an array as its shape and entries,
-    a list, or a tuple that holds a sequence or an array, as a tuple; any
-    other tuple (a library gate's ``args``) is hashable as it is."""
-    if isinstance(v, np.ndarray):
+    """A parameter as a hashable value: a matrix, an array or a list, as
+    its shape and entries; any other, a library gate's ``args`` (a tuple
+    of numbers and tuples of numbers) among them, is hashable as it is."""
+    if isinstance(v, (np.ndarray, list)):
+        v = np.asarray(v)
         return (v.shape, tuple(complex(x) for x in v.ravel()))
-    if isinstance(v, list) or (
-        isinstance(v, tuple) and any(isinstance(x, (np.ndarray, list, tuple)) for x in v)
-    ):
-        return tuple(_value(x) for x in v)
     return v
 
 
@@ -51,15 +48,24 @@ def _gate_key(gate: Gate) -> Tuple[Any, ...]:
     return (gate.kind, gate.targets, gate.controls, tuple(params))
 
 
+def append(builder: Builder, segment: Sequence[Sequence[Gate]]) -> None:
+    """Append A·S₀·A† for A = ``segment``: A† (its layers inverted, in
+    reverse), S₀ on every qubit, then A.  Both copies of A are marked
+    ``checked=False``: ``find`` fuses the round, so only a gate-by-gate run
+    (perfbench's tracer) applies A†, which drives A's gates off their domains."""
+    for layer in reversed(segment):
+        builder.append_layer([invert_gate(g).with_params(checked=False) for g in layer])
+    builder.append(g_reflect_zero(range(builder.n_qubits)))
+    for layer in segment:
+        builder.append_layer([g.with_params(checked=False) for g in layer])
+
+
 def is_zero_reflection(layer: Sequence[Gate]) -> bool:
     """The layer holds one reflection about |0…0⟩ with no control."""
-    if len(layer) != 1:
-        return False
-    p = layer[0].params
     return (
-        layer[0].kind == "product_reflection"
-        and p.get("local_states") is None
-        and p.get("ctrl") is None
+        len(layer) == 1
+        and layer[0].kind == "product_reflection"
+        and layer[0].params.get("ctrl") is None
     )
 
 

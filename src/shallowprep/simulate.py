@@ -25,6 +25,8 @@ from .circuits import Circuit, Gate
 
 NORM_TOL = 1e-10
 DOMAIN_TOL = 1e-9
+# certify: the real part of every overlap must reach 1 - CERTIFY_TOL
+CERTIFY_TOL = 1e-9
 # A matrix gate drops the entries it leaves with |a| < DROP_EPS.  Every gate
 # is unitary, so the state run returns is within the sum of the dropped norms
 # of the exact state, in 2-norm.
@@ -165,7 +167,7 @@ def _compiled(tag: str, args: Tuple[Any, ...]) -> _CompiledOp:
 # The state is held as its support: distinct int64 basis indices and their
 # amplitudes.  A circuit is compiled into a plan, one step per gate outside
 # the Grover rounds and one reflection per round (``rounds``), and each run
-# replays the plan on a support.  A round's gates are not compiled: only
+# applies the plan to a support.  A round's gates are not compiled: only
 # its forward half A, and only by a run that must compute A|0⟩ because it
 # holds none.  Each step takes one of three forms.  An index map XORs a
 # mask into each index, read from the weight of some bits or from a table
@@ -371,7 +373,10 @@ def _step(gate: Gate) -> Step:
         pattern = _FLIPS[kind](len(gate.controls), len(gate.targets))
         return _weight_step(gate.controls, gate.targets, pattern, ctrl)
     if kind == "product_reflection":
-        return _reflection_step(*_product_support(gate.targets, p.get("local_states"), ctrl))
+        # a = |0…0⟩ on the targets, with the control bit set if there is one
+        on = 0 if ctrl is None else 1 << ctrl
+        a_idx, a_amp = np.array([on], dtype=np.int64), np.ones(1, dtype=complex)
+        return _reflection_step(a_idx, a_amp, _mask(gate.targets) | on)
     qubits: Tuple[int, ...] = gate.controls + gate.targets
     table: Optional[np.ndarray] = None
     in_domain: Optional[np.ndarray] = None
@@ -445,24 +450,6 @@ def _sorted(n: int, idx: np.ndarray, amp: np.ndarray, bound: float) -> StateVect
     return StateVector(n, idx[order], amp[order], bound)
 
 
-def _product_support(
-    targets: Sequence[int], local_states: Optional[Sequence[np.ndarray]], ctrl: Optional[int]
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """The sorted support of a = |1⟩ on the control, if any, times
-    local_states[i] on targets[i] (|0⟩ where none are given), and the mask
-    of those bits."""
-    on = 0 if ctrl is None else 1 << ctrl
-    idx = np.array([on], dtype=np.int64)
-    amp = np.ones(1, dtype=complex)
-    # a |0⟩ factor sets no bit and scales by one
-    for t, s in zip(targets, local_states or ()):
-        parts = [(idx | (bit << t), amp * s[bit]) for bit in (0, 1) if s[bit] != 0]
-        idx = np.concatenate([part[0] for part in parts])
-        amp = np.concatenate([part[1] for part in parts])
-    order = np.argsort(idx)
-    return idx[order], amp[order], _mask(targets) | on
-
-
 def _reflection_step(a_idx: np.ndarray, a_amp: np.ndarray, mask: int) -> Step:
     """I − 2|a⟩⟨a| as ψ − 2a⟨a|ψ⟩ for each pattern of the bits outside the
     mask; a's indices are sorted and inside it."""
@@ -476,7 +463,7 @@ def _reflection_step(a_idx: np.ndarray, a_amp: np.ndarray, mask: int) -> Step:
 def _execute(
     plan: Plan, idx: np.ndarray, amp: np.ndarray, batch: Batch, bound: float = 0.0
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replay the plan on the support of a batch of normalized states, each
+    """Run the plan on the support of a batch of normalized states, each
     starting ``bound`` from its exact state, and check after each layer and
     round that every state's norm plus the mass it dropped is within
     ``NORM_TOL`` of one.  Returns the final support and each state's error
@@ -657,17 +644,14 @@ def certify(
     sem: library.LibrarySemantics,
     explicit: Circuit,
     io_qubits: Sequence[int],
-    tol: float = 1e-9,
-    domain_subset: Optional[Sequence[int]] = None,
-    probe: bool = True,
 ) -> CertificationReport:
     """Check an explicit circuit against the declared semantics ``sem``;
     ``tag`` and ``args`` name them in the report and in errors.
 
     Each domain input is simulated and compared phase-strictly (the real
-    part of the overlap must reach 1 - tol, so even a global phase fails).
-    A uniform superposition probe over the domain is run as well, which
-    catches errors on inputs left out by ``domain_subset``.
+    part of the overlap must reach 1 - CERTIFY_TOL, so even a global phase
+    fails).  A uniform superposition probe over a domain of two or more
+    inputs is run as well.
 
     The inputs and then the probe run as one batch of independent states
     (as few batches as keep the indices in int64), each with its own norm
@@ -678,15 +662,7 @@ def certify(
     w = sem.n_qubits
     if len(io_qubits) != w:
         raise CertificationError(f"{tag!r} spans {w} qubits")
-    domain = list(range(2**w)) if sem.domain is None else [int(d) for d in sem.domain]
-    inputs = list(domain_subset) if domain_subset is not None else domain
-    outside = sorted(set(inputs) - set(domain))
-    if outside:
-        raise CertificationError(
-            f"{tag}{args} declares no action on input {outside[0]}: "
-            f"it is outside the gate's domain"
-        )
-
+    inputs = list(range(2**w)) if sem.domain is None else [int(d) for d in sem.domain]
     n = explicit.n_qubits
     if len(set(io_qubits)) != w or not all(0 <= q < n for q in io_qubits):
         raise CertificationError(f"{tag!r} needs {w} distinct qubits of the circuit")
@@ -700,15 +676,14 @@ def certify(
         # the probe, if any, matches no index
         targets = np.append(sem.permutation[np.asarray(inputs, dtype=np.int64)], -1)
     states = len(inputs)
-    if probe and len(domain) > 1:
+    if len(inputs) > 1:
         # state number len(inputs): the uniform superposition over the domain
-        scale = 1.0 / np.sqrt(len(domain))
-        probe_start = _spread(np.asarray(domain, dtype=np.int64), io_qubits)
+        scale = 1.0 / np.sqrt(len(inputs))
         if sem.permutation is not None:
             probe_output = np.zeros(2**w, dtype=complex)
-            probe_output[sem.permutation[domain]] = scale
+            probe_output[sem.permutation[inputs]] = scale
         else:
-            probe_output = np.asarray(sum(sem.columns[d] for d in domain) * scale)
+            probe_output = np.asarray(sum(sem.columns[d] for d in inputs) * scale)
         states += 1
 
     def overlaps(lo: int, hi: int) -> np.ndarray:
@@ -719,8 +694,8 @@ def certify(
         idx = [((numbers - lo) << n) | starts[numbers]]
         amp = [np.ones(len(numbers), dtype=complex)]
         if hi > len(inputs):
-            idx.append(((len(inputs) - lo) << n) | probe_start)
-            amp.append(np.full(len(domain), scale, dtype=complex))
+            idx.append(((len(inputs) - lo) << n) | starts)
+            amp.append(np.full(len(inputs), scale, dtype=complex))
         idx, amp, bounds = _execute(plan, np.concatenate(idx), np.concatenate(amp), (n, hi - lo))
         on = (idx & others) == 0
         state, local, amp = idx[on] >> n, _gather(idx[on], io_qubits), amp[on]
@@ -749,7 +724,7 @@ def certify(
             # that the error raised is the one separate runs meet first
             runs = ((s, overlaps(s, s + 1)) for s in range(lo, hi))
         for first, found in runs:
-            bad = np.flatnonzero(found < 1.0 - tol)
+            bad = np.flatnonzero(found < 1.0 - CERTIFY_TOL)
             if bad.size:
                 s, ov = first + int(bad[0]), float(found[bad[0]])
                 failure = (
@@ -768,9 +743,6 @@ def certify_library_gate(
     explicit: Circuit,
     io_qubits: Sequence[int],
     max_qubits: int = 16,
-    tol: float = 1e-9,
-    domain_subset: Optional[Sequence[int]] = None,
-    probe: bool = True,
 ) -> CertificationReport:
     """``certify`` an explicit circuit against the registry's semantics of
     the library gate (tag, args)."""
@@ -780,4 +752,4 @@ def certify_library_gate(
             f"raise max_qubits to allow it"
         )
     sem = library.semantics(tag, args)
-    return certify(tag, args, sem, explicit, io_qubits, tol, domain_subset, probe)
+    return certify(tag, args, sem, explicit, io_qubits)

@@ -20,7 +20,6 @@ from shallowprep.circuits import (
     g_fanout,
     g_nor,
     g_or,
-    g_product_reflection,
     g_reflect_zero,
     g_swap,
     g_unitary1,
@@ -83,13 +82,14 @@ def test_unknown_qubit_rejected():
         b.append(g_x(5))
 
 
-def test_fanout_budget_enforced_and_widened_bypass():
+def test_fanout_budget_binds_every_fanout():
     b = Builder(metadata={"fanout_budget": 2})
     src = b.add_register("s", 1)
     tgt = b.add_register("t", 3)
-    with pytest.raises(CircuitError, match="exceeds budget"):
+    with pytest.raises(CircuitError) as exc:
         b.append(g_fanout(src[0], tuple(tgt)))
-    b.append(g_fanout(src[0], tuple(tgt), widened=True))
+    assert str(exc.value) == "fanout width 3 exceeds budget 2"
+    b.append(g_fanout(src[0], tuple(tgt[:2])))
     assert len(b.layers) == 1
 
 
@@ -150,9 +150,8 @@ def test_gate_then_inverse_is_identity(angles, perm_seed):
         q = (i + perm_seed) % 3
         b.append(g_unitary1(r[q], rot(theta)))
         b.append(g_cnot(r[q], r[(q + 1) % 3]))
-    mark = 0
-    seg = b.layers_since(mark)
-    b.replay_inverse(seg)
+    for layer in reversed(b.layers[:]):
+        b.append_layer([invert_gate(g) for g in layer])
     state = run(b.build(), initial={0: 1, 2: 1})
     expected = np.zeros(8, dtype=complex)
     expected[0b101] = 1.0
@@ -211,7 +210,7 @@ def mixed_circuit():
     a = b.add_register("a", 2, ancilla=True)
     b.append(g_unitary1(x[0], rot(0.25)))
     b.append(g_ctrl_unitary1(x[0], x[1], circ.X_MATRIX))
-    b.append(g_product_reflection((x[0], x[1]), [(1, 0), (math.sqrt(0.5), math.sqrt(0.5))]))
+    b.append(g_reflect_zero((x[0], x[1])).with_params(ctrl=x[2]))
     b.append(g_fanout(x[0], (a[0], a[1])))
     b.append(g_nor((x[1], x[2]), a[0]))
     b.append(library.make("exact", (3, 1), (x[0], x[1], x[2], a[0])))
@@ -358,7 +357,7 @@ def test_builder_reruns_gate_rules_on_a_footprint_it_has_passed():
     b.append(g_fanout(r[0], (r[1], r[2], r[3])))
     b.metadata["fanout_budget"] = 2
     with pytest.raises(CircuitError, match="exceeds budget 2"):
-        b.replay(b.layers_since(1))
+        b.append_layer(b.layers[1])
     assert len(b.layers) == 2
 
 
@@ -455,6 +454,7 @@ MALFORMED = {
     "float-register-qubit": (("registers", 1, "qubits"), [3, 4.0]),
     "string-inverse": (("layers", 5, 0, "params", "inverse"), "false"),
     "string-widened": (("layers", 3, 0, "params", "widened"), "false"),
+    "made-up-param": (("layers", 4, 0, "params", "weight"), 2),
     "string-checked": (("layers", 5, 0, "params", "checked"), "no"),
     "float-rounds": (("metadata", "rounds"), [2.5]),
     "bool-round-layer-cost": (("metadata", "round_layer_cost"), [True]),
@@ -474,6 +474,36 @@ def test_deserialize_refuses_malformed_gates_and_mistyped_values(case):
         deserialize(malformed_text(case))
 
 
+@pytest.mark.parametrize(
+    "gate,key",
+    [
+        (circ.Gate("product_reflection", (0, 1), (), {"local_states": ((1.0, 0.0),) * 2}),
+         "local_states"),
+        (circ.Gate("fanout", (1, 2), (0,), {"widened": True}), "widened"),
+        (g_x(0).with_params(angle=0.5), "angle"),
+        (library.make("exact", (2, 1), (0, 1, 2)).with_params(declared_depth=1),
+         "declared_depth"),
+    ],
+    ids=["reflection-about-a-product-state", "widened-fanout", "unitary1-angle", "library-depth"],
+)
+def test_a_gate_takes_only_the_params_of_its_kind(gate, key):
+    """A param the gate's kind does not take is refused, never ignored,
+    whether the gate is built or loaded."""
+    want = f"{gate.kind} gate takes no parameter '{key}'"
+    b = Builder()
+    b.add_register("q", 3)
+    with pytest.raises(CircuitError) as exc:
+        b.append(gate)
+    assert str(exc.value) == want
+    params = {k: v for k, v in gate.params.items() if k != key}
+    b.append(circ.Gate(gate.kind, gate.targets, gate.controls, params))
+    doc = json.loads(serialize(b.build()))
+    doc["layers"][0][0]["params"][key] = gate.params[key]
+    with pytest.raises(CircuitError) as exc:
+        deserialize(json.dumps(doc))
+    assert str(exc.value) == want
+
+
 def test_gate_rules_apply_when_a_gate_is_appended():
     """Constructors only assemble; the Builder refuses a bad gate."""
     b = Builder()
@@ -482,7 +512,7 @@ def test_gate_rules_apply_when_a_gate_is_appended():
         g_swap(0, 0),
         g_and((), 1),
         g_fanout(0, (0, 1)),
-        g_product_reflection((0,), [(1.0, 0.0, 0.0)]),
+        g_reflect_zero(()),
         library.make("exact", (1, 1), (0, 1, 2)),
         circ.Gate("swap", (0, 1, 2)),
     ]
@@ -498,8 +528,18 @@ def test_gate_rules_apply_when_a_gate_is_appended():
         ("exact", (3, 1), 5, "spans 4 qubits, got 5"),
         ("onehot_dist", (2, (0.5, 0.25)), 2, "sum to one"),
         ("ham", (1,), 2, r"takes arguments \['int', 'int'\]"),
+        ("exact", ("3", 1), 4, r"takes arguments \['int', 'int'\]"),
+        ("exact", (3.0, 1), 4, r"takes arguments \['int', 'int'\]"),
+        ("exact", (True, 1), 2, r"takes arguments \['int', 'int'\]"),
+        ("one_hot", (1, 0), 2, r"takes arguments \['int', 'bool'\]"),
+        ("onehot_dist", (2, ("0.5", 0.5)), 2, r"takes arguments \['int', 'numbers'\]"),
+        ("ctrl_dicke", (2, 1, 1), 3, r"takes arguments \['int', 'int', 'ints'\]"),
+        ("ctrl_dicke", (2, 1, [1]), 3, r"takes arguments \['int', 'int', 'ints'\]"),
     ],
-    ids=["exact-on-5-qubits", "flawed-onehot-dist", "ham-with-one-arg"],
+    ids=[
+        "exact-on-5-qubits", "flawed-onehot-dist", "ham-with-one-arg", "string-n", "float-n",
+        "bool-n", "int-flag", "string-probability", "int-for-weights", "list-of-weights",
+    ],
 )
 def test_a_library_gate_is_checked_against_its_entry_when_appended(tag, args, n_qubits, match):
     """However a library gate is made, the Builder holds it to its registry

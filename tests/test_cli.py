@@ -1,16 +1,19 @@
 """CLI behavior: exit codes, emitted files, and input parsing."""
 
 import json
+import re
+import shlex
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shallowprep import cli
-from shallowprep.circuits import Builder, serialize
+from shallowprep import cli, library
+from shallowprep.circuits import Builder, g_x, serialize
 from shallowprep.simulate import MAX_DENSE_QUBITS
-from test_circuits import MALFORMED, malformed_text
+from test_circuits import _KET0, MALFORMED, _edited, malformed_text, mixed_circuit
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -404,6 +407,64 @@ def test_malformed_circuit_files_exit_2_with_one_line(tmp_path, capsys, case):
         assert cli.main(argv) == 2, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, (argv[0], err)
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("layers", 2, 0, "params", "local_states"), [_KET0, _KET0],
+         "product_reflection gate takes no parameter 'local_states'"),
+        (("layers", 3, 0, "params", "widened"), True, "fanout gate takes no parameter 'widened'"),
+        (("layers", 5, 0, "params", "tag"), "nosuch", "unknown library tag 'nosuch'"),
+    ],
+    ids=["reflection-local-states", "widened-fanout", "unknown-library-tag"],
+)
+def test_a_file_gate_that_names_no_gate_exits_2_with_its_plain_line(
+    tmp_path, capsys, path, value, message
+):
+    """A param the gate's kind does not take is refused, not read as some
+    other gate, and an unknown tag is named as it is."""
+    text = json.dumps(_edited(json.loads(serialize(mixed_circuit())), path, value))
+    assert cli.main(["report", "--circuit", write(tmp_path / "bad.circuit", text)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_checks_the_domain_of_every_gate_it_runs(tmp_path, capsys):
+    """A file cannot switch off a library gate's domain check: dicke_prep(2, 0)
+    on |11>, outside its domain, is refused with its flag set to False."""
+    b = Builder()
+    b.add_register("data", 2, ancilla=False)
+    b.append_layer([g_x(0), g_x(1)])
+    b.append(library.make("dicke_prep", (2, 0), (0, 1)).with_params(checked=False))
+    path = write(tmp_path / "unchecked.circuit", serialize(b.build()))
+    rc = cli.main(["verify", "--circuit", path, "--target", "dicke", "--n", "2", "--k", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "driven outside its domain" in err
+
+
+def _readme_section(title):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```(\w*)\n(.*?)```", section, re.S)
+
+
+def test_the_readme_walkthrough_runs(tmp_path, capsys, monkeypatch):
+    """Every command of the README's "Command line" section exits 0, run on
+    its weights.txt, and its "Python API" block runs."""
+    monkeypatch.chdir(tmp_path)
+    blocks = [body for _, body in _readme_section("Command line")]
+    lines = [line for body in blocks for line in body.splitlines()]
+    commands = [line for line in lines if line.startswith("shallowprep ")]
+    weights = [body for body in blocks if "shallowprep" not in body]
+    assert len(weights) == 1 and "weights.txt" in " ".join(commands)
+    write(tmp_path / "weights.txt", weights[0])
+    assert len(commands) >= 8
+    for line in commands:
+        assert cli.main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr())
+    (api,) = [body for lang, body in _readme_section("Python API") if lang == "python"]
+    exec(compile(api, "README.md", "exec"), {})
 
 
 def test_claims_refuses_a_worker_count_below_one(capsys):

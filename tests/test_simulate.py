@@ -24,11 +24,11 @@ from shallowprep.circuits import (
     g_fanout,
     g_nor,
     g_or,
-    g_product_reflection,
     g_reflect_zero,
     g_swap,
     g_unitary1,
     g_x,
+    invert_gate,
     serialize,
 )
 from shallowprep.primitives import ctrl_dicke_explicit, ham_gadget
@@ -91,7 +91,7 @@ def test_support_input_matches_the_dense_one():
     b.append(g_unitary1(r[0], H_MATRIX))
     b.append(g_cnot(r[0], r[2]))
     b.append(library.make("exact", (2, 1), (r[1], r[2], r[3])))
-    b.append(g_product_reflection((r[1], r[3])).with_params(ctrl=r[0]))
+    b.append(g_reflect_zero((r[1], r[3])).with_params(ctrl=r[0]))
     circuit = b.build()
     idx = np.array([0b0010, 0b1001])
     vals = np.array([0.6, 0.8j])
@@ -270,7 +270,7 @@ def test_controlled_reflection_about_zero_needs_its_control():
     b = Builder()
     r = b.add_register("q", 3)
     b.append_layer([g_unitary1(r[0], H_MATRIX), g_unitary1(r[1], H_MATRIX)])
-    b.append(g_product_reflection((r[0], r[1])).with_params(ctrl=r[2]))
+    b.append(g_reflect_zero((r[0], r[1])).with_params(ctrl=r[2]))
     circuit = b.build()
     off = run(circuit).amplitudes
     assert np.allclose(off[:4], 0.5, rtol=0.0, atol=1e-15) and not off[4:].any()
@@ -321,21 +321,6 @@ def test_certify_is_phase_strict():
         certify_library_gate("exact", (1, 1), b.build(), io)
 
 
-def test_certify_probe_covers_skipped_inputs():
-    """The superposition probe catches damage outside the domain subset."""
-    circuit, io = cnot_as_exact11()
-    b = Builder.from_circuit(circuit)
-    b.append(g_ctrl_unitary1(io[0], io[1], Z_MATRIX))
-    damaged = b.build()
-    subset = [0b00, 0b01, 0b11]  # the phase only hits input 0b10
-    report = certify_library_gate(
-        "exact", (1, 1), damaged, io, domain_subset=subset, probe=False
-    )
-    assert report.inputs_checked == 3
-    with pytest.raises(CertificationError, match="probe"):
-        certify_library_gate("exact", (1, 1), damaged, io, domain_subset=subset)
-
-
 def test_certify_enforces_qubit_cap():
     circuit, io = cnot_as_exact11()
     with pytest.raises(CertificationError, match="max_qubits"):
@@ -348,22 +333,7 @@ def test_certify_checks_io_width():
         certify_library_gate("exact", (1, 1), circuit, io[:1])
 
 
-def test_certify_rejects_subset_inputs_outside_the_domain():
-    """dicke_prep declares input 0 only; input 1 has no declared output."""
-    b = Builder()
-    r = b.add_register("q", 2)
-    b.append(library.make("dicke_prep", (2, 1), tuple(r)))
-    circuit = b.build()
-    report = certify_library_gate("dicke_prep", (2, 1), circuit, tuple(r), domain_subset=[0])
-    assert report.worst_overlap > 1 - 1e-9
-    with pytest.raises(CertificationError, match="outside"):
-        certify_library_gate("dicke_prep", (2, 1), circuit, tuple(r), domain_subset=[0, 1])
-    # a permutation gate with a partial domain: one_hot(1, classic) takes 0 and 0b10 only
-    with pytest.raises(CertificationError, match="outside"):
-        certify_library_gate("one_hot", (1, False), circuit, tuple(r), domain_subset=[1])
-
-
-def certify_by_separate_runs(tag, args, circuit, io, domain_subset=None, probe=True):
+def certify_by_separate_runs(tag, args, circuit, io):
     """The certification loop as one ``run`` per basis input and one for the
     probe, each overlap read by ``output_overlap`` less the run's error
     bound.  Returns (inputs checked, worst overlap), or raises what the
@@ -371,7 +341,6 @@ def certify_by_separate_runs(tag, args, circuit, io, domain_subset=None, probe=T
     sem = library.semantics(tag, args)
     w, n = sem.n_qubits, circuit.n_qubits
     domain = list(range(2**w)) if sem.domain is None else [int(d) for d in sem.domain]
-    inputs = domain if domain_subset is None else list(domain_subset)
 
     def declared(d):
         if sem.permutation is None:
@@ -390,9 +359,9 @@ def certify_by_separate_runs(tag, args, circuit, io, domain_subset=None, probe=T
             declared(d),
             f"disagrees with its declared action on input {d:0{w}b}",
         )
-        for d in inputs
+        for d in domain
     ]
-    if probe and len(domain) > 1:
+    if len(domain) > 1:
         scale = 1.0 / np.sqrt(len(domain))
         probe_start = np.array([start(d) for d in domain])
         cases.append((
@@ -410,20 +379,17 @@ def certify_by_separate_runs(tag, args, circuit, io, domain_subset=None, probe=T
     return len(cases), worst
 
 
-def assert_batched_matches_separate_runs(tag, args, circuit, io, **kwargs):
+def assert_batched_matches_separate_runs(tag, args, circuit, io):
     """Batched certification reports what separate runs report, or raises
     the same error with the same message; returns that message, if any."""
-    kwargs["max_qubits"] = circuit.n_qubits
     try:
-        checked, worst = certify_by_separate_runs(
-            tag, args, circuit, io, kwargs.get("domain_subset"), kwargs.get("probe", True)
-        )
+        checked, worst = certify_by_separate_runs(tag, args, circuit, io)
     except (CertificationError, SimulationError) as exc:
         with pytest.raises(type(exc)) as got:
-            certify_library_gate(tag, args, circuit, io, **kwargs)
+            certify_library_gate(tag, args, circuit, io, max_qubits=circuit.n_qubits)
         assert str(got.value) == str(exc)
         return str(exc)
-    report = certify_library_gate(tag, args, circuit, io, **kwargs)
+    report = certify_library_gate(tag, args, circuit, io, max_qubits=circuit.n_qubits)
     assert report.inputs_checked == checked
     assert abs(report.worst_overlap - worst) <= 1e-15
     return None
@@ -452,15 +418,6 @@ def test_batched_certification_matches_separate_runs(case):
     assert assert_batched_matches_separate_runs(*case) is None
 
 
-def test_batched_certification_of_a_domain_subset_matches_separate_runs():
-    tag, args, circuit, io = ham_case(3, 1)
-    subset = [0b00000, 0b10110, 0b01001, 0b10110, 0b11111]
-    for probe in (True, False):
-        kwargs = dict(domain_subset=subset, probe=probe)
-        assert assert_batched_matches_separate_runs(tag, args, circuit, io, **kwargs) is None
-    assert certify_library_gate(tag, args, circuit, io, domain_subset=subset).inputs_checked == 6
-
-
 def with_phase_on_output(circuit, io, pattern):
     """The circuit followed by a sign flip of the io basis state ``pattern``
     (io[0] its top bit)."""
@@ -483,10 +440,6 @@ def test_batched_certification_names_the_one_failing_middle_input():
     mutant = with_phase_on_output(circuit, io, int(sem.permutation[bad]))
     message = assert_batched_matches_separate_runs(tag, args, mutant, io)
     assert "disagrees with its declared action on input 10110 (overlap -1.0" in message
-    for d in range(2**5):
-        if d != bad:
-            subset = [d]
-            certify_library_gate(tag, args, mutant, io, domain_subset=subset, probe=False)
 
 
 def test_batched_certification_raises_the_first_failure_in_input_order():
@@ -644,10 +597,8 @@ def local_action(gate):
         mat = np.eye(4, dtype=complex)
         mat[2:, 2:] = p["matrix"]
     elif gate.kind == "product_reflection":
-        vec = np.array([1.0 + 0j])
-        for s in p.get("local_states") or [np.array([1.0, 0.0])] * w:
-            vec = np.kron(vec, s)
-        mat = np.eye(2**w) - 2.0 * np.outer(vec, vec.conj())
+        mat = np.eye(2**w, dtype=complex)
+        mat[0, 0] = -1.0
     elif gate.kind == "library":
         sem = library.semantics(p["tag"], p["args"])
         if sem.permutation is not None:
@@ -749,13 +700,7 @@ def random_gate(draw, n):
         gate, used = g_swap(order[0], order[1]), 2
     elif kind == "product_reflection":
         used = draw(st.integers(1, min(3, n)))
-        states = None
-        if draw(st.booleans()):
-            states = [
-                (math.cos(t), cmath.exp(1j * f) * math.sin(t))
-                for t, f in ((draw(angle), draw(angle)) for _ in range(used))
-            ]
-        gate = g_product_reflection(order[:used], states)
+        gate = g_reflect_zero(order[:used])
     else:
         fits = [c for c in ORACLE_LIBRARY if library.entry(c[0]).width(c[1]) <= n]
         tag, args = draw(st.sampled_from(fits))
@@ -819,7 +764,8 @@ def test_dropped_residue_stays_within_the_error_bound(circuit, from_basis, seed)
     default one the state moves from that run by at most its bound.  The
     circuit is followed by its inverse, whose cancellations leave residue."""
     b = Builder.from_circuit(circuit)
-    b.replay_inverse(circuit.layers)
+    for layer in reversed(circuit.layers):
+        b.append_layer([invert_gate(g) for g in layer])
     circuit = b.build()
     initial = seeded_input(circuit.n_qubits, from_basis, seed)
     with pytest.MonkeyPatch.context() as mp:
@@ -998,34 +944,37 @@ def test_a_narrow_column_step_matches_the_sorted_rows_step():
 # ---- Grover rounds as rank-1 reflections ----
 
 
-PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-
-
-def product_states(bits, plus):
-    """|0> or |1> per bit, and |+> at the positions in ``plus``."""
-    return [PLUS if i in plus else np.eye(2, dtype=complex)[b] for i, b in enumerate(bits)]
+def product_layer(targets, bits, plus):
+    """A layer taking |0...0> on the targets to |1> where a bit is set and
+    |+> at the positions in ``plus``; it is its own inverse."""
+    return [
+        g_unitary1(t, H_MATRIX) if i in plus else g_x(t)
+        for i, t in enumerate(targets)
+        if i in plus or bits[i]
+    ]
 
 
 def test_a_wide_product_reflection_is_a_rank_one_update():
-    """I - 2|a><a| on 48 of 50 qubits with a the product of |0>s and |1>s
-    and two |+>s: a has 4 entries, where the product as one vector has
-    2^48.  The run matches psi - 2a<a|psi> for each pattern of qubits 0
-    and 49, worked out here entry by entry."""
+    """A round A·S₀·A† on 48 of 50 qubits is I - 2|a><a| with a = A|0> the
+    product of |0>s and |1>s and two |+>s: a has 4 entries, where the
+    product as one vector has 2^48.  The run matches psi - 2a<a|psi> for
+    each pattern of qubits 0 and 49, worked out here entry by entry."""
     n, targets = 50, list(range(1, 49))
     bits = np.random.default_rng(3).integers(0, 2, size=len(targets))
     plus = (5, 30)
     b = Builder()
     b.add_register("q", n)
-    b.append(g_product_reflection(targets, product_states(bits, plus)))
+    turn = product_layer(targets, bits, plus)
+    for layer in (turn, [g_reflect_zero(targets)], turn):
+        b.append_layer(layer)
     circuit = b.build()
+    assert rounds.find(circuit.layers) == [(0, 2, None)]
     base = sum(int(bits[i]) << t for i, t in enumerate(targets) if i not in plus)
     a = {
         base | (x << targets[plus[0]]) | (y << targets[plus[1]]): 0.5
         for x in (0, 1)
         for y in (0, 1)
     }
-    a_idx, a_amp, _ = simulate._product_support(targets, product_states(bits, plus), None)
-    assert a_idx.tolist() == sorted(a) and np.allclose(a_amp, 0.5, rtol=0.0, atol=1e-15)
     spots = sorted(a)
     far = 1 << 49
     psi = {
@@ -1058,17 +1007,20 @@ def test_a_wide_product_reflection_is_a_rank_one_update():
 @pytest.mark.parametrize("zero", [False, True])
 def test_product_reflections_match_the_dense_oracle(ctrl, zero):
     """The 8-qubit analogue of the wide reflection, on 6 targets listed out
-    of order, with and without a control, about the product state and about
-    |0...0>, from a state with every amplitude nonzero."""
+    of order, with and without a control, about |0...0> and, between two
+    copies of a product layer, about a product state (a fused round with no
+    control), from a state with every amplitude nonzero."""
     targets = [6, 0, 3, 1, 7, 2]
-    states = None if zero else product_states([1, 0, 0, 1, 1, 0], (2, 4))
-    gate = g_product_reflection(targets, states)
+    gate = g_reflect_zero(targets)
     if ctrl is not None:
         gate = gate.with_params(ctrl=ctrl)
+    turn = [] if zero else product_layer(targets, [1, 0, 0, 1, 1, 0], (2, 4))
     b = Builder()
     b.add_register("q", 8)
-    b.append(gate)
+    for layer in (turn, [gate], turn):
+        b.append_layer(layer)
     circuit = b.build()
+    assert rounds_in(circuit) == (ctrl is None and not zero)
     for seed in range(3):
         initial = seeded_input(8, False, seed)
         expected = dense_oracle(circuit, start_vector(circuit, initial))
@@ -1122,19 +1074,20 @@ def assert_fused_matches_split(circuit, initial=None):
 ORACLE = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
-def round_circuit(segment, n, targets=None, reflection=None):
-    """The segment, then one round of it: -Z on qubit 0, the segment
-    inverted, a reflection (about zero on the targets, all n qubits by
-    default) and the segment, replayed unchecked as ``exact_grover`` does."""
+def round_circuit(segment, n, reflection=None):
+    """The segment, then -Z on qubit 0 and one round of the segment, as
+    ``exact_grover`` writes them; ``reflection``, if given, replaces the
+    round's reflection about zero on all n qubits."""
     b = Builder()
     b.add_register("q", n)
     for layer in segment:
         b.append_layer(list(layer))
     b.append(g_unitary1(0, ORACLE))
-    b.replay_inverse(segment, checked=False)
-    b.append(reflection or g_reflect_zero(range(n) if targets is None else targets))
-    b.replay(segment, checked=False)
-    return b.build()
+    rounds.append(b, segment)
+    circuit = b.build()
+    if reflection is not None:
+        circuit = with_gate(circuit, 2 * len(segment) + 1, reflection)
+    return circuit
 
 
 H0 = (g_unitary1(0, H_MATRIX),)
@@ -1194,11 +1147,10 @@ def test_a_round_that_is_not_a_strict_mirror_is_not_fused():
         with_gate(damped_first, 6, damped.with_params(args=(3, 2))),
         # a mirrored matrix one ulp off its inverse
         with_gate(turn_first, 6, turn_first.layers[6][0].with_params(matrix=matrix)),
-        # a controlled reflection, and a reflection about a product state
+        # a controlled reflection
         round_circuit((H0, DAMPED), 5, reflection=g_reflect_zero(range(4)).with_params(ctrl=4)),
-        round_circuit((H0, DAMPED), 4, reflection=g_product_reflection(range(4), [(1, 0)] * 4)),
         # a mirrored gate on a qubit outside the reflection's targets
-        round_circuit(((g_cnot(0, 4),), H0), 5, targets=range(4)),
+        round_circuit(((g_cnot(0, 4),), H0), 5, reflection=g_reflect_zero(range(4))),
     ]
     for case in cases:
         assert_same_run(case)
@@ -1260,9 +1212,7 @@ def test_batched_certification_compiles_each_forward_half_once(monkeypatch):
     b.add_register("q", 4)
     b.append(g_cnot(0, 1))
     for _ in range(2):
-        b.replay_inverse((H0, DAMPED, TURN), checked=False)
-        b.append(g_reflect_zero(range(4)))
-        b.replay((H0, DAMPED, TURN), checked=False)
+        rounds.append(b, (H0, DAMPED, TURN))
     circuit = b.build()
     assert [prefix for _, _, prefix in rounds.find(circuit.layers)] == [None, None]
     compiled = count_steps(monkeypatch)
@@ -1322,9 +1272,7 @@ def test_batched_certification_runs_fused_rounds(segment_circuit):
     b.add_register("q", n)
     b.append(g_cnot(0, 1))
     for _ in range(2):
-        b.replay_inverse(segment_circuit.layers, checked=False)
-        b.append(g_reflect_zero(range(n)))
-        b.replay(segment_circuit.layers, checked=False)
+        rounds.append(b, segment_circuit.layers)
     circuit = b.build()
     assert rounds_in(circuit) >= 1
     report = certify_library_gate("exact", (1, 1), circuit, (0, 1))
