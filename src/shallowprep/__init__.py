@@ -58,8 +58,6 @@ from .simulate import (
     VerificationResult,
     certify_library_gate,
     check_clean_preparation,
-    output_overlap,
-    residual_mass,
     run,
 )
 from .synthesis import (
@@ -67,7 +65,6 @@ from .synthesis import (
     build_dicke,
     build_symmetric,
     default_ell,
-    dicke_vector,
     prepare_zero_damped,
     symmetric_vector,
 )
@@ -110,16 +107,13 @@ __all__ = [
     "damped_binomial",
     "default_ell",
     "deserialize",
-    "dicke_vector",
     "exact_grover",
     "ham_gadget",
     "occupancy_pmf",
-    "output_overlap",
     "parallel_amplify",
     "prepare_onehot_dist",
     "prepare_small_state",
     "prepare_zero_damped",
-    "residual_mass",
     "run",
     "run_acceptance",
     "run_claims",

@@ -43,7 +43,7 @@ from .simulate import (
     certify,
     certify_library_gate,
     check_clean_preparation,
-    project,
+    split,
 )
 from .synthesis import SynthesisOutput, build_dicke, build_symmetric
 
@@ -176,7 +176,9 @@ def _crit_uniformity(ws: Dict[str, Any]) -> List[CheckRow]:
             _crit_states(ws, check_id)
 
     def measure(state: StateVector, output_qubits: Sequence[int]) -> Tuple[str, bool]:
-        amps = project(state, output_qubits)
+        local, values, _ = split(state, output_qubits)
+        amps = np.zeros(2 ** len(output_qubits), dtype=complex)
+        amps[local] = values
         weights = library.hamming_weights(len(output_qubits))
         worst = 0.0
         for weight in range(len(output_qubits) + 1):

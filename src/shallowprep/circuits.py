@@ -45,6 +45,10 @@ _OWN_PARAMS = {
 GATE_PARAMS: Dict[str, frozenset] = {
     kind: frozenset(_OWN_PARAMS.get(kind, ()) + ("ctrl", "checked")) for kind in GATE_KINDS
 }
+# the params a gate of each kind must carry: its own, but for "label"
+GATE_NEEDS: Dict[str, frozenset] = {
+    kind: frozenset(_OWN_PARAMS.get(kind, ())) - {"label"} for kind in GATE_KINDS
+}
 
 
 class CircuitError(ValueError):
@@ -183,6 +187,9 @@ def _validate_gate(gate: Gate) -> None:
     if not allowed.issuperset(p):
         key = next(k for k in p if k not in allowed)
         raise CircuitError(f"{gate.kind} gate takes no parameter {key!r}")
+    if not p.keys() >= GATE_NEEDS[gate.kind]:
+        key = min(GATE_NEEDS[gate.kind] - p.keys())
+        raise CircuitError(f"{gate.kind} gate needs parameter {key!r}")
     if gate.kind in ("unitary1", "ctrl_unitary1"):
         mat = np.asarray(p["matrix"])
         if mat.shape != (2, 2):

@@ -25,7 +25,10 @@ from .simulate import (
     SimulationError,
     check_clean_preparation,
 )
-from .synthesis import build_dicke, build_symmetric, dicke_vector, symmetric_vector
+from .synthesis import build_dicke, build_symmetric, symmetric_vector
+
+# The most data qubits synth builds (a circuit file takes about 110 bytes each)
+MAX_SYNTH_QUBITS = 2**20
 
 
 def _write_json(path: str, payload: Any) -> None:
@@ -217,11 +220,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.target == "dicke":
         if args.k is None:
             raise ValueError("verify --target dicke needs --k")
-        target = dicke_vector(args.n, args.k)
+        if not 0 <= args.k <= args.n:
+            raise ValueError(f"weight {args.k} out of range for {args.n} qubits")
+        eta = (0,) * args.k + (1,)
     else:
         if args.eta is None:
             raise ValueError("verify --target symmetric needs --eta FILE")
-        target = symmetric_vector(args.n, read_eta(args.eta, args.n))
+        eta = read_eta(args.eta, args.n)
     # a file may not switch a domain check off (the builders flag only fused rounds)
     layers = (
         [replace(g, params={k: v for k, v in g.params.items() if k != "checked"}) for g in layer]
@@ -235,6 +240,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(
             f"circuit exposes {len(output_qubits)} output qubits, target has {args.n}"
         )
+    target = symmetric_vector(args.n, eta)
     res = check_clean_preparation(circuit, target, output_qubits, clean_tol=args.tol)
     ok = res.fidelity >= 1.0 - args.tol and res.clean
     print(f"fidelity={res.fidelity:.12f}")
@@ -350,6 +356,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "synth" and args.n > MAX_SYNTH_QUBITS:
+            raise ValueError(f"synth takes --n up to {MAX_SYNTH_QUBITS}, got {args.n}")
         return args.handler(args)
     except (
         CircuitError,
@@ -360,6 +368,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

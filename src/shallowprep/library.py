@@ -452,7 +452,8 @@ class LibraryEntry:
     def check_args(self, args: Tuple[Any, ...]) -> None:
         """Raise CircuitError if the arguments describe no gate, before any
         width or table is computed from them."""
-        if len(args) != len(self.args) or not all(map(_fits, self.args, args)):
+        fits = isinstance(args, tuple) and len(args) == len(self.args)
+        if not (fits and all(map(_fits, self.args, args))):
             raise CircuitError(
                 f"library gate {self.tag}{args} takes arguments {list(self.args)}"
             )

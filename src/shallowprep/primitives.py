@@ -32,7 +32,7 @@ from .circuits import (
     g_x,
     g_z,
 )
-from .simulate import SimulationError, mass_bounds, project, residual_mass, run
+from .simulate import SimulationError, mass_bounds, run, split
 
 Number = Union[Fraction, float]
 
@@ -213,11 +213,12 @@ def extract_marked_state(marked: MarkedPreparation) -> np.ndarray:
     """
     state = run(marked.circuit)
     io = tuple(marked.data_register) + (marked.flag_qubit,)
-    others = [q for q in range(marked.circuit.n_qubits) if q not in set(io)]
-    _, dirt = mass_bounds(math.sqrt(residual_mass(state, others)), state.error_bound)
+    local, values, rest = split(state, io)
+    _, dirt = mass_bounds(rest, state.error_bound)
     if dirt > MASS_TOL:
         raise SimulationError(f"marked preparation leaves ancilla mass {dirt:.3e}")
-    vec = project(state, io)
+    vec = np.zeros(2 ** len(io), dtype=complex)
+    vec[local] = values
     norm = float(np.real(np.vdot(vec, vec)))
     vec = vec / math.sqrt(norm)
     flagged = float(np.sum(np.abs(vec[1::2]) ** 2))
@@ -374,11 +375,10 @@ def ctrl_state(prep: Circuit, branch_qubit: int) -> Tuple[Circuit, int]:
     qubits become |phi> and the branch qubit ends clear.
     """
     state = run(prep)
-    amp0 = project(state, ())[0]
-    # the mass with the branch qubit clear, for the exact state
-    low, high = mass_bounds(
-        math.sqrt(1.0 - residual_mass(state, [branch_qubit])), state.error_bound
-    )
+    local, values, rest = split(state, [q for q in range(prep.n_qubits) if q != branch_qubit])
+    amp0 = np.sum(values[local == 0])
+    # the mass with the branch qubit set, for the exact state
+    low, high = mass_bounds(rest, state.error_bound)
     if low < 0.5 - MASS_TOL or high > 0.5 + MASS_TOL or abs(amp0 - math.sqrt(0.5)) > 1e-6:
         raise SimulationError(
             "controlled preparation needs an equal split with a real positive "
@@ -411,7 +411,8 @@ def ctrl_from_zero_overlap(
         )
     state = run(prep)
     delta = state.error_bound
-    amp0 = project(state, ())[0]
+    local, values, rest = split(state, data_qubits)
+    amp0 = np.sum(values[local == 0])
     low, high = mass_bounds(amp0, delta)
     if low < af - ZERO_BRANCH_TOL or high > af + ZERO_BRANCH_TOL:
         raise SimulationError(
@@ -419,8 +420,7 @@ def ctrl_from_zero_overlap(
         )
     if abs(amp0.imag) > 1e-9 or amp0.real <= 0:
         raise SimulationError("zero-branch amplitude must be real positive")
-    others = [q for q in range(prep.n_qubits) if q not in set(data_qubits)]
-    if mass_bounds(math.sqrt(residual_mass(state, others)), delta)[1] > 1e-9:
+    if mass_bounds(rest, delta)[1] > 1e-9:
         raise SimulationError("preparation ancillas are dirty")
     b = Builder.from_circuit(prep)
     a = b.new_register("halfflag", 1)[0]

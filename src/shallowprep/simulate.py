@@ -1,10 +1,10 @@
 """Exact simulation of circuits on their support, plus verification helpers.
 
 Gates act only on the basis states present in the state (its support);
-``run`` returns that support, which every verdict here reads through
-``project`` or ``residual_mass``.  Entries that a gate leaves below
-``DROP_EPS`` in magnitude are dropped, and the norms of the dropped parts
-add up to a certified bound on the distance from the exact state
+``run`` returns that support, which every verdict reads through ``split``
+(``certify`` reads its batch of states itself).  Entries that a gate leaves
+below ``DROP_EPS`` in magnitude are dropped, and the norms of the dropped
+parts add up to a certified bound on the distance from the exact state
 (``StateVector.error_bound``), which every verdict here accounts for.
 
 Conventions: qubit i is bit i of the flat amplitude index (qubit 0 is the
@@ -565,30 +565,16 @@ def run(circuit: Circuit, initial: Initial = None) -> StateVector:
 # ---- verification ----
 
 
-def project(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
-    """Amplitudes over the listed qubits with every other qubit at zero.
-
-    Entry i sets qubits[0] to the top bit of i, qubits[-1] to its low bit.
-    """
-    out = np.zeros(2 ** len(qubits), dtype=complex)
-    kept = (state.indices & ~_mask(qubits)) == 0
-    out[_gather(state.indices[kept], qubits)] = state.values[kept]
-    return out
-
-
-def output_overlap(
-    state: StateVector, target: np.ndarray, output_qubits: Sequence[int]
-) -> complex:
-    """Overlap of the state with target on the outputs and zeros elsewhere."""
-    if target.shape != (2 ** len(output_qubits),):
-        raise ValueError("target length does not match the output register")
-    return complex(np.sum(np.conj(target) * project(state, output_qubits)))
-
-
-def residual_mass(state: StateVector, qubits: Sequence[int]) -> float:
-    """Probability that at least one of the listed qubits is not zero."""
-    stray = state.values[(state.indices & _mask(qubits)) != 0]
-    return float(np.sum(stray.real**2 + stray.imag**2))
+def split(state: StateVector, qubits: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(local, values, rest) on the listed qubits: the support entries whose
+    other qubits are all zero, as their indices over ``qubits`` (qubits[0]
+    is the top bit) and their amplitudes, and the 2-norm of all the other
+    entries, summed over them rather than read as 1 - the mass kept, so
+    rounding sets it no floor.  Nothing of size 2^len(qubits) is built."""
+    on = (state.indices & ~_mask(qubits)) == 0
+    off = state.values[~on]
+    rest = math.sqrt(float(np.sum(off.real**2 + off.imag**2)))
+    return _gather(state.indices[on], qubits), state.values[on], rest
 
 
 def check_clean_preparation(
@@ -601,18 +587,19 @@ def check_clean_preparation(
     """Run the circuit and bound its fidelity with ``target`` on the outputs
     (every other qubit zero) from below and its mass off the zero state of
     the other qubits from above; ``clean`` means that bound is below
-    ``clean_tol``.  A target that is not unit norm within 1e-9 raises
-    ValueError."""
+    ``clean_tol``.  A target whose length does not match the outputs, or
+    that is not unit norm within 1e-9, raises ValueError before the run."""
+    if target.shape != (2 ** len(output_qubits),):
+        raise ValueError("target length does not match the output register")
     norm = float(np.sum(target.real**2 + target.imag**2))
     # written so that a NaN or an infinite entry fails it too
     if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"target has squared norm {norm!r}, need 1")
     state = run(circuit, initial)
     delta = state.error_bound
-    outputs = set(output_qubits)
-    non_output = [q for q in range(circuit.n_qubits) if q not in outputs]
-    fid, _ = mass_bounds(output_overlap(state, target, output_qubits), delta)
-    _, stray = mass_bounds(math.sqrt(residual_mass(state, non_output)), delta)
+    local, values, rest = split(state, output_qubits)
+    fid, _ = mass_bounds(complex(np.sum(np.conj(target[local]) * values)), delta)
+    _, stray = mass_bounds(rest, delta)
     return VerificationResult(
         fidelity=fid,
         clean=stray < clean_tol,

@@ -10,6 +10,7 @@ masses, and uncompute every record register.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,9 +44,6 @@ from .primitives import (
 # ---- analytic target vectors ----
 
 
-dicke_vector = library.dicke_column
-
-
 def symmetric_vector(n: int, eta: Sequence[complex]) -> np.ndarray:
     """The weighted Dicke combination with weight-k coefficient eta[k]."""
     per_weight = np.zeros(n + 1, dtype=complex)
@@ -60,26 +58,20 @@ def symmetric_vector(n: int, eta: Sequence[complex]) -> np.ndarray:
 
 @dataclass
 class SynthesisOutput:
-    """A built circuit, its cost report, and the analytic target.
-
-    The target vector is produced lazily: cost inspection of large builds
-    must not force a 2^n-sized allocation.
-    """
+    """A built circuit, its cost report, and its target: the state
+    sum_k eta[k] |D(n, k)> on the n output qubits."""
 
     circuit: Circuit
     report: CostReport
     output_qubits: Tuple[int, ...]
+    eta: Tuple[complex, ...]
     info: Dict[str, Any] = field(default_factory=dict)
-    _target_fn: Any = None
-    _target_cache: Optional[np.ndarray] = None
 
-    @property
+    @functools.cached_property
     def target(self) -> np.ndarray:
-        if self._target_cache is None:
-            if self._target_fn is None:
-                raise CircuitError("no analytic target attached")
-            self._target_cache = self._target_fn()
-        return self._target_cache
+        """The dense target vector, built on the first request: cost
+        inspection of a large build allocates nothing of size 2^n."""
+        return symmetric_vector(len(self.output_qubits), self.eta)
 
 
 # ---- damped block state ----
@@ -348,8 +340,8 @@ def build_symmetric(
             circuit=circuit,
             report=cost(circuit),
             output_qubits=tuple(out_qubits),
+            eta=target,
             info=info,
-            _target_fn=lambda: symmetric_vector(n, target),
         )
 
     if k_star == 0 or weights[0] == n:

@@ -504,6 +504,29 @@ def test_a_gate_takes_only_the_params_of_its_kind(gate, key):
     assert str(exc.value) == want
 
 
+@pytest.mark.parametrize(
+    "kind,params,want",
+    [
+        ("library", {"tag": "exact", "args": (1, 0)}, "library gate needs parameter 'inverse'"),
+        ("library", {"tag": "dicke_prep", "args": (2, 1)},
+         "library gate needs parameter 'inverse'"),
+        ("library", {"args": (1, 0), "inverse": False}, "library gate needs parameter 'tag'"),
+        ("library", {"tag": "exact", "args": 3, "inverse": False},
+         "library gate exact3 takes arguments ['int', 'int']"),
+        ("unitary1", {}, "unitary1 gate needs parameter 'matrix'"),
+    ],
+    ids=["exact-without-inverse", "dicke_prep-without-inverse", "no-tag", "int-args", "no-matrix"],
+)
+def test_a_gate_that_lacks_a_param_its_kind_needs_is_refused(kind, params, want):
+    """Such a gate was appended and then written to a file that deserialize
+    refused, or escaped as a bare KeyError or TypeError."""
+    b = Builder()
+    b.add_register("q", 2)
+    with pytest.raises(CircuitError) as exc:
+        b.append(circ.Gate(kind, (0, 1) if kind == "library" else (0,), (), params))
+    assert str(exc.value) == want
+
+
 def test_gate_rules_apply_when_a_gate_is_appended():
     """Constructors only assemble; the Builder refuses a bad gate."""
     b = Builder()

@@ -159,6 +159,28 @@ def test_verify_refuses_a_target_weight_above_n(tmp_path, capsys):
     assert "weight 4 out of range for 3 qubits" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_negative_dicke_weight(tmp_path, capsys):
+    """The target is eta = e_k, and (0,) * -1 + (1,) is e_0: weight -1
+    would verify weight 0."""
+    cli.main(["synth", "dicke", "--n", "3", "--k", "0", "--out", str(tmp_path)])
+    circuit = str(tmp_path / "dicke_n3_k0.circuit")
+    capsys.readouterr()
+    argv = ["verify", "--circuit", circuit, "--target", "dicke", "--n", "3", "--k", "-1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: weight -1 out of range for 3 qubits\n"
+
+
+def test_verify_checks_n_against_the_circuit_before_building_the_target(tmp_path, capsys):
+    """--n 40 built the 2^40-entry target first and ended in a MemoryError
+    traceback."""
+    cli.main(["synth", "dicke", "--n", "3", "--k", "1", "--out", str(tmp_path)])
+    circuit = str(tmp_path / "dicke_n3_k1.circuit")
+    capsys.readouterr()
+    argv = ["verify", "--circuit", circuit, "--target", "dicke", "--n", "40", "--k", "1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: circuit exposes 3 output qubits, target has 40\n"
+
+
 def test_a_weight_far_above_n_exits_2_at_once(tmp_path, capsys):
     """The weight is refused on its own line, before an array of that size
     is built."""
@@ -515,3 +537,25 @@ def test_synth_ell_help_names_the_block_count(tmp_path, capsys, target):
     circuit = (tmp_path / report["circuit"]).read_text(encoding="utf-8")
     sizes = {r["name"]: len(r["qubits"]) for r in json.loads(circuit)["registers"]}
     assert sizes["data"] == 8 and sizes["bucket0"] == 4
+
+
+def test_synth_refuses_an_n_over_its_cap_before_it_builds(tmp_path, capsys, monkeypatch):
+    """--n 10000000 ended in a MemoryError traceback inside json."""
+    monkeypatch.setattr(cli, "build_dicke", lambda *a: pytest.fail("build_dicke ran"))
+    monkeypatch.setattr(cli, "build_symmetric", lambda *a: pytest.fail("build_symmetric ran"))
+    eta = write(tmp_path / "eta.txt", "0 0.6 0\n1 0 0.8\n")
+    n = str(cli.MAX_SYNTH_QUBITS + 1)
+    for argv in (["dicke", "--n", n, "--k", "2"], ["symmetric", "--n", n, "--eta", eta]):
+        assert cli.main(["synth", *argv, "--out", str(tmp_path / "out")]) == 2
+        want = f"error: synth takes --n up to {cli.MAX_SYNTH_QUBITS}, got {n}\n"
+        assert capsys.readouterr().err == want
+    assert not (tmp_path / "out").exists()
+
+
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "build_dicke", exhausted)
+    assert cli.main(["synth", "dicke", "--n", "8", "--k", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"

@@ -39,10 +39,8 @@ from shallowprep.simulate import (
     certify_library_gate,
     check_clean_preparation,
     mass_bounds,
-    output_overlap,
-    project,
-    residual_mass,
     run,
+    split,
 )
 from shallowprep.synthesis import build_dicke
 
@@ -130,7 +128,7 @@ def test_dense_vector_is_refused_past_the_cap():
     """A 21-qubit state of one entry reads fine from its support, and asking
     for its dense 2^21 vector raises before anything that size is built."""
     state = StateVector(simulate.MAX_DENSE_QUBITS + 1, np.array([5]), np.array([1.0 + 0j]))
-    assert np.array_equal(project(state, (0, 1, 2)), [0, 0, 0, 0, 0, 1, 0, 0])
+    assert listed(split(state, (0, 1, 2))) == ([5], [1.0], 0.0)
     tracemalloc.start()
     try:
         with pytest.raises(SimulationError, match="dense"):
@@ -156,44 +154,58 @@ def test_certify_compiles_each_gate_once(monkeypatch):
     assert compiled == list(circuit.gates())
 
 
-def test_output_overlap_extracts_named_qubits():
+def listed(read):
+    """A ``split`` result as plain lists and a float."""
+    local, values, rest = read
+    return local.tolist(), values.tolist(), rest
+
+
+def test_split_reads_the_named_qubits_top_bit_first():
     b = Builder()
     r = b.add_register("x", 3)
     b.append(g_x(r[1]))
     state = run(b.build())
-    target = np.array([0.0, 1.0], dtype=complex)
-    assert abs(output_overlap(state, target, (r[1],)) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        output_overlap(state, np.zeros(4, dtype=complex), (r[1],))
-    # the first listed qubit is the top bit of the projected index
-    assert np.array_equal(project(state, (r[1], r[0])), [0, 0, 1, 0])
-    assert np.array_equal(project(state, (r[0], r[1])), [0, 1, 0, 0])
+    assert listed(split(state, (r[1],))) == ([1], [1.0], 0.0)
+    # the first listed qubit is the top bit of the local index
+    assert split(state, (r[1], r[0]))[0].tolist() == [2]
+    assert split(state, (r[0], r[1]))[0].tolist() == [1]
 
 
-def test_output_overlap_requires_other_qubits_zero():
+def test_split_keeps_only_entries_whose_other_qubits_are_zero():
     b = Builder()
     r = b.add_register("x", 2)
     b.append(g_x(r[0]))
     b.append(g_x(r[1]))
     state = run(b.build())
-    target = np.array([0.0, 1.0], dtype=complex)
-    # qubit 1 is hot, so the block with qubit 1 = 0 is empty
-    assert abs(output_overlap(state, target, (r[0],))) < 1e-12
+    # qubit 1 is hot, so no entry has it at zero, and all the norm is rest
+    local, values, rest = split(state, (r[0],))
+    assert (local.size, values.size, rest) == (0, 0, 1.0)
 
 
-def test_residual_mass():
+def test_split_rest_is_summed_over_the_other_entries():
     b = Builder()
     r = b.add_register("x", 2)
     b.append(g_unitary1(r[0], H_MATRIX))
     state = run(b.build())
-    assert residual_mass(state, ()) == 0.0
-    assert abs(residual_mass(state, (r[0],)) - 0.5) < 1e-12
-    assert residual_mass(state, (r[1],)) < 1e-12
+    # over no qubits, the one entry kept is the all-zero one
+    local, values, rest = split(state, ())
+    assert local.tolist() == [0] and abs(values[0] - math.sqrt(0.5)) < 1e-12
+    assert abs(rest - math.sqrt(0.5)) < 1e-12
+    assert split(state, (r[0],))[2] == 0.0
+    assert abs(split(state, (r[1],))[2] - math.sqrt(0.5)) < 1e-12
     # summed over the stray entries, not 1 - (mass at zero), so rounding sets
     # no floor near 4e-16 under the stray mass of a clean padded circuit
     out = build_dicke(7, 2, 4)
-    ancillas = [q for q in range(out.circuit.n_qubits) if q not in out.output_qubits]
-    assert residual_mass(run(out.circuit), ancillas) < 1e-25
+    assert split(run(out.circuit), out.output_qubits)[2] ** 2 < 1e-25
+
+
+def test_check_clean_preparation_refuses_a_wrong_length_target_before_it_runs(monkeypatch):
+    b = Builder()
+    r = b.add_register("x", 3)
+    b.append(g_x(r[1]))
+    monkeypatch.setattr(simulate, "run", lambda *a: pytest.fail("run was called"))
+    with pytest.raises(ValueError, match="length"):
+        check_clean_preparation(b.build(), np.array([0, 1, 0, 0], dtype=complex), (r[1],))
 
 
 def test_check_clean_preparation_flags_dirty_ancilla():
@@ -245,13 +257,12 @@ def test_wide_state_is_read_from_its_support():
     assert state.n_qubits == 40
     assert state.indices.tolist() == [1 << data[1]]
     assert state.values.tolist() == [1.0]
-    assert np.array_equal(project(state, tuple(data)), [0, 1, 0, 0])
-    assert np.array_equal(project(state, (data[1], anc[37])), [0, 0, 1, 0])
-    assert np.array_equal(project(state, (anc[0],)), [0, 0])
+    assert listed(split(state, tuple(data))) == ([1], [1.0], 0.0)
+    assert listed(split(state, (data[1], anc[37]))) == ([2], [1.0], 0.0)
+    assert listed(split(state, (anc[0],))) == ([], [], 1.0)
+    # all 40 qubits read as one entry, where a dense read would be 2^40 long
+    assert listed(split(state, tuple(data) + tuple(anc))) == ([1 << 38], [1.0], 0.0)
     target = np.array([0, 1, 0, 0], dtype=complex)
-    assert output_overlap(state, target, tuple(data)) == 1.0
-    assert residual_mass(state, (data[1],)) == 1.0
-    assert residual_mass(state, tuple(anc)) == 0.0
     res = check_clean_preparation(circuit, target, tuple(data))
     assert (res.fidelity, res.clean, res.residual_ancilla_mass) == (1.0, True, 0.0)
     assert res.error_bound == 0.0
@@ -335,7 +346,7 @@ def test_certify_checks_io_width():
 
 def certify_by_separate_runs(tag, args, circuit, io):
     """The certification loop as one ``run`` per basis input and one for the
-    probe, each overlap read by ``output_overlap`` less the run's error
+    probe, each overlap read from ``split`` less the run's error
     bound.  Returns (inputs checked, worst overlap), or raises what the
     first failing run raises."""
     sem = library.semantics(tag, args)
@@ -372,7 +383,8 @@ def certify_by_separate_runs(tag, args, circuit, io):
     worst = 1.0
     for initial, expected, failure in cases:
         state = run(circuit, initial)
-        ov = output_overlap(state, expected, io).real - state.error_bound
+        local, values, _ = split(state, io)
+        ov = np.sum(np.conj(expected[local]) * values).real - state.error_bound
         worst = min(worst, ov)
         if ov < 1.0 - 1e-9:
             raise CertificationError(f"{tag}{args} {failure} (overlap {ov:.12f})")
@@ -737,14 +749,20 @@ def test_support_kernel_matches_dense_oracle(circuit, from_basis, seed, data):
     state = run(circuit, initial)
     got = state.amplitudes
     assert np.max(np.abs(got - expected)) < 1e-12
-    # project on a random register is the dense gather, other qubits at zero
+    # split on a random register is the dense gather, other qubits at zero,
+    # and rest the norm of everything else
     register = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
     w = len(register)
     spots = [
         sum(((i >> (w - 1 - j)) & 1) << q for j, q in enumerate(register))
         for i in range(2**w)
     ]
-    assert np.array_equal(project(state, register), got[spots])
+    local, values, rest = split(state, register)
+    read = np.zeros(2**w, dtype=complex)
+    read[local] = values
+    assert np.array_equal(read, got[spots])
+    off = np.delete(got, spots)
+    assert abs(rest - math.sqrt(np.sum(np.abs(off) ** 2))) < 1e-12
 
 
 def seeded_input(n, from_basis, seed):
@@ -1316,8 +1334,7 @@ def test_wide_dicke_states_run_in_seconds(n, k):
     state = run(out.circuit)
     assert time.process_time() - start < 2.0
     assert len(state.indices) == math.comb(n, k)
-    others = [q for q in range(out.circuit.n_qubits) if q not in set(out.output_qubits)]
-    assert residual_mass(state, others) == 0.0
+    assert split(state, out.output_qubits)[2] == 0.0
 
 
 def test_circuits_past_63_qubits_raise_before_any_step_compiles(monkeypatch):

@@ -31,8 +31,8 @@ from shallowprep.primitives import (
 from shallowprep.simulate import (
     certify_library_gate,
     check_clean_preparation,
-    output_overlap,
     run,
+    split,
 )
 from shallowprep.synthesis import (
     SynthesisOutput,
@@ -40,7 +40,6 @@ from shallowprep.synthesis import (
     build_symmetric,
     ctrl_damped_explicit,
     default_ell,
-    dicke_vector,
     prepare_zero_damped,
     symmetric_vector,
 )
@@ -54,7 +53,7 @@ def assert_exact(out, tol=1e-9):
 
 
 def test_dicke_vector_is_uniform():
-    vec = dicke_vector(4, 2)
+    vec = library.dicke_column(4, 2)
     hot = [i for i in range(16) if bin(i).count("1") == 2]
     for i in hot:
         assert abs(vec[i] - 1.0 / math.sqrt(6)) < 1e-12
@@ -92,7 +91,7 @@ def loop_symmetric_vector(n, eta):
 def test_targets_match_the_per_index_loops_byte_for_byte():
     for n in range(11):
         for k in range(n + 1):
-            assert dicke_vector(n, k).tobytes() == loop_dicke_vector(n, k).tobytes()
+            assert library.dicke_column(n, k).tobytes() == loop_dicke_vector(n, k).tobytes()
     rng = np.random.default_rng(11)
     special = (0.0, -0.0, 1.0, -1.0, 0.5j, -0.5j, complex(-0.0, 0.25), complex(0.3, -0.0))
     for n in range(1, 9):
@@ -109,11 +108,11 @@ def test_targets_match_the_per_index_loops_byte_for_byte():
 
 def test_targets_refuse_a_weight_above_n():
     with pytest.raises(CircuitError, match="weight 4 out of range for 3 qubits"):
-        dicke_vector(3, 4)
+        library.dicke_column(3, 4)
     with pytest.raises(CircuitError, match="weight 4 out of range for 3 qubits"):
         symmetric_vector(3, (0.6, 0, 0, 0, 0.8))
     # a zero coefficient above n names no weight
-    assert np.array_equal(symmetric_vector(3, (1, 0, 0, 0, 0)), dicke_vector(3, 0))
+    assert np.array_equal(symmetric_vector(3, (1, 0, 0, 0, 0)), library.dicke_column(3, 0))
 
 
 def test_prepare_zero_damped_frozen_gammas():
@@ -222,8 +221,8 @@ def _one_hot(k):
 def test_build_symmetric_reduces_to_dicke():
     out = build_symmetric(4, _one_hot(2))
     assert serialize(out.circuit) == serialize(build_dicke(4, 2).circuit)
-    state = run(out.circuit)
-    ov = output_overlap(state, dicke_vector(4, 2), out.output_qubits)
+    local, values, _ = split(run(out.circuit), out.output_qubits)
+    ov = np.sum(np.conj(library.dicke_column(4, 2)[local]) * values)
     assert abs(ov) ** 2 > 1 - 1e-9
 
 
@@ -307,15 +306,16 @@ def test_build_symmetric_validation():
 
 
 def test_synthesis_output_target_is_lazy_and_cached():
-    out = SynthesisOutput(
-        circuit=build_dicke(4, 1).circuit,
-        report=build_dicke(4, 1).report,
-        output_qubits=(0, 1, 2, 3),
-    )
-    with pytest.raises(CircuitError, match="target"):
-        out.target
     built = build_dicke(4, 1)
+    assert "target" not in vars(built)
     assert built.target is built.target
+    assert np.array_equal(built.target, symmetric_vector(4, built.eta))
+    # a complemented build names its own eta, not the reversed one it built
+    eta = (0.6, 0.8j)
+    out = build_symmetric(4, (0, 0, 0) + eta)
+    assert out.info["complemented"] and out.eta == (0, 0, 0) + eta
+    assert out.target.tobytes() == symmetric_vector(4, out.eta).tobytes()
+    assert SynthesisOutput(out.circuit, out.report, out.output_qubits, (0, 1)).target[1] == 0.5
 
 
 def test_costs_do_not_depend_on_qubit_count():
