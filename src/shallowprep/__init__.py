@@ -39,7 +39,6 @@ from .dists import (
     trailing_zero_mass,
 )
 from .primitives import (
-    AmplifyInfo,
     MarkedPreparation,
     adjust_amplitudes,
     amplify_to_exact,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcceptanceReport",
-    "AmplifyInfo",
     "Builder",
     "CLAIM_IDS",
     "CRITERION_IDS",

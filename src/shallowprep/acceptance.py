@@ -298,16 +298,12 @@ def _rows_amplify() -> List[CheckRow]:
         flag = b.new_register("flag", 1)[0]
         b.append(g_unitary1(data[0], rot_matrix(1.0 - alpha)))
         b.append(g_and((data[0],), flag))
-        info = amplify_to_exact(b, flag, alpha)
+        rounds = amplify_to_exact(b, flag, alpha)
         res = check_clean_preparation(
             b.build(), np.array([0.0, 1.0], dtype=complex), tuple(data)
         )
-        ok = (
-            res.fidelity >= 1.0 - FIDELITY_TOL
-            and res.clean
-            and info.rounds == want_rounds
-        )
-        return f"fidelity={res.fidelity:.12f} clean={res.clean} rounds={info.rounds}", ok
+        ok = res.fidelity >= 1.0 - FIDELITY_TOL and res.clean and rounds == want_rounds
+        return f"fidelity={res.fidelity:.12f} clean={res.clean} rounds={rounds}", ok
 
     return [
         _row(

@@ -519,36 +519,11 @@ def _decode_params(kind: str, raw: Dict[str, Any]) -> Dict[str, Any]:
     return params
 
 
-def encode_json(value: Any, fraction: Callable[[Fraction], Any]) -> Any:
-    """``value`` in JSON types: dict keys as strings, tuples as lists and
-    each Fraction as ``fraction`` encodes it."""
-    if isinstance(value, Fraction):
-        return fraction(value)
-    if isinstance(value, dict):
-        return {str(k): encode_json(v, fraction) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [encode_json(v, fraction) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise ParseError(f"value {value!r} is not serializable")
-
-
-def _decode_meta(value: Any) -> Any:
-    if isinstance(value, dict):
-        if set(value.keys()) == {"__frac__"}:
-            return decode_fraction(value["__frac__"])
-        return {k: _decode_meta(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_meta(v) for v in value]
-    return value
-
-
 def serialize(circuit: Circuit) -> str:
+    _check_metadata(circuit.metadata)
     doc = {
         "version": SERIAL_VERSION,
-        "metadata": encode_json(
-            dict(circuit.metadata), lambda f: {"__frac__": encode_fraction(f)}
-        ),
+        "metadata": dict(circuit.metadata),
         "registers": [
             {"name": r.name, "qubits": list(r.qubits), "ancilla": r.ancilla}
             for r in circuit.registers
@@ -572,17 +547,12 @@ def deserialize(text: str) -> Circuit:
             raise ParseError(f"missing top-level key {key!r}")
         if not isinstance(doc[key], kind):
             raise ParseError(f"top-level {key!r} must be a JSON {kind.__name__}")
-    try:
-        meta = _decode_meta(doc["metadata"])
-        for key in ("rounds", "round_layer_cost"):
-            if key in meta:
-                meta[key] = _decode_ints(meta[key])
-        if meta.get("fanout_budget") is not None:
-            meta["fanout_budget"] = _as_int(meta["fanout_budget"])
-    except ParseError:
-        raise
-    except _DECODE_ERRORS as exc:
-        raise ParseError(f"malformed circuit metadata: {exc!r}") from exc
+    # the known keys by exact JSON type; _check_metadata names any other
+    meta = dict(doc["metadata"])
+    for key, decode in (("rounds", _decode_ints), ("round_layer_cost", _decode_ints),
+                        ("fanout_budget", _as_int)):
+        if key in meta:
+            meta[key] = decode(meta[key])
     registers = []
     for entry in doc["registers"]:
         try:
@@ -605,8 +575,26 @@ def deserialize(text: str) -> Circuit:
     return circuit
 
 
+def _check_metadata(meta: Mapping[str, Any]) -> None:
+    """Metadata holds only a nonnegative int ``fanout_budget``, and the
+    ``rounds`` and ``round_layer_cost`` of each amplification: two tuples of
+    nonnegative ints, of equal length."""
+    for key, value in meta.items():
+        if key == "fanout_budget":
+            ok = type(value) is int and value >= 0
+        elif key in ("rounds", "round_layer_cost"):
+            ok = type(value) is tuple and all(type(x) is int and x >= 0 for x in value)
+        else:
+            raise CircuitError(f"unknown metadata key {key!r}")
+        if not ok:
+            raise CircuitError(f"metadata {key!r} must hold nonnegative ints, got {value!r}")
+    if len(meta.get("rounds", ())) != len(meta.get("round_layer_cost", ())):
+        raise CircuitError("metadata 'rounds' and 'round_layer_cost' differ in length")
+
+
 def validate_circuit(circuit: Circuit) -> None:
     """Structural checks on a full circuit, used on deserialized input."""
+    _check_metadata(circuit.metadata)
     known: set = set()
     names: set = set()
     for reg in circuit.registers:

@@ -28,6 +28,9 @@ CLAIM_IDS = (
 
 FAULT_IDS = ("lambda-off-by-one",)
 
+# slice uniformity is checked on j buckets of m bits only for m*j up to this
+ENUMERATION_BUDGET = 20
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -35,7 +38,6 @@ class SweepConfig:
 
     m_values: Tuple[int, ...] = tuple(range(1, 65))
     k_max: int = 6
-    enumeration_budget: int = 20
     workers: int = 1
     fault: Optional[str] = None
 
@@ -46,8 +48,6 @@ class SweepConfig:
             raise ValueError("bucket sizes must be positive")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
-        if self.enumeration_budget < 1:
-            raise ValueError("enumeration budget must be positive")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
         if self.fault is not None and self.fault not in FAULT_IDS:
@@ -275,13 +275,14 @@ def _timed(evaluate: Callable[..., _Outcome], *args: Any) -> ClaimVerdict:
 
 
 def _run_point(
-    brackets: Brackets, budget: int, fault: Optional[str], point: Tuple[int, int]
+    brackets: Brackets, fault: Optional[str], point: Tuple[int, int]
 ) -> List[ClaimVerdict]:
     """Every claim at one (m, k) point, in CLAIM_IDS order, from one set of tables."""
     m, k = point
     pt = _Point(m, k)
     checks: List[Tuple[Any, ...]] = [(_eval_normalizer, pt, fault), (_eval_domination, pt)]
-    checks += [(_eval_slice_uniformity, pt, j) for j in range(1, k + 1) if m * j <= budget]
+    checks += [(_eval_slice_uniformity, pt, j) for j in range(1, k + 1)
+               if m * j <= ENUMERATION_BUDGET]
     checks += [
         (_eval_ratio_bound, pt, brackets),
         (_eval_hit_floor, pt),
@@ -298,9 +299,7 @@ def run_claims(cfg: SweepConfig) -> List[ClaimVerdict]:
     ]
     # no point has k above its m, so brackets past the largest m go unread
     k_top = min(cfg.k_max, max(cfg.m_values))
-    run = functools.partial(
-        _run_point, _brackets(k_top), cfg.enumeration_budget, cfg.fault
-    )
+    run = functools.partial(_run_point, _brackets(k_top), cfg.fault)
     if cfg.workers > 1:
         # imported here: with multiprocessing it costs about 15 ms of import
         # time and 1.4 MiB, which serial sweeps and other commands never need

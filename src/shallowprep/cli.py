@@ -17,7 +17,7 @@ from typing import Any, Dict, Optional, Sequence
 import numpy as np
 
 from . import acceptance, claims
-from .circuits import CircuitError, cost, deserialize, encode_json, serialize
+from .circuits import CircuitError, cost, deserialize, serialize
 from .dists import DomainError
 from .simulate import (
     MAX_DENSE_QUBITS,
@@ -33,7 +33,7 @@ MAX_SYNTH_QUBITS = 2**20
 
 def _write_json(path: str, payload: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
@@ -176,7 +176,7 @@ def _emit_synthesis(result, stem: str, outdir: Optional[str]) -> int:
         "layers": len(result.circuit.layers),
         "output_qubits": list(result.output_qubits),
         "fidelity": fidelity,
-        "info": encode_json(result.info, str),
+        "info": result.info,
     }
     report_path = os.path.join(outdir, stem + ".report.json")
     _write_json(report_path, payload)

@@ -170,17 +170,8 @@ def _sem_marked_prep(
     n_data: int, amps: Tuple[complex, ...], alpha: Any, *costs: int
 ) -> LibrarySemantics:
     # costs: the measured depth and fanout width, which leave the action alone
-    w = n_data + 1
     col = np.asarray(amps, dtype=complex)
-    if abs(np.vdot(col, col) - 1.0) > ATOL:
-        raise CircuitError("marked_prep amplitudes are not unit norm")
-    flagged = sum(abs(col[idx]) ** 2 for idx in range(2**w) if idx & 1)
-    if abs(flagged - float(alpha)) > ATOL:
-        raise CircuitError("marked_prep flag mass disagrees with alpha")
-    bad = sum(abs(col[idx]) ** 2 for idx in range(2, 2**w, 2))
-    if bad > ATOL:
-        raise CircuitError("marked_prep unmarked branch must be all zeros")
-    return LibrarySemantics(n_qubits=w, columns={0: col}, domain=(0,))
+    return LibrarySemantics(n_qubits=n_data + 1, columns={0: col}, domain=(0,))
 
 
 def _sem_ctrl_dicke(ell: int, slots: int, weights: Tuple[int, ...]) -> LibrarySemantics:
@@ -231,7 +222,7 @@ def _sem_state_vector(amps: Tuple[complex, ...]) -> LibrarySemantics:
     )
 
 
-# The two value flaws below accept only ``x <= tol``, so that a NaN, which a
+# The value flaws below accept only ``x <= tol``, so that a NaN, which a
 # JSON file may carry, counts as a flaw.
 
 
@@ -264,6 +255,15 @@ def _marked_prep_flaw(a: Tuple[Any, ...]) -> Optional[str]:
         return "alpha must lie in [0, 1]"
     if not (depth >= 1 and fanout_width >= 0):
         return "costs out of range: depth must be >= 1 and fanout width >= 0"
+    # the flag is the low bit: odd indices are flagged, and the unflagged
+    # branch may sit only on index 0
+    mass = np.abs(np.asarray(amps, dtype=complex)) ** 2
+    if not abs(mass.sum() - 1.0) <= ATOL:
+        return "amplitudes are not unit norm"
+    if not abs(mass[1::2].sum() - float(alpha)) <= ATOL:
+        return "flag mass disagrees with alpha"
+    if not mass[2::2].sum() <= ATOL:
+        return "unmarked branch must be all zeros"
     return None
 
 

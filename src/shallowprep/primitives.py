@@ -68,15 +68,6 @@ def reflect_rot_matrix(beta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AmplifyInfo:
-    rounds: int
-    odd_r: int
-    alpha: float
-    alpha_target: float
-    gamma: Optional[float]
-
-
-@dataclass(frozen=True)
 class MarkedPreparation:
     """A preparation whose flag qubit marks the wanted branch.
 
@@ -121,14 +112,14 @@ def exact_grover(builder: Builder, flag: int, alpha: Number) -> int:
     return count
 
 
-def amplify_to_exact(builder: Builder, flag: int, alpha: Number) -> AmplifyInfo:
+def amplify_to_exact(builder: Builder, flag: int, alpha: Number) -> int:
     """Make the flagged branch certain, for any branch mass above the floor.
 
     If the mass is not already an exact rotation angle, a fresh qubit is
     rotated inside the flagged branch to shrink the marked mass down to the
     nearest angle sin^2(pi/(2r)), and that qubit becomes the flag.  After
     the rounds, the flag (and the shrink qubit) are deterministically one
-    and get cleared with X gates.
+    and get cleared with X gates.  Returns the number of rounds.
     """
     af = float(alpha)
     if not 0.0 < af <= 1.0 + ANGLE_TOL:
@@ -139,7 +130,7 @@ def amplify_to_exact(builder: Builder, flag: int, alpha: Number) -> AmplifyInfo:
     if af >= 1.0 - ANGLE_TOL:
         builder.append(g_x(flag))
         builder.record_rounds(0, 0)
-        return AmplifyInfo(rounds=0, odd_r=1, alpha=af, alpha_target=1.0, gamma=None)
+        return 0
     theta = math.asin(math.sqrt(af))
     r = math.ceil(math.pi / (2.0 * theta) - 1e-9)
     if r % 2 == 0:
@@ -147,7 +138,6 @@ def amplify_to_exact(builder: Builder, flag: int, alpha: Number) -> AmplifyInfo:
     while math.pi / (2.0 * r) > theta + ANGLE_TOL:
         r += 2
     target = math.sin(math.pi / (2.0 * r)) ** 2
-    gamma: Optional[float] = None
     flags = [flag]
     if abs(target - af) > ANGLE_TOL:
         gamma = target / af
@@ -156,9 +146,7 @@ def amplify_to_exact(builder: Builder, flag: int, alpha: Number) -> AmplifyInfo:
         flags.append(shrink)
     count = exact_grover(builder, flags[-1], target)
     builder.append_layer([g_x(q) for q in flags])
-    return AmplifyInfo(
-        rounds=count, odd_r=r, alpha=af, alpha_target=target, gamma=gamma
-    )
+    return count
 
 
 def adjust_amplitudes(

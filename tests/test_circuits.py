@@ -205,7 +205,7 @@ def test_from_circuit_round_trip_and_extension():
 
 def mixed_circuit():
     """One gate of most kinds, a library gate with Fraction args, and metadata."""
-    b = Builder(metadata={"label": "mixed", "fanout_budget": 8})
+    b = Builder(metadata={"fanout_budget": 8})
     x = b.add_register("x", 3)
     a = b.add_register("a", 2, ancilla=True)
     b.append(g_unitary1(x[0], rot(0.25)))
@@ -226,14 +226,73 @@ def test_serialize_round_trip_mixed_gates():
     assert c2.n_qubits == c1.n_qubits
     assert [r.name for r in c2.registers] == ["x", "a"]
     assert c2.register("a").ancilla
-    assert c2.metadata["rounds"] == (2,)
-    assert c2.metadata["label"] == "mixed"
+    assert c2.metadata == {"fanout_budget": 8, "rounds": (2,), "round_layer_cost": (6,)}
     assert len(c2.layers) == len(c1.layers)
     assert serialize(c2) == text
     # matrices survive the float encoding
     m1 = np.asarray(next(iter(c1.layers[0])).params["matrix"])
     m2 = np.asarray(next(iter(c2.layers[0])).params["matrix"])
     assert np.allclose(m1, m2)
+
+
+def metadata_file(metadata):
+    """A circuit file with no fanout, written with ``metadata`` as its own."""
+    b = Builder(metadata={"fanout_budget": 3})
+    b.add_register("x", 2)
+    b.append(g_x(0))
+    b.record_rounds(2, 6)
+    doc = json.loads(serialize(b.build()))
+    doc["metadata"] = metadata
+    return json.dumps(doc)
+
+
+# Metadata that no builder writes, each refused with the line shown.  Every
+# one loaded before metadata became three checked keys.
+BAD_METADATA = {
+    "unknown-key": ({"label": "x"}, "unknown metadata key 'label'"),
+    "fraction-under-an-unknown-key": (
+        {"alpha": {"__frac__": [1, 3]}}, "unknown metadata key 'alpha'"
+    ),
+    "negative-round": (
+        {"rounds": [-7], "round_layer_cost": [6]},
+        "metadata 'rounds' must hold nonnegative ints, got (-7,)",
+    ),
+    "negative-round-layer-cost": (
+        {"rounds": [2], "round_layer_cost": [-6]},
+        "metadata 'round_layer_cost' must hold nonnegative ints, got (-6,)",
+    ),
+    "unequal-lengths": (
+        {"rounds": [2, 1], "round_layer_cost": [6]},
+        "metadata 'rounds' and 'round_layer_cost' differ in length",
+    ),
+    "negative-fanout-budget": (
+        {"fanout_budget": -1}, "metadata 'fanout_budget' must hold nonnegative ints, got -1"
+    ),
+    "null-fanout-budget": ({"fanout_budget": None}, "expected a JSON int, got None"),
+}
+
+
+def test_metadata_of_the_three_keys_loads():
+    meta = {"fanout_budget": 0, "rounds": [2, 0], "round_layer_cost": [6, 0]}
+    assert deserialize(metadata_file(meta)).metadata == {
+        "fanout_budget": 0, "rounds": (2, 0), "round_layer_cost": (6, 0)
+    }
+    assert deserialize(metadata_file({})).metadata == {}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_METADATA))
+def test_deserialize_refuses_metadata_outside_the_three_keys(case):
+    meta, message = BAD_METADATA[case]
+    with pytest.raises((circ.ParseError, CircuitError)) as exc:
+        deserialize(metadata_file(meta))
+    assert str(exc.value) == message
+
+
+def test_serialize_refuses_metadata_it_would_not_load():
+    b = Builder(metadata={"label": "x"})
+    b.add_register("x", 1)
+    with pytest.raises(CircuitError, match="unknown metadata key 'label'"):
+        serialize(b.build())
 
 
 def test_deserialized_circuit_simulates_identically():
@@ -271,7 +330,7 @@ def test_deserialize_rejects_library_costs_off_the_registry():
     doc["layers"][0][0].update(declared_depth=1, declared_width=0)
     report = cost(deserialize(json.dumps(doc)))
     assert (report.depth, report.max_fanout_width) == (6, 2)
-    args = (1, (0.5, 0.5, 0.5, 0.5), Fraction(1, 2), 17, 3)
+    args = (1, (0.6, 0.8, 0.0, 0.0), Fraction(16, 25), 17, 3)
     doc = json.loads(serialize(one_gate_circuit("marked_prep", args)))
     report = cost(deserialize(json.dumps(doc)))
     assert (report.depth, report.max_fanout_width) == (17, 3)

@@ -11,7 +11,7 @@ import pytest
 from shallowprep import dists
 from shallowprep.claims import CLAIM_IDS, SweepConfig, run_claims
 
-TINY = SweepConfig(m_values=(1, 2, 3, 4), k_max=3, enumeration_budget=8)
+TINY = SweepConfig(m_values=(1, 2, 3, 4), k_max=3)
 
 # SHA-256 of the default-grid rows (m = 1..64, k <= 6) without timings, as
 # computed by the per-(m, k, j) Fraction implementation these tables replaced
@@ -30,8 +30,7 @@ def test_tiny_grid_all_pass():
 
 
 def test_fault_injection_breaks_only_normalizer_rows():
-    cfg = SweepConfig(m_values=(1, 2, 3, 4), k_max=3, enumeration_budget=8,
-                      fault="lambda-off-by-one")
+    cfg = SweepConfig(m_values=(1, 2, 3, 4), k_max=3, fault="lambda-off-by-one")
     verdicts = run_claims(cfg)
     assert not all(v.passed for v in verdicts)
     for v in verdicts:
@@ -56,16 +55,14 @@ def test_sweep_config_validation():
 
 def test_parallel_run_matches_serial_order():
     serial = run_claims(TINY)
-    cfg = SweepConfig(m_values=TINY.m_values, k_max=TINY.k_max,
-                      enumeration_budget=TINY.enumeration_budget, workers=2)
-    parallel = run_claims(cfg)
+    parallel = run_claims(replace(TINY, workers=2))
     assert _rows(serial) == _rows(parallel)
 
 
 def test_workers_get_every_bracket_up_to_k_max():
     """Workers read the rational brackets that run_claims hands them, up to
     the e^(-2j/k) bounds for k = 6."""
-    cfg = SweepConfig(m_values=(6, 7), k_max=6, enumeration_budget=8)
+    cfg = SweepConfig(m_values=(6, 7), k_max=6)
     serial = run_claims(cfg)
     parallel = run_claims(replace(cfg, workers=2))
     assert {v.params["k_star"] for v in serial
@@ -101,7 +98,7 @@ def test_default_grid_rows_are_pinned_and_repeatable():
 
 
 def test_verdict_rows_carry_timings_and_schema():
-    verdicts = run_claims(SweepConfig(m_values=(2,), k_max=2, enumeration_budget=4))
+    verdicts = run_claims(SweepConfig(m_values=(2,), k_max=2))
     for v in verdicts:
         row = v.as_dict()
         assert set(row) == {"claim", "params", "lhs", "rhs", "passed", "seconds"}

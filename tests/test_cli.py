@@ -13,7 +13,9 @@ import pytest
 from shallowprep import cli, library
 from shallowprep.circuits import Builder, g_x, serialize
 from shallowprep.simulate import MAX_DENSE_QUBITS
-from test_circuits import _KET0, MALFORMED, _edited, malformed_text, mixed_circuit
+from test_circuits import (
+    _KET0, BAD_METADATA, MALFORMED, _edited, malformed_text, metadata_file, mixed_circuit
+)
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -404,6 +406,22 @@ def test_a_version_1_circuit_file_exits_2_with_one_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, (argv[0], err)
         assert "version 1" in err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_METADATA))
+def test_report_refuses_metadata_outside_the_three_keys(tmp_path, capsys, case):
+    """A round count of -7, say, is refused, not reported as grover_rounds -7."""
+    meta, message = BAD_METADATA[case]
+    path = write(tmp_path / "bad.circuit", metadata_file(meta))
+    assert cli.main(["report", "--circuit", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_synth_report_writes_fractions_as_num_over_den(tmp_path, capsys):
+    argv = ["synth", "dicke", "--n", "7", "--k", "2", "--ell", "4", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    info = json.loads((tmp_path / "dicke_n7_k2.report.json").read_text())["info"]
+    assert info == {"R": "531/224", "ell": 4, "k_star": 2, "p0": "3/4", "padded_to": 8}
 
 
 def test_verify_refuses_circuits_too_wide_to_simulate(tmp_path, capsys):

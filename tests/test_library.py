@@ -247,7 +247,8 @@ def test_make_charges_registry_costs():
     and marked_prep's measured costs are two of its arguments."""
     gate = library.make("exact", (3, 1), (0, 1, 2, 3))
     assert set(gate.params) == {"tag", "args", "inverse"}
-    marked = library.make("marked_prep", (1, (0.6, 0.8, 0.0, 0.0), 0.0, 17, 3), (4, 5))
+    marked_args = (1, (0.6, 0.8, 0.0, 0.0), Fraction(16, 25), 17, 3)
+    marked = library.make("marked_prep", marked_args, (4, 5))
     b = Builder()
     b.add_register("q", 6)
     b.append_layer([gate, marked])
@@ -290,6 +291,10 @@ def _library_file(tag, args, n_qubits):
         ("ctrl_damped", (3, 4), "k must lie in 1..3"),
         ("marked_prep", (1, (0.6, 0.8, 0, 0), 0.0, 0, 0), "costs out of range"),
         ("marked_prep", (1, (0.6, 0.8, 0, 0), 0.0, 1, -1), "costs out of range"),
+        ("marked_prep", (1, (1, 0, 0, 1), 0.5, 3, 0), "not unit norm"),
+        ("marked_prep", (1, (0.6, 0.8, 0, 0), 0.5, 1, 0), "flag mass disagrees with alpha"),
+        ("marked_prep", (1, (0.6, 0, 0.8, 0), 0.0, 1, 0), "unmarked branch must be all zeros"),
+        ("marked_prep", (1, (0.6, float("nan"), 0, 0), 0.64, 1, 0), "not unit norm"),
     ],
 )
 def test_arguments_that_describe_no_gate_are_rejected(tag, args, match):
@@ -308,7 +313,7 @@ def test_arguments_that_describe_no_gate_are_rejected(tag, args, match):
 def test_huge_marked_prep_width_is_rejected_without_building_it():
     """A file may name any n_data; the amplitude-count check compares
     exponents, so n_data = 10**12 is refused as fast as n_data = 2."""
-    args = (0, (0.6 + 0j, 0.8j), Fraction(1, 3), 1, 0)
+    args = (0, (0.6 + 0j, 0.8j), Fraction(16, 25), 1, 0)
     deserialize(_library_file("marked_prep", args, 1))
     huge = (10**12,) + args[1:]
     with pytest.raises(CircuitError, match="amplitudes for n_data=1000000000000, got 2"):
@@ -331,9 +336,10 @@ KIND_SAMPLES = {
     "complexes": (0.6 + 0j, 0.8j),
 }
 # tags whose arguments constrain each other: marked_prep needs 2^(n_data+1)
-# amplitudes, so the two complex samples go with n_data = 0
+# amplitudes, so the two complex samples go with n_data = 0, and an alpha
+# equal to the flagged mass |0.8j|^2
 TAG_SAMPLES = {
-    "marked_prep": (0, KIND_SAMPLES["complexes"], KIND_SAMPLES["number"], 2, 2)
+    "marked_prep": (0, KIND_SAMPLES["complexes"], Fraction(16, 25), 2, 2)
 }
 
 

@@ -66,9 +66,13 @@ def test_exact_grover_rejects_inexact_mass():
 def test_amplify_to_exact_clears_flag():
     alpha = 0.4
     b, data, flag = seeded_flag_builder(alpha)
-    info = amplify_to_exact(b, flag, alpha)
-    assert info.rounds >= 1
-    assert info.odd_r % 2 == 1
+    rounds = amplify_to_exact(b, flag, alpha)
+    assert rounds >= 1
+    # a shrink qubit brings the mass down to the largest sin^2(pi/(2r)),
+    # odd r = 2 rounds + 1, at or below alpha
+    odd_r = 2 * rounds + 1
+    assert math.sin(math.pi / (2 * odd_r)) ** 2 <= alpha < math.sin(math.pi / (2 * odd_r - 4)) ** 2
+    assert [r.name for r in b.registers] == ["d", "f", "shrink0"]
     target = np.array([0.0, 1.0], dtype=complex)
     res = check_clean_preparation(b.build(), target, (data,))
     assert res.fidelity > 1 - 1e-9
@@ -77,9 +81,8 @@ def test_amplify_to_exact_clears_flag():
 
 def test_amplify_to_exact_full_mass_shortcut():
     b, data, flag = seeded_flag_builder(1.0)
-    info = amplify_to_exact(b, flag, 1.0)
-    assert info.rounds == 0
-    assert info.gamma is None
+    assert amplify_to_exact(b, flag, 1.0) == 0
+    assert [r.name for r in b.registers] == ["d", "f"]  # no shrink qubit
     state = run(b.build())
     assert abs(abs(state.amplitudes[0b01]) ** 2 - 1.0) < 1e-9
 
