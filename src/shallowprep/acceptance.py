@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,10 +94,13 @@ def canonical_rows(rows: Sequence[CheckRow]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _row(
-    check_id: str, params: Dict[str, Any], rhs: str, measure: Callable[[], Tuple[str, bool]]
-) -> CheckRow:
-    """One row: ``measure()`` is timed and returns the lhs and the verdict."""
+Measure = Callable[[], Tuple[str, bool]]
+# (params, rhs, measure): one row of a criterion, as data
+Case = Tuple[Dict[str, Any], str, Measure]
+
+
+def _row(check_id: str, params: Dict[str, Any], rhs: str, measure: Measure) -> CheckRow:
+    """The one maker of rows: ``measure()`` is timed and returns lhs and verdict."""
     t0 = time.perf_counter()
     lhs, ok = measure()
     return CheckRow(check_id, params, lhs, rhs, ok, time.perf_counter() - t0)
@@ -202,24 +205,23 @@ def _crit_uniformity(ws: Dict[str, Any]) -> List[CheckRow]:
 
 
 def _crit_claims(ws: Dict[str, Any]) -> List[CheckRow]:
-    t0 = time.perf_counter()
+    """One sweep, then one row per claim; a row times only its own tally."""
     verdicts = claims.run_claims(claims.SweepConfig())
-    elapsed = time.perf_counter() - t0
-    rows = []
-    for claim_id in claims.CLAIM_IDS:
-        sub = [v for v in verdicts if v.claim == claim_id]
+
+    def measure(sub: List[claims.ClaimVerdict]) -> Tuple[str, bool]:
         good = sum(1 for v in sub if v.passed)
-        rows.append(
-            CheckRow(
-                "claim-sweep",
-                {"claim": claim_id, "points": len(sub)},
-                f"{good}/{len(sub)} pass",
-                "every grid point passes",
-                bool(sub) and good == len(sub),
-                elapsed / len(claims.CLAIM_IDS),
-            )
+        return f"{good}/{len(sub)} pass", bool(sub) and good == len(sub)
+
+    by_claim = {c: [v for v in verdicts if v.claim == c] for c in claims.CLAIM_IDS}
+    return [
+        _row(
+            "claim-sweep",
+            {"claim": claim_id, "points": len(sub)},
+            "every grid point passes",
+            functools.partial(measure, sub),
         )
-    return rows
+        for claim_id, sub in by_claim.items()
+    ]
 
 
 # ---- primitive certification cases ----
@@ -261,7 +263,7 @@ def _certified(
     return f"{measure}={rep.worst_overlap:.12f} inputs={rep.inputs_checked}", True
 
 
-def _rows_exact_grover() -> List[CheckRow]:
+def _rows_exact_grover() -> Iterable[Case]:
     def measure(alpha: float, want: int) -> Tuple[str, bool]:
         b = Builder()
         data = b.add_register("data", 1, ancilla=False)[0]
@@ -281,9 +283,8 @@ def _rows_exact_grover() -> List[CheckRow]:
         ("sin^2(pi/10)", math.sin(math.pi / 10.0) ** 2, 2),
     )
     return [
-        _row(
-            _PRIMITIVE,
-            {"name": "exact_grover", "alpha": label},
+        (
+            {"alpha": label},
             f"fidelity >= 1-1e-9 and rounds={want}",
             functools.partial(measure, alpha, want),
         )
@@ -291,7 +292,7 @@ def _rows_exact_grover() -> List[CheckRow]:
     ]
 
 
-def _rows_amplify() -> List[CheckRow]:
+def _rows_amplify() -> Iterable[Case]:
     def measure(alpha: float, want_rounds: int) -> Tuple[str, bool]:
         b = Builder()
         data = b.add_register("data", 1, ancilla=False)
@@ -306,9 +307,8 @@ def _rows_amplify() -> List[CheckRow]:
         return f"fidelity={res.fidelity:.12f} clean={res.clean} rounds={rounds}", ok
 
     return [
-        _row(
-            _PRIMITIVE,
-            {"name": "amplify_to_exact", "alpha": label},
+        (
+            {"alpha": label},
             f"fidelity >= 1-1e-9, clean, rounds={want_rounds}",
             functools.partial(measure, alpha, want_rounds),
         )
@@ -316,7 +316,7 @@ def _rows_amplify() -> List[CheckRow]:
     ]
 
 
-def _rows_adjust() -> List[CheckRow]:
+def _rows_adjust() -> Iterable[Case]:
     def measure(alphas: List[float], betas: List[float]) -> Tuple[str, bool]:
         n_slots = len(alphas)
         b = Builder()
@@ -336,7 +336,6 @@ def _rows_adjust() -> List[CheckRow]:
         return lhs, res.fidelity >= 1.0 - FIDELITY_TOL and res.clean
 
     rng = random.Random(20240811)
-    rows = []
     for draw in range(5):
         n_slots = rng.randint(1, 4)
         total = rng.uniform(0.3, 0.85)
@@ -351,18 +350,14 @@ def _rows_adjust() -> List[CheckRow]:
                 betas.append(1.0)
             else:
                 betas.append(rng.uniform(0.1, 0.95))
-        rows.append(
-            _row(
-                _PRIMITIVE,
-                {"name": "adjust_amplitudes", "draw": draw, "slots": n_slots},
-                "fidelity >= 1-1e-9 and clean",
-                functools.partial(measure, alphas, betas),
-            )
+        yield (
+            {"draw": draw, "slots": n_slots},
+            "fidelity >= 1-1e-9 and clean",
+            functools.partial(measure, alphas, betas),
         )
-    return rows
 
 
-def _rows_parallel_amplify() -> List[CheckRow]:
+def _rows_parallel_amplify() -> Iterable[Case]:
     psi = np.zeros(4, dtype=complex)
     psi[1] = psi[2] = _ISQ2
 
@@ -382,17 +377,12 @@ def _rows_parallel_amplify() -> List[CheckRow]:
         return lhs, res.fidelity >= 1.0 - FIDELITY_TOL and res.clean
 
     return [
-        _row(
-            _PRIMITIVE,
-            {"name": "parallel_amplify", "alpha": label},
-            "fidelity >= 1-1e-9 and clean",
-            functools.partial(measure, alpha),
-        )
+        ({"alpha": label}, "fidelity >= 1-1e-9 and clean", functools.partial(measure, alpha))
         for label, alpha in (("1/2", Fraction(1, 2)), ("1/3", Fraction(1, 3)))
     ]
 
 
-def _rows_ham_gadget() -> List[CheckRow]:
+def _rows_ham_gadget() -> Iterable[Case]:
     def certified(n: int, k: int) -> CertificationReport:
         b = Builder()
         x = b.add_register("x", n, ancilla=False)
@@ -402,9 +392,8 @@ def _rows_ham_gadget() -> List[CheckRow]:
         )
 
     return [
-        _row(
-            _PRIMITIVE,
-            {"name": "ham_gadget", "n": n, "k": k},
+        (
+            {"n": n, "k": k},
             "matches the tally semantics on every input",
             functools.partial(_certified, certified, n, k),
         )
@@ -413,7 +402,7 @@ def _rows_ham_gadget() -> List[CheckRow]:
     ]
 
 
-def _rows_ctrl_state() -> List[CheckRow]:
+def _rows_ctrl_state() -> Iterable[Case]:
     def measure(phi: Tuple[complex, ...]) -> Tuple[str, bool]:
         w = len(phi).bit_length() - 1
         pb = Builder()
@@ -434,17 +423,12 @@ def _rows_ctrl_state() -> List[CheckRow]:
         ("pair-complex", (0j, _ISQ2 + 0j, 1j * _ISQ2, 0j)),
     )
     return [
-        _row(
-            _PRIMITIVE,
-            {"name": "ctrl_state", "case": label},
-            _CONTROLLED_RHS,
-            functools.partial(measure, phi),
-        )
+        ({"case": label}, _CONTROLLED_RHS, functools.partial(measure, phi))
         for label, phi in cases
     ]
 
 
-def _rows_ctrl_from_zero_overlap() -> List[CheckRow]:
+def _rows_ctrl_from_zero_overlap() -> Iterable[Case]:
     rest = (0j, _ISQ2 + 0j, _ISQ2 + 0j, 0j)
 
     def measure(alpha: Any) -> Tuple[str, bool]:
@@ -458,26 +442,20 @@ def _rows_ctrl_from_zero_overlap() -> List[CheckRow]:
         return _worst_controlled(circ, ctrl, rest, data)
 
     return [
-        _row(
-            _PRIMITIVE,
-            {"name": "ctrl_from_zero_overlap", "alpha": label},
-            _CONTROLLED_RHS,
-            functools.partial(measure, alpha),
-        )
+        ({"alpha": label}, _CONTROLLED_RHS, functools.partial(measure, alpha))
         for label, alpha in (("0.3", 0.3), ("1/2", Fraction(1, 2)), ("0.75", 0.75))
     ]
 
 
-def _rows_ctrl_dicke() -> List[CheckRow]:
+def _rows_ctrl_dicke() -> Iterable[Case]:
     def certified(ell: int, slots: int, weights: Tuple[int, ...]) -> CertificationReport:
         return certify_library_gate(
             "ctrl_dicke", (ell, slots, weights), *ctrl_dicke_explicit(ell, slots, weights)
         )
 
     return [
-        _row(
-            _PRIMITIVE,
-            {"name": "ctrl_dicke", "ell": ell, "slots": slots},
+        (
+            {"ell": ell, "slots": slots},
             "matches the declared routing on its whole domain",
             functools.partial(_certified, certified, ell, slots, weights),
         )
@@ -501,7 +479,7 @@ def custom_threshold_semantics(
     return library.LibrarySemantics(n_qubits=w, permutation=table, domain=tuple(domain))
 
 
-def _rows_custom_threshold() -> List[CheckRow]:
+def _rows_custom_threshold() -> Iterable[Case]:
     n, k = 3, 2
 
     def certified() -> CertificationReport:
@@ -515,16 +493,15 @@ def _rows_custom_threshold() -> List[CheckRow]:
         return certify("custom_threshold", (n, k), sem, b.build(), io)
 
     return [
-        _row(
-            _PRIMITIVE,
-            {"name": "custom_threshold", "n": n, "selectors": k},
+        (
+            {"n": n, "selectors": k},
             "matches the selector predicate on its whole domain",
             functools.partial(_certified, certified, measure="worst_fidelity"),
         )
     ]
 
 
-_PRIMITIVE_CASES: Dict[str, Callable[[], List[CheckRow]]] = {
+_PRIMITIVE_CASES: Dict[str, Callable[[], Iterable[Case]]] = {
     "exact_grover": _rows_exact_grover,
     "amplify_to_exact": _rows_amplify,
     "adjust_amplitudes": _rows_adjust,
@@ -542,12 +519,15 @@ PRIMITIVE_NAMES = tuple(_PRIMITIVE_CASES)
 def certify_primitive(name: str) -> List[CheckRow]:
     """Certification rows for one named primitive."""
     try:
-        fn = _PRIMITIVE_CASES[name]
+        cases = _PRIMITIVE_CASES[name]
     except KeyError:
         raise ValueError(
             f"unknown primitive {name!r}; choose from " + ", ".join(PRIMITIVE_NAMES)
         ) from None
-    return fn()
+    return [
+        _row(_PRIMITIVE, {"name": name, **params}, rhs, measure)
+        for params, rhs, measure in cases()
+    ]
 
 
 def _crit_primitives(ws: Dict[str, Any]) -> List[CheckRow]:
@@ -555,39 +535,31 @@ def _crit_primitives(ws: Dict[str, Any]) -> List[CheckRow]:
 
 
 def _crit_depth_witness(ws: Dict[str, Any]) -> List[CheckRow]:
-    measured = []
-    for n in (8, 16, 24, 32):
-        t0 = time.perf_counter()
+    def shape(n: int) -> Tuple[int, List[int]]:
+        """The layer count, then (layers outside Grover rounds, fanout width,
+        depth), of ``build_dicke(n, 2, 4)``."""
         out = build_dicke(n, 2, 4)
         layers = len(out.circuit.layers)
-        rounds = list(out.circuit.metadata.get("rounds", []))
-        costs = list(out.circuit.metadata.get("round_layer_cost", []))
-        in_rounds = sum(r * c for r, c in zip(rounds, costs))
-        measured.append(
-            (
-                n,
-                layers,
-                layers - in_rounds,
-                out.report.max_fanout_width,
-                out.report.depth,
-                time.perf_counter() - t0,
-            )
+        meta = out.circuit.metadata
+        rounds = zip(meta.get("rounds", ()), meta.get("round_layer_cost", ()))
+        base = layers - sum(r * c for r, c in rounds)
+        return layers, [base, out.report.max_fanout_width, out.report.depth]
+
+    ref = shape(8)[1]
+
+    def measure(n: int) -> Tuple[str, bool]:
+        layers, got = shape(n)
+        return "layers={} base={} fanout={} depth={}".format(layers, *got), got == ref
+
+    return [
+        _row(
+            "depth-witness",
+            {"n": n, "k": 2, "ell": 4},
+            "base={} fanout={} depth={} (the n=8 reference)".format(*ref),
+            functools.partial(measure, n),
         )
-    ref = measured[0]
-    rows = []
-    for n, layers, base, fan, depth, dt in measured:
-        ok = base == ref[2] and fan == ref[3] and depth == ref[4]
-        rows.append(
-            CheckRow(
-                "depth-witness",
-                {"n": n, "k": 2, "ell": 4},
-                f"layers={layers} base={base} fanout={fan} depth={depth}",
-                f"base={ref[2]} fanout={ref[3]} depth={ref[4]} (the n=8 reference)",
-                ok,
-                dt,
-            )
-        )
-    return rows
+        for n in (8, 16, 24, 32)
+    ]
 
 
 _CRITERIA: Dict[str, Callable[[Dict[str, Any]], List[CheckRow]]] = {
@@ -611,15 +583,6 @@ class AcceptanceReport:
     def passed(self) -> bool:
         return all(row.verdict for row in self.rows)
 
-    def criteria_summary(self) -> List[Tuple[str, bool]]:
-        """One (criterion, verdict) pair per criterion that produced rows."""
-        summary = []
-        for cid in CRITERION_IDS:
-            sub = [row for row in self.rows if row.check_id == cid]
-            if sub:
-                summary.append((cid, all(row.verdict for row in sub)))
-        return summary
-
     def table(self, include_seconds: bool = True) -> str:
         lines = []
         for row in self.rows:
@@ -629,8 +592,11 @@ class AcceptanceReport:
             if include_seconds:
                 piece += f"  [{row.seconds:.2f}s]"
             lines.append(piece)
-        for cid, ok in self.criteria_summary():
-            lines.append(f"{'PASS' if ok else 'FAIL'}  criterion {cid}")
+        # one line per criterion that produced rows
+        for cid in CRITERION_IDS:
+            verdicts = [row.verdict for row in self.rows if row.check_id == cid]
+            if verdicts:
+                lines.append(f"{'PASS' if all(verdicts) else 'FAIL'}  criterion {cid}")
         lines.append(f"{'PASS' if self.passed else 'FAIL'}  overall")
         return "\n".join(lines)
 

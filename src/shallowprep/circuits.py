@@ -49,6 +49,9 @@ GATE_PARAMS: Dict[str, frozenset] = {
 GATE_NEEDS: Dict[str, frozenset] = {
     kind: frozenset(_OWN_PARAMS.get(kind, ())) - {"label"} for kind in GATE_KINDS
 }
+# the exact type of each scalar param, however the gate was made; the matrix
+# and the library args follow their own rules
+PARAM_TYPES: Dict[str, type] = {"label": str, "inverse": bool, "ctrl": int, "checked": bool}
 
 
 class CircuitError(ValueError):
@@ -190,6 +193,12 @@ def _validate_gate(gate: Gate) -> None:
     if not p.keys() >= GATE_NEEDS[gate.kind]:
         key = min(GATE_NEEDS[gate.kind] - p.keys())
         raise CircuitError(f"{gate.kind} gate needs parameter {key!r}")
+    for key, value in p.items():
+        want = PARAM_TYPES.get(key)
+        if want is not None and type(value) is not want:
+            raise CircuitError(
+                f"{gate.kind} gate param {key!r} must be a {want.__name__}, got {value!r}"
+            )
     if gate.kind in ("unitary1", "ctrl_unitary1"):
         mat = np.asarray(p["matrix"])
         if mat.shape != (2, 2):
@@ -320,6 +329,7 @@ class Builder:
         self._names: Dict[str, int] = {}
         self.layers: List[Tuple[Gate, ...]] = []
         self.metadata: Dict[str, Any] = dict(metadata or {})
+        _check_metadata(self.metadata)
         self._next_qubit = 0
         # footprints of the appended layers: the qubit count only grows, so
         # each would pass the qubit walk again
@@ -373,6 +383,7 @@ class Builder:
     # ---- finishing ----
 
     def build(self) -> Circuit:
+        _check_metadata(self.metadata)
         return Circuit(
             registers=tuple(self.registers),
             layers=tuple(self.layers),
@@ -413,7 +424,7 @@ def _exactly(kind: type) -> Callable[[Any], Any]:
     return decode
 
 
-_as_int, _as_bool, _as_list = _exactly(int), _exactly(bool), _exactly(list)
+_as_int, _as_bool, _as_list, _as_str = _exactly(int), _exactly(bool), _exactly(list), _exactly(str)
 
 
 def _decode_ints(v: Any) -> Tuple[int, ...]:
@@ -456,14 +467,12 @@ def decode_fraction(v: Any) -> Fraction:
 
 def _encode_gate(gate: Gate) -> Dict[str, Any]:
     # a gate holds only the params of its kind: a matrix and library args
-    # take their JSON forms, and ctrl=None and a check left on are not written
+    # take their JSON forms, and a check left on is not written
     params = dict(gate.params)
     if "matrix" in params:
         params["matrix"] = encode_matrix(params["matrix"])
     if gate.kind == "library":
         params["args"] = library.entry(params["tag"]).encode(params["args"])
-    if params.get("ctrl", 0) is None:
-        del params["ctrl"]
     if params.get("checked", False) is not False:
         del params["checked"]
     return {
@@ -502,7 +511,7 @@ def _decode_params(kind: str, raw: Dict[str, Any]) -> Dict[str, Any]:
     if kind in ("unitary1", "ctrl_unitary1"):
         params["matrix"] = decode_matrix(raw["matrix"])
         if "label" in raw:
-            params["label"] = raw["label"]
+            params["label"] = _as_str(raw["label"])
     elif kind == "library":
         ent = library.entry(raw["tag"])
         params["tag"] = ent.tag

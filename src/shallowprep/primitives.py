@@ -195,9 +195,11 @@ def adjust_amplitudes(
 
 
 def extract_marked_state(marked: MarkedPreparation) -> np.ndarray:
-    """Simulate the preparation once and pull out its (data, flag) state.
+    """Simulate the preparation once and pull out its normalized (data, flag)
+    state.
 
-    Raises if ancillas are dirty or the unflagged branch is not all zeros.
+    Raises if ancillas are dirty.  Whether the state fits ``alpha`` is the
+    ``marked_prep`` gate's rule, which ``parallel_amplify`` checks.
     """
     state = run(marked.circuit)
     io = tuple(marked.data_register) + (marked.flag_qubit,)
@@ -208,16 +210,7 @@ def extract_marked_state(marked: MarkedPreparation) -> np.ndarray:
     vec = np.zeros(2 ** len(io), dtype=complex)
     vec[local] = values
     norm = float(np.real(np.vdot(vec, vec)))
-    vec = vec / math.sqrt(norm)
-    flagged = float(np.sum(np.abs(vec[1::2]) ** 2))
-    if abs(flagged - float(marked.alpha)) > MASS_TOL:
-        raise SimulationError(
-            f"flag mass {flagged} disagrees with declared alpha {float(marked.alpha)}"
-        )
-    bad = float(np.sum(np.abs(vec[2::2]) ** 2))
-    if bad > MASS_TOL:
-        raise SimulationError("unflagged branch of the preparation is not all zeros")
-    return vec
+    return vec / math.sqrt(norm)
 
 
 def parallel_amplify(
@@ -244,6 +237,8 @@ def parallel_amplify(
     prep_gate_args = (
         d, tuple(complex(x) for x in vec), alpha, max(1, report.depth), report.max_fanout_width
     )
+    # the gate's rules, before the builder changes
+    library.entry("marked_prep").check_args(prep_gate_args)
     copies = [builder.new_register(f"copy{i}_", d + 1) for i in range(t)]
     builder.append_layer(
         [library.make("marked_prep", prep_gate_args, tuple(reg)) for reg in copies]
@@ -556,8 +551,8 @@ def prepare_small_state(amps: Sequence[complex]) -> Tuple[Builder, Register]:
     painted on the hot slots; the one-hot pattern is then compressed to
     binary on the output register.
     """
-    # the declared semantics of small_state check the length and the norm
-    library.semantics("small_state", (tuple(amps),))
+    # small_state's rules check the length and the norm
+    library.entry("small_state").check_args((tuple(amps),))
     size = len(amps)
     vec = np.asarray(amps, dtype=complex)
     builder = Builder()

@@ -69,3 +69,10 @@ def test_canonical_report_is_pinned(battery):
     verdict of the full battery, in order."""
     digest = hashlib.sha256(canonical_rows(battery.rows).encode()).hexdigest()
     assert digest == "fae4cb760287203ab63e066a579b256e9c4d3da422d37c057034678ce2fa61d5"
+
+
+def test_table_is_pinned(battery):
+    """The timing-free table keeps its exact bytes, including the order of
+    each row's params, which the sorted canonical report does not fix."""
+    digest = hashlib.sha256(battery.table(include_seconds=False).encode()).hexdigest()
+    assert digest == "c5491e0c5f0b263c5727c59898e68d891f51a05d9936ca2ef3cb85e0ff4e5498"

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from shallowprep import circuits as circ, library
 from shallowprep.circuits import (
+    PARAM_TYPES,
     Builder,
     CircuitError,
     cost,
@@ -289,10 +290,31 @@ def test_deserialize_refuses_metadata_outside_the_three_keys(case):
 
 
 def test_serialize_refuses_metadata_it_would_not_load():
-    b = Builder(metadata={"label": "x"})
-    b.add_register("x", 1)
     with pytest.raises(CircuitError, match="unknown metadata key 'label'"):
+        b = Builder(metadata={"label": "x"})
+        b.add_register("x", 1)
         serialize(b.build())
+
+
+@pytest.mark.parametrize(
+    "metadata",
+    [{"rounds": (-7,), "round_layer_cost": (0,)}, {"fanout_budget": "8"}],
+    ids=["negative-rounds", "string-fanout-budget"],
+)
+def test_builder_refuses_metadata_a_file_could_not_hold(metadata):
+    """A Builder's metadata obeys the schema a loaded file does, so a
+    negative round count is never costed and a mistyped budget never meets
+    a fanout."""
+    with pytest.raises(CircuitError, match="must hold nonnegative ints"):
+        Builder(metadata=metadata)
+
+
+def test_build_refuses_negative_recorded_rounds():
+    b = Builder()
+    b.add_register("x", 1)
+    b.record_rounds(-2, 3)
+    with pytest.raises(CircuitError, match="'rounds' must hold nonnegative ints"):
+        b.build()
 
 
 def test_deserialized_circuit_simulates_identically():
@@ -518,6 +540,7 @@ MALFORMED = {
     "float-rounds": (("metadata", "rounds"), [2.5]),
     "bool-round-layer-cost": (("metadata", "round_layer_cost"), [True]),
     "string-fanout-budget": (("metadata", "fanout_budget"), "8"),
+    "int-label": (("layers", 0, 0, "params", "label"), 5),
 }
 
 
@@ -531,6 +554,30 @@ def test_deserialize_refuses_malformed_gates_and_mistyped_values(case):
     and every int and bool in a file has its exact JSON type."""
     with pytest.raises((circ.ParseError, CircuitError)):
         deserialize(malformed_text(case))
+
+
+@pytest.mark.parametrize(
+    "gate,key",
+    [
+        (library.make("dicke_prep", (2, 1), (0, 1)).with_params(inverse="yes"), "inverse"),
+        (library.make("dicke_prep", (2, 1), (0, 1)).with_params(inverse=1), "inverse"),
+        (g_x(0).with_params(ctrl=2.0), "ctrl"),
+        (g_x(0).with_params(ctrl=True), "ctrl"),
+        (g_x(0).with_params(ctrl=np.int64(1)), "ctrl"),
+        (g_x(0).with_params(checked=0), "checked"),
+    ],
+    ids=["string-inverse", "int-inverse", "float-ctrl", "bool-ctrl", "int64-ctrl", "int-checked"],
+)
+def test_built_gate_params_have_their_exact_types(gate, key):
+    """A built gate's params are typed as a loaded file's are, so no gate
+    runs, saves or skips its check in a way its file would not."""
+    b = Builder()
+    b.add_register("q", 3)
+    with pytest.raises(CircuitError) as exc:
+        b.append(gate)
+    want = f"must be a {PARAM_TYPES[key].__name__}, got {gate.params[key]!r}"
+    assert str(exc.value) == f"{gate.kind} gate param '{key}' {want}"
+    assert not b.layers
 
 
 @pytest.mark.parametrize(

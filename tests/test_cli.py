@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, emitted files, and input parsing."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -335,6 +336,14 @@ def test_primitive_subcommand(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_primitive_all_stdout_is_pinned(capsys):
+    """Every primitive row prints in its fixed order, with ``name`` as the
+    first param of each."""
+    assert cli.main(["primitive", "--name", "all"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "442ee9798c150eee147db1dbc4fd182ebfd56226476652af3825057ab219c12b"
 
 
 def test_primitive_rejects_unknown_name():

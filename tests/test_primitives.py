@@ -156,6 +156,22 @@ def test_parallel_amplify_recovers_marked_state():
     assert res.clean
 
 
+def test_parallel_amplify_refuses_an_alpha_off_the_flag_mass_before_building():
+    """The marked_prep gate's rules run once, before the builder changes."""
+    prep = Builder()
+    d = prep.add_register("d", 1)
+    f = prep.add_register("f", 1)
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = math.sqrt(0.5)
+    amps[0b11] = math.sqrt(0.5)  # flag mass 1/2
+    prep.append(library.make("raw_state", (tuple(amps),), (d[0], f[0])))
+    marked = MarkedPreparation(prep.build(), tuple(d), f[0], Fraction(1, 3))
+    outer = Builder()
+    with pytest.raises(CircuitError, match="flag mass disagrees with alpha"):
+        parallel_amplify(outer, marked)
+    assert outer.n_qubits == 0 and not outer.registers
+
+
 def test_ham_gadget_certifies():
     b = Builder()
     x = b.add_register("x", 2)
