@@ -12,11 +12,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from operator import sub
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-SERIAL_VERSION = 2
+SERIAL_VERSION = 3
+# the format versions deserialize reads: version 2 differs from version 3
+# only in writing no qubit runs, so one decoder reads both
+READ_VERSIONS = (2, 3)
+# the most qubit entries a file's registers, targets and controls may name
+# together, each run counted at its length: 40 a qubit at synth's largest
+# --n, 2^20.  synth dicke writes at most 39,848,693 there for k = 1..4 (at
+# the padded n = 1,048,573) and 41,190,279 for k = 32
+MAX_QUBIT_ENTRIES = 40 * 2**20
 ATOL = 1e-12
 
 # how many targets and controls each gate kind takes: an exact count, or
@@ -174,6 +184,11 @@ def invert_gate(gate: Gate) -> Gate:
     raise CircuitError(f"cannot invert gate kind {gate.kind!r}")
 
 
+def _near_zero(x: complex, y: complex, z: complex) -> bool:
+    """Whether all three values are within ATOL of zero; a NaN is not."""
+    return abs(x) <= ATOL and abs(y) <= ATOL and abs(z) <= ATOL
+
+
 def _validate_gate(gate: Gate) -> None:
     """The rules of the gate's kind, for every gate however it was made.
 
@@ -203,11 +218,15 @@ def _validate_gate(gate: Gate) -> None:
         mat = np.asarray(p["matrix"])
         if mat.shape != (2, 2):
             raise CircuitError(f"single-qubit matrix must be 2x2, got shape {mat.shape}")
-        if not np.max(np.abs(mat @ mat.conj().T - np.eye(2))) <= ATOL:
+        # the entries of U U^dagger - I and U - U^dagger, whose (1, 0) entry
+        # is the conjugate of the (0, 1) one, in scalar arithmetic
+        (a, b), (c, d) = mat.tolist()
+        ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+        if not _near_zero(a * ac + b * bc - 1, a * cc + b * dc, c * cc + d * dc - 1):
             raise CircuitError(f"{gate.kind} matrix is not unitary")
         # a controlled U is a gate of the set only for Hermitian U
         controlled = gate.kind == "ctrl_unitary1" or p.get("ctrl") is not None
-        if controlled and not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
+        if controlled and not _near_zero(a - ac, b - cc, d - dc):
             raise CircuitError(f"controlled {gate.kind} matrix must be Hermitian")
     elif gate.kind == "library":
         library.entry(p["tag"]).check(p["args"], len(gate.targets))
@@ -376,9 +395,17 @@ class Builder:
         self.layers.append(tuple(gates))
 
     def record_rounds(self, rounds: int, layer_cost: int) -> None:
-        """Log one amplification: its round count and the layers each round adds."""
-        for key, value in (("rounds", rounds), ("round_layer_cost", layer_cost)):
-            self.metadata[key] = self.metadata.get(key, ()) + (int(value),)
+        """Log one amplification: its round count and the layers each round adds.
+
+        A count that is not exactly an int is refused before either is
+        logged; a negative one, when the circuit is built.
+        """
+        counts = (("rounds", rounds), ("round_layer_cost", layer_cost))
+        for key, value in counts:
+            if type(value) is not int:
+                raise CircuitError(f"metadata {key!r} must hold nonnegative ints, got {value!r}")
+        for key, value in counts:
+            self.metadata[key] = self.metadata.get(key, ()) + (value,)
 
     # ---- finishing ----
 
@@ -424,7 +451,7 @@ def _exactly(kind: type) -> Callable[[Any], Any]:
     return decode
 
 
-_as_int, _as_bool, _as_list, _as_str = _exactly(int), _exactly(bool), _exactly(list), _exactly(str)
+_as_int, _as_bool, _as_list = _exactly(int), _exactly(bool), _exactly(list)
 
 
 def _decode_ints(v: Any) -> Tuple[int, ...]:
@@ -433,6 +460,63 @@ def _decode_ints(v: Any) -> Tuple[int, ...]:
         return out
     # name the first entry that is not an int
     return tuple(_as_int(x) for x in out)
+
+
+# A qubit list in a file holds ints and runs: the pair [start, stop] stands
+# for the qubits start..stop-1.  serialize writes each maximal stretch of
+# three or more consecutive qubits as a run, and shorter ones as ints.
+
+
+def _encode_qubits(qubits: Tuple[int, ...]) -> List[Any]:
+    n = len(qubits)
+    if n < 3:
+        return list(qubits)
+    first = qubits[0]
+    if qubits[-1] == first + n - 1 and qubits == tuple(range(first, first + n)):
+        return [[first, first + n]]
+    out: List[Any] = []
+    start = 0
+    # qubit minus position is one value along a run
+    for offset, run in groupby(map(sub, qubits, range(n))):
+        stop = start + len(list(run))
+        if stop - start >= 3:
+            out.append([offset + start, offset + stop])
+        else:
+            out.extend(qubits[start:stop])
+        start = stop
+    return out
+
+
+def _is_run(x: List[Any]) -> bool:
+    return len(x) == 2 and type(x[0]) is int and type(x[1]) is int and 0 <= x[0] < x[1]
+
+
+def _count_qubits(lists: List[Any]) -> int:
+    """How many qubits the lists name, each run counted at its length; an
+    entry that is neither an int nor a run counts as one, for decoding to
+    refuse."""
+    lists = [v for v in lists if type(v) is list]
+    runs = [x for v in lists for x in v if type(x) is list]
+    return sum(map(len, lists)) + sum(x[1] - x[0] - 1 for x in runs if _is_run(x))
+
+
+def _decode_qubits(v: Any) -> Tuple[int, ...]:
+    entries = _as_list(v)
+    if set(map(type, entries)) <= {int}:
+        return tuple(entries)
+    out: List[int] = []
+    for x in entries:
+        if type(x) is int:
+            out.append(x)
+        elif type(x) is list:
+            if not _is_run(x):
+                raise ParseError(
+                    f"malformed qubit run {x!r}: expected [start, stop] with 0 <= start < stop"
+                )
+            out.extend(range(x[0], x[1]))
+        else:
+            _as_int(x)  # refuses the entry, naming it
+    return tuple(out)
 
 
 def encode_complex(z: complex) -> List[float]:
@@ -465,7 +549,7 @@ def decode_fraction(v: Any) -> Fraction:
     return Fraction(v[0], v[1])
 
 
-def _encode_gate(gate: Gate) -> Dict[str, Any]:
+def _encode_gate(gate: Gate, qubits: Callable[[Tuple[int, ...]], List[Any]]) -> Dict[str, Any]:
     # a gate holds only the params of its kind: a matrix and library args
     # take their JSON forms, and a check left on is not written
     params = dict(gate.params)
@@ -477,8 +561,8 @@ def _encode_gate(gate: Gate) -> Dict[str, Any]:
         del params["checked"]
     return {
         "kind": gate.kind,
-        "targets": list(gate.targets),
-        "controls": list(gate.controls),
+        "targets": qubits(gate.targets),
+        "controls": qubits(gate.controls),
         "params": params,
     }
 
@@ -488,8 +572,8 @@ def _decode_gate(obj: Any) -> Gate:
         raise ParseError(f"gate entry must be an object, got {type(obj).__name__}")
     try:
         kind = obj["kind"]
-        targets = _decode_ints(obj["targets"])
-        controls = _decode_ints(obj["controls"])
+        targets = _decode_qubits(obj["targets"])
+        controls = _decode_qubits(obj["controls"])
         raw = obj.get("params", {})
     except KeyError as exc:
         raise ParseError(f"malformed gate entry: {exc}") from exc
@@ -507,37 +591,39 @@ def _decode_gate(obj: Any) -> Gate:
 
 
 def _decode_params(kind: str, raw: Dict[str, Any]) -> Dict[str, Any]:
-    params: Dict[str, Any] = {}
+    """A matrix and library args take their built forms, and a check left on
+    is dropped.  Every other param is kept as it is: _validate_gate types the
+    scalar ones (PARAM_TYPES) and refuses one the kind does not take."""
+    params = dict(raw)
     if kind in ("unitary1", "ctrl_unitary1"):
         params["matrix"] = decode_matrix(raw["matrix"])
-        if "label" in raw:
-            params["label"] = _as_str(raw["label"])
     elif kind == "library":
-        ent = library.entry(raw["tag"])
-        params["tag"] = ent.tag
-        params["args"] = ent.decode(raw["args"])
-        params["inverse"] = _as_bool(raw["inverse"])
-    if "ctrl" in raw:
-        params["ctrl"] = _as_int(raw["ctrl"])
-    if not _as_bool(raw.get("checked", True)):
-        params["checked"] = False
-    allowed = GATE_PARAMS[kind]
-    if not allowed.issuperset(raw):
-        # kept as it is, so that validate_circuit refuses it by the params rule
-        params.update((k, v) for k, v in raw.items() if k not in allowed)
+        params["args"] = library.entry(raw["tag"]).decode(raw["args"])
+    if params.get("checked") is True:
+        del params["checked"]
     return params
 
 
 def serialize(circuit: Circuit) -> str:
     _check_metadata(circuit.metadata)
+    # the gates of each Grover round repeat the qubit lists of the last, so
+    # each distinct list is cut into runs once
+    encoded: Dict[Tuple[int, ...], List[Any]] = {}
+
+    def qubits(q: Tuple[int, ...]) -> List[Any]:
+        out = encoded.get(q)
+        if out is None:
+            out = encoded[q] = _encode_qubits(q)
+        return out
+
     doc = {
         "version": SERIAL_VERSION,
         "metadata": dict(circuit.metadata),
         "registers": [
-            {"name": r.name, "qubits": list(r.qubits), "ancilla": r.ancilla}
+            {"name": r.name, "qubits": qubits(r.qubits), "ancilla": r.ancilla}
             for r in circuit.registers
         ],
-        "layers": [[_encode_gate(g) for g in layer] for layer in circuit.layers],
+        "layers": [[_encode_gate(g, qubits) for g in layer] for layer in circuit.layers],
     }
     return json.dumps(doc, sort_keys=True)
 
@@ -549,13 +635,24 @@ def deserialize(text: str) -> Circuit:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
-    if doc.get("version") != SERIAL_VERSION:
+    if doc.get("version") not in READ_VERSIONS:
         raise ParseError(f"unsupported format version {doc.get('version')!r}")
     for key, kind in (("metadata", dict), ("registers", list), ("layers", list)):
         if key not in doc:
             raise ParseError(f"missing top-level key {key!r}")
         if not isinstance(doc[key], kind):
             raise ParseError(f"top-level {key!r} must be a JSON {kind.__name__}")
+    # the qubits that the file names, counted before any run is expanded
+    lists = [r.get("qubits") for r in doc["registers"] if type(r) is dict]
+    lists += [
+        g.get(key) for layer in doc["layers"] if type(layer) is list
+        for g in layer if type(g) is dict for key in ("targets", "controls")
+    ]
+    entries = _count_qubits(lists)
+    if entries > MAX_QUBIT_ENTRIES:
+        raise ParseError(
+            f"file names {entries} qubit entries, over the limit of {MAX_QUBIT_ENTRIES}"
+        )
     # the known keys by exact JSON type; _check_metadata names any other
     meta = dict(doc["metadata"])
     for key, decode in (("rounds", _decode_ints), ("round_layer_cost", _decode_ints),
@@ -568,7 +665,7 @@ def deserialize(text: str) -> Circuit:
             registers.append(
                 Register(
                     name=str(entry["name"]),
-                    qubits=_decode_ints(entry["qubits"]),
+                    qubits=_decode_qubits(entry["qubits"]),
                     ancilla=_as_bool(entry.get("ancilla", False)),
                 )
             )

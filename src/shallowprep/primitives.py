@@ -225,6 +225,8 @@ def parallel_amplify(
     to the output block, and the which-copy record is uncomputed.
     """
     alpha = marked.alpha
+    if not alpha > 0:
+        raise CircuitError(f"cannot amplify a flag that is never set: alpha = {alpha}")
     if isinstance(alpha, Fraction):
         t = math.ceil(1 / alpha)
         p_star = t * alpha * (1 - alpha) ** (t - 1)

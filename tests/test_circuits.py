@@ -108,6 +108,43 @@ def test_unitary_with_a_ctrl_param_must_be_hermitian():
         b.append(g_unitary1(q, rot(0.3)).with_params(ctrl=c))
 
 
+def _dense_verdict(kind, mat):
+    """The numpy form of _validate_gate's matrix rules, as a reference."""
+    with np.errstate(invalid="ignore"):
+        if not np.max(np.abs(mat @ mat.conj().T - np.eye(2))) <= circ.ATOL:
+            return f"{kind} matrix is not unitary"
+        if kind == "ctrl_unitary1" and not np.max(np.abs(mat - mat.conj().T)) <= circ.ATOL:
+            return f"controlled {kind} matrix must be Hermitian"
+    return None
+
+
+@given(
+    kind=st.sampled_from(["unitary1", "ctrl_unitary1"]),
+    theta=st.floats(-3.0, 3.0),
+    hermitian=st.booleans(),
+    entry=st.integers(0, 3),
+    error=st.sampled_from([0.0, 1e-14, 3e-13, 1e-11, 1e-6, 0.5, 1e-6j, math.nan, math.inf]),
+)
+def test_matrix_rules_agree_with_the_dense_reference(kind, theta, hermitian, entry, error):
+    """The scalar checks on a 2x2 matrix give the verdict of the numpy ones,
+    for errors on either side of ATOL, and a NaN or inf fails them."""
+    c, s = math.cos(theta), math.sin(theta)
+    mat = np.array([[c, s], [s, -c]] if hermitian else [[c, -s], [s, c]], dtype=complex)
+    mat[entry // 2, entry % 2] += error
+    gate = circ.Gate(kind, (1,), (0,) if kind == "ctrl_unitary1" else (), {"matrix": mat})
+    want = _dense_verdict(kind, mat)
+    b = Builder()
+    b.add_register("q", 2)
+    if want is None:
+        b.append(gate)
+    else:
+        with pytest.raises(CircuitError) as exc:
+            b.append(gate)
+        assert str(exc.value) == want
+    if not math.isfinite(abs(error)):
+        assert want is not None
+
+
 def Builder_with_gate(gate):
     b = Builder()
     b.add_register("x", max(gate.touched()) + 1)
@@ -317,6 +354,17 @@ def test_build_refuses_negative_recorded_rounds():
         b.build()
 
 
+@pytest.mark.parametrize("rounds,layer_cost", [(2.5, 3.9), (2, 3.0), (True, 3), (np.int64(2), 3)])
+def test_record_rounds_refuses_a_count_that_is_not_an_int(rounds, layer_cost):
+    """record_rounds(2.5, 3.9) logged (2,) and (3,); a count that is not
+    exactly an int is refused, and neither count is logged."""
+    b = Builder(metadata={"rounds": (1,), "round_layer_cost": (4,)})
+    b.add_register("x", 1)
+    with pytest.raises(CircuitError, match="must hold nonnegative ints, got"):
+        b.record_rounds(rounds, layer_cost)
+    assert b.metadata == {"rounds": (1,), "round_layer_cost": (4,)}
+
+
 def test_deserialized_circuit_simulates_identically():
     b = Builder()
     x = b.add_register("x", 2)
@@ -476,6 +524,103 @@ def test_decode_ints_refuses_a_mistyped_entry_deep_in_a_long_list(path, bad):
     assert str(exc.value) == f"expected a JSON int, got {bad!r}"
 
 
+def _qubit_tuple(segments, order):
+    """Ascending stretches of consecutive qubits with gaps between them, at
+    most 60 qubits, sorted or put in the drawn order."""
+    qubits, at = [], 0
+    for gap, length in segments:
+        at += gap
+        qubits.extend(range(at, at + length))
+        at += length
+    qubits = qubits[:60]
+    return tuple(sorted(qubits, key=lambda q: order[q % len(order)]) if order else qubits)
+
+
+def _first_last(entry):
+    return (entry[0], entry[1] - 1) if isinstance(entry, list) else (entry, entry)
+
+
+@given(
+    segments=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 8)), max_size=12),
+    order=st.one_of(st.just(()), st.lists(st.integers(0, 9), min_size=1, max_size=7)),
+)
+def test_qubit_runs_round_trip_and_are_canonical(segments, order):
+    """A qubit list reads back as it was written, every run spans at least
+    three qubits, and no run could be merged with the entry beside it, so
+    each list has one encoding."""
+    qubits = _qubit_tuple(segments, order)
+    encoded = json.loads(json.dumps(circ._encode_qubits(qubits)))
+    assert circ._decode_qubits(encoded) == qubits
+    assert all(e[1] - e[0] >= 3 for e in encoded if isinstance(e, list))
+    for left, right in zip(encoded, encoded[1:]):
+        if isinstance(left, list) or isinstance(right, list):
+            assert _first_last(right)[0] != _first_last(left)[1] + 1, encoded
+    for trio in zip(encoded, encoded[1:], encoded[2:]):
+        if not any(isinstance(e, list) for e in trio):
+            assert (trio[1] - trio[0], trio[2] - trio[1]) != (1, 1), encoded
+
+
+def test_a_circuit_file_writes_consecutive_qubits_as_runs():
+    b = Builder()
+    data = b.add_register("data", 6)
+    anc = b.add_register("anc", 2, ancilla=True)
+    b.append(g_reflect_zero(tuple(data) + (anc[1],)))
+    b.append(g_fanout(anc[0], (data[5], data[4], data[3], data[0], data[1], data[2])))
+    doc = json.loads(serialize(b.build()))
+    assert doc["version"] == 3
+    assert [r["qubits"] for r in doc["registers"]] == [[[0, 6]], [6, 7]]
+    reflection, fanout = (layer[0] for layer in doc["layers"])
+    assert reflection["targets"] == [[0, 6], 7]
+    assert fanout["targets"] == [5, 4, 3, [0, 3]]
+
+
+def _without_runs(doc):
+    """The version-2 form of a version-3 circuit file: every run written out."""
+    def ints(entries):
+        return [q for e in entries for q in (range(*e) if isinstance(e, list) else (e,))]
+
+    doc = json.loads(json.dumps(doc))
+    doc["version"] = 2
+    for r in doc["registers"]:
+        r["qubits"] = ints(r["qubits"])
+    for layer in doc["layers"]:
+        for g in layer:
+            g["targets"], g["controls"] = ints(g["targets"]), ints(g["controls"])
+    return doc
+
+
+def test_a_version_2_file_loads_as_its_version_3_form():
+    b = Builder()
+    data = b.add_register("data", 5)
+    b.add_register("anc", 4, ancilla=True)
+    b.append(g_reflect_zero(tuple(range(9))))
+    b.append(g_and(tuple(data), 8))
+    text = serialize(b.build())
+    old = _without_runs(json.loads(text))
+    assert old["registers"][0]["qubits"] == [0, 1, 2, 3, 4]
+    assert serialize(deserialize(json.dumps(old))) == text
+    old["version"] = 1
+    with pytest.raises(circ.ParseError, match="unsupported format version 1"):
+        deserialize(json.dumps(old))
+
+
+def test_deserialize_counts_every_run_against_the_entry_budget(monkeypatch):
+    """Registers, targets and controls together may name MAX_QUBIT_ENTRIES
+    qubits, each run counted at its length, and the budget is checked
+    before any run is expanded."""
+    b = Builder()
+    b.add_register("q", 8)
+    b.append(g_and(tuple(range(7)), 7))
+    text = serialize(b.build())
+    assert json.loads(text)["layers"][0][0]["controls"] == [[0, 7]]
+    monkeypatch.setattr(circ, "MAX_QUBIT_ENTRIES", 8 + 1 + 7)
+    deserialize(text)
+    monkeypatch.setattr(circ, "MAX_QUBIT_ENTRIES", 8 + 1 + 6)
+    with pytest.raises(circ.ParseError) as exc:
+        deserialize(text)
+    assert str(exc.value) == "file names 16 qubit entries, over the limit of 15"
+
+
 def _edited(doc, path, value):
     """A copy of a JSON document with the value at ``path`` replaced."""
     doc = json.loads(json.dumps(doc))
@@ -542,6 +687,17 @@ MALFORMED = {
     "string-fanout-budget": (("metadata", "fanout_budget"), "8"),
     "int-label": (("layers", 0, 0, "params", "label"), 5),
 }
+# qubit runs [start, stop) that name no qubits or are no pair of ints, each
+# as the one entry of a gate's targets
+BAD_RUNS = {
+    "empty-run": [3, 3],
+    "backward-run": [5, 2],
+    "negative-run": [-1, 2],
+    "bool-run-start": [True, 4],
+    "float-run-stop": [0, 2.0],
+    "three-entry-run": [0, 1, 2],
+}
+MALFORMED.update((case, (("layers", 2, 0, "targets"), [run])) for case, run in BAD_RUNS.items())
 
 
 def malformed_text(case):
@@ -554,6 +710,14 @@ def test_deserialize_refuses_malformed_gates_and_mistyped_values(case):
     and every int and bool in a file has its exact JSON type."""
     with pytest.raises((circ.ParseError, CircuitError)):
         deserialize(malformed_text(case))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUNS))
+def test_a_malformed_qubit_run_is_named(case):
+    with pytest.raises(circ.ParseError) as exc:
+        deserialize(malformed_text(case))
+    want = f"malformed qubit run {BAD_RUNS[case]!r}: expected [start, stop] with 0 <= start < stop"
+    assert str(exc.value) == want
 
 
 @pytest.mark.parametrize(

@@ -5,14 +5,15 @@ import json
 import re
 import shlex
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shallowprep import cli, library
-from shallowprep.circuits import Builder, g_x, serialize
+from shallowprep import circuits, cli, library
+from shallowprep.circuits import Builder, deserialize, g_x, serialize
 from shallowprep.simulate import MAX_DENSE_QUBITS
 from test_circuits import (
     _KET0, BAD_METADATA, MALFORMED, _edited, malformed_text, metadata_file, mixed_circuit
@@ -561,9 +562,40 @@ def test_synth_ell_help_names_the_block_count(tmp_path, capsys, target):
     args = {"dicke": ["--k", "2"], "symmetric": ["--eta", eta]}[target]
     assert cli.main(["synth", target, "--n", "8", *args, "--ell", "4", "--out", str(tmp_path)]) == 0
     report = json.loads(next(tmp_path.glob("*.report.json")).read_text(encoding="utf-8"))
-    circuit = (tmp_path / report["circuit"]).read_text(encoding="utf-8")
-    sizes = {r["name"]: len(r["qubits"]) for r in json.loads(circuit)["registers"]}
+    circuit = deserialize((tmp_path / report["circuit"]).read_text(encoding="utf-8"))
+    sizes = {r.name: len(r) for r in circuit.registers}
     assert sizes["data"] == 8 and sizes["bucket0"] == 4
+
+
+def test_synth_writes_a_wide_circuit_in_runs_that_report_reads_back(tmp_path, capsys):
+    """At n = 100,000 a version-2 file took 9.0 MB, one int per qubit."""
+    argv = ["synth", "dicke", "--n", "100000", "--k", "2", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    path = tmp_path / "dicke_n100000_k2.circuit"
+    assert path.stat().st_size < 20_000
+    capsys.readouterr()
+    assert cli.main(["report", "--circuit", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["qubits"] > 100_000
+
+
+def test_a_short_file_asking_for_2_to_the_40_qubits_exits_2_unexpanded(tmp_path, capsys):
+    """The qubits a file names are counted from its runs before any run is
+    expanded, so a file of 100 bytes cannot ask for a terabyte."""
+    text = json.dumps({"version": 3, "metadata": {}, "layers": [],
+                       "registers": [{"name": "q", "qubits": [[0, 2**40]]}]},
+                      separators=(",", ":"))
+    assert len(text) <= 100
+    path = write(tmp_path / "huge.circuit", text)
+    tracemalloc.start()
+    try:
+        rc = cli.main(["report", "--circuit", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and peak < 2**20
+    err = capsys.readouterr().err
+    assert err == (f"error: file names {2**40} qubit entries, "
+                   f"over the limit of {circuits.MAX_QUBIT_ENTRIES}\n")
 
 
 def test_synth_refuses_an_n_over_its_cap_before_it_builds(tmp_path, capsys, monkeypatch):

@@ -172,6 +172,20 @@ def test_parallel_amplify_refuses_an_alpha_off_the_flag_mass_before_building():
     assert outer.n_qubits == 0 and not outer.registers
 
 
+@pytest.mark.parametrize("alpha", [Fraction(0), 0.0])
+def test_parallel_amplify_refuses_a_flag_that_is_never_set(alpha):
+    """alpha = 0 ended in a bare ZeroDivisionError from ceil(1 / alpha)."""
+    prep = Builder()
+    d = prep.add_register("d", 1)
+    f = prep.add_register("f", 1)
+    prep.append(g_unitary1(d[0], np.array([[0.6, 0.8], [0.8, -0.6]], dtype=complex)))
+    marked = MarkedPreparation(prep.build(), tuple(d), f[0], alpha)
+    outer = Builder()
+    with pytest.raises(CircuitError, match="never set"):
+        parallel_amplify(outer, marked)
+    assert outer.n_qubits == 0 and not outer.registers and not outer.layers
+
+
 def test_ham_gadget_certifies():
     b = Builder()
     x = b.add_register("x", 2)

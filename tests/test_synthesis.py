@@ -390,40 +390,43 @@ def _pinned_builds():
 # builder still had its own ratio table and distribution body and
 # amplify_to_exact its own round loop; the k = n and complement pins, as
 # emitted while build_dicke was still a builder of its own.  Format version 2
-# digests, made from that version-1 output by setting "version" to 2 and
+# digests were made from that version-1 output by setting "version" to 2 and
 # dropping each library gate's "declared_depth" and "declared_width" (which
-# marked_prep appends to its args instead)
+# marked_prep appends to its args instead).  Format version 3 digests, made
+# from that version-2 output by setting "version" to 3 and writing each
+# maximal run of three or more consecutive qubits in a register, targets or
+# controls list as a [start, stop) pair, through json.dumps(sort_keys=True)
 EMITTED_SHA256 = {
-    "dicke(4,1,2)": "0c6205a7149822713bd4f42397b35da8a7ec85ffdaf32683a866210acad7183c",
-    "dicke(4,1,4)": "fb2a79e8f500183aacabf9332a5dd2b7c58bcfede54684900dd9641590054835",
-    "dicke(4,2,2)": "02db41fc4f26a5a37d203210e01b166c4e0d9b0c049446ace87b730de19d9b0d",
-    "dicke(6,2,3)": "7fd2acee6dc0fabd3751d72a9a210d51d1dd3ea83da4562950f4595a43cf20ce",
-    "dicke(8,2,4)": "95bbc34fa1b447ca08631597360331bdc308b4d93e29bea45be5cf65bd6ffabf",
-    "dicke(6,1,3)": "31aa9201d2ad260a62c152bbd71bce777a7be30ac0c256c9b743034f63b28d40",
-    "dicke(8,1,4)": "6b6834dce8dbf97bcb19a28814f220e13dd27a6791d57c6960b8a14d83af6066",
-    "dicke(5,1,2)": "48477cf35a0867beb6d64386527ce7d3cbf4aa09543609cb48dbee27da8c8c47",
-    "dicke(7,2,4)": "cbadd610388dd843899fe14f89090e058f07498641db082a06c168d111fba454",
-    "dicke(8,6,None)": "854f928d53e33000847c5dedd7aa444a063fa1bb5e8decc390696520956f442e",
-    "dicke(5,0,None)": "283fec5afdc9876c58c28672535b7785b75759248a04b982d0d97635a03d78f9",
-    "dicke(16,2,None)": "97a185e33f32d96aa8b4a75d33d53a6c02b68a24c3d408e1f167be00ae46d607",
-    "dicke(24,3,None)": "c56115c47cd74f013a3c88951ece83e1610cd6f2437cf60371fda08286b3b872",
-    "dicke(64,3,None)": "a9ebe8f40e9d96e5824df488c41115b24ac7f5bbc13a144fceccd18b331a900c",
-    "dicke(1009,2,None)": "13606425dd1a276b361b32412f5a82589b1fb7bf3db5604191bed7542af159b5",
-    "dicke(4,4,None)": "8e9d29d8f3c24b542f6a1a62598a3dd9ec141f723470dd81d64be75bc317221c",
-    "dicke(7,5,None)": "bf850c0dff8b43bd11a27ec57355922f8ad921ec84d3dd8c0d3555b76b185089",
-    "dicke(24,21,None)": "b2f45d40f6e9951aedfc9018494a24da3cc1ef9debee1c297ffc062ed84362f1",
-    "symmetric(4,weights-01)": "1a9aadf5c5389b91e6d50d96e570c0e251d67291479e9b020f46a80f180aab42",
-    "symmetric(4,weights-12)": "3b2e2e629c46691dcb11670c3bad7421c664a45da2e5b3f913c221198542561a",
-    "symmetric(4,weights-012-phase)": "4f95cc7e273c135ed9e70615122bbea6b9c1186c6bf38f8c936bd3604b326b83",
-    "symmetric(5,weights-01,2)": "a301ca5dc0abfc454ee8169b496e3592e06bca296c8ad9d569f8746092d676ba",
-    "ctrl_damped_explicit(4,2)": "a02dcc04a47b2f88030cf4ddf830636c4e234f9eb20836e9170231e13841b7aa",
-    "zero_w_explicit(3)": "86a2059c701a817496a7f604abb320812df95d88c258662b3b695f8b2e74e0ef",
-    "onehot_dist(1/2,1/3,1/6)": "b0ac3b49c85c13d85c8d1081109b0efec29e7a8b135f905fceb72fe55e115c79",
-    "small_state(4)": "058f12c90d65168799096448141672a8ca42c24acb5cec18c68e3aac693538e9",
-    "amplify(1/4)": "0b33662586351f720683ef93db2d382f0d3cd1227f6791b9b4716e97b5991ba3",
-    "amplify(sin^2(pi/10))": "80a48ef2b3364a058bf85c949da86c191b99c127e02cd5fb324e32c3a1033202",
-    "amplify(0.4)": "f99fba449e76ce236fd3ae5e882a79bb7a2ba53c44e035edc460c843a83343d8",
-    "amplify(1)": "a01662d67cee413edd89be7952186f9c540f61dc8f60576bd28c7ec51c2a9f71",
+    "dicke(4,1,2)": "fa9405dce98d8e18a36f6b401356fb8efa61a3ff9d6558146065423ad72ca336",
+    "dicke(4,1,4)": "d39e6c79f5923c178381b036058efba628354deee7ae040e0c1ec9c6d3209b71",
+    "dicke(4,2,2)": "a520ebcd6104a184a76638c302215b8bb7b36d02d2d56fd4e0f0aa7d52094605",
+    "dicke(6,2,3)": "b11590782ac6895cf8132b732ab2e96ec58a23c1343ffa336c2c903ebf84dfd8",
+    "dicke(8,2,4)": "1ec4181cd8a10405eb62d6688e9cc8fe1b3c6dd4751e89d26ad2a3d07c92665a",
+    "dicke(6,1,3)": "5ece0eb334f4fa8a6c2f696de4bdb69fcb762c4b3a16f11db16744e4601c15b7",
+    "dicke(8,1,4)": "e576d4cee60b9b7d7cfda5cf6699c93dfe0b769b2d579c4bf9b36538605c4811",
+    "dicke(5,1,2)": "c58b8f42dcfebdab103599bf5a2ac7bb2f36d7a149cf22d49f60a5d84647d945",
+    "dicke(7,2,4)": "317d741b060a3ab4e0ac2f4a2c8d2afef426b34a633a3c5390759e134c5506f4",
+    "dicke(8,6,None)": "54181011f73c2ea2de626af3f1ea6b6c258c956e80a5852f5a1b1175cb8b2153",
+    "dicke(5,0,None)": "81b10621f5afb558780588112653e493b02827711d18e2a8f9a77e2e7b1a7920",
+    "dicke(16,2,None)": "59277d332d665e1ee18255c4748024676a9238c6ae7820ac0e0689bd6cd911da",
+    "dicke(24,3,None)": "8098576e8517c0b76451f5b74503fde0cf22db374f95c372562ceec7b2d8c704",
+    "dicke(64,3,None)": "85d58d214a995450fab2feb342925d51cd4add2531ea7b3cf73483a53b653fa5",
+    "dicke(1009,2,None)": "4c2b9666842369ff43fe34e00cafd2b6c8faafafa6aae6e7dcb6b34ea73a2a21",
+    "dicke(4,4,None)": "5b0da5efcd191c9be6f6bf1799dd8735b4136d377714f7d497828ba5dc681825",
+    "dicke(7,5,None)": "61da619153b794d9b60488b2c0716779ddf28240d4e6ab7b8993e665f8fa2cf1",
+    "dicke(24,21,None)": "00714d98679f783470131bbe8be84fed4130f80deaf948c71768322789e32562",
+    "symmetric(4,weights-01)": "4b1032f3701db53877890b3be6337b03fce5f327602d41ca836a8b5330d83822",
+    "symmetric(4,weights-12)": "da5a7cbe470b1ace801f3e758d068859f12929a6f27014ad7fd26e00fe1a426b",
+    "symmetric(4,weights-012-phase)": "a433ce0a91b3332220569de6abc2cfa15f001945d542246debbcff950a40682e",
+    "symmetric(5,weights-01,2)": "4ab750f810abde7baa907b81a030d1c62929ae2054ed41992455752e875d9628",
+    "ctrl_damped_explicit(4,2)": "ffce7f8b904962d39951853a0d89a44844b35776d54869e2eee914a6d4f2c615",
+    "zero_w_explicit(3)": "92600f43797332cb80b751b2232ead59f64161e4cc9beef5eb6abc29e388adbc",
+    "onehot_dist(1/2,1/3,1/6)": "f9c8aab1886bc661dbc9ddad608114ca6c708be44136aeed87e65727b5035144",
+    "small_state(4)": "59bc16dad743dde8fab4191119f032383ed946e44ec38af24a3c56858303765c",
+    "amplify(1/4)": "8ef12260a4714229e8b1706126aee50bc535b22afac095a009a14b296b0450b4",
+    "amplify(sin^2(pi/10))": "537ec54c5052b19e9006f2b251c3aacd4e751a42e928f1cc955bbec597eeb4c7",
+    "amplify(0.4)": "c715ff7d9fe1172884b2e4d8ca00caa4e1b6e277d65b890ed0b8f90df37a11b2",
+    "amplify(1)": "24a7625176406cc4a8b3a61c97bac25bbaa285222b14c542bd23369e436e28cf",
 }
 
 
